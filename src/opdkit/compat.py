@@ -27,16 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .linalg import span_equal
 from .presentation import (
     ColorSet,
     Presentation,
     Relation,
     Term,
     color_relation,
-    component_matrix,
     elementwise_sum,
-    relation_gradings,
+    presentation_span_equal,
     replicate,
     require_valid,
     standard_slots,
@@ -231,7 +229,10 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     mat = build_mat(p, omega)
     extra = []
     for rel in p.relations:
-        for mu, nu in itertools.permutations(omega.labels, 2):
+        # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
+        # the two weight-3 swaps for (nu,mu) are new relations.
+        pairs = itertools.combinations if rel.weight == 2 else itertools.permutations
+        for mu, nu in pairs(omega.labels, 2):
             extra.extend(transposition_relations(rel, mu, nu))
     if p.is_quadratic:
         for tree in uncovered_trees(p):
@@ -305,10 +306,5 @@ def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
         for expansion in expand_formal(p, omega)
         for rel in expansion.coefficients.values()
     ]
-    gens = lin.generators
-    for arity, weight in relation_gradings(list(lin.relations) + extracted):
-        _, lhs = component_matrix(gens, extracted, arity, weight)
-        _, rhs = component_matrix(gens, lin.relations, arity, weight)
-        if not span_equal(lhs, rhs):
-            return False
-    return True
+    formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))
+    return presentation_span_equal(formal, lin)

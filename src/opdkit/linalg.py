@@ -1,21 +1,34 @@
-"""Exact rational dense linear algebra.
+"""Exact linear algebra: one sparse fraction-free elimination kernel.
 
-Row spaces, null spaces, and orthogonal complements with respect to a
-diagonal +/-1 bilinear form, all over exact rationals.  Forward elimination
-is fraction-free on gcd-reduced integer rows; pivots are normalized to 1
-only at the end, so intermediate entries stay integral.
+Every span question reduces to the ``Echelon`` kernel.  A row is a sparse
+integer vector ``{column: int}`` with content 1 (entries coprime), which
+fixes a rational row up to a nonzero scalar.  ``Echelon`` keeps a fully
+reduced echelon basis keyed by pivot column: each basis row has a positive
+entry at its pivot, which is its smallest column, and no entry at any other
+pivot.  Rows are reduced fraction-free, cross-multiplying by the pivot and
+dividing out the content, so no rational arithmetic happens inside the
+kernel.  Given a column order the basis is the reduced row echelon form up
+to row scaling, hence canonical: two bases over one column map span the same
+space iff they are equal.
+
+The public dense API (``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
+``span_contains``, ``span_equal``, ``orthogonal_complement``) consists of
+thin adapters that convert dense rational rows to sparse integer rows, run
+the kernel, and convert back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
     "RationalMatrix",
     "DiagonalForm",
+    "Echelon",
+    "integer_row",
     "rref",
     "rank",
     "nullspace",
@@ -25,6 +38,7 @@ __all__ = [
 ]
 
 Row = tuple[Fraction, ...]
+SparseRow = dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -81,63 +95,126 @@ class DiagonalForm:
         return len(self.signs)
 
 
-def _row_content(row: list[int]) -> int:
+def _primitive(row: SparseRow) -> SparseRow:
+    """Divide a nonempty row by the gcd of its entries, in place."""
     g = 0
-    for v in row:
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return 1
-    return g
+            return row
+    for c in row:
+        row[c] //= g
+    return row
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    out = []
-    for row in m.rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        ints = [int(x.numerator * (scale // x.denominator)) for x in row]
-        g = _row_content(ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def integer_row(entries: Iterable[tuple[int, Fraction]]) -> SparseRow:
+    """Sparse content-1 integer row spanning the same line as the rational entries.
+
+    Entries at a repeated column are summed; zero sums are dropped, so an
+    all-zero input gives the empty row.
+    """
+    summed: dict[int, Fraction] = {}
+    for col, x in entries:
+        summed[col] = summed.get(col, 0) + x
+    scale = 1
+    for x in summed.values():
+        if x:
+            scale = lcm(scale, x.denominator)
+    row = {
+        col: int(x.numerator * (scale // x.denominator))
+        for col, x in summed.items()
+        if x
+    }
+    return _primitive(row) if row else row
+
+
+class Echelon:
+    """A fully reduced fraction-free echelon basis, keyed by pivot column."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[SparseRow] = ()) -> None:
+        self.rows: dict[int, SparseRow] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """Content-1 remainder of ``row`` against the basis; empty iff in the span."""
+        basis = self.rows
+        vec = dict(row)
+        # Basis rows vanish at every pivot but their own, so eliminating one
+        # pivot never brings in another: one pass over the pivots present.
+        for pivot in [c for c in vec if c in basis]:
+            brow = basis[pivot]
+            a, p = vec[pivot], brow[pivot]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            if p != 1:
+                for c in vec:
+                    vec[c] *= p
+            for c, v in brow.items():
+                x = vec.get(c, 0) - a * v
+                if x:
+                    vec[c] = x
+                else:
+                    del vec[c]
+            if p != 1 and vec:
+                _primitive(vec)
+        return _primitive(vec) if vec else vec
+
+    def contains(self, row: SparseRow) -> bool:
+        return not self.reduce(row)
+
+    def add(self, row: SparseRow) -> bool:
+        """Insert ``row``; False when it already lies in the span."""
+        vec = self.reduce(row)
+        if not vec:
+            return False
+        pivot = min(vec)
+        if vec[pivot] < 0:
+            for c in vec:
+                vec[c] = -vec[c]
+        p = vec[pivot]
+        for other, brow in self.rows.items():
+            a = brow.get(pivot)
+            if a is None:
+                continue
+            g = gcd(a, p)
+            a, s = a // g, p // g
+            merged = {c: s * v for c, v in brow.items()} if s != 1 else dict(brow)
+            for c, v in vec.items():
+                x = merged.get(c, 0) - a * v
+                if x:
+                    merged[c] = x
+                else:
+                    del merged[c]
+            self.rows[other] = _primitive(merged)
+        self.rows[pivot] = vec
+        return True
+
+
+def _echelon(m: RationalMatrix) -> Echelon:
+    return Echelon(
+        integer_row((c, x) for c, x in enumerate(row) if x) for row in m.rows
+    )
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns.  Row space is preserved."""
-    rows = _integer_rows(m)
-    pivots: list[int] = []
-    pr = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        p = rows[pr][col]
-        for r in range(len(rows)):
-            if r == pr or not rows[r][col]:
-                continue
-            a = rows[r][col]
-            merged = [p * x - a * y for x, y in zip(rows[r], rows[pr])]
-            g = _row_content(merged)
-            if g > 1:
-                merged = [v // g for v in merged]
-            rows[r] = merged
-        pivots.append(col)
-        pr += 1
-    reduced = tuple(
-        tuple(Fraction(v, rows[r][pivots[r]]) for v in rows[r]) for r in range(pr)
-    )
-    return RationalMatrix(reduced, m.cols), tuple(pivots)
+    basis = _echelon(m).rows
+    pivots = tuple(sorted(basis))
+    reduced = []
+    for p in pivots:
+        row, lead = basis[p], basis[p][p]
+        reduced.append(tuple(Fraction(row.get(c, 0), lead) for c in range(m.cols)))
+    return RationalMatrix(tuple(reduced), m.cols), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m))
 
 
 def nullspace(m: RationalMatrix) -> RationalMatrix:
@@ -156,30 +233,25 @@ def nullspace(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(tuple(basis), m.cols)
 
 
-def _reduce_against(row: Row, reduced: RationalMatrix, pivots: tuple[int, ...]) -> bool:
-    """True iff ``row`` reduces to zero against an rref basis."""
-    vec = list(row)
-    for r, p in enumerate(pivots):
-        c = vec[p]
-        if c:
-            basis_row = reduced.rows[r]
-            vec = [x - c * y for x, y in zip(vec, basis_row)]
-    return not any(vec)
+def _check_widths(a: RationalMatrix, b: RationalMatrix) -> None:
+    if a.cols != b.cols:
+        raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
 
 
 def span_contains(a: RationalMatrix, b: RationalMatrix) -> bool:
     """True iff every row of ``b`` lies in the row space of ``a``."""
-    if a.cols != b.cols:
-        raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
-    reduced, pivots = rref(a)
-    return all(_reduce_against(row, reduced, pivots) for row in b.rows)
+    _check_widths(a, b)
+    basis = _echelon(a)
+    return all(
+        basis.contains(integer_row((c, x) for c, x in enumerate(row) if x))
+        for row in b.rows
+    )
 
 
 def span_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
-    """True iff the row spaces coincide (rref is a canonical form)."""
-    if a.cols != b.cols:
-        raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
-    return rref(a)[0].rows == rref(b)[0].rows
+    """True iff the row spaces coincide (the reduced echelon basis is canonical)."""
+    _check_widths(a, b)
+    return _echelon(a).rows == _echelon(b).rows
 
 
 def orthogonal_complement(relations: RationalMatrix, form: DiagonalForm) -> RationalMatrix:

@@ -7,10 +7,12 @@ coloring can be applied uniformly across all terms: slot j of every term
 receives the same color even when the decorating generators differ from
 term to term (as in a commutator).
 
-The module also carries the span machinery used throughout: relations of a
-presentation are turned into coefficient vectors over the canonical tree
-basis of their graded component, and presentations are compared componentwise
-by exact row-space equality or containment.
+The module also carries the span machinery used throughout.  Presentations
+are compared componentwise by exact row-space equality or containment: the
+relations of each grading become sparse integer rows over the trees that
+occur in them, reduced by the kernel of ``linalg``.  ``component_matrix``
+gives the dense coefficient rows over the full canonical tree basis, for the
+callers that need the ambient component (Koszul duals, dimension reports).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import RationalMatrix, span_contains, span_equal
+from .linalg import Echelon, RationalMatrix, SparseRow, integer_row
 from .trees import Generator, GradedComponent, Tree, enumerate_basis, tree_key
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "component_matrix",
     "presentation_span_equal",
     "presentation_span_contains",
-    "component_dimensions",
     "standard_slots",
 ]
 
@@ -389,17 +390,10 @@ def relation_gradings(relations: Iterable[Relation]) -> list[tuple[int, int]]:
     return sorted({r.grading() for r in relations})
 
 
-def relation_vector(rel: Relation, component: GradedComponent) -> tuple[Fraction, ...]:
-    index = component.index()
-    vec = [Fraction(0)] * component.dimension
-    for term in rel.terms:
-        try:
-            vec[index[term.tree]] += term.coeff
-        except KeyError:
-            raise ValueError(
-                f"relation {rel.name} contains a tree outside its graded component"
-            ) from None
-    return tuple(vec)
+def _outside_component(rel: Relation) -> ValueError:
+    return ValueError(
+        f"relation {rel.name} contains a tree outside its graded component"
+    )
 
 
 def component_matrix(
@@ -410,11 +404,18 @@ def component_matrix(
 ) -> tuple[GradedComponent, RationalMatrix]:
     """Coefficient rows of the relations of one grading over the canonical basis."""
     component = enumerate_basis(gens, arity, weight)
-    rows = [
-        relation_vector(r, component)
-        for r in relations
-        if r.grading() == (arity, weight)
-    ]
+    index = component.index()
+    rows = []
+    for rel in relations:
+        if rel.grading() != (arity, weight):
+            continue
+        vec = [Fraction(0)] * component.dimension
+        for term in rel.terms:
+            try:
+                vec[index[term.tree]] += term.coeff
+            except KeyError:
+                raise _outside_component(rel) from None
+        rows.append(tuple(vec))
     return component, RationalMatrix(tuple(rows), component.dimension)
 
 
@@ -429,34 +430,57 @@ def _common_generators(p: Presentation, q: Presentation) -> tuple[Generator, ...
     return p.generators
 
 
+class _Columns:
+    """Column numbers for the trees that occur in relations, one map per grading.
+
+    Only trees that some relation uses get a column, in order of first
+    appearance, so no graded basis is enumerated.  A tree is admitted once,
+    when it first appears: it must have its relation's grading and be built
+    from the shared generators, which is membership in the graded component.
+    """
+
+    def __init__(self, gens: Iterable[Generator]) -> None:
+        self.gens = frozenset(gens)
+        self.maps: dict[tuple[int, int], dict[Tree, int]] = {}
+
+    def row(self, rel: Relation) -> SparseRow:
+        grading = rel.grading()
+        cols = self.maps.setdefault(grading, {})
+        entries = []
+        for term in rel.terms:
+            tree = term.tree
+            col = cols.get(tree)
+            if col is None:
+                if (tree.arity, tree.weight) != grading or not self.gens.issuperset(
+                    tree.internal_generators()
+                ):
+                    raise _outside_component(rel)
+                col = cols[tree] = len(cols)
+            entries.append((col, term.coeff))
+        return integer_row(entries)
+
+    def echelon(self, relations: Iterable[Relation], grading: tuple[int, int]) -> Echelon:
+        return Echelon(self.row(r) for r in relations if r.grading() == grading)
+
+
 def presentation_span_equal(p: Presentation, q: Presentation) -> bool:
     """Componentwise row-space equality of the two relation sets."""
-    gens = _common_generators(p, q)
-    for arity, weight in relation_gradings(list(p.relations) + list(q.relations)):
-        _, mp = component_matrix(gens, p.relations, arity, weight)
-        _, mq = component_matrix(gens, q.relations, arity, weight)
-        if not span_equal(mp, mq):
+    columns = _Columns(_common_generators(p, q))
+    for grading in relation_gradings(list(p.relations) + list(q.relations)):
+        # One column map serves both sides, so the canonical bases compare.
+        ours = columns.echelon(p.relations, grading)
+        theirs = columns.echelon(q.relations, grading)
+        if ours.rows != theirs.rows:
             return False
     return True
 
 
 def presentation_span_contains(big: Presentation, small: Presentation) -> bool:
     """True iff every relation of ``small`` lies in the componentwise span of ``big``."""
-    gens = _common_generators(big, small)
-    for arity, weight in relation_gradings(small.relations):
-        _, mb = component_matrix(gens, big.relations, arity, weight)
-        _, ms = component_matrix(gens, small.relations, arity, weight)
-        if not span_contains(mb, ms):
+    columns = _Columns(_common_generators(big, small))
+    for grading in relation_gradings(small.relations):
+        basis = columns.echelon(big.relations, grading)
+        rows = [columns.row(r) for r in small.relations if r.grading() == grading]
+        if not all(basis.contains(row) for row in rows):
             return False
     return True
-
-
-def component_dimensions(p: Presentation) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per grading: (span dimension of the relations, ambient dimension)."""
-    from .linalg import rank
-
-    out = {}
-    for arity, weight in relation_gradings(p.relations):
-        component, matrix = component_matrix(p.generators, p.relations, arity, weight)
-        out[(arity, weight)] = (rank(matrix), component.dimension)
-    return out

@@ -12,7 +12,7 @@ when linear combinations of trees are turned into coefficient vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -76,41 +76,67 @@ class Generator:
 
 @dataclass(frozen=True)
 class Tree:
-    """A decorated planar rooted tree; ``gen is None`` marks a leaf."""
+    """A decorated planar rooted tree; ``gen is None`` marks a leaf.
+
+    Arity, weight and hash are computed once, from the children's, when the
+    tree is built: trees key every column map of the span engine, and
+    recomputing them recursively dominated the lookups.
+    """
 
     gen: Optional[Generator] = None
     children: tuple["Tree", ...] = ()
+    arity: int = field(init=False, repr=False, compare=False)
+    weight: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.gen is None:
-            if self.children:
+        gen, children = self.gen, self.children
+        if gen is None:
+            if children:
                 raise ValueError("leaves have no children")
-        elif len(self.children) != self.gen.arity:
+            arity, weight = 1, 0
+        elif len(children) != gen.arity:
             raise ValueError(
-                f"node {self.gen.serialized()} needs {self.gen.arity} children, "
-                f"got {len(self.children)}"
+                f"node {gen.serialized()} needs {gen.arity} children, "
+                f"got {len(children)}"
             )
+        else:
+            arity, weight = 0, 1
+            for c in children:
+                arity += c.arity
+                weight += c.weight
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "_hash", hash((gen, *(c._hash for c in children))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy _hash.
+        return (Tree, (self.gen, self.children))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Tree:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.gen == other.gen
+            and self.children == other.children
+        )
 
     @property
     def is_leaf(self) -> bool:
         return self.gen is None
 
-    @property
-    def arity(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.arity for c in self.children)
-
-    @property
-    def weight(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + sum(c.weight for c in self.children)
-
     def preorder(self) -> Iterator["Tree"]:
-        yield self
-        for child in self.children:
-            yield from child.preorder()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def internal_generators(self) -> tuple[Generator, ...]:
         """Generators of internal vertices in preorder."""

@@ -139,10 +139,35 @@ def test_build_tot_as_span():
     tot = build_tot(builtin("as"), TWO)
     # matching family plus both comb transpositions
     names = {rel.name for rel in tot.relations}
-    assert "assoc__T_0_1,2" in names and "assoc__T_1_2,1" in names
+    assert "assoc__T_0_1,2" in names and "assoc__T_1_1,2" in names
     gens = tot.generators
     _, matrix = component_matrix(gens, tot.relations, 3, 2)
     assert rank(matrix) == 5  # of the 8-dimensional ambient
+
+
+def _signed_terms(rel, sign=1):
+    totals = {}
+    for term in rel.terms:
+        totals[term.tree] = totals.get(term.tree, 0) + sign * term.coeff
+    return frozenset((tree, c) for tree, c in totals.items() if c)
+
+
+def test_build_tot_emits_no_negated_duplicates():
+    for name in ("as", "dend", "d1d2"):
+        for k in (2, 3):
+            tot = build_tot(builtin(name), ColorSet.of(k))
+            seen = {_signed_terms(rel) for rel in tot.relations}
+            negated = [rel.name for rel in tot.relations if _signed_terms(rel, -1) in seen]
+            assert negated == [], (name, k)
+    # The two orientations of a weight-3 swap are different relations.
+    tot = build_tot(builtin("rba0"), TWO)
+    names = {rel.name for rel in tot.relations}
+    for idx in range(len(support(builtin("rba0").relation("rb")))):
+        for half in "ab":
+            assert {f"rb__T_{idx}{half}_1,2", f"rb__T_{idx}{half}_2,1"} <= names
+            a = tot.relation(f"rb__T_{idx}{half}_1,2")
+            b = tot.relation(f"rb__T_{idx}{half}_2,1")
+            assert _signed_terms(b) not in (_signed_terms(a), _signed_terms(a, -1))
 
 
 def test_build_tot_quadratic_rank_closed_form():
@@ -166,7 +191,9 @@ def test_build_tot_quadratic_rank_closed_form():
 
 
 def test_build_tot_cubic_keeps_support_swaps():
-    # With a cubic relation only the support trees carry swaps.
+    # With a cubic relation only the support trees carry swaps: one per
+    # unordered color pair on a weight-2 relation, both orientations on a
+    # weight-3 relation.
     for label, pres in default_grid():
         if pres.is_quadratic:
             continue
@@ -174,7 +201,11 @@ def test_build_tot_cubic_keeps_support_swaps():
         swaps = [
             rel
             for base in pres.relations
-            for mu, nu in itertools.permutations(THREE.labels, 2)
+            for mu, nu in (
+                itertools.combinations(THREE.labels, 2)
+                if base.weight == 2
+                else itertools.permutations(THREE.labels, 2)
+            )
             for rel in transposition_relations(base, mu, nu)
         ]
         assert len(tot.relations) == len(build_mat(pres, THREE).relations) + len(swaps), label

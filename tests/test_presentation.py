@@ -14,6 +14,7 @@ from opdkit.presentation import (
     color_relation,
     component_matrix,
     elementwise_sum,
+    presentation_span_contains,
     presentation_span_equal,
     rename_generators,
     replicate,
@@ -195,3 +196,35 @@ def test_tensor_generators():
 def test_presentation_span_equal_requires_same_generators():
     with pytest.raises(ValueError):
         presentation_span_equal(builtin("as"), builtin("dend"))
+
+
+def test_span_checks_reject_trees_outside_their_component():
+    pres = builtin("as")
+    stranger = Generator("n", 2)
+    foreign = Relation(
+        "foreign",
+        (
+            Term(Fraction(1), Tree(stranger, (Tree(M, (X, X)), X)), (2, 1)),
+            Term(Fraction(-1), Tree(M, (X, Tree(M, (X, X)))), (1, 2)),
+        ),
+    )
+    # Same generator list, but one relation uses a generator outside it.
+    outside = dataclasses.replace(pres, relations=pres.relations + (foreign,))
+    message = "relation foreign contains a tree outside its graded component"
+    with pytest.raises(ValueError, match=message):
+        presentation_span_contains(pres, outside)
+    with pytest.raises(ValueError, match=message):
+        presentation_span_contains(outside, pres)
+    with pytest.raises(ValueError, match=message):
+        presentation_span_equal(pres, outside)
+    # A term of another grading is outside the component as well.
+    mixed = Relation(
+        "mixed",
+        (
+            Term(Fraction(1), Tree(M, (Tree(M, (X, X)), X)), (2, 1)),
+            Term(Fraction(1), Tree(M, (X, X)), (1,)),
+        ),
+    )
+    uneven = dataclasses.replace(pres, relations=(mixed,))
+    with pytest.raises(ValueError, match="relation mixed contains a tree outside"):
+        presentation_span_equal(pres, uneven)

@@ -1,6 +1,7 @@
 """Trees: grafting, composition, enumeration, canonical order."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -184,6 +185,16 @@ def test_grafting_associativity(data):
     nested_first = graft(outer, i, graft(mid, j, inner))
     grafted_first = graft(graft(outer, i, mid), i + j - 1, inner)
     assert nested_first == grafted_first
+    assert hash(nested_first) == hash(grafted_first)
+
+
+def test_pickled_trees_rebuild_their_hash():
+    tree = t(M, t(P, X), t(M, X, X))
+    # A cached string-based hash is only valid in the process that made it.
+    assert b"_hash" not in pickle.dumps(tree)
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and hash(copy) == hash(tree)
+    assert (copy.arity, copy.weight) == (3, 3)
 
 
 def test_tree_key_distinguishes_decorations():
