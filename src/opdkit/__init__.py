@@ -2,8 +2,10 @@
 
 Construct linearly compatible, matching, and totally compatible operads over
 a finite color set, compute Koszul duals of quadratic presentations, form
-Manin square products, and compare everything by exact rational linear
-algebra over canonical decorated-tree bases.
+Manin square products, and compare everything grading by grading with one
+sparse exact elimination kernel (``span_components`` reports the rank of
+each side and the verdict per grading).  The dense rational matrix functions
+are thin adapters over the same kernel.
 """
 
 from .catalog import builtin, catalog_keys, default_grid
@@ -40,6 +42,7 @@ from .presentation import (
     presentation_span_equal,
     rename_generators,
     replicate,
+    span_components,
     tensor_generators,
     validate,
 )

@@ -13,7 +13,9 @@ alone.  The sign table, extended verbatim to any number of generators:
 
 The dual of P = T(E)/<R> is then T(E*)/<R^perp> with R^perp computed per
 arity component, the complement of an empty relation set being the full
-ambient component.
+ambient component.  With the relation rows scaled column by column by the
+signs, R^perp is the right kernel of the scaled rows: one vector per free
+column of their sparse echelon basis over the ambient tree basis.
 """
 
 from __future__ import annotations
@@ -21,19 +23,19 @@ from __future__ import annotations
 import itertools
 
 from .compat import CompatKind, build_compatible
-from .linalg import DiagonalForm, orthogonal_complement
+from .linalg import DiagonalForm, Echelon, integer_row
 from .presentation import (
     ColorSet,
     Presentation,
     Relation,
     Term,
-    component_matrix,
     presentation_span_equal,
     rename_generators,
     require_valid,
+    span_components,
     standard_slots,
 )
-from .trees import GradedComponent, Tree
+from .trees import GradedComponent, Tree, enumerate_basis
 
 __all__ = [
     "shape_sign",
@@ -86,16 +88,20 @@ def koszul_dual(p: Presentation, name: str | None = None) -> Presentation:
 
     rels: list[Relation] = []
     for arity in (1, 2, 3):
-        component, rows = component_matrix(p.generators, p.relations, arity, 2)
+        component = enumerate_basis(p.generators, arity, 2)
         if component.dimension == 0:
             continue
-        complement = orthogonal_complement(rows, pairing_form(component))
+        index = component.index()
+        relations = Echelon(
+            integer_row((index[t.tree], t.coeff * shape_sign(t.tree)) for t in rel.terms)
+            for rel in p.relations
+            if rel.arity == arity
+        )
         dual_basis = [_dualize_tree(t) for t in component.basis]
-        for i, row in enumerate(complement.rows):
+        for i, vec in enumerate(relations.complement(component.dimension)):
             terms = tuple(
-                Term(coeff, dual_tree, standard_slots(dual_tree))
-                for coeff, dual_tree in zip(row, dual_basis)
-                if coeff
+                Term(coeff, dual_basis[c], standard_slots(dual_basis[c]))
+                for c, coeff in vec.items()
             )
             rels.append(Relation(f"dual_a{arity}_{i}", terms))
     return Presentation(
@@ -109,22 +115,17 @@ def is_self_dual(p: Presentation) -> bool:
     The identity renaming g* -> g is tried first; otherwise all generator
     bijections are searched (feasible at catalog sizes, and necessary: some
     self-dual presentations match only after permuting same-arity generators).
-    A per-component dimension comparison prunes the search, since renamings
-    never change span dimensions.
+    The identity comparison also prunes the search: renamings never change
+    span dimensions, so a rank that differs in any grading rules out every
+    renaming.
     """
-    from .linalg import rank
-    from .presentation import relation_gradings
-
     dual = koszul_dual(p)
     identity = {g.dual(): g for g in p.generators}
-    dual_id = rename_generators(dual, identity)
-    if presentation_span_equal(dual_id, p):
+    report = list(span_components(rename_generators(dual, identity), p))
+    if all(c.equal for c in report):
         return True
-    for arity, weight in relation_gradings(list(p.relations) + list(dual_id.relations)):
-        _, mp = component_matrix(p.generators, p.relations, arity, weight)
-        _, md = component_matrix(p.generators, dual_id.relations, arity, weight)
-        if rank(mp) != rank(md):
-            return False
+    if any(c.left_rank != c.right_rank for c in report):
+        return False
     for pu in itertools.permutations(p.unary):
         for pb in itertools.permutations(p.binary):
             mapping = {

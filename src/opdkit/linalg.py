@@ -11,6 +11,9 @@ kernel.  Given a column order the basis is the reduced row echelon form up
 to row scaling, hence canonical: two bases over one column map span the same
 space iff they are equal.
 
+The kernel also gives the complement of a span: the right kernel has one
+basis vector per free (non-pivot) column, read straight off the basis.
+
 The public dense API (``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
 ``span_contains``, ``span_equal``, ``orthogonal_complement``) consists of
 thin adapters that convert dense rational rows to sparse integer rows, run
@@ -195,6 +198,23 @@ class Echelon:
         self.rows[pivot] = vec
         return True
 
+    def complement(self, ncols: int) -> list[dict[int, Fraction]]:
+        """Right kernel basis of width ``ncols``: one vector per free column, in order.
+
+        Each has 1 at its free column and -row[free] / row[pivot] at each pivot.
+        """
+        pivots_at: dict[int, dict[int, Fraction]] = {}
+        for pivot, row in self.rows.items():
+            lead = row[pivot]
+            for c, v in row.items():
+                if c != pivot:
+                    pivots_at.setdefault(c, {})[pivot] = Fraction(-v, lead)
+        return [
+            {free: Fraction(1), **pivots_at.get(free, {})}
+            for free in range(ncols)
+            if free not in self.rows
+        ]
+
 
 def _echelon(m: RationalMatrix) -> Echelon:
     return Echelon(
@@ -219,18 +239,8 @@ def rank(m: RationalMatrix) -> int:
 
 def nullspace(m: RationalMatrix) -> RationalMatrix:
     """Rows form a basis of the right kernel {x : M x^T = 0}."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced.rows[r][free]
-        basis.append(tuple(vec))
-    return RationalMatrix(tuple(basis), m.cols)
+    kernel = _echelon(m).complement(m.cols)
+    return RationalMatrix.from_rows(([v.get(c, 0) for c in range(m.cols)] for v in kernel), m.cols)
 
 
 def _check_widths(a: RationalMatrix, b: RationalMatrix) -> None:

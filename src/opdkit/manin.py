@@ -20,18 +20,17 @@ from fractions import Fraction
 from typing import Literal
 
 from .duality import koszul_dual, standard_slots
-from .linalg import rank
 from .presentation import (
     Presentation,
     Relation,
     Term,
-    component_matrix,
     presentation_span_equal,
     rename_generators,
     require_valid,
+    span_components,
     tensor_generators,
 )
-from .trees import Generator, Tree, leaf
+from .trees import Generator, Tree, enumerate_basis, leaf
 
 __all__ = [
     "ProductKind",
@@ -136,7 +135,7 @@ def black_square(p: Presentation, q: Presentation) -> Presentation:
                 for (k, l), b in rq_block.items():
                     terms.append(_scaled(_right_comb(tmap[(i, k)], tmap[(j, l)]), -a * b))
             rels.append(Relation(f"{rp.name}__x__{rq.name}", tuple(terms)))
-    gens = tuple(tmap[pair] for pair in sorted(tmap, key=lambda pr: (pr[0].sort_key, pr[1].sort_key)))
+    gens = tuple(tmap.values())
     return Presentation(f"black_{p.name}__{q.name}", (), gens, tuple(rels))
 
 
@@ -164,7 +163,7 @@ def _white_literal(p: Presentation, q: Presentation) -> Presentation:
                 for (k, l), b in rq_block.items():
                     terms.append(_scaled(_right_comb(tmap[(i, k)], tmap[(j, l)]), -b))
         rels.append(Relation(f"{rq.name}__white_right", tuple(terms)))
-    gens = tuple(tmap[pair] for pair in sorted(tmap, key=lambda pr: (pr[0].sort_key, pr[1].sort_key)))
+    gens = tuple(tmap.values())
     return Presentation(f"whitelit_{p.name}__{q.name}", (), gens, tuple(rels))
 
 
@@ -198,45 +197,39 @@ def white_square(p: Presentation, q: Presentation, mode: ProductKind = "white_du
 
 @dataclass
 class WhiteComparison:
-    """Span comparison of the literal and dual readings of the white product."""
+    """Span comparison of the literal and dual readings of the white product.
+
+    Both readings are binary quadratic, so they live in the one grading
+    (arity 3, weight 2); the dimensions are those of their spans there.
+    """
 
     left: str
     right: str
     agree: bool
-    dims_literal: dict
-    dims_dual: dict
+    literal_dim: int
+    dual_dim: int
+    ambient: int
 
     def lines(self) -> list[str]:
-        out = [
+        return [
             f"white product of {self.left} and {self.right}: "
-            f"literal {'==' if self.agree else '!='} dual"
+            f"literal {'==' if self.agree else '!='} dual",
+            f"  component (arity 3, weight 2): literal dim {self.literal_dim}, "
+            f"dual dim {self.dual_dim}, ambient {self.ambient}",
         ]
-        for grading in sorted(set(self.dims_literal) | set(self.dims_dual)):
-            dl = self.dims_literal.get(grading, (0, 0))
-            dd = self.dims_dual.get(grading, (0, 0))
-            out.append(
-                f"  component (arity {grading[0]}, weight {grading[1]}): "
-                f"literal dim {dl[0]}, dual dim {dd[0]}, ambient {dl[1]}"
-            )
-        return out
 
 
 def compare_white_readings(p: Presentation, q: Presentation) -> WhiteComparison:
     literal = white_square(p, q, "white_literal")
     dual = white_square(p, q, "white_dual")
-
-    def dims(pres: Presentation) -> dict:
-        out = {}
-        component, matrix = component_matrix(pres.generators, pres.relations, 3, 2)
-        out[(3, 2)] = (rank(matrix), component.dimension)
-        return out
-
+    report = list(span_components(literal, dual))
+    ranks = {(c.arity, c.weight): (c.left_rank, c.right_rank) for c in report}
     return WhiteComparison(
         p.name,
         q.name,
-        presentation_span_equal(literal, dual),
-        dims(literal),
-        dims(dual),
+        all(c.equal for c in report),
+        *ranks.get((3, 2), (0, 0)),
+        enumerate_basis(literal.generators, 3, 2).dimension,
     )
 
 

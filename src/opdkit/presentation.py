@@ -10,9 +10,11 @@ term to term (as in a commutator).
 The module also carries the span machinery used throughout.  Presentations
 are compared componentwise by exact row-space equality or containment: the
 relations of each grading become sparse integer rows over the trees that
-occur in them, reduced by the kernel of ``linalg``.  ``component_matrix``
-gives the dense coefficient rows over the full canonical tree basis, for the
-callers that need the ambient component (Koszul duals, dimension reports).
+occur in them, reduced by the kernel of ``linalg``.  ``span_components``
+reports the rank of each side and the verdict per grading; equality checks,
+``check-iso`` and the dimension reports all read it.  ``component_matrix``
+gives the dense coefficient rows over the full canonical tree basis; the
+program no longer uses it, and the tests keep it as the dense reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, integer_row
 from .trees import Generator, GradedComponent, Tree, enumerate_basis, tree_key
@@ -40,6 +42,8 @@ __all__ = [
     "tensor_atom_name",
     "relation_gradings",
     "component_matrix",
+    "SpanComponent",
+    "span_components",
     "presentation_span_equal",
     "presentation_span_contains",
     "standard_slots",
@@ -463,16 +467,33 @@ class _Columns:
         return Echelon(self.row(r) for r in relations if r.grading() == grading)
 
 
-def presentation_span_equal(p: Presentation, q: Presentation) -> bool:
-    """Componentwise row-space equality of the two relation sets."""
+class SpanComponent(NamedTuple):
+    """The comparison of two relation sets in one (arity, weight) grading."""
+
+    arity: int
+    weight: int
+    left_rank: int
+    right_rank: int
+    equal: bool
+
+
+def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:
+    """Compare the relation spans of ``p`` and ``q``, one grading at a time.
+
+    Yields a record for every grading in which either side has a relation,
+    in grading order, so a caller may stop at the first unequal one.
+    """
     columns = _Columns(_common_generators(p, q))
     for grading in relation_gradings(list(p.relations) + list(q.relations)):
         # One column map serves both sides, so the canonical bases compare.
         ours = columns.echelon(p.relations, grading)
         theirs = columns.echelon(q.relations, grading)
-        if ours.rows != theirs.rows:
-            return False
-    return True
+        yield SpanComponent(*grading, len(ours), len(theirs), ours.rows == theirs.rows)
+
+
+def presentation_span_equal(p: Presentation, q: Presentation) -> bool:
+    """Componentwise row-space equality of the two relation sets."""
+    return all(c.equal for c in span_components(p, q))
 
 
 def presentation_span_contains(big: Presentation, small: Presentation) -> bool:

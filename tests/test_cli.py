@@ -77,7 +77,10 @@ def test_product_and_check_iso_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "check-iso", str(product), str(lin_dend),
                        "--map", "tensor-colors")
     assert code == 0
-    assert "span-equal" in out
+    assert out.splitlines() == [
+        "component (arity 3, weight 2): dims 9 vs 9 of ambient 32 -> equal",
+        "span-equal",
+    ]
 
 
 def test_product_precondition_error(capsys):
@@ -96,7 +99,10 @@ def test_check_iso_mismatch_and_usage(capsys, tmp_path):
         "--output", str(tot_as))
     code, out, _ = run(capsys, "check-iso", str(mat_as), str(tot_as))
     assert code == 1
-    assert "span mismatch" in out
+    assert out.splitlines() == [
+        "component (arity 3, weight 2): dims 4 vs 5 of ambient 8 -> DIFFER",
+        "span mismatch",
+    ]
     code, _, err = run(capsys, "check-iso", str(PRES / "as.opd"), str(PRES / "dend.opd"))
     assert code == 2
     assert "generator sets differ" in err

@@ -2,8 +2,9 @@
 
 The dense adapters of ``opdkit.linalg`` must return exactly what the dense
 fraction-free elimination in ``dense_reference`` returns, and the sparse
-presentation span checks must agree with that elimination run on the dense
-``component_matrix`` rows of each graded component.
+presentation span checks, their per-grading report and the Koszul dual must
+agree with that elimination run on the dense ``component_matrix`` rows of
+each graded component.
 """
 
 from fractions import Fraction
@@ -15,15 +16,21 @@ from hypothesis import strategies as st
 
 from opdkit.catalog import default_grid
 from opdkit.compat import build_compatible
+from opdkit.duality import koszul_dual, pairing_form
 from opdkit.linalg import RationalMatrix, nullspace, rank, rref, span_contains, span_equal
 from opdkit.presentation import (
     ColorSet,
     Presentation,
+    Relation,
+    Term,
     component_matrix,
     presentation_span_contains,
     presentation_span_equal,
     relation_gradings,
+    span_components,
+    standard_slots,
 )
+from opdkit.trees import Tree
 
 # Mostly zeros, as in relation matrices, with small fractions elsewhere.
 ENTRY = st.one_of(
@@ -124,3 +131,49 @@ def test_presentation_spans_match_reference(label, big_kind, small_kind, nested,
     assert presentation_span_contains(big, small) == reference_contains(big, small)
     assert presentation_span_contains(small, big) == reference_contains(small, big)
     assert presentation_span_equal(big, small) == reference_equal(big, small)
+
+    report = list(span_components(big, small))
+    assert [(c.arity, c.weight) for c in report] == relation_gradings(big.relations + small.relations)
+    for c in report:
+        _, mb = component_matrix(big.generators, big.relations, c.arity, c.weight)
+        _, ms = component_matrix(big.generators, small.relations, c.arity, c.weight)
+        assert (c.left_rank, c.right_rank) == (ref.rank(mb), ref.rank(ms))
+        assert c.equal == ref.span_equal(mb, ms)
+
+
+def dualized(tree):
+    if tree.is_leaf:
+        return tree
+    return Tree(tree.gen.dual(), tuple(dualized(c) for c in tree.children))
+
+
+def reference_dual_relations(p):
+    """R^perp per arity: the dense null space of the sign-scaled relation rows."""
+    rels = []
+    for arity in (1, 2, 3):
+        component, rows = component_matrix(p.generators, p.relations, arity, 2)
+        if component.dimension == 0:
+            continue
+        signs = pairing_form(component).signs
+        scaled = RationalMatrix(
+            tuple(tuple(x * sign for x, sign in zip(row, signs)) for row in rows.rows),
+            rows.cols,
+        )
+        for i, vec in enumerate(ref.nullspace(scaled).rows):
+            terms = []
+            for coeff, tree in zip(vec, component.basis):
+                if coeff:
+                    dual_tree = dualized(tree)
+                    terms.append(Term(coeff, dual_tree, standard_slots(dual_tree)))
+            rels.append(Relation(f"dual_a{arity}_{i}", tuple(terms)))
+    return Presentation("reference", (), (), tuple(rels)).relations
+
+
+QUADRATIC = sorted(label for label, p in GRID.items() if p.is_quadratic)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(QUADRATIC), st.sampled_from(KINDS), st.data())
+def test_koszul_dual_matches_reference(label, kind, data):
+    p = subset(data, constructed(label, kind))
+    assert koszul_dual(p).relations == reference_dual_relations(p)
