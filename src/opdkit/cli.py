@@ -8,6 +8,7 @@ precondition errors.  Output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,10 +58,20 @@ def _read_presentation(path: str) -> Presentation:
     return p
 
 
+_COLOR_LABEL = re.compile(r"[A-Za-z0-9_]+")
+
+
 def _omega(spec: str) -> ColorSet:
     if spec.isdigit():
         return ColorSet.of(int(spec))
-    return ColorSet.of([label.strip() for label in spec.split(",") if label.strip()])
+    labels = [label.strip() for label in spec.split(",") if label.strip()]
+    for label in labels:
+        # Built presentations spell colors as g#label, which the DSL must read back.
+        if not _COLOR_LABEL.fullmatch(label):
+            raise CommandError(
+                f"color label {label!r} is not a DSL name (letters, digits and _ only)"
+            )
+    return ColorSet.of(labels)
 
 
 def _emit(text: str, output: Optional[str]) -> None:

@@ -3,10 +3,10 @@
 Given a presentation P and colors W, three quotients of the free operad on
 the replicated generators are built, with increasingly strict relations:
 
-* linear   -- every constant-color copy of each relation, plus for each
-  quadratic relation the symmetrized two-color sums, for each cubic relation
-  the three-pattern sums (a,a,b)+(a,b,a)+(b,a,a) and the fully symmetrized
-  sums over three distinct colors;
+* linear   -- one relation per color monomial, the sum of its distinct
+  orderings: a constant-color copy for c_a^w, (a,b)+(b,a) for c_a c_b,
+  (a,a,b)+(a,b,a)+(b,a,a) for c_a^2 c_b, and all six orderings of three
+  distinct colors;
 * matching -- every coloring of every relation, over all color tuples;
 * total    -- the matching relations plus, for every support tree, the
   transposition relations equating colorings that differ by swapping the
@@ -23,6 +23,7 @@ in the c's must yield the same componentwise span as the linear relations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -33,7 +34,7 @@ from .presentation import (
     Relation,
     Term,
     color_relation,
-    elementwise_sum,
+    color_term,
     presentation_span_equal,
     replicate,
     require_valid,
@@ -76,10 +77,6 @@ def _colored_gens(p: Presentation, omega: ColorSet) -> tuple[list[Generator], li
     return [g for g in gens if g.arity == 1], [g for g in gens if g.arity == 2]
 
 
-def _named(rel: Relation, base: str, colors) -> Relation:
-    return rel.renamed(f"{base}__{','.join(colors)}")
-
-
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
     require_valid(p)
@@ -88,61 +85,49 @@ def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     rels = []
     for rel in p.relations:
         for colors in itertools.product(omega.labels, repeat=rel.weight):
-            rels.append(_named(color_relation(rel, colors, omega), rel.name, colors))
+            name = f"{rel.name}__{','.join(colors)}"
+            rels.append(color_relation(rel, colors, omega).renamed(name))
     return Presentation(
         f"mat_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
     )
 
 
+def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
+    """``base__a,a`` for one color, ``base__L_<repeated>,<other>`` for two,
+    ``base__S_a,b,c`` for three."""
+    distinct = [c for c, _ in Counter(colors).most_common()]
+    if len(distinct) == 1:
+        return f"{base}__{','.join(colors)}"
+    return f"{base}__{'L' if len(distinct) == 2 else 'S'}_{','.join(distinct)}"
+
+
 def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
-    """Linearly compatible operad."""
+    """Linearly compatible operad: one relation per color monomial of each
+    relation, the sum of its distinct orderings."""
     require_valid(p)
     omega = ColorSet.of(omega)
     unary, binary = _colored_gens(p, omega)
-    labels = omega.labels
     rels = []
     for rel in p.relations:
-        w = rel.weight
-        for c in labels:
-            rels.append(_named(color_relation(rel, (c,) * w, omega), rel.name, (c,) * w))
-        if w == 2:
-            # The (mu,nu)+(nu,mu) sum equals its own transpose, so unordered
-            # pairs suffice; correctness is asserted by span, never by list.
-            for i, mu in enumerate(labels):
-                for nu in labels[i + 1 :]:
-                    summed = elementwise_sum(
-                        [color_relation(rel, (mu, nu), omega)],
-                        [color_relation(rel, (nu, mu), omega)],
-                    )[0]
-                    rels.append(summed.renamed(f"{rel.name}__L_{mu},{nu}"))
-        else:
-            for mu, nu in itertools.permutations(labels, 2):
-                summed = elementwise_sum(
-                    elementwise_sum(
-                        [color_relation(rel, (mu, mu, nu), omega)],
-                        [color_relation(rel, (mu, nu, mu), omega)],
-                    ),
-                    [color_relation(rel, (nu, mu, mu), omega)],
-                )[0]
-                rels.append(summed.renamed(f"{rel.name}__L_{mu},{nu}"))
-            # Squarefree part: the coefficient of c_mu c_nu c_om is the sum
-            # over all orderings of the three distinct colors; the orderings
-            # are not individually extractable from commuting scalars.
-            for combo in itertools.combinations(labels, 3):
-                summed = [color_relation(rel, combo, omega)]
-                for perm in itertools.permutations(combo):
-                    if perm == combo:
-                        continue
-                    summed = elementwise_sum(summed, [color_relation(rel, perm, omega)])
-                rels.append(summed[0].renamed(f"{rel.name}__S_{','.join(combo)}"))
+        for colors in itertools.combinations_with_replacement(omega.labels, rel.weight):
+            # The coefficient of c_mu c_nu ... is the sum over all distinct
+            # orderings of the colors; the orderings are not individually
+            # extractable from commuting scalars.
+            terms = tuple(
+                color_term(term, ordering)
+                for ordering in dict.fromkeys(itertools.permutations(colors))
+                for term in rel.terms
+            )
+            rels.append(Relation(_monomial_name(rel.name, colors), terms))
     return Presentation(
-        f"lin_{p.name}__{'_'.join(labels)}", tuple(unary), tuple(binary), tuple(rels)
+        f"lin_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
     )
 
 
-def _colored_term(tree: Tree, slots: tuple[int, ...], colors, sign: int) -> Term:
-    single = Relation("_", (Term(Fraction(sign), tree, slots),))
-    return color_relation(single, colors).terms[0]
+def _swap(name: str, tree: Tree, slots: tuple[int, ...], first, second) -> Relation:
+    """t(first) - t(second): one slotted tree under two colorings."""
+    plus, minus = Term(Fraction(1), tree, slots), Term(Fraction(-1), tree, slots)
+    return Relation(name, (color_term(plus, first), color_term(minus, second)))
 
 
 def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
@@ -157,30 +142,12 @@ def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
         raise ValueError(f"relation {rel.name} has weight {rel.weight}, expected 2 or 3")
     out = []
     for idx, (tree, slots) in enumerate(support(rel)):
+        name = f"{rel.name}__T_{idx}"
         if rel.weight == 2:
-            out.append(
-                Relation(
-                    f"{rel.name}__T_{idx}_{mu},{nu}",
-                    (
-                        _colored_term(tree, slots, (mu, nu), 1),
-                        _colored_term(tree, slots, (nu, mu), -1),
-                    ),
-                )
-            )
+            out.append(_swap(f"{name}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu)))
         else:
-            base = _colored_term(tree, slots, (mu, nu, mu), 1)
-            out.append(
-                Relation(
-                    f"{rel.name}__T_{idx}a_{mu},{nu}",
-                    (base, _colored_term(tree, slots, (nu, mu, mu), -1)),
-                )
-            )
-            out.append(
-                Relation(
-                    f"{rel.name}__T_{idx}b_{mu},{nu}",
-                    (base, _colored_term(tree, slots, (mu, mu, nu), -1)),
-                )
-            )
+            out.append(_swap(f"{name}a_{mu},{nu}", tree, slots, (mu, nu, mu), (nu, mu, mu)))
+            out.append(_swap(f"{name}b_{mu},{nu}", tree, slots, (mu, nu, mu), (mu, mu, nu)))
     return out
 
 
@@ -240,15 +207,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
             slots = standard_slots(tree)
             # t(nu,mu) - t(mu,nu) is the negative, so unordered pairs suffice.
             for mu, nu in itertools.combinations(omega.labels, 2):
-                extra.append(
-                    Relation(
-                        f"swap__a{tree.arity}_{idx}_{mu},{nu}",
-                        (
-                            _colored_term(tree, slots, (mu, nu), 1),
-                            _colored_term(tree, slots, (nu, mu), -1),
-                        ),
-                    )
-                )
+                name = f"swap__a{tree.arity}_{idx}_{mu},{nu}"
+                extra.append(_swap(name, tree, slots, (mu, nu), (nu, mu)))
     return Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,

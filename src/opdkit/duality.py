@@ -35,7 +35,7 @@ from .presentation import (
     span_components,
     standard_slots,
 )
-from .trees import GradedComponent, Tree, enumerate_basis
+from .trees import GradedComponent, Tree, enumerate_basis, relabel
 
 __all__ = [
     "shape_sign",
@@ -68,12 +68,6 @@ def pairing_form(component: GradedComponent) -> DiagonalForm:
     return DiagonalForm(tuple(shape_sign(t) for t in component.basis))
 
 
-def _dualize_tree(tree: Tree) -> Tree:
-    if tree.is_leaf:
-        return tree
-    return Tree(tree.gen.dual(), tuple(_dualize_tree(c) for c in tree.children))
-
-
 def koszul_dual(p: Presentation, name: str | None = None) -> Presentation:
     """T(E*)/<R^perp> for a quadratic presentation, componentwise by arity."""
     require_valid(p)
@@ -97,7 +91,10 @@ def koszul_dual(p: Presentation, name: str | None = None) -> Presentation:
             for rel in p.relations
             if rel.arity == arity
         )
-        dual_basis = [_dualize_tree(t) for t in component.basis]
+        dual_basis = [
+            relabel(t, (g.dual() for g in t.internal_generators()))
+            for t in component.basis
+        ]
         for i, vec in enumerate(relations.complement(component.dimension)):
             terms = tuple(
                 Term(coeff, dual_basis[c], standard_slots(dual_basis[c]))

@@ -28,7 +28,7 @@ from .presentation import (
     rename_generators,
     require_valid,
     span_components,
-    tensor_generators,
+    tensor_map,
 )
 from .trees import Generator, Tree, enumerate_basis, leaf
 
@@ -76,15 +76,6 @@ def _comb_blocks(rel: Relation):
             key, block = (root, inner), right
         block[key] = block.get(key, Fraction(0)) + term.coeff
     return left, right
-
-
-def tensor_map(e, f) -> dict[tuple[Generator, Generator], Generator]:
-    gens = tensor_generators(e, f)
-    pairs = sorted(
-        ((ge, gf) for ge in e for gf in f),
-        key=lambda p: (p[0].sort_key, p[1].sort_key),
-    )
-    return dict(zip(pairs, gens))
 
 
 def colorize_tensor_map(colored, plain) -> dict[Generator, Generator]:

@@ -322,10 +322,6 @@ def _format_term(term: Term) -> str:
     return f"{_format_coeff(mag)}*{body}"
 
 
-def _sorted_terms(rel: Relation) -> tuple[Term, ...]:
-    return rel.terms  # canonical order is maintained by the Relation type
-
-
 def serialize(p: Presentation, fmt: str = "dsl") -> str:
     """Deterministic text: declaration-order generators, name-ordered relations,
     canonically ordered terms.  ``fmt`` is "dsl" or "json"."""
@@ -338,9 +334,9 @@ def serialize(p: Presentation, fmt: str = "dsl") -> str:
         lines.append("unary " + " ".join(g.serialized() for g in p.unary))
     if p.binary:
         lines.append("binary " + " ".join(g.serialized() for g in p.binary))
-    for rel in sorted(p.relations, key=lambda r: r.name):
+    for rel in p.relations:
         parts = []
-        for i, term in enumerate(_sorted_terms(rel)):
+        for i, term in enumerate(rel.terms):
             rendered = _format_term(term)
             if i == 0:
                 parts.append(("-" if term.coeff < 0 else "") + rendered)
@@ -366,9 +362,9 @@ def presentation_to_json(p: Presentation) -> dict:
                         "tree": tree_text(term.tree),
                         "slots": list(term.slots),
                     }
-                    for term in _sorted_terms(rel)
+                    for term in rel.terms
                 ],
             }
-            for rel in sorted(p.relations, key=lambda r: r.name)
+            for rel in p.relations
         ],
     }

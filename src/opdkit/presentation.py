@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, integer_row
-from .trees import Generator, GradedComponent, Tree, enumerate_basis, tree_key
+from .trees import Generator, GradedComponent, Tree, enumerate_basis, relabel, tree_key
 
 __all__ = [
     "Term",
@@ -35,9 +35,11 @@ __all__ = [
     "ValidationReport",
     "validate",
     "replicate",
+    "color_term",
     "color_relation",
     "elementwise_sum",
     "rename_generators",
+    "tensor_map",
     "tensor_generators",
     "tensor_atom_name",
     "relation_gradings",
@@ -121,7 +123,7 @@ class Presentation:
     relations: tuple[Relation, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.relations, key=lambda r: (r.name, r.terms and r.terms[0].sort_key())))
+        ordered = tuple(sorted(self.relations, key=lambda r: (r.name, r.terms[0].sort_key())))
         if ordered != self.relations:
             object.__setattr__(self, "relations", ordered)
 
@@ -270,17 +272,11 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return (2, 1) if not tree.children[0].is_leaf else (1, 2)  # left / right comb
 
 
-def _retree(tree: Tree, new_gens: Sequence[Generator]) -> Tree:
-    """Rebuild ``tree`` with internal vertices decorated by ``new_gens`` in preorder."""
-    it = iter(new_gens)
-
-    def go(node: Tree) -> Tree:
-        if node.is_leaf:
-            return node
-        g = next(it)
-        return Tree(g, tuple(go(c) for c in node.children))
-
-    return go(tree)
+def color_term(term: Term, colors: Sequence[str]) -> Term:
+    """Apply ``colors[j-1]`` to the generator sitting at slot j of ``term``."""
+    gens = term.tree.internal_generators()
+    recolored = (g.colored(colors[slot - 1]) for g, slot in zip(gens, term.slots))
+    return Term(term.coeff, relabel(term.tree, recolored), term.slots)
 
 
 def color_relation(
@@ -297,12 +293,7 @@ def color_relation(
         for c in colors:
             if c not in omega.labels:
                 raise ValueError(f"color label {c!r} not in the ambient color set")
-    new_terms = []
-    for term in rel.terms:
-        gens = term.tree.internal_generators()
-        recolored = [g.colored(colors[slot - 1]) for g, slot in zip(gens, term.slots)]
-        new_terms.append(Term(term.coeff, _retree(term.tree, recolored), term.slots))
-    return Relation(rel.name, tuple(new_terms))
+    return Relation(rel.name, tuple(color_term(term, colors) for term in rel.terms))
 
 
 def elementwise_sum(a: Sequence[Relation], b: Sequence[Relation]) -> list[Relation]:
@@ -339,18 +330,15 @@ def rename_generators(
     if len(set(images)) != len(images):
         raise ValueError("rename map is not injective on the generator list")
 
-    def rename_rel(rel: Relation) -> Relation:
-        terms = []
-        for term in rel.terms:
-            new_gens = [mapping[g] for g in term.tree.internal_generators()]
-            terms.append(Term(term.coeff, _retree(term.tree, new_gens), term.slots))
-        return Relation(rel.name, tuple(terms))
+    def rename_term(term: Term) -> Term:
+        new_gens = (mapping[g] for g in term.tree.internal_generators())
+        return Term(term.coeff, relabel(term.tree, new_gens), term.slots)
 
     return Presentation(
         p.name,
         tuple(mapping[g] for g in p.unary),
         tuple(mapping[g] for g in p.binary),
-        tuple(rename_rel(r) for r in p.relations),
+        tuple(Relation(r.name, tuple(map(rename_term, r.terms))) for r in p.relations),
     )
 
 
@@ -369,10 +357,10 @@ def tensor_atom_name(g: Generator) -> str:
     return out
 
 
-def tensor_generators(
+def tensor_map(
     e: Sequence[Generator], f: Sequence[Generator]
-) -> list[Generator]:
-    """One binary generator per pair, named ``e~f``, in lexicographic pair order."""
+) -> dict[tuple[Generator, Generator], Generator]:
+    """The binary generator ``e~f`` of every pair, in lexicographic pair order."""
     for g in list(e) + list(f):
         if g.arity != 2:
             raise ValueError(f"unary generator {g.serialized()} in tensor product")
@@ -380,10 +368,17 @@ def tensor_generators(
         ((ge, gf) for ge in e for gf in f),
         key=lambda p: (p[0].sort_key, p[1].sort_key),
     )
-    return [
-        Generator(f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}", 2)
+    return {
+        (ge, gf): Generator(f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}", 2)
         for ge, gf in pairs
-    ]
+    }
+
+
+def tensor_generators(
+    e: Sequence[Generator], f: Sequence[Generator]
+) -> list[Generator]:
+    """One binary generator per pair, named ``e~f``, in lexicographic pair order."""
+    return list(tensor_map(e, f).values())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Generator",
@@ -24,6 +24,7 @@ __all__ = [
     "corolla",
     "graft",
     "compose",
+    "relabel",
     "tree_key",
     "compare",
     "enumerate_basis",
@@ -190,6 +191,18 @@ def compose(t: Tree, args: Sequence[Tree]) -> Tree:
     for i in range(len(args), 0, -1):
         out = graft(out, i, args[i - 1])
     return out
+
+
+def relabel(tree: Tree, gens: Iterable[Generator]) -> Tree:
+    """``tree`` with its internal vertices decorated by ``gens``, in preorder."""
+    it = iter(gens)
+
+    def go(node: Tree) -> Tree:
+        if node.is_leaf:
+            return node
+        return Tree(next(it), tuple(go(c) for c in node.children))
+
+    return go(tree)
 
 
 # Node-kind codes for the canonical order: internal vertices sort before

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from opdkit.cli import main
+from opdkit.parser import parse_presentation
 
 ROOT = Path(__file__).resolve().parent.parent
 PRES = ROOT / "presentations"
@@ -32,6 +33,16 @@ def test_build_with_label_list(capsys):
     code, out, _ = run(capsys, "build", "tot", str(PRES / "as.opd"), "--omega", "a,b")
     assert code == 0
     assert "m#a" in out and "m#b" in out
+
+
+def test_build_rejects_color_labels_the_dsl_cannot_read(capsys):
+    for spec, label in (("a b,c", "'a b'"), ("x(1),y", "'x(1)'"), ("a,-", "'-'")):
+        code, out, err = run(capsys, "build", "mat", str(PRES / "as.opd"), f"--omega={spec}")
+        assert code == 2 and out == "", spec
+        assert err.startswith("error: color label") and label in err, spec
+    code, out, _ = run(capsys, "build", "mat", str(PRES / "as.opd"), "--omega", "a_1,B2")
+    assert code == 0
+    assert {g.color for g in parse_presentation(out).binary} == {"a_1", "B2"}
 
 
 def test_build_json_format(capsys):

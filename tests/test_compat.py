@@ -24,7 +24,7 @@ from opdkit.presentation import (
     presentation_span_equal,
     rename_generators,
 )
-from opdkit.trees import Generator, tree_text
+from opdkit.trees import Generator, relabel, tree_text
 
 TWO = ColorSet.of(2)
 THREE = ColorSet.of(3)
@@ -83,6 +83,58 @@ def test_build_lin_as_two_colors_exact_relations():
             f"m#{w}(m#{w}(x1,x2),x3)",
             f"m#{w}(x1,m#{w}(x2,x3))",
         }
+
+
+def _coefficient_grid():
+    # default_grid() already holds p_cubed and multi_diff(2).
+    extra = [(f"multi_diff({n})", builtin("multi_diff", n)) for n in (1, 3)]
+    return default_grid() + extra
+
+
+def _slot_colors(term):
+    colors = dict(zip(term.slots, (g.color for g in term.tree.internal_generators())))
+    return tuple(colors[slot] for slot in sorted(colors))
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, ("b", "a", "c")])
+def test_build_lin_relations_are_the_formal_coefficients(omega):
+    # Exact oracle: each linear relation is, term for term, the coefficient
+    # of its color monomial after substituting formal sums into the slots.
+    for label, pres in _coefficient_grid():
+        want = {
+            (e.relation, monomial): rel.terms
+            for e in expand_formal(pres, omega)
+            for monomial, rel in e.coefficients.items()
+        }
+        got = {}
+        for rel in build_lin(pres, omega).relations:
+            monomials = {tuple(sorted(_slot_colors(t))) for t in rel.terms}
+            assert len(monomials) == 1, (label, rel.name)
+            key = (rel.name.split("__")[0], monomials.pop())
+            assert key not in got, (label, rel.name)
+            got[key] = rel.terms
+        assert got == want, (label, omega)
+
+
+def test_build_lin_cubic_names_and_term_counts():
+    # At three colors a cubic relation with k terms gives 3 one-color
+    # relations of k terms, 6 two-color ones of 3k and one of 6k.
+    rb = builtin("rba0").relation("rb")
+    k = len(rb.terms)
+    lin = build_lin(builtin("rba0"), THREE)
+    counts = {r.name: len(r.terms) for r in lin.relations if r.name.startswith("rb__")}
+    assert counts == {
+        "rb__1,1,1": k,
+        "rb__2,2,2": k,
+        "rb__3,3,3": k,
+        "rb__L_1,2": 3 * k,
+        "rb__L_1,3": 3 * k,
+        "rb__L_2,1": 3 * k,
+        "rb__L_2,3": 3 * k,
+        "rb__L_3,1": 3 * k,
+        "rb__L_3,2": 3 * k,
+        "rb__S_1,2,3": 6 * k,
+    }
 
 
 def test_build_lin_quadratic_counts():
@@ -168,6 +220,25 @@ def test_build_tot_emits_no_negated_duplicates():
             a = tot.relation(f"rb__T_{idx}{half}_1,2")
             b = tot.relation(f"rb__T_{idx}{half}_2,1")
             assert _signed_terms(b) not in (_signed_terms(a), _signed_terms(a, -1))
+
+
+def test_build_tot_swaps_are_one_tree_under_two_colorings():
+    for label, pres in default_grid():
+        for omega in (TWO, THREE):
+            tot = build_tot(pres, omega)
+            swaps = [r for r in tot.relations if "__T_" in r.name or r.name.startswith("swap__")]
+            assert swaps, (label, omega)
+            for rel in swaps:
+                lo, hi = sorted(rel.terms, key=lambda t: t.coeff)
+                assert (lo.coeff, hi.coeff) == (-1, 1), rel.name
+                assert lo.slots == hi.slots, rel.name
+                plain = {
+                    relabel(t.tree, (g.uncolored() for g in t.tree.internal_generators()))
+                    for t in rel.terms
+                }
+                assert len(plain) == 1, rel.name
+                first, second = _slot_colors(hi), _slot_colors(lo)
+                assert first != second and sorted(first) == sorted(second), rel.name
 
 
 def test_build_tot_quadratic_rank_closed_form():

@@ -21,7 +21,7 @@ from opdkit.presentation import (
     tensor_generators,
     validate,
 )
-from opdkit.trees import Generator, Tree, leaf, tree_text
+from opdkit.trees import Generator, Tree, leaf, relabel, tree_text
 
 P = Generator("P", 1)
 M = Generator("m", 2)
@@ -100,9 +100,7 @@ def test_color_relation_constant_color_forgets_back():
     stripped = []
     for term in colored.terms:
         gens = [g.uncolored() for g in term.tree.internal_generators()]
-        from opdkit.presentation import _retree
-
-        stripped.append(Term(term.coeff, _retree(term.tree, gens), term.slots))
+        stripped.append(Term(term.coeff, relabel(term.tree, gens), term.slots))
     assert Relation(rel.name, tuple(stripped)) == rel
 
 

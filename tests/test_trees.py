@@ -17,6 +17,7 @@ from opdkit.trees import (
     enumerate_basis,
     graft,
     leaf,
+    relabel,
     tree_key,
     tree_text,
 )
@@ -76,6 +77,15 @@ def test_compose_bad_argument_count():
 
 
 # --- canonical order ---
+
+
+def test_relabel_decorates_in_preorder():
+    tree = t(M, t(P, X), t(N, X, X))
+    assert relabel(tree, tree.internal_generators()) == tree
+    got = relabel(tree, [N, D2, M])
+    assert tree_text(got) == "n(d2(x1),m(x2,x3))"
+    assert got.internal_generators() == (N, D2, M)
+    assert relabel(X, []) is X
 
 
 def test_compare_equal_and_examples():
