@@ -37,7 +37,6 @@ from .presentation import (
     Relation,
     Term,
     color_relation,
-    elementwise_sum,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
@@ -50,7 +49,6 @@ from .trees import (
     Generator,
     GradedComponent,
     Tree,
-    compare,
     compose,
     corolla,
     enumerate_basis,

@@ -219,9 +219,16 @@ def _quadratic_grid():
     ]
 
 
+def _color_count(spec: str) -> int:
+    """The ``verify --omega`` value: a color count of at least 1."""
+    if not spec.isdigit() or int(spec) < 1:
+        raise argparse.ArgumentTypeError(f"not a color count >= 1: {spec!r}")
+    return int(spec)
+
+
 def _omega_sizes(args) -> list[int]:
     if getattr(args, "omega", None):
-        return [int(args.omega)]
+        return [args.omega]
     return [2, 3]
 
 
@@ -502,7 +509,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run a verification claim")
     verify.add_argument("claim")
-    verify.add_argument("--omega", help="restrict to one color count")
+    verify.add_argument("--omega", type=_color_count, help="restrict to one color count")
     verify.add_argument("--delta", type=int, help="operator count for prop-kdualdda")
     _add_io_flags(verify)
     verify.set_defaults(func=cmd_verify)

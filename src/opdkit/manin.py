@@ -1,9 +1,12 @@
-"""Manin square products of binary quadratic presentations.
+"""Manin square products of binary quadratic presentations, written by tree shape.
 
-A binary quadratic relation splits into a left-comb coefficient block and a
-right-comb coefficient block.  The black product multiplies the two blocks
-pairwise and flips the sign of the right-comb part; the white product is
-computed through the duality identity
+A product term is a factor's term whose tree is decorated in preorder by the
+tensor generators of the generator pairs, with its coefficient multiplied by
+the pairing sign of the tree's shape (``duality.shape_sign``, which holds the
+sign table for every weight-2 shape) and its slots the standard ones.  The
+black product pairs every term of one relation with every term of the same
+shape of another; a pair of relations with no shape in common gives no
+relation.  The white product is computed through the duality identity
 
     white(P, Q) = dual(black(dual(P), dual(Q)))
 
@@ -15,11 +18,11 @@ the discrepancy instead of hiding it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
-from .duality import koszul_dual, standard_slots
+from .duality import koszul_dual, shape_sign, standard_slots
 from .presentation import (
     Presentation,
     Relation,
@@ -30,7 +33,7 @@ from .presentation import (
     span_components,
     tensor_map,
 )
-from .trees import Generator, Tree, enumerate_basis, leaf
+from .trees import Generator, enumerate_basis, relabel
 
 __all__ = [
     "ProductKind",
@@ -43,8 +46,6 @@ __all__ = [
 
 ProductKind = Literal["black", "white_literal", "white_dual"]
 
-_X = leaf()
-
 
 def _require_binary_quadratic(p: Presentation) -> None:
     require_valid(p)
@@ -55,27 +56,6 @@ def _require_binary_quadratic(p: Presentation) -> None:
             raise ValueError(
                 f"presentation {p.name} has the cubic relation {rel.name}"
             )
-
-
-def _comb_blocks(rel: Relation):
-    """Coefficient blocks of an arity-3 quadratic relation.
-
-    Left block is keyed by (inner, root) generators, right block by
-    (root, inner), matching how a coloring (a, b) reads
-    (x *_a y) *_b z  and  x *_a (y *_b z).
-    """
-    left: dict[tuple[Generator, Generator], Fraction] = {}
-    right: dict[tuple[Generator, Generator], Fraction] = {}
-    for term in rel.terms:
-        root = term.tree.gen
-        if not term.tree.children[0].is_leaf:
-            inner = term.tree.children[0].gen
-            key, block = (inner, root), left
-        else:
-            inner = term.tree.children[1].gen
-            key, block = (root, inner), right
-        block[key] = block.get(key, Fraction(0)) + term.coeff
-    return left, right
 
 
 def colorize_tensor_map(colored, plain) -> dict[Generator, Generator]:
@@ -94,83 +74,119 @@ def colorize_tensor_map(colored, plain) -> dict[Generator, Generator]:
     return out
 
 
-def _left_comb(inner: Generator, root: Generator) -> Term:
-    tree = Tree(root, (Tree(inner, (_X, _X)), _X))
-    return Term(Fraction(1), tree, standard_slots(tree))
+def _by_shape(rel: Relation) -> dict:
+    """The terms of ``rel`` as (coefficient, generators in preorder), by tree shape.
+
+    A shape is the child count of every vertex in preorder; it maps to one
+    tree of that shape and the terms that have it.
+    """
+    shapes: dict = {}
+    for term in rel.terms:
+        tree = term.tree
+        shape = tuple(len(node.children) for node in tree.preorder())
+        shapes.setdefault(shape, (tree, []))[1].append(
+            (term.coeff, tree.internal_generators())
+        )
+    return shapes
 
 
-def _right_comb(root: Generator, inner: Generator) -> Term:
-    tree = Tree(root, (_X, Tree(inner, (_X, _X))))
-    return Term(Fraction(1), tree, standard_slots(tree))
+def _signed(shapes: dict) -> dict:
+    """``shapes`` with every coefficient multiplied by its shape's ``shape_sign``."""
+    return {
+        shape: (tree, [(shape_sign(tree) * a, gens) for a, gens in group])
+        for shape, (tree, group) in shapes.items()
+    }
 
 
-def _scaled(term: Term, coeff: Fraction) -> Term:
-    return Term(coeff, term.tree, term.slots)
+def _every_decoration(shapes: dict, gens: Sequence[Generator]) -> dict:
+    """Each of ``shapes`` with every decoration by ``gens``, coefficient 1."""
+    return {
+        shape: (tree, [(1, hs) for hs in itertools.product(gens, repeat=tree.weight)])
+        for shape, (tree, _) in shapes.items()
+    }
+
+
+def _product(ours: dict, theirs: dict, tmap: dict) -> list[Term]:
+    """Every term of ``ours`` times every term of the same shape in ``theirs``.
+
+    The product of a·t and b·u is the shape of t decorated in preorder by
+    the tensors ``tmap`` of the generator pairs of t and u, with coefficient
+    a·b and standard slots; ``ours`` carries the pairing signs.
+    """
+    terms = []
+    for shape, (tree, group) in ours.items():
+        if shape not in theirs:
+            continue
+        slots = standard_slots(tree)
+        partners = theirs[shape][1]
+        for a, gp in group:
+            for b, gq in partners:
+                gens = map(tmap.__getitem__, zip(gp, gq))
+                terms.append(Term(a * b, relabel(tree, gens), slots))
+    return terms
 
 
 def black_square(p: Presentation, q: Presentation) -> Presentation:
-    """Tensor generators; one relation per relation pair, right combs negated."""
+    """Tensor generators; one relation per relation pair that shares a shape.
+
+    Every term a·t of a relation of ``p`` meets every term b·u of the same
+    shape in a relation of ``q``, giving a·b·``shape_sign`` times the shape
+    decorated by the tensors of their generator pairs.  A pair of relations
+    with no shape in common gives no relation.
+    """
     _require_binary_quadratic(p)
     _require_binary_quadratic(q)
     tmap = tensor_map(p.binary, q.binary)
+    theirs = [(rq.name, _by_shape(rq)) for rq in q.relations]
     rels = []
     for rp in p.relations:
-        lp, rp_block = _comb_blocks(rp)
-        for rq in q.relations:
-            lq, rq_block = _comb_blocks(rq)
-            terms = []
-            for (i, j), a in lp.items():
-                for (k, l), b in lq.items():
-                    terms.append(_scaled(_left_comb(tmap[(i, k)], tmap[(j, l)]), a * b))
-            for (i, j), a in rp_block.items():
-                for (k, l), b in rq_block.items():
-                    terms.append(_scaled(_right_comb(tmap[(i, k)], tmap[(j, l)]), -a * b))
-            rels.append(Relation(f"{rp.name}__x__{rq.name}", tuple(terms)))
+        ours = _signed(_by_shape(rp))
+        for name, shapes in theirs:
+            terms = _product(ours, shapes, tmap)
+            if terms:
+                rels.append(Relation(f"{rp.name}__x__{name}", tuple(terms)))
     gens = tuple(tmap.values())
     return Presentation(f"black_{p.name}__{q.name}", (), gens, tuple(rels))
 
 
 def _white_literal(p: Presentation, q: Presentation) -> Presentation:
-    """The one-relation-per-source-relation reading, right combs negated."""
+    """The one-relation-per-source-relation reading, signed by shape.
+
+    Every term of a relation of one factor is decorated by every tuple of
+    the other factor's generators, with coefficient a·``shape_sign``.
+    """
     tmap = tensor_map(p.binary, q.binary)
+    swapped = {(h, g): t for (g, h), t in tmap.items()}
     rels = []
-    for rp in p.relations:
-        lp, rp_block = _comb_blocks(rp)
-        terms = []
-        for k in q.binary:
-            for l in q.binary:
-                for (i, j), a in lp.items():
-                    terms.append(_scaled(_left_comb(tmap[(i, k)], tmap[(j, l)]), a))
-                for (i, j), a in rp_block.items():
-                    terms.append(_scaled(_right_comb(tmap[(i, k)], tmap[(j, l)]), -a))
-        rels.append(Relation(f"{rp.name}__white_left", tuple(terms)))
-    for rq in q.relations:
-        lq, rq_block = _comb_blocks(rq)
-        terms = []
-        for i in p.binary:
-            for j in p.binary:
-                for (k, l), b in lq.items():
-                    terms.append(_scaled(_left_comb(tmap[(i, k)], tmap[(j, l)]), b))
-                for (k, l), b in rq_block.items():
-                    terms.append(_scaled(_right_comb(tmap[(i, k)], tmap[(j, l)]), -b))
-        rels.append(Relation(f"{rq.name}__white_right", tuple(terms)))
+    for relations, others, pairs, side in (
+        (p.relations, q.binary, tmap, "left"),
+        (q.relations, p.binary, swapped, "right"),
+    ):
+        for rel in relations:
+            ours = _signed(_by_shape(rel))
+            terms = _product(ours, _every_decoration(ours, others), pairs)
+            rels.append(Relation(f"{rel.name}__white_{side}", tuple(terms)))
     gens = tuple(tmap.values())
     return Presentation(f"whitelit_{p.name}__{q.name}", (), gens, tuple(rels))
 
 
+def _dual_tensors(
+    e: Sequence[Generator], f: Sequence[Generator]
+) -> dict[Generator, Generator]:
+    """The identification tensor(g, h)^* -> tensor(g^*, h^*) over every pair."""
+    duals = tensor_map([g.dual() for g in e], [h.dual() for h in f])
+    return {
+        tensor.dual(): duals[(g.dual(), h.dual())]
+        for (g, h), tensor in tensor_map(e, f).items()
+    }
+
+
 def _white_dual(p: Presentation, q: Presentation) -> Presentation:
     dp, dq = koszul_dual(p), koszul_dual(q)
+    # Dualizing twice gives back p and q, so this renames core's generators,
+    # the dualized tensors of dp x dq, to the tensors of p x q.
     core = koszul_dual(black_square(dp, dq))
-    # core's generators are the dualized tensors of dp x dq; rename them to
-    # the tensors of the original generator pairs.
-    inner = tensor_map(dp.binary, dq.binary)
-    target = tensor_map(p.binary, q.binary)
-    mapping = {
-        inner[(gp.dual(), gq.dual())].dual(): target[(gp, gq)]
-        for gp in p.binary
-        for gq in q.binary
-    }
-    renamed = rename_generators(core, mapping)
+    renamed = rename_generators(core, _dual_tensors(dp.binary, dq.binary))
     return Presentation(
         f"white_{p.name}__{q.name}", (), renamed.binary, renamed.relations
     )
@@ -232,14 +248,5 @@ def check_product_duality(p: Presentation, q: Presentation) -> tuple[bool, White
     """
     lhs = koszul_dual(black_square(p, q))
     rhs = white_square(koszul_dual(p), koszul_dual(q), "white_dual")
-    outer = tensor_map(p.binary, q.binary)
-    target = tensor_map(
-        [g.dual() for g in p.binary], [g.dual() for g in q.binary]
-    )
-    mapping = {
-        outer[(gp, gq)].dual(): target[(gp.dual(), gq.dual())]
-        for gp in p.binary
-        for gq in q.binary
-    }
-    holds = presentation_span_equal(rename_generators(lhs, mapping), rhs)
-    return holds, compare_white_readings(p, q)
+    renamed = rename_generators(lhs, _dual_tensors(p.binary, q.binary))
+    return presentation_span_equal(renamed, rhs), compare_white_readings(p, q)

@@ -37,7 +37,6 @@ __all__ = [
     "replicate",
     "color_term",
     "color_relation",
-    "elementwise_sum",
     "rename_generators",
     "tensor_map",
     "tensor_generators",
@@ -294,24 +293,6 @@ def color_relation(
             if c not in omega.labels:
                 raise ValueError(f"color label {c!r} not in the ambient color set")
     return Relation(rel.name, tuple(color_term(term, colors) for term in rel.terms))
-
-
-def elementwise_sum(a: Sequence[Relation], b: Sequence[Relation]) -> list[Relation]:
-    """Index-wise formal sum of two equally long relation lists.
-
-    Terms are concatenated without cancellation; slot maps travel with their
-    terms.  Grading must agree pairwise.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    out = []
-    for ra, rb in zip(a, b):
-        if ra.grading() != rb.grading():
-            raise ValueError(
-                f"grading mismatch: {ra.name} is {ra.grading()}, {rb.name} is {rb.grading()}"
-            )
-        out.append(Relation(ra.name, ra.terms + rb.terms))
-    return out
 
 
 def rename_generators(

@@ -26,7 +26,6 @@ __all__ = [
     "compose",
     "relabel",
     "tree_key",
-    "compare",
     "enumerate_basis",
     "tree_text",
 ]
@@ -198,9 +197,9 @@ def relabel(tree: Tree, gens: Iterable[Generator]) -> Tree:
     it = iter(gens)
 
     def go(node: Tree) -> Tree:
-        if node.is_leaf:
+        if node.gen is None:
             return node
-        return Tree(next(it), tuple(go(c) for c in node.children))
+        return Tree(next(it), tuple(map(go, node.children)))
 
     return go(tree)
 
@@ -224,16 +223,6 @@ def tree_key(t: Tree) -> tuple:
             kinds.append(_KIND_UNARY if node.gen.arity == 1 else _KIND_BINARY)
             genkeys.append(node.gen.sort_key)
     return (t.arity, t.weight, tuple(kinds), tuple(genkeys))
-
-
-def compare(t1: Tree, t2: Tree) -> int:
-    """Total order on trees: -1, 0 or 1.  Equal iff structurally identical."""
-    k1, k2 = tree_key(t1), tree_key(t2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from opdkit.cli import main
 from opdkit.parser import parse_presentation
 
@@ -190,3 +192,25 @@ def test_white_report_matches_archived_copy(capsys, tmp_path):
     assert code == 0
     archived = (ROOT / "reports" / "white_product_comparison.md").read_text()
     assert out_path.read_text() == archived
+
+
+def test_black_product_of_two_total_builds(capsys, tmp_path):
+    paths = []
+    for key in ("as", "dend"):
+        path = tmp_path / f"tot_{key}.opd"
+        code, _, _ = run(capsys, "build", "tot", str(PRES / f"{key}.opd"), "--omega", "2",
+                         "--output", str(path))
+        assert code == 0
+        paths.append(str(path))
+    code, out, err = run(capsys, "product", "black", *paths)
+    assert (code, err) == (0, "")
+    assert "relation assoc__T_0_1,2__x__dleft__T_0_1,2:" in out
+
+
+@pytest.mark.parametrize("spec", ["a", "0"])
+def test_verify_omega_must_be_a_color_count(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-comp", "--omega", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --omega" in err and repr(spec) in err

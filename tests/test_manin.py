@@ -1,6 +1,8 @@
 """Manin square products and the product-duality identity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdkit.catalog import builtin
 from opdkit.compat import build_lin, build_mat, build_tot
@@ -15,6 +17,7 @@ from opdkit.manin import (
 )
 from opdkit.presentation import (
     ColorSet,
+    Presentation,
     presentation_span_equal,
     rename_generators,
 )
@@ -126,3 +129,49 @@ def test_dual_of_black_is_white_of_duals_explicitly():
         for gq in q.binary
     }
     assert presentation_span_equal(rename_generators(lhs, mapping), rhs)
+
+
+def test_black_of_total_factors_drops_pairs_with_no_shared_shape():
+    tot_as = build_tot(builtin("as"), TWO)
+    names = {rel.name for rel in black_square(tot_as, tot_as).relations}
+    # T_0 swaps the colors of a left comb and T_1 those of a right comb.
+    assert "assoc__T_0_1,2__x__assoc__T_0_1,2" in names
+    assert "assoc__T_0_1,2__x__assoc__T_1_1,2" not in names
+
+
+@pytest.mark.parametrize("left", ["as", "dend"])
+def test_product_duality_with_total_factors(left):
+    holds, _ = check_product_duality(build_tot(builtin(left), TWO), build_tot(builtin("as"), TWO))
+    assert holds
+
+
+FACTORS = {
+    label: p
+    for key in ("as", "dend")
+    for label, p in (
+        (key, builtin(key)),
+        (f"lin({key})", build_lin(builtin(key), TWO)),
+        (f"mat({key})", build_mat(builtin(key), TWO)),
+        (f"tot({key})", build_tot(builtin(key), TWO)),
+    )
+}
+SMALL_PAIRS = sorted(
+    (a, b)
+    for a in FACTORS
+    for b in FACTORS
+    if len(FACTORS[a].binary) * len(FACTORS[b].binary) <= 8
+)
+
+
+def relation_subset(data, p):
+    mask = data.draw(st.lists(st.booleans(), min_size=len(p.relations), max_size=len(p.relations)))
+    chosen = tuple(rel for rel, keep in zip(p.relations, mask) if keep)
+    return Presentation(p.name, p.unary, p.binary, chosen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_PAIRS), st.data())
+def test_product_duality_on_relation_subsets(pair, data):
+    p, q = (relation_subset(data, FACTORS[label]) for label in pair)
+    holds, _ = check_product_duality(p, q)
+    assert holds

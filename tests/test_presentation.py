@@ -12,8 +12,6 @@ from opdkit.presentation import (
     Relation,
     Term,
     color_relation,
-    component_matrix,
-    elementwise_sum,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
@@ -123,42 +121,21 @@ def test_color_relation_errors():
         color_relation(rel, ("1", "3"), ColorSet.of(2))
 
 
-def test_elementwise_sum():
-    rel = builtin("as").relation("assoc")
-    doubled = elementwise_sum([rel], [rel])[0]
-    assert len(doubled.terms) == 4
-    gens = builtin("as").generators
-    _, single = component_matrix(gens, [rel], 3, 2)
-    _, double = component_matrix(gens, [doubled], 3, 2)
-    from opdkit.linalg import span_equal
-
-    assert span_equal(single, double)
-    with pytest.raises(ValueError):
-        elementwise_sum([rel], [])
-    cubic = builtin("rba0").relation("rb")
-    with pytest.raises(ValueError):
-        elementwise_sum([rel], [cubic])
-
-
-def test_elementwise_sum_symmetric_span():
-    rel = builtin("as").relation("assoc")
-    a = color_relation(rel, ("1", "2"))
-    b = color_relation(rel, ("2", "1"))
-    gens = replicate(builtin("as"), ColorSet.of(2))
-    _, ab = component_matrix(gens, elementwise_sum([a], [b]), 3, 2)
-    _, ba = component_matrix(gens, elementwise_sum([b], [a]), 3, 2)
-    from opdkit.linalg import span_equal
-
-    assert span_equal(ab, ba)
-
-
 def test_color_commutes_with_sum():
     rel = builtin("dend").relation("dleft")
-    a = color_relation(elementwise_sum([rel], [rel])[0], ("1", "2"))
-    b = elementwise_sum(
-        [color_relation(rel, ("1", "2"))], [color_relation(rel, ("1", "2"))]
-    )[0]
+    a = color_relation(Relation(rel.name, rel.terms + rel.terms), ("1", "2"))
+    colored = color_relation(rel, ("1", "2"))
+    b = Relation(colored.name, colored.terms + colored.terms)
     assert a.terms == b.terms
+
+
+def test_removed_helpers_are_gone_from_the_api():
+    import opdkit
+    from opdkit import presentation, trees
+
+    for module, name in ((opdkit, "elementwise_sum"), (opdkit, "compare"),
+                         (presentation, "elementwise_sum"), (trees, "compare")):
+        assert not hasattr(module, name), name
 
 
 def test_rename_generators_roundtrip():

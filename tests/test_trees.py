@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from opdkit.trees import (
     Generator,
     Tree,
-    compare,
     compose,
     corolla,
     enumerate_basis,
@@ -91,9 +90,9 @@ def test_relabel_decorates_in_preorder():
 def test_compare_equal_and_examples():
     left_comb = t(M, t(M, X, X), X)
     right_comb = t(M, X, t(M, X, X))
-    assert compare(left_comb, left_comb) == 0
-    assert compare(left_comb, right_comb) == -1
-    assert compare(t(M, t(P, X), X), t(M, X, t(P, X))) == -1
+    assert tree_key(left_comb) == tree_key(t(M, t(M, X, X), X))
+    assert tree_key(left_comb) < tree_key(right_comb)
+    assert tree_key(t(M, t(P, X), X)) < tree_key(t(M, X, t(P, X)))
 
 
 def test_compare_is_exhaustive_order_on_component():
@@ -106,11 +105,11 @@ def test_compare_is_exhaustive_order_on_component():
 
 def test_compare_strict_total_order_on_components():
     for arity, weight in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        basis = enumerate_basis([P, M, N, D2], arity, weight).basis
-        for a, b in itertools.combinations(basis, 2):
-            assert compare(a, b) == -compare(b, a) != 0
-        for a, b, c in itertools.combinations(basis, 3):
-            assert compare(a, b) < 0 and compare(b, c) < 0 and compare(a, c) < 0
+        keys = [tree_key(u) for u in enumerate_basis([P, M, N, D2], arity, weight).basis]
+        for a, b in itertools.combinations(keys, 2):
+            assert a < b and not b < a
+        for a, b, c in itertools.combinations(keys, 3):
+            assert a < b < c and a < c
 
 
 # --- enumeration ---
