@@ -219,11 +219,19 @@ def _quadratic_grid():
     ]
 
 
-def _color_count(spec: str) -> int:
-    """The ``verify --omega`` value: a color count of at least 1."""
-    if not spec.isdigit() or int(spec) < 1:
-        raise argparse.ArgumentTypeError(f"not a color count >= 1: {spec!r}")
-    return int(spec)
+def _count_at_least_one(what: str) -> Callable[[str], int]:
+    """An argparse type for a count of at least 1, refused as ``not <what> >= 1``."""
+
+    def parse(spec: str) -> int:
+        if not spec.isdigit() or int(spec) < 1:
+            raise argparse.ArgumentTypeError(f"not {what} >= 1: {spec!r}")
+        return int(spec)
+
+    return parse
+
+
+_color_count = _count_at_least_one("a color count")
+_operator_count = _count_at_least_one("an operator count")
 
 
 def _omega_sizes(args) -> list[int]:
@@ -337,7 +345,7 @@ def expected_multi_diff_dual(n: int) -> Presentation:
 
 
 def _claim_prop_kdualdda(args):
-    sizes = [args.delta] if getattr(args, "delta", None) else [1, 2, 3]
+    sizes = [1, 2, 3] if args.delta is None else [args.delta]
     for n in sizes:
         dual = koszul_dual(builtin("multi_diff", n))
         report = list(span_components(dual, expected_multi_diff_dual(n)))
@@ -510,7 +518,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="run a verification claim")
     verify.add_argument("claim")
     verify.add_argument("--omega", type=_color_count, help="restrict to one color count")
-    verify.add_argument("--delta", type=int, help="operator count for prop-kdualdda")
+    verify.add_argument("--delta", type=_operator_count, help="operator count for prop-kdualdda")
     _add_io_flags(verify)
     verify.set_defaults(func=cmd_verify)
 

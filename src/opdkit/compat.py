@@ -18,6 +18,12 @@ linear construction encodes exactly the algebras closed under arbitrary
 linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
+
+Each public function colors every (tree, vertex colors) pair once: it makes
+one memo of colored trees and passes it to its private steps, so
+``build_tot`` shares it between its matching relations and its swaps, and
+``verify_lin_encoding`` between ``build_lin`` and ``expand_formal``.  The
+memo lives only for that call; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .presentation import (
     Presentation,
     Relation,
     Term,
-    color_relation,
-    color_term,
+    _color_relation,
+    _color_term,
     presentation_span_equal,
     replicate,
     require_valid,
@@ -80,13 +86,16 @@ def _colored_gens(p: Presentation, omega: ColorSet) -> tuple[list[Generator], li
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
     require_valid(p)
-    omega = ColorSet.of(omega)
+    return _build_mat(p, ColorSet.of(omega), {})
+
+
+def _build_mat(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
     unary, binary = _colored_gens(p, omega)
     rels = []
     for rel in p.relations:
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             name = f"{rel.name}__{','.join(colors)}"
-            rels.append(color_relation(rel, colors, omega).renamed(name))
+            rels.append(_color_relation(rel, colors, omega, memo).renamed(name))
     return Presentation(
         f"mat_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
     )
@@ -105,7 +114,10 @@ def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     """Linearly compatible operad: one relation per color monomial of each
     relation, the sum of its distinct orderings."""
     require_valid(p)
-    omega = ColorSet.of(omega)
+    return _build_lin(p, ColorSet.of(omega), {})
+
+
+def _build_lin(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
     unary, binary = _colored_gens(p, omega)
     rels = []
     for rel in p.relations:
@@ -114,7 +126,7 @@ def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
             # orderings of the colors; the orderings are not individually
             # extractable from commuting scalars.
             terms = tuple(
-                color_term(term, ordering)
+                _color_term(term, ordering, memo)
                 for ordering in dict.fromkeys(itertools.permutations(colors))
                 for term in rel.terms
             )
@@ -124,10 +136,12 @@ def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     )
 
 
-def _swap(name: str, tree: Tree, slots: tuple[int, ...], first, second) -> Relation:
+def _swap(
+    name: str, tree: Tree, slots: tuple[int, ...], first, second, memo: dict
+) -> Relation:
     """t(first) - t(second): one slotted tree under two colorings."""
     plus, minus = Term(Fraction(1), tree, slots), Term(Fraction(-1), tree, slots)
-    return Relation(name, (color_term(plus, first), color_term(minus, second)))
+    return Relation(name, (_color_term(plus, first, memo), _color_term(minus, second, memo)))
 
 
 def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
@@ -136,6 +150,10 @@ def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
     Weight 2: t(mu,nu) - t(nu,mu).  Weight 3: t(mu,nu,mu) - t(nu,mu,mu) and
     t(mu,nu,mu) - t(mu,mu,nu), i.e. the swap of slots 1,2 and of slots 2,3.
     """
+    return _transpositions(rel, mu, nu, {})
+
+
+def _transpositions(rel: Relation, mu: str, nu: str, memo: dict) -> list[Relation]:
     if mu == nu:
         raise ValueError("transposition needs two distinct colors")
     if rel.weight not in (2, 3):
@@ -144,10 +162,10 @@ def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
     for idx, (tree, slots) in enumerate(support(rel)):
         name = f"{rel.name}__T_{idx}"
         if rel.weight == 2:
-            out.append(_swap(f"{name}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu)))
+            out.append(_swap(f"{name}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu), memo))
         else:
-            out.append(_swap(f"{name}a_{mu},{nu}", tree, slots, (mu, nu, mu), (nu, mu, mu)))
-            out.append(_swap(f"{name}b_{mu},{nu}", tree, slots, (mu, nu, mu), (mu, mu, nu)))
+            out.append(_swap(f"{name}a_{mu},{nu}", tree, slots, (mu, nu, mu), (nu, mu, mu), memo))
+            out.append(_swap(f"{name}b_{mu},{nu}", tree, slots, (mu, nu, mu), (mu, mu, nu), memo))
     return out
 
 
@@ -193,14 +211,16 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     golden file records.
     """
     omega = ColorSet.of(omega)
-    mat = build_mat(p, omega)
+    require_valid(p)
+    memo: dict = {}
+    mat = _build_mat(p, omega, memo)
     extra = []
     for rel in p.relations:
         # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
         # the two weight-3 swaps for (nu,mu) are new relations.
         pairs = itertools.combinations if rel.weight == 2 else itertools.permutations
         for mu, nu in pairs(omega.labels, 2):
-            extra.extend(transposition_relations(rel, mu, nu))
+            extra.extend(_transpositions(rel, mu, nu, memo))
     if p.is_quadratic:
         for tree in uncovered_trees(p):
             idx = enumerate_basis(p.generators, tree.arity, 2).basis.index(tree)
@@ -208,7 +228,7 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
             # t(nu,mu) - t(mu,nu) is the negative, so unordered pairs suffice.
             for mu, nu in itertools.combinations(omega.labels, 2):
                 name = f"swap__a{tree.arity}_{idx}_{mu},{nu}"
-                extra.append(_swap(name, tree, slots, (mu, nu), (nu, mu)))
+                extra.append(_swap(name, tree, slots, (mu, nu), (nu, mu), memo))
     return Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,
@@ -237,14 +257,17 @@ class FormalExpansion:
 def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
     """Substitute sum_w c_w g#w into every slot and collect by monomial in the c's."""
     require_valid(p)
-    omega = ColorSet.of(omega)
+    return _expand_formal(p, ColorSet.of(omega), {})
+
+
+def _expand_formal(p: Presentation, omega: ColorSet, memo: dict) -> list[FormalExpansion]:
     out = []
     for rel in p.relations:
         buckets: dict[tuple[str, ...], list[Term]] = {}
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             monomial = tuple(sorted(colors))
             buckets.setdefault(monomial, []).extend(
-                color_relation(rel, colors, omega).terms
+                _color_relation(rel, colors, omega, memo).terms
             )
         coefficients = {
             monomial: Relation(f"{rel.name}__c_{'.'.join(monomial)}", tuple(terms))
@@ -260,10 +283,12 @@ def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
     Checked separately in every (arity, weight) component.
     """
     omega = ColorSet.of(omega)
-    lin = build_lin(p, omega)
+    require_valid(p)
+    memo: dict = {}
+    lin = _build_lin(p, omega, memo)
     extracted = [
         rel
-        for expansion in expand_formal(p, omega)
+        for expansion in _expand_formal(p, omega, memo)
         for rel in expansion.coefficients.values()
     ]
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))

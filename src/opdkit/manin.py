@@ -77,14 +77,13 @@ def colorize_tensor_map(colored, plain) -> dict[Generator, Generator]:
 def _by_shape(rel: Relation) -> dict:
     """The terms of ``rel`` as (coefficient, generators in preorder), by tree shape.
 
-    A shape is the child count of every vertex in preorder; it maps to one
+    A shape is ``Tree.shape``, the node kinds in preorder; it maps to one
     tree of that shape and the terms that have it.
     """
     shapes: dict = {}
     for term in rel.terms:
         tree = term.tree
-        shape = tuple(len(node.children) for node in tree.preorder())
-        shapes.setdefault(shape, (tree, []))[1].append(
+        shapes.setdefault(tree.shape, (tree, []))[1].append(
             (term.coeff, tree.internal_generators())
         )
     return shapes

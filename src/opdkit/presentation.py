@@ -271,19 +271,35 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return (2, 1) if not tree.children[0].is_leaf else (1, 2)  # left / right comb
 
 
+def _colored_tree(
+    tree: Tree, slots: tuple[int, ...], colors: Sequence[str], memo: dict
+) -> Tree:
+    """``tree`` with ``colors[j-1]`` on the vertex at slot j, built once per ``memo``.
+
+    The memo is keyed by the tree and the colors of its vertices in
+    preorder, so equal colored trees built through one memo are one object.
+    """
+    vertex_colors = tuple([colors[slot - 1] for slot in slots])
+    key = (tree, vertex_colors)
+    colored = memo.get(key)
+    if colored is None:
+        gens = map(Generator.colored, tree.internal_generators(), vertex_colors)
+        colored = memo[key] = relabel(tree, gens)
+    return colored
+
+
+def _color_term(term: Term, colors: Sequence[str], memo: dict) -> Term:
+    return Term(term.coeff, _colored_tree(term.tree, term.slots, colors, memo), term.slots)
+
+
 def color_term(term: Term, colors: Sequence[str]) -> Term:
     """Apply ``colors[j-1]`` to the generator sitting at slot j of ``term``."""
-    gens = term.tree.internal_generators()
-    recolored = (g.colored(colors[slot - 1]) for g, slot in zip(gens, term.slots))
-    return Term(term.coeff, relabel(term.tree, recolored), term.slots)
+    return _color_term(term, colors, {})
 
 
-def color_relation(
-    rel: Relation,
-    colors: Sequence[str],
-    omega: Optional[ColorSet] = None,
+def _color_relation(
+    rel: Relation, colors: Sequence[str], omega: Optional[ColorSet], memo: dict
 ) -> Relation:
-    """Apply ``colors[j-1]`` to the generator sitting at slot j of every term."""
     if len(colors) != rel.weight:
         raise ValueError(
             f"relation {rel.name} has weight {rel.weight}, got {len(colors)} colors"
@@ -292,7 +308,16 @@ def color_relation(
         for c in colors:
             if c not in omega.labels:
                 raise ValueError(f"color label {c!r} not in the ambient color set")
-    return Relation(rel.name, tuple(color_term(term, colors) for term in rel.terms))
+    return Relation(rel.name, tuple(_color_term(term, colors, memo) for term in rel.terms))
+
+
+def color_relation(
+    rel: Relation,
+    colors: Sequence[str],
+    omega: Optional[ColorSet] = None,
+) -> Relation:
+    """Apply ``colors[j-1]`` to the generator sitting at slot j of every term."""
+    return _color_relation(rel, colors, omega, {})
 
 
 def rename_generators(

@@ -7,14 +7,17 @@ arity equals its number of children.  The arity of a tree is its leaf count,
 its weight is its internal-vertex count.
 
 Everything here is immutable and hashable, so trees can key dictionaries
-when linear combinations of trees are turned into coefficient vectors.
+when linear combinations of trees are turned into coefficient vectors.  A
+tree computes its arity, weight, hash, shape and preorder generators once,
+at construction, from its children's; the canonical key ``tree_key`` is
+read off them without walking the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Generator",
@@ -31,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     """A named operation of arity 1 or 2, optionally colored and/or dualized."""
 
@@ -74,19 +77,32 @@ class Generator:
         return f"Generator({self.serialized()}/{self.arity})"
 
 
-@dataclass(frozen=True)
+# Node-kind codes for the canonical order: internal vertices sort before
+# leaves, unary before binary, so e.g. the left comb precedes the right comb
+# and m(P(x1),x2) precedes m(x1,P(x2)).
+_KIND_UNARY = 0
+_KIND_BINARY = 1
+_KIND_LEAF = 2
+_LEAF_SHAPE = (_KIND_LEAF,)
+
+
+@dataclass(frozen=True, slots=True)
 class Tree:
     """A decorated planar rooted tree; ``gen is None`` marks a leaf.
 
-    Arity, weight and hash are computed once, from the children's, when the
-    tree is built: trees key every column map of the span engine, and
-    recomputing them recursively dominated the lookups.
+    Arity, weight, hash, ``shape`` (the node kinds in preorder, leaves
+    included) and the generators in preorder are computed once, from the
+    children's, when the tree is built: trees key every column map of the
+    span engine and every canonical sort, and recomputing them recursively
+    dominated both.
     """
 
     gen: Optional[Generator] = None
     children: tuple["Tree", ...] = ()
     arity: int = field(init=False, repr=False, compare=False)
     weight: int = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _gens: tuple[Generator, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -94,26 +110,39 @@ class Tree:
         if gen is None:
             if children:
                 raise ValueError("leaves have no children")
-            arity, weight = 1, 0
+            arity, weight, shape, gens = 1, 0, _LEAF_SHAPE, ()
+            h = hash((None,))
         elif len(children) != gen.arity:
             raise ValueError(
                 f"node {gen.serialized()} needs {gen.arity} children, "
                 f"got {len(children)}"
             )
+        elif len(children) == 2:
+            left, right = children
+            arity = left.arity + right.arity
+            weight = left.weight + right.weight + 1
+            shape = (_KIND_BINARY, *left.shape, *right.shape)
+            gens = (gen, *left._gens, *right._gens)
+            h = hash((gen, left._hash, right._hash))
         else:
-            arity, weight = 0, 1
-            for c in children:
-                arity += c.arity
-                weight += c.weight
+            (child,) = children
+            arity = child.arity
+            weight = child.weight + 1
+            shape = (_KIND_UNARY, *child.shape)
+            gens = (gen, *child._gens)
+            h = hash((gen, child._hash))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_hash", hash((gen, *(c._hash for c in children))))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_hash", h)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy _hash.
+        # String hashes differ between processes: rebuild, never copy _hash
+        # or the other computed fields.
         return (Tree, (self.gen, self.children))
 
     def __eq__(self, other: object) -> bool:
@@ -131,16 +160,9 @@ class Tree:
     def is_leaf(self) -> bool:
         return self.gen is None
 
-    def preorder(self) -> Iterator["Tree"]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
     def internal_generators(self) -> tuple[Generator, ...]:
         """Generators of internal vertices in preorder."""
-        return tuple(n.gen for n in self.preorder() if n.gen is not None)
+        return self._gens
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tree({tree_text(self)})"
@@ -204,25 +226,9 @@ def relabel(tree: Tree, gens: Iterable[Generator]) -> Tree:
     return go(tree)
 
 
-# Node-kind codes for the canonical order: internal vertices sort before
-# leaves, unary before binary, so e.g. the left comb precedes the right comb
-# and m(P(x1),x2) precedes m(x1,P(x2)).
-_KIND_UNARY = 0
-_KIND_BINARY = 1
-_KIND_LEAF = 2
-
-
 def tree_key(t: Tree) -> tuple:
     """Canonical sort key: (arity, weight, preorder kinds, preorder generator keys)."""
-    kinds = []
-    genkeys = []
-    for node in t.preorder():
-        if node.is_leaf:
-            kinds.append(_KIND_LEAF)
-        else:
-            kinds.append(_KIND_UNARY if node.gen.arity == 1 else _KIND_BINARY)
-            genkeys.append(node.gen.sort_key)
-    return (t.arity, t.weight, tuple(kinds), tuple(genkeys))
+    return (t.arity, t.weight, t.shape, tuple([g.sort_key for g in t._gens]))
 
 
 @dataclass(frozen=True)

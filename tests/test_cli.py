@@ -214,3 +214,12 @@ def test_verify_omega_must_be_a_color_count(capsys, spec):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --omega" in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("spec", ["0", "-1", "a"])
+def test_verify_delta_must_be_an_operator_count(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prop-kdualdda", "--delta", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --delta" in err and repr(spec) in err

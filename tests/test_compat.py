@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from opdkit import compat
 from opdkit.catalog import builtin, default_grid
 from opdkit.compat import (
     build_lin,
@@ -320,6 +321,37 @@ def test_expand_formal_assoc_mixed_is_elementwise_sum():
 def test_verify_lin_encoding_catalog(n):
     for label, pres in default_grid():
         assert verify_lin_encoding(pres, ColorSet.of(n)), (label, n)
+
+
+def _equal_trees_are_one_object(*presentations) -> bool:
+    seen = {}
+    return all(
+        seen.setdefault(term.tree, term.tree) is term.tree
+        for p in presentations
+        for rel in p.relations
+        for term in rel.terms
+    )
+
+
+def test_build_tot_colors_each_tree_once():
+    # The matching relations and the swaps color the same support trees.
+    for label, pres in default_grid():
+        assert _equal_trees_are_one_object(build_tot(pres, THREE)), label
+
+
+def test_verify_lin_encoding_colors_each_tree_once(monkeypatch):
+    # build_lin and expand_formal color the same trees; the two sides that
+    # reach the span check share them.
+    compared = []
+
+    def record(formal, lin):
+        compared.append((formal, lin))
+        return presentation_span_equal(formal, lin)
+
+    monkeypatch.setattr(compat, "presentation_span_equal", record)
+    for label, pres in default_grid():
+        assert verify_lin_encoding(pres, THREE), label
+        assert _equal_trees_are_one_object(*compared.pop()), label
 
 
 def test_verify_lin_encoding_singleton_trivial():

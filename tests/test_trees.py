@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -199,11 +200,95 @@ def test_grafting_associativity(data):
 
 def test_pickled_trees_rebuild_their_hash():
     tree = t(M, t(P, X), t(M, X, X))
-    # A cached string-based hash is only valid in the process that made it.
-    assert b"_hash" not in pickle.dumps(tree)
-    copy = pickle.loads(pickle.dumps(tree))
+    # A cached string-based hash is only valid in the process that made it,
+    # and every computed field is rebuilt, never copied.
+    data = pickle.dumps(tree)
+    for stored in (b"_hash", b"shape", b"_gens"):
+        assert stored not in data
+    copy = pickle.loads(data)
     assert copy == tree and hash(copy) == hash(tree)
     assert (copy.arity, copy.weight) == (3, 3)
+    assert (copy.shape, copy.internal_generators()) == (tree.shape, (M, P, M))
+
+
+def test_trees_and_generators_are_slotted():
+    for obj in (t(M, t(P, X), X), M):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(obj)
+    assert pickle.loads(pickle.dumps(Generator("m", 2, "a", True))) == Generator("m", 2, "a", True)
+
+
+# --- stored key against the tree walk ---
+
+
+def preorder(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def walked_key(tree):
+    """Reference ``tree_key``: (arity, weight, preorder kinds, preorder generator keys),
+    with leaf 2, unary 0 and binary 1, read off a walk of the tree."""
+    kinds, genkeys = [], []
+    for node in preorder(tree):
+        if node.is_leaf:
+            kinds.append(2)
+        else:
+            kinds.append(0 if node.gen.arity == 1 else 1)
+            genkeys.append(node.gen.sort_key)
+    return (tree.arity, tree.weight, tuple(kinds), tuple(genkeys))
+
+
+def walked_generators(tree):
+    """Reference ``internal_generators``: the generators of a preorder walk."""
+    return tuple(node.gen for node in preorder(tree) if node.gen is not None)
+
+
+UNARY = [P, D2, Generator("P", 1, "a"), Generator("d2", 1, None, True)]
+BINARY = [M, N, Generator("m", 2, "b"), Generator("n", 2, "a", True)]
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(lambda g, c: Tree(g, (c,)), st.sampled_from(UNARY), children),
+        st.builds(lambda g, a, b: Tree(g, (a, b)), st.sampled_from(BINARY), children, children),
+    )
+
+
+trees = st.recursive(st.just(X), _grow, max_leaves=5)
+
+
+@st.composite
+def built_trees(draw):
+    """A tree made by ``Tree``, then by one of graft, compose, relabel, pickle."""
+    tree = draw(trees)
+    how = draw(st.sampled_from(["tree", "graft", "compose", "relabel", "pickle"]))
+    if how == "graft":
+        return graft(tree, draw(st.integers(1, tree.arity)), draw(trees))
+    if how == "compose":
+        return compose(tree, draw(st.lists(trees, min_size=tree.arity, max_size=tree.arity)))
+    if how == "relabel":
+        gens = [
+            draw(st.sampled_from(UNARY if g.arity == 1 else BINARY))
+            for g in walked_generators(tree)
+        ]
+        return relabel(tree, gens)
+    if how == "pickle":
+        return pickle.loads(pickle.dumps(tree))
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_trees())
+def test_stored_key_matches_the_tree_walk(tree):
+    key = walked_key(tree)
+    assert tree_key(tree) == key
+    assert tree.shape == key[2]
+    assert tree.internal_generators() == walked_generators(tree)
 
 
 def test_tree_key_distinguishes_decorations():
