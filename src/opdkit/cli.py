@@ -469,10 +469,10 @@ def cmd_list_claims(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_io_flags(sub) -> None:
+def _add_presentation_output(sub) -> None:
+    """The options of a subcommand that writes a presentation."""
     sub.add_argument("--format", choices=("dsl", "json"), default="dsl")
     sub.add_argument("--output", metavar="PATH")
-    sub.add_argument("--quiet", action="store_true")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -486,44 +486,45 @@ def build_arg_parser() -> argparse.ArgumentParser:
     build.add_argument("kind", choices=("lin", "mat", "tot"))
     build.add_argument("input")
     build.add_argument("--omega", required=True, help="color count or comma list of labels")
-    _add_io_flags(build)
+    _add_presentation_output(build)
     build.set_defaults(func=cmd_build)
 
     dual = subs.add_parser("dual", help="Koszul dual of a quadratic presentation")
     dual.add_argument("input")
-    _add_io_flags(dual)
+    _add_presentation_output(dual)
     dual.set_defaults(func=cmd_dual)
 
     product = subs.add_parser("product", help="Manin square products")
     product.add_argument("kind", choices=("black", "white-literal", "white-dual"))
     product.add_argument("left")
     product.add_argument("right")
-    _add_io_flags(product)
+    _add_presentation_output(product)
     product.set_defaults(func=cmd_product)
 
     check = subs.add_parser("check-iso", help="componentwise span comparison")
     check.add_argument("a")
     check.add_argument("b")
     check.add_argument("--map", help="'tensor-colors' or comma list old=new")
-    _add_io_flags(check)
+    check.add_argument("--quiet", action="store_true", help="print only the verdict")
     check.set_defaults(func=cmd_check_iso)
 
     basis = subs.add_parser("basis", help="dump a graded tree basis")
     basis.add_argument("input")
     basis.add_argument("--arity", type=int, required=True)
     basis.add_argument("--weight", type=int, required=True)
-    _add_io_flags(basis)
+    basis.add_argument("--output", metavar="PATH")
+    basis.add_argument("--quiet", action="store_true", help="omit the dimension line on stderr")
     basis.set_defaults(func=cmd_basis)
 
     verify = subs.add_parser("verify", help="run a verification claim")
     verify.add_argument("claim")
     verify.add_argument("--omega", type=_color_count, help="restrict to one color count")
     verify.add_argument("--delta", type=_operator_count, help="operator count for prop-kdualdda")
-    _add_io_flags(verify)
+    verify.add_argument("--output", metavar="PATH", help="where white-report writes its report")
+    verify.add_argument("--quiet", action="store_true", help="print only failing checks")
     verify.set_defaults(func=cmd_verify)
 
     claims = subs.add_parser("list-claims", help="list the claim registry")
-    _add_io_flags(claims)
     claims.set_defaults(func=cmd_list_claims)
 
     return top

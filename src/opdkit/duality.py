@@ -3,13 +3,10 @@
 The weight-2 component of the free operad over dual generators pairs
 diagonally with the original one: a dual tree pairs only with the tree of
 the same shape and matching decorations, and the sign depends on the shape
-alone.  The sign table, extended verbatim to any number of generators:
-
-    unary over unary               +1
-    unary at the root of a binary  -1
-    unary on either binary input   +1
-    left comb                      +1
-    right comb                     -1
+alone: -1 for a unary vertex at the root of a binary one and for the right
+comb, +1 for the other four shapes, with any number of generators.  The
+signs are kept with the standard slots in one table of ``presentation``,
+keyed by ``Tree.shape``.
 
 The dual of P = T(E)/<R> is then T(E*)/<R^perp> with R^perp computed per
 arity component, the complement of an empty relation set being the full
@@ -25,6 +22,7 @@ import itertools
 from .compat import CompatKind, build_compatible
 from .linalg import DiagonalForm, Echelon, integer_row
 from .presentation import (
+    _WEIGHT_TWO_SHAPES,
     ColorSet,
     Presentation,
     Relation,
@@ -51,14 +49,7 @@ def shape_sign(tree: Tree) -> int:
     """Pairing sign of a weight-2 tree, by shape only."""
     if tree.weight != 2:
         raise ValueError("pairing signs are defined on weight-2 trees")
-    root = tree.gen
-    if root.arity == 1:
-        child = tree.children[0]
-        return 1 if child.gen.arity == 1 else -1
-    left, right = tree.children
-    if not left.is_leaf:
-        return 1  # unary on the left input, or left comb
-    return 1 if right.gen.arity == 1 else -1  # unary on the right input / right comb
+    return _WEIGHT_TWO_SHAPES[tree.shape][0]
 
 
 def pairing_form(component: GradedComponent) -> DiagonalForm:
@@ -68,7 +59,7 @@ def pairing_form(component: GradedComponent) -> DiagonalForm:
     return DiagonalForm(tuple(shape_sign(t) for t in component.basis))
 
 
-def koszul_dual(p: Presentation, name: str | None = None) -> Presentation:
+def koszul_dual(p: Presentation) -> Presentation:
     """T(E*)/<R^perp> for a quadratic presentation, componentwise by arity."""
     require_valid(p)
     for rel in p.relations:
@@ -101,9 +92,7 @@ def koszul_dual(p: Presentation, name: str | None = None) -> Presentation:
                 for c, coeff in vec.items()
             )
             rels.append(Relation(f"dual_a{arity}_{i}", terms))
-    return Presentation(
-        name or f"dual_{p.name}", dual_unary, dual_binary, tuple(rels)
-    )
+    return Presentation(f"dual_{p.name}", dual_unary, dual_binary, tuple(rels))
 
 
 def is_self_dual(p: Presentation) -> bool:

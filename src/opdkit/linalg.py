@@ -2,10 +2,12 @@
 
 Every span question reduces to the ``Echelon`` kernel.  A row is a sparse
 integer vector ``{column: int}`` with content 1 (entries coprime), which
-fixes a rational row up to a nonzero scalar.  ``Echelon`` keeps a fully
-reduced echelon basis keyed by pivot column: each basis row has a positive
-entry at its pivot, which is its smallest column, and no entry at any other
-pivot.  Rows are reduced fraction-free, cross-multiplying by the pivot and
+fixes a rational row up to a nonzero scalar.  ``integer_row`` makes one from
+rational entries by scaling them all by one common denominator, so rows are
+integer from the start and no rational sum is formed.  ``Echelon`` keeps a
+fully reduced echelon basis keyed by pivot column: each basis row has a
+positive entry at its pivot, which is its smallest column, and no entry at
+any other pivot.  Rows are reduced fraction-free, cross-multiplying by the pivot and
 dividing out the content, so no rational arithmetic happens inside the
 kernel.  Given a column order the basis is the reduced row echelon form up
 to row scaling, hence canonical: two bases over one column map span the same
@@ -113,21 +115,16 @@ def _primitive(row: SparseRow) -> SparseRow:
 def integer_row(entries: Iterable[tuple[int, Fraction]]) -> SparseRow:
     """Sparse content-1 integer row spanning the same line as the rational entries.
 
-    Entries at a repeated column are summed; zero sums are dropped, so an
-    all-zero input gives the empty row.
+    Every entry is scaled by one common denominator, so the sum at a repeated
+    column is a sum of ints; zero sums are dropped, so an all-zero input
+    gives the empty row.
     """
-    summed: dict[int, Fraction] = {}
+    entries = list(entries)
+    scale = lcm(*(x.denominator for _, x in entries))
+    row: SparseRow = {}
     for col, x in entries:
-        summed[col] = summed.get(col, 0) + x
-    scale = 1
-    for x in summed.values():
-        if x:
-            scale = lcm(scale, x.denominator)
-    row = {
-        col: int(x.numerator * (scale // x.denominator))
-        for col, x in summed.items()
-        if x
-    }
+        row[col] = row.get(col, 0) + x.numerator * (scale // x.denominator)
+    row = {col: v for col, v in row.items() if v}
     return _primitive(row) if row else row
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from opdkit.cli import main
+from opdkit.cli import CLAIMS, main
 from opdkit.parser import parse_presentation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +121,21 @@ def test_check_iso_mismatch_and_usage(capsys, tmp_path):
     assert "generator sets differ" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--format", "json"],
+    ["check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--output", "out.opd"],
+    ["build", "lin", str(PRES / "as.opd"), "--omega", "2", "--quiet"],
+    ["verify", "ex-rbcom", "--format", "json"],
+    ["list-claims", "--quiet"],
+], ids=["check-iso --format", "check-iso --output", "build --quiet", "verify --format",
+        "list-claims --quiet"])
+def test_options_a_subcommand_ignores_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_explicit_rename_map(capsys, tmp_path):
     renamed = tmp_path / "renamed.opd"
     renamed.write_text(
@@ -192,6 +207,18 @@ def test_white_report_matches_archived_copy(capsys, tmp_path):
     assert code == 0
     archived = (ROOT / "reports" / "white_product_comparison.md").read_text()
     assert out_path.read_text() == archived
+
+
+def test_verify_transcript_matches_archived_copy(capsys):
+    # white-report is pinned by test_white_report_matches_archived_copy.
+    parts = []
+    for claim in sorted(CLAIMS):
+        if claim == "white-report":
+            continue
+        code, out, _ = run(capsys, "verify", claim, "--omega", "2")
+        parts.append(f"$ opdkit verify {claim} --omega 2  # exit {code}\n{out}")
+    archived = (ROOT / "tests" / "golden" / "verify_omega2.txt").read_text()
+    assert "".join(parts) == archived
 
 
 def test_black_product_of_two_total_builds(capsys, tmp_path):

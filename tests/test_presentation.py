@@ -192,6 +192,12 @@ def test_span_checks_reject_trees_outside_their_component():
         presentation_span_contains(outside, pres)
     with pytest.raises(ValueError, match=message):
         presentation_span_equal(pres, outside)
+    # Containment rows every grading of both sides: a stray relation of the
+    # containing side is refused even where the contained side has none.
+    lone = Relation("lone", (Term(Fraction(1), Tree(stranger, (X, X)), (1,)),))
+    stray = dataclasses.replace(pres, relations=pres.relations + (lone,))
+    with pytest.raises(ValueError, match="relation lone contains a tree outside"):
+        presentation_span_contains(stray, pres)
     # A term of another grading is outside the component as well.
     mixed = Relation(
         "mixed",

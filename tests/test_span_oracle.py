@@ -139,6 +139,7 @@ def test_presentation_spans_match_reference(label, big_kind, small_kind, nested,
         _, ms = component_matrix(big.generators, small.relations, c.arity, c.weight)
         assert (c.left_rank, c.right_rank) == (ref.rank(mb), ref.rank(ms))
         assert c.equal == ref.span_equal(mb, ms)
+        assert c.contains == ref.span_contains(mb, ms)
 
 
 def dualized(tree):
