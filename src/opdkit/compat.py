@@ -19,11 +19,12 @@ linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
 
-Each public function colors every (tree, vertex colors) pair once: it makes
-one memo of colored trees and passes it to its private steps, so
-``build_tot`` shares it between its matching relations and its swaps, and
-``verify_lin_encoding`` between ``build_lin`` and ``expand_formal``.  The
-memo lives only for that call; nothing is cached across calls.
+Each public function colors every (subtree, vertex colors) pair once: it
+makes one memo of colored subtrees and colored generators and passes it to
+its private steps, so ``build_tot`` shares it between its matching relations
+and its swaps, and ``verify_lin_encoding`` between ``build_lin`` and
+``expand_formal``.  Colored trees built through one memo share their equal
+subtrees.  The memo lives only for that call; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _build_mat(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
     for rel in p.relations:
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             name = f"{rel.name}__{','.join(colors)}"
-            rels.append(_color_relation(rel, colors, omega, memo).renamed(name))
+            rels.append(_color_relation(rel, colors, omega, memo, name))
     return Presentation(
         f"mat_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
     )
@@ -267,7 +268,7 @@ def _expand_formal(p: Presentation, omega: ColorSet, memo: dict) -> list[FormalE
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             monomial = tuple(sorted(colors))
             buckets.setdefault(monomial, []).extend(
-                _color_relation(rel, colors, omega, memo).terms
+                _color_relation(rel, colors, omega, memo, rel.name).terms
             )
         coefficients = {
             monomial: Relation(f"{rel.name}__c_{'.'.join(monomial)}", tuple(terms))

@@ -27,7 +27,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, integer_row
-from .trees import Generator, GradedComponent, Tree, enumerate_basis, relabel, tree_key
+from .trees import (
+    Generator,
+    GradedComponent,
+    Tree,
+    enumerate_basis,
+    relabel,
+    tree_key,
+    tree_text,
+)
 
 __all__ = [
     "Term",
@@ -53,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One summand of a relation: coefficient, tree, and per-vertex slots.
 
@@ -282,24 +290,48 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return _WEIGHT_TWO_SHAPES[tree.shape][1]
 
 
+def _colored_subtree(tree: Tree, vertex_colors: tuple[str, ...], memo: dict) -> Tree:
+    """``tree`` with ``vertex_colors`` on its internal vertices in preorder.
+
+    A child's vertex colors are a contiguous slice of its parent's, so the
+    walk goes bottom-up through ``memo`` and builds each colored subtree once.
+    """
+    gen = tree.gen
+    if gen is None:
+        return tree
+    key = (tree, vertex_colors)
+    colored = memo.get(key)
+    if colored is None:
+        gen_key = (gen, vertex_colors[0])
+        colored_gen = memo.get(gen_key)
+        if colored_gen is None:
+            colored_gen = memo[gen_key] = gen.colored(vertex_colors[0])
+        children = tree.children
+        if len(children) == 1:
+            colored_children = (_colored_subtree(children[0], vertex_colors[1:], memo),)
+        else:
+            left, right = children
+            split = 1 + left.weight
+            colored_children = (
+                _colored_subtree(left, vertex_colors[1:split], memo),
+                _colored_subtree(right, vertex_colors[split:], memo),
+            )
+        colored = memo[key] = Tree(colored_gen, colored_children)
+    return colored
+
+
 def _colored_tree(
     tree: Tree, slots: tuple[int, ...], colors: Sequence[str], memo: dict
 ) -> Tree:
     """``tree`` with ``colors[j-1]`` on the vertex at slot j, built once per ``memo``.
 
-    The memo is keyed by the tree and the colors of its vertices in
-    preorder, so equal colored trees built through one memo are one object.
-    It also holds each colored generator, keyed by (generator, color), so a
-    build colors each generator once per color.
+    The memo holds every colored subtree, keyed by the uncolored subtree and
+    the colors of its vertices in preorder, so equal colored trees built
+    through one memo are one object and share their subtrees.  It also holds
+    each colored generator, keyed by (generator, color), so a build colors
+    each generator once per color.
     """
-    vertex_colors = tuple([colors[slot - 1] for slot in slots])
-    key = (tree, vertex_colors)
-    colored = memo.get(key)
-    if colored is None:
-        pairs = zip(tree.internal_generators(), vertex_colors)
-        gens = [memo.get(k) or memo.setdefault(k, Generator.colored(*k)) for k in pairs]
-        colored = memo[key] = relabel(tree, gens)
-    return colored
+    return _colored_subtree(tree, tuple([colors[slot - 1] for slot in slots]), memo)
 
 
 def _color_term(term: Term, colors: Sequence[str], memo: dict) -> Term:
@@ -308,12 +340,19 @@ def _color_term(term: Term, colors: Sequence[str], memo: dict) -> Term:
 
 def color_term(term: Term, colors: Sequence[str]) -> Term:
     """Apply ``colors[j-1]`` to the generator sitting at slot j of ``term``."""
+    weight = term.tree.weight
+    if len(colors) != weight:
+        raise ValueError(
+            f"term {tree_text(term.tree, term.slots)} has weight {weight}, "
+            f"got {len(colors)} colors"
+        )
     return _color_term(term, colors, {})
 
 
 def _color_relation(
-    rel: Relation, colors: Sequence[str], omega: Optional[ColorSet], memo: dict
+    rel: Relation, colors: Sequence[str], omega: Optional[ColorSet], memo: dict, name: str
 ) -> Relation:
+    """``rel`` colored by ``colors`` and named ``name``, sorted once."""
     if len(colors) != rel.weight:
         raise ValueError(
             f"relation {rel.name} has weight {rel.weight}, got {len(colors)} colors"
@@ -322,7 +361,7 @@ def _color_relation(
         for c in colors:
             if c not in omega.labels:
                 raise ValueError(f"color label {c!r} not in the ambient color set")
-    return Relation(rel.name, tuple(_color_term(term, colors, memo) for term in rel.terms))
+    return Relation(name, tuple([_color_term(term, colors, memo) for term in rel.terms]))
 
 
 def color_relation(
@@ -331,7 +370,7 @@ def color_relation(
     omega: Optional[ColorSet] = None,
 ) -> Relation:
     """Apply ``colors[j-1]`` to the generator sitting at slot j of every term."""
-    return _color_relation(rel, colors, omega, {})
+    return _color_relation(rel, colors, omega, {}, rel.name)
 
 
 def rename_generators(

@@ -8,9 +8,12 @@ its weight is its internal-vertex count.
 
 Everything here is immutable and hashable, so trees can key dictionaries
 when linear combinations of trees are turned into coefficient vectors.  A
-tree computes its arity, weight, hash, shape and preorder generators once,
-at construction, from its children's; the canonical key ``tree_key`` is
-read off them without walking the tree.
+generator stores its hash and sort key when it is built.  A tree computes
+its arity, weight, hash, shape, preorder generators and their sort keys
+once, at construction, from its children's; the canonical key ``tree_key``
+is read off them without walking the tree.  ``relabel`` rebuilds a tree
+with new generators; renaming, dualizing and the Manin products use it,
+while coloring walks the tree itself (``presentation._colored_tree``).
 """
 
 from __future__ import annotations
@@ -36,22 +39,36 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Generator:
-    """A named operation of arity 1 or 2, optionally colored and/or dualized."""
+    """A named operation of arity 1 or 2, optionally colored and/or dualized.
+
+    ``sort_key`` and the hash are computed once, when the generator is
+    built: generators key the coloring memo and every tree hash, and each
+    canonical tree key is made of their sort keys.
+    """
 
     name: str
     arity: int
     color: Optional[str] = None
     dualized: bool = False
+    sort_key: tuple[str, str, bool] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity not in (1, 2):
             raise ValueError(
                 f"generator {self.name!r} must have arity 1 or 2, got {self.arity}"
             )
+        object.__setattr__(self, "sort_key", (self.name, self.color or "", self.dualized))
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.arity, self.color, self.dualized))
+        )
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.name, self.color or "", self.dualized)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy _hash.
+        return (Generator, (self.name, self.arity, self.color, self.dualized))
 
     def colored(self, label: str) -> "Generator":
         if self.color is not None:
@@ -91,10 +108,10 @@ class Tree:
     """A decorated planar rooted tree; ``gen is None`` marks a leaf.
 
     Arity, weight, hash, ``shape`` (the node kinds in preorder, leaves
-    included) and the generators in preorder are computed once, from the
-    children's, when the tree is built: trees key every column map of the
-    span engine and every canonical sort, and recomputing them recursively
-    dominated both.
+    included), the generators in preorder and their sort keys are computed
+    once, from the children's, when the tree is built: trees key every
+    column map of the span engine and every canonical sort, and
+    recomputing them recursively dominated both.
     """
 
     gen: Optional[Generator] = None
@@ -103,6 +120,7 @@ class Tree:
     weight: int = field(init=False, repr=False, compare=False)
     shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _gens: tuple[Generator, ...] = field(init=False, repr=False, compare=False)
+    _keys: tuple[tuple[str, str, bool], ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -110,7 +128,7 @@ class Tree:
         if gen is None:
             if children:
                 raise ValueError("leaves have no children")
-            arity, weight, shape, gens = 1, 0, _LEAF_SHAPE, ()
+            arity, weight, shape, gens, keys = 1, 0, _LEAF_SHAPE, (), ()
             h = hash((None,))
         elif len(children) != gen.arity:
             raise ValueError(
@@ -123,18 +141,21 @@ class Tree:
             weight = left.weight + right.weight + 1
             shape = (_KIND_BINARY, *left.shape, *right.shape)
             gens = (gen, *left._gens, *right._gens)
-            h = hash((gen, left._hash, right._hash))
+            keys = (gen.sort_key, *left._keys, *right._keys)
+            h = hash((gen._hash, left._hash, right._hash))
         else:
             (child,) = children
             arity = child.arity
             weight = child.weight + 1
             shape = (_KIND_UNARY, *child.shape)
             gens = (gen, *child._gens)
-            h = hash((gen, child._hash))
+            keys = (gen.sort_key, *child._keys)
+            h = hash((gen._hash, child._hash))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_hash", h)
 
     def __hash__(self) -> int:
@@ -228,7 +249,7 @@ def relabel(tree: Tree, gens: Iterable[Generator]) -> Tree:
 
 def tree_key(t: Tree) -> tuple:
     """Canonical sort key: (arity, weight, preorder kinds, preorder generator keys)."""
-    return (t.arity, t.weight, t.shape, tuple([g.sort_key for g in t._gens]))
+    return (t.arity, t.weight, t.shape, t._keys)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import dataclasses
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdkit.catalog import builtin, default_grid
 from opdkit.presentation import (
@@ -11,7 +13,9 @@ from opdkit.presentation import (
     Presentation,
     Relation,
     Term,
+    _colored_tree,
     color_relation,
+    color_term,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
@@ -119,6 +123,69 @@ def test_color_relation_errors():
         color_relation(rel, ("1",))
     with pytest.raises(ValueError):
         color_relation(rel, ("1", "3"), ColorSet.of(2))
+
+
+def test_color_term_checks_its_colors():
+    term = builtin("as").relation("assoc").terms[0]
+    with pytest.raises(ValueError, match="has weight 2, got 1 colors"):
+        color_term(term, ("a",))
+    with pytest.raises(ValueError, match="has weight 2, got 3 colors"):
+        color_term(term, ("a", "b", "c"))
+    colored = color_term(term, ("a", "b"))
+    assert sorted(g.color for g in colored.tree.internal_generators()) == ["a", "b"]
+
+
+# --- the colored walk against relabel ---
+
+UNARY = [P, Generator("d", 1), Generator("P", 1, None, True)]
+BINARY = [M, Generator("n", 2), Generator("m", 2, None, True)]
+
+
+@st.composite
+def uncolored_trees(draw, max_weight):
+    """A tree of weight <= ``max_weight`` over unary and binary generators."""
+    weight = draw(st.integers(0, max_weight))
+    if weight == 0:
+        return X
+    if draw(st.booleans()):
+        return Tree(draw(st.sampled_from(UNARY)), (draw(uncolored_trees(weight - 1)),))
+    left = draw(uncolored_trees(weight - 1))
+    right = draw(uncolored_trees(weight - 1 - left.weight))
+    return Tree(draw(st.sampled_from(BINARY)), (left, right))
+
+
+def walked_subtrees(tree):
+    """Every subtree of ``tree`` with an internal vertex, in preorder."""
+    if tree.gen is None:
+        return []
+    return [tree] + [s for child in tree.children for s in walked_subtrees(child)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_colored_walk_matches_relabel_and_shares_subtrees(data):
+    tree = data.draw(uncolored_trees(4))
+    other = data.draw(uncolored_trees(4))
+    labels = st.sampled_from(["a", "b", "c"])
+    weight = max(tree.weight, other.weight)
+    colors = tuple(data.draw(st.lists(labels, min_size=weight, max_size=weight)))
+    slots = tuple(data.draw(st.permutations(range(1, tree.weight + 1))))
+    other_slots = tuple(data.draw(st.permutations(range(1, other.weight + 1))))
+    memo = {}
+    colored = _colored_tree(tree, slots, colors, memo)
+    reference = relabel(
+        tree, [g.colored(colors[s - 1]) for g, s in zip(tree.internal_generators(), slots)]
+    )
+    assert colored == reference
+    assert colored.internal_generators() == reference.internal_generators()
+    assert tree_text(colored) == tree_text(reference)
+    # Equal colored subtrees built through one memo are one object.
+    seen = {}
+    for built in (colored, _colored_tree(other, other_slots, colors, memo)):
+        for sub in walked_subtrees(built):
+            assert seen.setdefault(sub, sub) is sub
+    # Building again through the same memo gives back the same object.
+    assert _colored_tree(tree, slots, colors, memo) is colored
 
 
 def test_color_commutes_with_sum():

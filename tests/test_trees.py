@@ -1,14 +1,20 @@
 """Trees: grafting, composition, enumeration, canonical order."""
 
 import itertools
+import os
 import pickle
+import pickletools
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opdkit
 from opdkit.trees import (
     Generator,
     Tree,
@@ -203,8 +209,9 @@ def test_pickled_trees_rebuild_their_hash():
     # A cached string-based hash is only valid in the process that made it,
     # and every computed field is rebuilt, never copied.
     data = pickle.dumps(tree)
-    for stored in (b"_hash", b"shape", b"_gens"):
+    for stored in (b"_hash", b"shape", b"_gens", b"_keys", b"sort_key"):
         assert stored not in data
+    assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(data)}
     copy = pickle.loads(data)
     assert copy == tree and hash(copy) == hash(tree)
     assert (copy.arity, copy.weight) == (3, 3)
@@ -216,7 +223,50 @@ def test_trees_and_generators_are_slotted():
         assert not hasattr(obj, "__dict__")
         with pytest.raises(TypeError):
             weakref.ref(obj)
-    assert pickle.loads(pickle.dumps(Generator("m", 2, "a", True))) == Generator("m", 2, "a", True)
+    gen = Generator("m", 2, "a", True)
+    data = pickle.dumps(gen)
+    # The hash and sort key are rebuilt on loading, never copied: the pickle
+    # calls the constructor and sets no state afterwards.
+    for stored in (b"_hash", b"sort_key"):
+        assert stored not in data
+    assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(data)}
+    copy = pickle.loads(data)
+    assert copy == gen and hash(copy) == hash(gen) and copy.sort_key == ("m", "a", True)
+
+
+_OTHER_PROCESS = """
+import pickle, sys
+from opdkit.trees import Generator, Tree, leaf, tree_key
+
+tree, gen, table, parent_hash = pickle.load(sys.stdin.buffer)
+m, p = Generator("m", 2), Generator("P", 1)
+fresh_tree = Tree(m, (Tree(p, (leaf(),)), Tree(m, (leaf(), leaf()))))
+fresh_gen = Generator("n", 2, "b", True)
+assert hash("opdkit") != parent_hash, "the child must hash strings differently"
+assert tree == fresh_tree and hash(tree) == hash(fresh_tree)
+assert gen == fresh_gen and hash(gen) == hash(fresh_gen)
+assert gen.sort_key == fresh_gen.sort_key == ("n", "b", True)
+assert tree_key(tree) == tree_key(fresh_tree)
+assert table[fresh_tree] == "tree" and table[fresh_gen] == "gen"
+assert fresh_tree in table and fresh_gen in table
+print("ok")
+"""
+
+
+def test_pickles_load_in_a_process_with_another_hash_seed():
+    tree = t(M, t(P, X), t(M, X, X))
+    gen = Generator("n", 2, "b", True)
+    data = pickle.dumps((tree, gen, {tree: "tree", gen: "gen"}, hash("opdkit")))
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+    src = str(Path(opdkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _OTHER_PROCESS],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == ["ok"]
 
 
 # --- stored key against the tree walk ---
@@ -232,14 +282,16 @@ def preorder(tree):
 
 def walked_key(tree):
     """Reference ``tree_key``: (arity, weight, preorder kinds, preorder generator keys),
-    with leaf 2, unary 0 and binary 1, read off a walk of the tree."""
+    with leaf 2, unary 0 and binary 1, read off a walk of the tree.  Each
+    generator key is made from the generator's fields, not its stored key."""
     kinds, genkeys = [], []
     for node in preorder(tree):
         if node.is_leaf:
             kinds.append(2)
         else:
-            kinds.append(0 if node.gen.arity == 1 else 1)
-            genkeys.append(node.gen.sort_key)
+            gen = node.gen
+            kinds.append(0 if gen.arity == 1 else 1)
+            genkeys.append((gen.name, gen.color or "", gen.dualized))
     return (tree.arity, tree.weight, tuple(kinds), tuple(genkeys))
 
 
