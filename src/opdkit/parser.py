@@ -8,19 +8,28 @@ Grammar (one declaration per line, ``#`` starts a comment):
     term         := [coeff "*"] expr
     expr         := NAME "@" SLOT "(" expr ("," expr)* ")" | LEAF
     coeff        := INT | INT "/" INT
+    SLOT         := INT
+    LEAF         := "x" INT
+    INT          := [0-9]+
 
 Leaves are x1, x2, ... and must appear consecutively from x1 in strictly
 increasing left-to-right order; every internal vertex carries a mandatory
 slot annotation.  Generator names may carry a color (``m#1``), a dual
 marker (``P^*``), or be tensor pairs (``m#1~prec``); a ``#`` directly
 attached to a name is part of the name, otherwise it opens a comment.
+
+Each line is split into string tokens by one regular expression; a token's
+kind is its first character.  Source spans are worked out only for an
+error, by matching that line again.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .presentation import Presentation, Relation, Term
@@ -53,65 +62,41 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, INT, punctuation kinds
-    text: str
-    span: SourceSpan
+# One match per token: a name, an integer, a comment (a detached ``#`` and
+# the rest of the line) or any other single character; blanks separate
+# tokens.  A name may hold an attached color ``#`` and a dual marker ``^*``;
+# after a ``~``, or just before one, it also holds ``*`` (``m*~prec*``).
+_TOKEN = re.compile(
+    r"[A-Za-z_](?:[A-Za-z0-9_]|#(?=[A-Za-z0-9_~])|\^\*|\*(?=~))*"
+    r"(?:~(?:[A-Za-z0-9_~*]|#(?=[A-Za-z0-9_~])|\^\*)*)?"
+    r"|[0-9]+|#.*|[^ \t\r]"
+)
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = frozenset("0123456789")
+# Any other first character is a one-character token the DSL does not have.
+_TOKEN_START = _NAME_START | _DIGITS | frozenset("#@(),:+-*/")
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}
+_LEAF = leaf()
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789~")
-_PUNCT = {"@": "AT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON",
-          "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH"}
-
-
-def _lex_line(text: str, lineno: int) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            break  # a detached # opens a comment
-        start = i
-        if c in _NAME_START:
-            i += 1
-            while i < n:
-                c = text[i]
-                if c in _NAME_CHARS:
-                    i += 1
-                elif c == "#" and i + 1 < n and text[i + 1] in _NAME_CHARS:
-                    i += 1  # attached color marker, e.g. m#1
-                elif c == "^" and i + 1 < n and text[i + 1] == "*":
-                    i += 2  # dual marker ^*
-                elif c == "*" and (
-                    "~" in text[start:i]
-                    or (i + 1 < n and text[i + 1] == "~")
-                ):
-                    i += 1  # dual marker inside a tensor name, e.g. m*~prec
-                else:
-                    break
-            tokens.append(
-                _Token("NAME", text[start:i], SourceSpan(lineno, start + 1, i - start))
-            )
-        elif c.isdigit():
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(
-                _Token("INT", text[start:i], SourceSpan(lineno, start + 1, i - start))
-            )
-        elif c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, SourceSpan(lineno, start + 1, 1)))
-            i += 1
-        else:
-            raise ParseError(f"lexical error: unexpected character {c!r}",
-                             SourceSpan(lineno, start + 1, 1))
+def _lex_line(line: str, lineno: int) -> list[str]:
+    """The tokens of one line, comment dropped; a token's kind is its first character."""
+    tokens = _TOKEN.findall(line)
+    if tokens and tokens[-1][0] == "#":
+        tokens.pop()
+    if not _TOKEN_START.issuperset([tok[0] for tok in tokens]):
+        for match in _TOKEN.finditer(line):
+            c = match.group()
+            if c[0] not in _TOKEN_START:
+                raise ParseError(f"lexical error: unexpected character {c!r}",
+                                 SourceSpan(lineno, match.start() + 1, 1))
     return tokens
+
+
+def _token_span(line: str, lineno: int, index: int) -> SourceSpan:
+    """Span of the token at ``index`` of ``line``, found by lexing the line again."""
+    match = next(islice(_TOKEN.finditer(line), index, None))
+    return SourceSpan(lineno, match.start() + 1, match.end() - match.start())
 
 
 def split_generator_token(token: str) -> tuple[str, Optional[str], bool]:
@@ -130,180 +115,175 @@ def split_generator_token(token: str) -> tuple[str, Optional[str], bool]:
 
 
 class _Parser:
+    """Recursive descent over one line's string tokens at a time.
+
+    Equal subtrees are built once per parse: ``subtrees`` maps (generator,
+    children) to the tree, so children are shared and compared by identity.
+    """
+
     def __init__(self, text: str):
         self.lines = text.split("\n")
+        self.by_token: dict[str, Generator] = {}
+        self.subtrees: dict[tuple, Tree] = {}
+        self.line = ""
+        self.lineno = 0
+
+    def fail(self, message: str, index: int) -> ParseError:
+        """The error at token ``index`` of the current line."""
+        return ParseError(message, _token_span(self.line, self.lineno, index))
+
+    def integer(self, text: str, index: int) -> int:
+        try:
+            return int(text)
+        except ValueError:  # longer than the interpreter converts
+            raise self.fail(f"integer too long: {len(text)} digits", index) from None
 
     def parse(self) -> Presentation:
         name = None
         unary: list[Generator] = []
         binary: list[Generator] = []
         relations: list[Relation] = []
-        by_token: dict[str, Generator] = {}
+        by_token = self.by_token
 
-        for lineno, raw in enumerate(self.lines, start=1):
-            tokens = _lex_line(raw, lineno)
+        for lineno, line in enumerate(self.lines, start=1):
+            tokens = _lex_line(line, lineno)
             if not tokens:
                 continue
+            self.line, self.lineno = line, lineno
             head = tokens[0]
             if name is None:
-                if head.kind != "NAME" or head.text != "operad":
-                    raise ParseError("expected 'operad NAME' header", head.span)
-                if len(tokens) != 2 or tokens[1].kind != "NAME":
-                    raise ParseError("expected a single presentation name",
-                                     tokens[-1].span)
-                name = tokens[1].text
-                continue
-            if head.kind == "NAME" and head.text in ("unary", "binary"):
-                arity = 1 if head.text == "unary" else 2
+                if head != "operad":
+                    raise self.fail("expected 'operad NAME' header", 0)
+                if len(tokens) != 2 or tokens[1][0] not in _NAME_START:
+                    raise self.fail("expected a single presentation name", len(tokens) - 1)
+                name = tokens[1]
+            elif head == "relation":
+                relations.append(self._relation(tokens))
+            elif head == "unary" or head == "binary":
+                arity = 1 if head == "unary" else 2
                 if len(tokens) == 1:
-                    raise ParseError("expected generator names", head.span)
-                for tok in tokens[1:]:
-                    if tok.kind != "NAME":
-                        raise ParseError("expected a generator name", tok.span)
-                    gname, color, dualized = split_generator_token(tok.text)
+                    raise self.fail("expected generator names", 0)
+                for index in range(1, len(tokens)):
+                    tok = tokens[index]
+                    if tok[0] not in _NAME_START:
+                        raise self.fail("expected a generator name", index)
+                    if tok in by_token:
+                        raise self.fail(f"duplicate generator {tok}", index)
+                    gname, color, dualized = split_generator_token(tok)
                     gen = Generator(gname, arity, color, dualized)
-                    if tok.text in by_token:
-                        raise ParseError(f"duplicate generator {tok.text}", tok.span)
-                    by_token[tok.text] = gen
+                    by_token[tok] = gen
                     (unary if arity == 1 else binary).append(gen)
-                continue
-            if head.kind == "NAME" and head.text == "relation":
-                relations.append(self._relation(tokens, by_token))
-                continue
-            raise ParseError(
-                "expected 'unary', 'binary' or 'relation'", head.span
-            )
+            else:
+                raise self.fail("expected 'unary', 'binary' or 'relation'", 0)
         if name is None:
             raise ParseError("empty input: missing 'operad' header", SourceSpan(1, 1, 1))
         return Presentation(name, tuple(unary), tuple(binary), tuple(relations))
 
-    def _relation(self, tokens: list[_Token], by_token: dict[str, Generator]) -> Relation:
+    def _relation(self, tokens: list[str]) -> Relation:
         # The relation name is everything up to the colon; built presentations
         # carry color lists like assoc__1,2 there, so commas are allowed.
-        pos = 1
-        if pos >= len(tokens) or tokens[pos].kind != "NAME":
-            raise ParseError("expected a relation name", tokens[min(pos, len(tokens) - 1)].span)
-        name_parts = []
-        while pos < len(tokens) and tokens[pos].kind != "COLON":
-            name_parts.append(tokens[pos].text)
-            pos += 1
-        rel_name = "".join(name_parts)
-        if pos >= len(tokens):
-            raise ParseError("expected ':' after the relation name",
-                             tokens[len(tokens) - 1].span)
-        pos += 1
-
+        n = len(tokens)
+        if n == 1 or tokens[1][0] not in _NAME_START:
+            raise self.fail("expected a relation name", min(1, n - 1))
+        if ":" not in tokens:
+            raise self.fail("expected ':' after the relation name", n - 1)
+        colon = tokens.index(":")
         terms: list[Term] = []
-        sign = Fraction(1)
-        first = True
-        while pos < len(tokens):
+        pos = colon + 1
+        while pos < n:
             tok = tokens[pos]
-            if first and tok.kind == "MINUS":
-                sign = Fraction(-1)
+            sign = 1
+            if tok == "-":
+                sign = -1
                 pos += 1
-            elif not first:
-                if tok.kind == "PLUS":
-                    sign = Fraction(1)
-                elif tok.kind == "MINUS":
-                    sign = Fraction(-1)
-                else:
-                    raise ParseError("expected '+' or '-' between terms", tok.span)
+            elif terms:
+                if tok != "+":
+                    raise self.fail("expected '+' or '-' between terms", pos)
                 pos += 1
-            coeff, pos = self._coefficient(tokens, pos)
-            tree, slots, pos = self._expr(tokens, pos, by_token, rel_name)
-            terms.append(Term(sign * coeff, tree, tuple(slots)))
-            first = False
+            coeff = _UNIT[sign]
+            if pos < n and tokens[pos][0] in _DIGITS:
+                num = self.integer(tokens[pos], pos)
+                den = 1
+                pos += 1
+                if pos < n and tokens[pos] == "/":
+                    pos += 1
+                    if pos >= n or tokens[pos][0] not in _DIGITS:
+                        raise self.fail("expected a denominator", pos - 1)
+                    den = self.integer(tokens[pos], pos)
+                    if den == 0:
+                        raise self.fail("zero denominator", pos)
+                    pos += 1
+                if pos >= n or tokens[pos] != "*":
+                    raise self.fail("expected '*' after a coefficient", min(pos, n - 1))
+                pos += 1
+                coeff = Fraction(sign * num, den)
+            slots: list[int] = []
+            tree, pos = self._tree(tokens, pos, slots)
+            terms.append(Term(coeff, tree, tuple(slots)))
         if not terms:
-            span = tokens[-1].span
-            raise ParseError("relation has no terms", span)
-        return Relation(rel_name, tuple(terms))
+            raise self.fail("relation has no terms", n - 1)
+        return Relation("".join(tokens[1:colon]), tuple(terms))
 
-    def _coefficient(self, tokens: list[_Token], pos: int) -> tuple[Fraction, int]:
-        if pos < len(tokens) and tokens[pos].kind == "INT":
-            num_tok = tokens[pos]
-            num = int(num_tok.text)
-            pos += 1
-            den = 1
-            if pos < len(tokens) and tokens[pos].kind == "SLASH":
-                pos += 1
-                if pos >= len(tokens) or tokens[pos].kind != "INT":
-                    raise ParseError("expected a denominator", tokens[pos - 1].span)
-                den = int(tokens[pos].text)
-                if den == 0:
-                    raise ParseError("zero denominator", tokens[pos].span)
-                pos += 1
-            if pos >= len(tokens) or tokens[pos].kind != "STAR":
-                raise ParseError("expected '*' after a coefficient",
-                                 tokens[min(pos, len(tokens) - 1)].span)
-            pos += 1
-            return Fraction(num, den), pos
-        return Fraction(1), pos
+    def _tree(self, tokens: list[str], start: int, slots: list[int]) -> tuple[Tree, int]:
+        """One term body from ``start``; appends its slots in preorder to
+        ``slots`` and returns (tree, next position)."""
+        n = len(tokens)
+        by_token, subtrees, fail = self.by_token, self.subtrees, self.fail
+        next_leaf = 1
 
-    def _expr(self, tokens, pos, by_token, rel_name):
-        """Parse one term body; returns (tree, slot list, next position)."""
-        used_slots: set[int] = set()
-        expected_leaf = [1]
-
-        def parse_node(pos: int) -> tuple[Tree, list[int], int]:
-            if pos >= len(tokens):
-                raise ParseError("unexpected end of relation", tokens[-1].span)
+        def node(pos: int) -> tuple[Tree, int]:
+            nonlocal next_leaf
+            if pos >= n:
+                raise fail("unexpected end of relation", n - 1)
             tok = tokens[pos]
-            if tok.kind != "NAME":
-                raise ParseError("expected a generator or leaf", tok.span)
-            if tok.text[0] == "x" and tok.text[1:].isdigit():
-                idx = int(tok.text[1:])
-                if idx != expected_leaf[0]:
-                    raise ParseError(
-                        f"leaf-order violation: expected x{expected_leaf[0]}, got {tok.text}",
-                        tok.span,
-                    )
-                expected_leaf[0] += 1
-                return leaf(), [], pos + 1
-            gen = by_token.get(tok.text)
+            if tok[0] not in _NAME_START:
+                raise fail("expected a generator or leaf", pos)
+            if tok[0] == "x" and tok[1:].isdigit():
+                if self.integer(tok[1:], pos) != next_leaf:
+                    raise fail(f"leaf-order violation: expected x{next_leaf}, got {tok}", pos)
+                next_leaf += 1
+                return _LEAF, pos + 1
+            gen = by_token.get(tok)
             if gen is None:
-                raise ParseError(f"unknown generator {tok.text}", tok.span)
+                raise fail(f"unknown generator {tok}", pos)
+            at = pos
             pos += 1
-            if pos >= len(tokens) or tokens[pos].kind != "AT":
-                raise ParseError(f"missing '@slot' on {tok.text}",
-                                 tokens[min(pos, len(tokens) - 1)].span)
+            if pos >= n or tokens[pos] != "@":
+                raise fail(f"missing '@slot' on {tok}", min(pos, n - 1))
             pos += 1
-            if pos >= len(tokens) or tokens[pos].kind != "INT":
-                raise ParseError("expected a slot index",
-                                 tokens[min(pos, len(tokens) - 1)].span)
-            slot = int(tokens[pos].text)
+            if pos >= n or tokens[pos][0] not in _DIGITS:
+                raise fail("expected a slot index", min(pos, n - 1))
+            slot = self.integer(tokens[pos], pos)
             if slot < 1:
-                raise ParseError("slot indices start at 1", tokens[pos].span)
-            if slot in used_slots:
-                raise ParseError(f"slot {slot} reused within a term", tokens[pos].span)
-            used_slots.add(slot)
+                raise fail("slot indices start at 1", pos)
+            if slot in slots:
+                raise fail(f"slot {slot} reused within a term", pos)
+            slots.append(slot)
             pos += 1
-            if pos >= len(tokens) or tokens[pos].kind != "LPAREN":
-                raise ParseError("expected '(' after the slot",
-                                 tokens[min(pos, len(tokens) - 1)].span)
-            pos += 1
+            if pos >= n or tokens[pos] != "(":
+                raise fail("expected '(' after the slot", min(pos, n - 1))
             children = []
-            child_slots: list[int] = []
             while True:
-                child, slots, pos = parse_node(pos)
+                child, pos = node(pos + 1)
                 children.append(child)
-                child_slots.extend(slots)
-                if pos >= len(tokens):
-                    raise ParseError("unclosed '('", tokens[-1].span)
-                if tokens[pos].kind == "COMMA":
-                    pos += 1
-                    continue
-                if tokens[pos].kind == "RPAREN":
-                    pos += 1
+                if pos >= n:
+                    raise fail("unclosed '('", n - 1)
+                if tokens[pos] == ")":
                     break
-                raise ParseError("expected ',' or ')'", tokens[pos].span)
+                if tokens[pos] != ",":
+                    raise fail("expected ',' or ')'", pos)
             if len(children) != gen.arity:
-                raise ParseError(
-                    f"arity mismatch: {tok.text} takes {gen.arity} arguments, got {len(children)}",
-                    tok.span,
+                raise fail(
+                    f"arity mismatch: {tok} takes {gen.arity} arguments, got {len(children)}",
+                    at,
                 )
-            return Tree(gen, tuple(children)), [slot] + child_slots, pos
+            key = (gen, tuple(children))
+            tree = subtrees.get(key)
+            if tree is None:
+                tree = subtrees[key] = Tree(gen, key[1])
+            return tree, pos + 1
 
-        return parse_node(pos)
+        return node(start)
 
 
 def parse_presentation(text: str) -> Presentation:

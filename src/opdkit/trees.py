@@ -304,24 +304,37 @@ def enumerate_basis(
     return GradedComponent(arity, weight, basis)
 
 
+@lru_cache(maxsize=None)
+def _text_template(shape: tuple[int, ...]) -> str:
+    """Format string of ``tree_text`` for one shape: a ``{}`` per internal
+    vertex in preorder, leaves numbered x1, x2, ... left to right."""
+    parts = []
+    open_arguments = []  # per open vertex, the children still to write
+    leaves = 0
+    for kind in shape:
+        if kind != _KIND_LEAF:
+            parts.append("{}(")
+            open_arguments.append(1 if kind == _KIND_UNARY else 2)
+            continue
+        leaves += 1
+        parts.append(f"x{leaves}")
+        while open_arguments:
+            open_arguments[-1] -= 1
+            if open_arguments[-1]:
+                parts.append(",")
+                break
+            open_arguments.pop()
+            parts.append(")")
+    return "".join(parts)
+
+
 def tree_text(t: Tree, slots: Optional[Sequence[int]] = None) -> str:
     """Canonical text form, leaves numbered x1, x2, ... left to right.
 
     When ``slots`` is given (one slot index per internal vertex in preorder),
     each generator is rendered ``name@slot`` as in the presentation DSL.
     """
-    next_leaf = [1]
-    next_internal = [0]
-
-    def go(node: Tree) -> str:
-        if node.is_leaf:
-            s = f"x{next_leaf[0]}"
-            next_leaf[0] += 1
-            return s
-        label = node.gen.serialized()
-        if slots is not None:
-            label += f"@{slots[next_internal[0]]}"
-        next_internal[0] += 1
-        return f"{label}({','.join(go(c) for c in node.children)})"
-
-    return go(t)
+    labels = [g.serialized() for g in t._gens]
+    if slots is not None:
+        labels = [f"{label}@{slot}" for label, slot in zip(labels, slots)]
+    return _text_template(t.shape).format(*labels)

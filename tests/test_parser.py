@@ -1,10 +1,14 @@
 """DSL parsing, serialization round-trips, diagnostics, JSON schema."""
 
 import json
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdkit.catalog import builtin
 from opdkit.compat import build_lin, build_mat, build_tot
@@ -105,27 +109,29 @@ def test_built_and_derived_presentations_roundtrip():
         assert serialize(parse_presentation(text)) == text
 
 
+# (line, column, length, message) of each corpus file's diagnostic
 EXPECTED_SPANS = {
-    "01_bad_char.opd": (3, 32),
-    "02_unknown_generator.opd": (3, 13),
-    "03_leaf_order_swap.opd": (3, 17),
-    "04_leaf_gap.opd": (3, 28),
-    "05_slot_reuse.opd": (3, 19),
-    "06_unary_with_two_args.opd": (4, 13),
-    "07_binary_with_one_arg.opd": (3, 13),
-    "08_missing_colon.opd": (3, 21),
-    "09_zero_denominator.opd": (3, 15),
-    "10_duplicate_generator.opd": (2, 10),
-    "11_missing_header.opd": (1, 1),
-    "12_unknown_keyword.opd": (2, 1),
-    "13_missing_paren.opd": (3, 17),
-    "14_unclosed_paren.opd": (3, 20),
-    "15_missing_slot.opd": (3, 14),
-    "16_empty_relation.opd": (3, 11),
-    "17_slot_zero.opd": (3, 15),
-    "18_nonnumeric_slot.opd": (3, 15),
-    "19_first_leaf_not_x1.opd": (3, 17),
-    "20_missing_coeff_star.opd": (3, 15),
+    "01_bad_char.opd": (3, 32, 1, "lexical error: unexpected character '$'"),
+    "02_unknown_generator.opd": (3, 13, 1, "unknown generator n"),
+    "03_leaf_order_swap.opd": (3, 17, 2, "leaf-order violation: expected x1, got x2"),
+    "04_leaf_gap.opd": (3, 28, 2, "leaf-order violation: expected x3, got x4"),
+    "05_slot_reuse.opd": (3, 19, 1, "slot 1 reused within a term"),
+    "06_unary_with_two_args.opd": (4, 13, 1, "arity mismatch: P takes 1 arguments, got 2"),
+    "07_binary_with_one_arg.opd": (3, 13, 1, "arity mismatch: m takes 2 arguments, got 1"),
+    "08_missing_colon.opd": (3, 21, 1, "expected ':' after the relation name"),
+    "09_zero_denominator.opd": (3, 15, 1, "zero denominator"),
+    "10_duplicate_generator.opd": (2, 10, 1, "duplicate generator m"),
+    "11_missing_header.opd": (1, 1, 6, "expected 'operad NAME' header"),
+    "12_unknown_keyword.opd": (2, 1, 7, "expected 'unary', 'binary' or 'relation'"),
+    "13_missing_paren.opd": (3, 17, 2, "expected '(' after the slot"),
+    "14_unclosed_paren.opd": (3, 20, 2, "unclosed '('"),
+    "15_missing_slot.opd": (3, 14, 1, "missing '@slot' on m"),
+    "16_empty_relation.opd": (3, 11, 1, "relation has no terms"),
+    "17_slot_zero.opd": (3, 15, 1, "slot indices start at 1"),
+    "18_nonnumeric_slot.opd": (3, 15, 1, "expected a slot index"),
+    "19_first_leaf_not_x1.opd": (3, 17, 2, "leaf-order violation: expected x1, got x2"),
+    "20_missing_coeff_star.opd": (3, 15, 1, "expected '*' after a coefficient"),
+    "21_non_ascii_digit.opd": (3, 13, 1, "lexical error: unexpected character '\u00b2'"),
 }
 
 
@@ -135,17 +141,58 @@ def test_malformed_corpus_complete():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_SPANS))
 def test_malformed_rejected_with_span(name):
-    text = (MALFORMED / name).read_text()
+    text = (MALFORMED / name).read_text(encoding="utf-8")
     with pytest.raises(ParseError) as excinfo:
         parse_presentation(text)
-    span = excinfo.value.span
-    # the span must point inside the offending token on the right line
-    line, column = EXPECTED_SPANS[name]
-    assert span.line == line
-    assert span.column == column
-    assert span.length >= 1
-    offending_line = text.split("\n")[span.line - 1]
-    assert span.column - 1 + span.length <= len(offending_line) + 1
+    error = excinfo.value
+    line, column, length, message = EXPECTED_SPANS[name]
+    assert (error.span.line, error.span.column, error.span.length) == (line, column, length)
+    assert error.message == message
+    assert str(error) == f"{line}:{column}: {message}"
+
+
+HEADER = "operad c\nbinary m\n"
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "body,column,length,message",
+    [
+        ("\u00b2*m@1(x1,x2)", 13, 1, "lexical error: unexpected character '\u00b2'"),
+        ("\u0663*m@1(x1,x2)", 13, 1, "lexical error: unexpected character '\u0663'"),
+        (f"{LONG}*m@1(x1,x2)", 13, 5000, "integer too long: 5000 digits"),
+        (f"m@{LONG}(x1,x2)", 15, 5000, "integer too long: 5000 digits"),
+        (f"m@1(x{LONG},x2)", 17, 5001, "integer too long: 5000 digits"),
+    ],
+    ids=["superscript-two", "arabic-indic-three", "long-coefficient", "long-slot", "long-leaf"],
+)
+def test_integers_are_ascii_digits_the_interpreter_converts(body, column, length, message):
+    """Digits outside 0-9 are lexical errors; an integer ``int`` refuses is a ParseError."""
+    if "integer too long" in message and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter converts integers of any length")
+    with pytest.raises(ParseError) as excinfo:
+        parse_presentation(HEADER + "relation r: " + body + "\n")
+    error = excinfo.value
+    assert (error.span.line, error.span.column, error.span.length) == (3, column, length)
+    assert error.message == message
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["", HEADER, HEADER + "unary P\nrelation r: "]),
+    # DSL characters, digits and numerals of every script (such as the
+    # Arabic-Indic three and the superscript two) and any other character
+    st.text(st.one_of(
+        st.sampled_from("x0123456789m@(),:+-*/#^~ \n"),
+        st.characters(categories=["Nd", "No"]),
+        st.characters(),
+    )),
+)
+def test_arbitrary_text_raises_only_parse_errors(prefix, text):
+    try:
+        parse_presentation(prefix + text)
+    except ParseError:
+        pass
 
 
 def test_json_output_validates_against_schema():
@@ -170,11 +217,6 @@ def test_json_is_deterministic():
 
 
 # --- randomized round trips ---
-
-import random
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opdkit.presentation import Presentation, Relation, Term
 from opdkit.trees import Generator, Tree, enumerate_basis, leaf

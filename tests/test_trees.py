@@ -343,6 +343,33 @@ def test_stored_key_matches_the_tree_walk(tree):
     assert tree.internal_generators() == walked_generators(tree)
 
 
+def walked_text(tree, slots=None):
+    """Reference ``tree_text``: a recursive walk, leaves numbered left to right."""
+    next_leaf = [1]
+    next_internal = [0]
+
+    def go(node):
+        if node.is_leaf:
+            s = f"x{next_leaf[0]}"
+            next_leaf[0] += 1
+            return s
+        label = node.gen.serialized()
+        if slots is not None:
+            label += f"@{slots[next_internal[0]]}"
+        next_internal[0] += 1
+        return f"{label}({','.join(go(c) for c in node.children)})"
+
+    return go(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_trees(), st.data())
+def test_text_template_matches_the_tree_walk(tree, data):
+    assert tree_text(tree) == walked_text(tree)
+    slots = data.draw(st.permutations(range(1, tree.weight + 1)))
+    assert tree_text(tree, slots) == walked_text(tree, slots)
+
+
 def test_tree_key_distinguishes_decorations():
     assert tree_key(t(P, t(D2, X))) != tree_key(t(D2, t(P, X)))
     assert tree_key(t(M, X, X)) != tree_key(t(N, X, X))
