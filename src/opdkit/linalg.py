@@ -13,6 +13,13 @@ kernel.  Given a column order the basis is the reduced row echelon form up
 to row scaling, hence canonical: two bases over one column map span the same
 space iff they are equal.
 
+Next to the rows, ``Echelon`` keeps a column map: for each column, the set
+of pivots of the basis rows with a nonzero entry there, pivots themselves
+left out.  When a new row takes a pivot, only the rows the map lists at that
+column are back-substituted, so ``add`` touches the rows that change rather
+than scanning the basis; the map is updated where an entry appears
+(fill-in) or cancels.
+
 The kernel also gives the complement of a span: the right kernel has one
 basis vector per free (non-pivot) column, read straight off the basis.
 
@@ -120,21 +127,35 @@ def integer_row(entries: Iterable[tuple[int, Fraction]]) -> SparseRow:
     gives the empty row.
     """
     entries = list(entries)
-    scale = lcm(*(x.denominator for _, x in entries))
+    scale = 1
+    for _, x in entries:
+        d = x.denominator
+        if scale % d:
+            scale = lcm(scale, d)
     row: SparseRow = {}
-    for col, x in entries:
-        row[col] = row.get(col, 0) + x.numerator * (scale // x.denominator)
-    row = {col: v for col, v in row.items() if v}
+    if scale == 1:
+        for col, x in entries:
+            row[col] = row.get(col, 0) + x.numerator
+    else:
+        for col, x in entries:
+            row[col] = row.get(col, 0) + x.numerator * (scale // x.denominator)
+    if 0 in row.values():
+        row = {col: v for col, v in row.items() if v}
     return _primitive(row) if row else row
 
 
 class Echelon:
-    """A fully reduced fraction-free echelon basis, keyed by pivot column."""
+    """A fully reduced fraction-free echelon basis, keyed by pivot column.
 
-    __slots__ = ("rows",)
+    ``_rows_at`` is the column map: column -> pivots of the basis rows with a
+    nonzero entry there, the column itself never among them.
+    """
+
+    __slots__ = ("rows", "_rows_at")
 
     def __init__(self, rows: Iterable[SparseRow] = ()) -> None:
         self.rows: dict[int, SparseRow] = {}
+        self._rows_at: dict[int, set[int]] = {}
         for row in rows:
             self.add(row)
 
@@ -178,21 +199,34 @@ class Echelon:
             for c in vec:
                 vec[c] = -vec[c]
         p = vec[pivot]
-        for other, brow in self.rows.items():
-            a = brow.get(pivot)
-            if a is None:
-                continue
+        rows, rows_at = self.rows, self._rows_at
+        # Only the rows listed at the new pivot column change.  Each loses its
+        # entry there, so the column leaves the map; ``vec`` has no entry at
+        # an older pivot, so no other pivot entry moves.
+        for other in rows_at.pop(pivot, ()):
+            brow = rows[other]
+            a = brow[pivot]
             g = gcd(a, p)
             a, s = a // g, p // g
             merged = {c: s * v for c, v in brow.items()} if s != 1 else dict(brow)
             for c, v in vec.items():
-                x = merged.get(c, 0) - a * v
+                old = merged.get(c)
+                if old is None:  # fill-in
+                    merged[c] = -a * v
+                    rows_at.setdefault(c, set()).add(other)
+                    continue
+                x = old - a * v
                 if x:
                     merged[c] = x
                 else:
                     del merged[c]
-            self.rows[other] = _primitive(merged)
-        self.rows[pivot] = vec
+                    if c != pivot:
+                        rows_at[c].discard(other)
+            rows[other] = _primitive(merged)
+        for c in vec:
+            if c != pivot:
+                rows_at.setdefault(c, set()).add(pivot)
+        rows[pivot] = vec
         return True
 
     def complement(self, ncols: int) -> list[dict[int, Fraction]]:

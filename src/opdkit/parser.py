@@ -188,6 +188,14 @@ class _Parser:
         if ":" not in tokens:
             raise self.fail("expected ':' after the relation name", n - 1)
         colon = tokens.index(":")
+        if colon > 2:
+            # The name's tokens must touch: ``a b`` is not the name ``ab``.
+            line = self.line
+            at = line.index(tokens[1], line.index("relation") + len("relation"))
+            for index in range(1, colon):
+                if not line.startswith(tokens[index], at):
+                    raise self.fail("blank inside a relation name", index)
+                at += len(tokens[index])
         terms: list[Term] = []
         pos = colon + 1
         while pos < n:

@@ -211,8 +211,12 @@ def validate(p: Presentation) -> ValidationReport:
             problems.append(f"duplicate generator {g.serialized()}")
         seen_triples.add(triple)
     known = set(p.generators)
+    names: set[str] = set()
 
     for rel in p.relations:
+        if rel.name in names:
+            problems.append(f"duplicate relation name {rel.name}")
+        names.add(rel.name)
         gradings = {(t.tree.arity, t.tree.weight) for t in rel.terms}
         if len(gradings) > 1:
             problems.append(
@@ -489,27 +493,27 @@ def _common_generators(p: Presentation, q: Presentation) -> tuple[Generator, ...
 
 
 class _Columns:
-    """Column numbers for the trees that occur in relations, one map per grading.
+    """Column numbers for the trees that occur in the relations of one grading.
 
     Only trees that some relation uses get a column, in order of first
     appearance, so no graded basis is enumerated.  A tree is admitted once,
-    when it first appears: it must have its relation's grading and be built
-    from the shared generators, which is membership in the graded component.
+    when it first appears: it must have the grading and be built from the
+    shared generators, which is membership in the graded component.
     """
 
-    def __init__(self, gens: Iterable[Generator]) -> None:
-        self.gens = frozenset(gens)
-        self.maps: dict[tuple[int, int], dict[Tree, int]] = {}
+    def __init__(self, gens: frozenset[Generator], grading: tuple[int, int]) -> None:
+        self.gens = gens
+        self.grading = grading
+        self.cols: dict[Tree, int] = {}
 
     def row(self, rel: Relation) -> SparseRow:
-        grading = rel.grading()
-        cols = self.maps.setdefault(grading, {})
+        cols = self.cols
         entries = []
         for term in rel.terms:
             tree = term.tree
             col = cols.get(tree)
             if col is None:
-                if (tree.arity, tree.weight) != grading or not self.gens.issuperset(
+                if (tree.arity, tree.weight) != self.grading or not self.gens.issuperset(
                     tree.internal_generators()
                 ):
                     raise _outside_component(rel)
@@ -517,8 +521,12 @@ class _Columns:
             entries.append((col, term.coeff))
         return integer_row(entries)
 
-    def echelon(self, relations: Iterable[Relation], grading: tuple[int, int]) -> Echelon:
-        return Echelon(self.row(r) for r in relations if r.grading() == grading)
+
+def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Relation]]:
+    out: dict[tuple[int, int], list[Relation]] = {}
+    for rel in relations:
+        out.setdefault(rel.grading(), []).append(rel)
+    return out
 
 
 class SpanComponent(NamedTuple):
@@ -538,11 +546,13 @@ def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]
     Yields a record for every grading in which either side has a relation,
     in grading order, so a caller may stop at the first unequal one.
     """
-    columns = _Columns(_common_generators(p, q))
-    for grading in relation_gradings(list(p.relations) + list(q.relations)):
+    gens = frozenset(_common_generators(p, q))
+    left, right = _by_grading(p.relations), _by_grading(q.relations)
+    for grading in sorted(left.keys() | right.keys()):
         # One column map serves both sides, so the canonical bases compare.
-        ours = columns.echelon(p.relations, grading)
-        theirs = columns.echelon(q.relations, grading)
+        columns = _Columns(gens, grading)
+        ours = Echelon(map(columns.row, left.get(grading, ())))
+        theirs = Echelon(map(columns.row, right.get(grading, ())))
         equal = ours.rows == theirs.rows
         contains = equal or all(map(ours.contains, theirs.rows.values()))
         yield SpanComponent(*grading, len(ours), len(theirs), equal, contains)

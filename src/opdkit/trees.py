@@ -171,10 +171,12 @@ class Tree:
             return True
         if other.__class__ is not Tree:
             return NotImplemented
+        # Shape and preorder generators determine the tree, so equal trees
+        # from separate builds compare without recursion.
         return (
             self._hash == other._hash
-            and self.gen == other.gen
-            and self.children == other.children
+            and self.shape == other.shape
+            and self._gens == other._gens
         )
 
     @property
@@ -336,5 +338,10 @@ def tree_text(t: Tree, slots: Optional[Sequence[int]] = None) -> str:
     """
     labels = [g.serialized() for g in t._gens]
     if slots is not None:
+        if len(slots) != t.weight:
+            raise ValueError(
+                f"tree has {t.weight} internal vertices "
+                f"but {len(slots)} slot annotations"
+            )
         labels = [f"{label}@{slot}" for label, slot in zip(labels, slots)]
     return _text_template(t.shape).format(*labels)

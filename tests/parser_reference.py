@@ -140,6 +140,9 @@ class _Parser:
         if pos >= len(tokens):
             raise ParseError("expected ':' after the relation name",
                              tokens[len(tokens) - 1].span)
+        for prev, tok in zip(tokens[1:pos], tokens[2:pos]):
+            if tok.span.column != prev.span.column + prev.span.length:
+                raise ParseError("blank inside a relation name", tok.span)
         pos += 1
 
         terms: list[Term] = []

@@ -63,6 +63,17 @@ def test_build_rejects_bad_input(capsys, tmp_path):
     assert "leaf-order violation" in err
 
 
+def test_build_rejects_a_duplicate_relation_name(capsys, tmp_path):
+    bad = tmp_path / "bad.opd"
+    bad.write_text(
+        "operad x\nbinary m\n"
+        "relation ab: m@2(m@1(x1,x2),x3)\nrelation ab: m@1(x1,m@2(x2,x3))\n"
+    )
+    code, out, err = run(capsys, "build", "mat", str(bad), "--omega", "2")
+    assert code == 2 and out == ""
+    assert "duplicate relation name ab" in err
+
+
 def test_build_missing_file(capsys):
     code, _, err = run(capsys, "build", "mat", "no_such_file.opd", "--omega", "2")
     assert code == 2

@@ -132,6 +132,7 @@ EXPECTED_SPANS = {
     "19_first_leaf_not_x1.opd": (3, 17, 2, "leaf-order violation: expected x1, got x2"),
     "20_missing_coeff_star.opd": (3, 15, 1, "expected '*' after a coefficient"),
     "21_non_ascii_digit.opd": (3, 13, 1, "lexical error: unexpected character '\u00b2'"),
+    "22_duplicate_relation_name.opd": (3, 12, 1, "blank inside a relation name"),
 }
 
 
@@ -152,6 +153,31 @@ def test_malformed_rejected_with_span(name):
 
 
 HEADER = "operad c\nbinary m\n"
+TERM = "m@1(x1,x2)"
+
+
+@pytest.mark.parametrize(
+    "name,column,length",
+    [("a b", 12, 1), ("a ,b", 12, 1), ("a, b", 13, 1), ("a\tb", 12, 1), ("x_1 , 2 ,3", 14, 1)],
+    ids=["blank", "blank-before-comma", "blank-after-comma", "tab", "later-blank"],
+)
+def test_relation_name_with_a_blank_is_rejected_at_its_second_part(name, column, length):
+    with pytest.raises(ParseError) as excinfo:
+        parse_presentation(HEADER + f"relation {name}: {TERM}\n")
+    error = excinfo.value
+    assert error.message == "blank inside a relation name"
+    assert (error.span.line, error.span.column, error.span.length) == (3, column, length)
+
+
+def test_comma_relation_names_still_parse():
+    text = HEADER + f"  relation   assoc__1,2  : {TERM}\nrelation b__T_0_1,2: {TERM}\n"
+    assert [r.name for r in parse_presentation(text).relations] == ["assoc__1,2", "b__T_0_1,2"]
+
+
+def test_duplicate_relation_names_parse_but_do_not_validate():
+    assoc = "m@2(m@1(x1,x2),x3)"
+    p = parse_presentation(HEADER + f"relation ab: {assoc}\nrelation ab: 2*{assoc}\n")
+    assert validate(p).problems == ["duplicate relation name ab"]
 LONG = "1" * 5000
 
 

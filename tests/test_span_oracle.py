@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 from opdkit.catalog import default_grid
 from opdkit.compat import build_compatible
 from opdkit.duality import koszul_dual, pairing_form
-from opdkit.linalg import RationalMatrix, nullspace, rank, rref, span_contains, span_equal
+from opdkit.linalg import (
+    Echelon,
+    RationalMatrix,
+    nullspace,
+    rank,
+    rref,
+    span_contains,
+    span_equal,
+)
 from opdkit.presentation import (
     ColorSet,
     Presentation,
@@ -77,6 +85,59 @@ def test_span_tests_match_reference(pair):
     assert span_contains(a, b) == ref.span_contains(a, b)
     assert span_contains(b, a) == ref.span_contains(b, a)
     assert span_equal(a, b) == ref.span_equal(a, b)
+
+
+@st.composite
+def pivot_ladders(draw):
+    """Dense small-integer rows, mostly in order of falling leading column.
+
+    Each row then takes a pivot left of the earlier ones, so the new pivot
+    column sits in several basis rows, and back-substitution both fills in
+    entries and cancels them.
+    """
+    cols = draw(st.integers(2, 7))
+    entry = st.integers(-3, 3).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry, min_size=1), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.sort(key=min, reverse=True)
+    return cols, rows
+
+
+def column_map(basis):
+    return {(c, p) for c, pivots in basis._rows_at.items() for p in pivots}
+
+
+def assert_matches_reference(basis, rows, cols):
+    dense = RationalMatrix.from_rows([[row.get(c, 0) for c in range(cols)] for row in rows], cols)
+    reduced, pivots = ref.rref(dense)
+    assert tuple(sorted(basis.rows)) == pivots
+    for p, expected in zip(pivots, reduced.rows):
+        row = basis.rows[p]
+        assert tuple(Fraction(row.get(c, 0), row[p]) for c in range(cols)) == expected
+    assert column_map(basis) == {(c, p) for p, row in basis.rows.items() for c in row if c != p}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_ladders())
+def test_echelon_add_matches_reference_after_every_row(case):
+    cols, rows = case
+    basis = Echelon()
+    for n, row in enumerate(rows, start=1):
+        basis.add(row)
+        assert_matches_reference(basis, rows[:n], cols)
+
+
+def test_echelon_add_updates_the_column_map_on_fill_in_and_cancellation():
+    rows = [{3: 1, 4: 1}, {2: 1, 4: 1}, {1: 1, 3: 1}, {0: 1, 4: 1, 5: 1}, {4: 1, 5: 1}]
+    basis = Echelon(rows[:4])
+    # {1: 1, 3: 1} was reduced to {1: 1, 4: -1}, so column 4 is in every row.
+    assert column_map(basis) == {(4, 3), (4, 2), (4, 1), (4, 0), (5, 0)}
+    basis.add(rows[4])
+    # The new pivot 4 leaves all four rows: column 5 fills in three of them
+    # and cancels in row 0.
+    assert basis.rows == {0: {0: 1}, 1: {1: 1, 5: 1}, 2: {2: 1, 5: -1}, 3: {3: 1, 5: -1}, 4: {4: 1, 5: 1}}
+    assert column_map(basis) == {(5, 1), (5, 2), (5, 3), (5, 4)}
+    assert_matches_reference(basis, rows, 6)
 
 
 GRID = dict(default_grid())

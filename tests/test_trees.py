@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdkit
+from opdkit.catalog import builtin
+from opdkit.compat import build_mat, build_tot
+from opdkit.presentation import ColorSet
 from opdkit.trees import (
     Generator,
     Tree,
@@ -368,6 +371,68 @@ def test_text_template_matches_the_tree_walk(tree, data):
     assert tree_text(tree) == walked_text(tree)
     slots = data.draw(st.permutations(range(1, tree.weight + 1)))
     assert tree_text(tree, slots) == walked_text(tree, slots)
+
+
+@pytest.mark.parametrize(
+    "slots,given", [((1, 2, 3), 3), ((1,), 1)], ids=["extra-slot", "missing-slot"]
+)
+def test_tree_text_needs_one_slot_per_internal_vertex(slots, given):
+    with pytest.raises(ValueError) as excinfo:
+        tree_text(t(M, t(M, X, X), X), slots)
+    assert str(excinfo.value) == (
+        f"tree has 2 internal vertices but {given} slot annotations"
+    )
+
+
+def walked_equal(a, b):
+    """Reference tree equality: generators and children compared level by level."""
+    return a.gen == b.gen and len(a.children) == len(b.children) and all(
+        map(walked_equal, a.children, b.children)
+    )
+
+
+def colliding(tree, other):
+    """A fresh copy of ``tree`` whose stored hash is ``other``'s, as in a collision."""
+    copy = Tree(tree.gen, tree.children)
+    object.__setattr__(copy, "_hash", other._hash)
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_trees(), built_trees())
+def test_tree_equality_matches_the_tree_walk(a, b):
+    assert (a == b) == walked_equal(a, b)
+    # Past equal hashes, equality must still see every vertex.
+    assert (a == colliding(b, a)) == walked_equal(a, b)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+
+
+@pytest.mark.parametrize("name", ["as", "rba0", "cubic_as"])
+def test_equal_trees_from_separate_builds_compare_equal(name):
+    p, colors = builtin(name), ColorSet.of(3)
+    tot_trees = {id(term.tree): term.tree for r in build_tot(p, colors).relations for term in r.terms}
+    mat_trees = {id(term.tree): term.tree for r in build_mat(p, colors).relations for term in r.terms}
+    assert not tot_trees.keys() & mat_trees.keys()  # no tree object is shared
+    lookup = {tree: tree for tree in tot_trees.values()}
+    for tree in mat_trees.values():
+        twin = lookup[tree]  # every mat tree occurs in tot
+        assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+
+
+def test_trees_that_differ_anywhere_compare_unequal():
+    m1, m2 = Generator("m", 2, "1"), Generator("m", 2, "2")
+    blank = Generator("m", 2, "")
+    # The same sort key ("m", "", False), but a color '' is not no color.
+    assert blank.sort_key == M.sort_key and blank != M
+    deep = t(m1, t(m1, t(m1, X, X), X), X)
+    for a, b in [
+        (deep, t(m1, t(m1, t(m2, X, X), X), X)),  # one deep generator
+        (deep, t(m1, X, t(m1, t(m1, X, X), X))),  # same generators, other shape
+        (t(M, t(blank, X, X), X), t(M, t(M, X, X), X)),
+    ]:
+        assert a != b and b != a
+        assert a != colliding(b, a) and colliding(b, a) != a
 
 
 def test_tree_key_distinguishes_decorations():
