@@ -2,12 +2,18 @@
 
 Exit codes are uniform across subcommands: 0 success (or all checks
 verified), 1 a span/identity check failed, 2 usage, parse, validation, or
-precondition errors.  Output is deterministic for identical inputs.
+precondition errors.  Only ``ParseError`` and ``CommandError`` become exit
+2; any other exception is a bug in opdkit and propagates.  Output is
+deterministic for identical inputs.
+
+The argument parser is built on the first call of ``main`` and reused for
+the rest of the process: ``parse_args`` keeps no state on the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -62,8 +68,6 @@ _COLOR_LABEL = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _omega(spec: str) -> ColorSet:
-    if spec.isdigit():
-        return ColorSet.of(int(spec))
     labels = [label.strip() for label in spec.split(",") if label.strip()]
     for label in labels:
         # Built presentations spell colors as g#label, which the DSL must read back.
@@ -71,7 +75,10 @@ def _omega(spec: str) -> ColorSet:
             raise CommandError(
                 f"color label {label!r} is not a DSL name (letters, digits and _ only)"
             )
-    return ColorSet.of(labels)
+    try:
+        return ColorSet.of(int(spec) if spec.isdigit() else labels)
+    except ValueError as exc:
+        raise CommandError(f"--omega {spec!r}: {exc}") from None
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -93,10 +100,14 @@ def load_golden(name: str) -> Presentation:
 
 def cmd_build(args) -> int:
     p = _read_presentation(args.input)
+    omega = _omega(args.omega)
+    for g in p.generators:
+        if g.color is not None:
+            # Every builder refuses this; checked here so that a ValueError
+            # from a builder stays a bug, not a usage error.
+            raise CommandError(f"cannot replicate already-colored generator {g.serialized()}")
     built = build_compatible(
-        {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind],
-        p,
-        _omega(args.omega),
+        {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind], p, omega
     )
     _emit(serialize(built, args.format), args.output)
     return 0
@@ -191,6 +202,10 @@ def cmd_check_iso(args) -> int:
 
 def cmd_basis(args) -> int:
     p = _read_presentation(args.input)
+    if args.arity < 1:
+        raise CommandError(f"--arity {args.arity}: arity must be >= 1")
+    if args.weight < 0:
+        raise CommandError(f"--weight {args.weight}: weight must be >= 0")
     component = enumerate_basis(p.generators, args.arity, args.weight)
     lines = [tree_text(t) for t in component.basis]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.output)
@@ -475,7 +490,10 @@ def _add_presentation_output(sub) -> None:
     sub.add_argument("--output", metavar="PATH")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process, so nothing may modify it after it is built."""
     top = argparse.ArgumentParser(
         prog="opdkit",
         description="workbench for finitely presented unary-binary operads",
@@ -531,10 +549,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CommandError, ValueError) as exc:
+    except (ParseError, CommandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

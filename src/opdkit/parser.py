@@ -21,15 +21,20 @@ attached to a name is part of the name, otherwise it opens a comment.
 Each line is split into string tokens by one regular expression; a token's
 kind is its first character.  Source spans are worked out only for an
 error, by matching that line again.
+
+JSON text is written directly in the layout of ``json.dumps(doc,
+indent=2)``, whose indented form runs json's pure-Python encoder; strings
+go through the C escaper that ``json.dumps`` uses under ``ensure_ascii``.
+The tests pin the output byte for byte against ``json.dumps``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional
 
 from .presentation import Presentation, Relation, Term
@@ -314,7 +319,7 @@ def serialize(p: Presentation, fmt: str = "dsl") -> str:
     """Deterministic text: declaration-order generators, name-ordered relations,
     canonically ordered terms.  ``fmt`` is "dsl" or "json"."""
     if fmt == "json":
-        return json.dumps(presentation_to_json(p), indent=2) + "\n"
+        return _json_text(p)
     if fmt != "dsl":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"operad {p.name}"]
@@ -356,3 +361,35 @@ def presentation_to_json(p: Presentation) -> dict:
             for rel in p.relations
         ],
     }
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items as ``json.dumps(indent=2)`` lays it out
+    at nesting ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _json_text(p: Presentation) -> str:
+    """``json.dumps(presentation_to_json(p), indent=2) + "\\n"``, written directly."""
+    relations = []
+    for rel in p.relations:
+        terms = [
+            f'{{\n          "coeff": {_json_string(_format_coeff(term.coeff))},'
+            f'\n          "tree": {_json_string(tree_text(term.tree))},'
+            f'\n          "slots": {_json_array([str(s) for s in term.slots], "          ")}'
+            "\n        }"
+            for term in rel.terms
+        ]
+        relations.append(
+            f'{{\n      "name": {_json_string(rel.name)},'
+            f'\n      "terms": {_json_array(terms, "      ")}\n    }}'
+        )
+    unary = _json_array([_json_string(g.serialized()) for g in p.unary], "  ")
+    binary = _json_array([_json_string(g.serialized()) for g in p.binary], "  ")
+    return (
+        f'{{\n  "name": {_json_string(p.name)},\n  "unary": {unary},\n  "binary": {binary},'
+        f'\n  "relations": {_json_array(relations, "  ")}\n}}\n'
+    )

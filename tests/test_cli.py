@@ -1,12 +1,19 @@
 """Exit-code contract and output determinism of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from opdkit.cli import CLAIMS, main
-from opdkit.parser import parse_presentation
+from opdkit import cli
+from opdkit.catalog import builtin
+from opdkit.cli import CLAIMS, Claim, main
+from opdkit.compat import build_mat
+from opdkit.parser import parse_presentation, serialize
+from opdkit.presentation import ColorSet
 
 ROOT = Path(__file__).resolve().parent.parent
 PRES = ROOT / "presentations"
@@ -261,3 +268,79 @@ def test_verify_delta_must_be_an_operator_count(capsys, spec):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --delta" in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "mat", str(PRES / "as.opd"), "--omega", "a,a"], "--omega 'a,a': duplicate color labels"),
+    (["build", "lin", str(PRES / "as.opd"), "--omega", "0"], "--omega '0': color set size must be >= 1"),
+    (["build", "lin", str(PRES / "as.opd"), "--omega", ","], "--omega ',': color set must be nonempty"),
+    (["basis", str(PRES / "as.opd"), "--arity", "0", "--weight", "2"], "--arity 0: arity must be >= 1"),
+    (["basis", str(PRES / "as.opd"), "--arity", "3", "--weight", "-1"], "--weight -1: weight must be >= 0"),
+], ids=["build --omega a,a", "build --omega 0", "build --omega ,", "basis --arity 0", "basis --weight -1"])
+def test_bad_sizes_exit_2_naming_the_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_build_refuses_a_colored_presentation(capsys, tmp_path):
+    mat_as = tmp_path / "mat_as.opd"
+    mat_as.write_text(serialize(build_mat(builtin("as"), ColorSet.of(2))))
+    code, out, err = run(capsys, "build", "lin", str(mat_as), "--omega", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot replicate already-colored generator m#1\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "build_compatible", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["build", "lin", str(PRES / "as.opd"), "--omega", "2"])
+
+
+# --- one parser per process ---
+
+
+def test_parser_is_built_once():
+    cli._arg_parser.cache_clear()
+    for _ in range(3):
+        assert main(["list-claims"]) == 0
+    info = cli._arg_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_options_do_not_carry_over_between_calls(capsys, monkeypatch):
+    seen = []
+
+    def runner(args):
+        seen.append((args.omega, args.delta, args.output, args.quiet))
+        yield "probe", True, ""
+
+    monkeypatch.setitem(CLAIMS, "probe", Claim("probe", "records its arguments", runner))
+    run(capsys, "verify", "probe", "--omega", "2", "--delta", "3", "--output", "x", "--quiet")
+    run(capsys, "verify", "probe")
+    assert seen == [(2, 3, "x", True), (None, None, None, False)]
+
+
+def test_build_format_does_not_carry_over(capsys):
+    argv = ["build", "mat", str(PRES / "as.opd"), "--omega", "2"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["binary"] == ["m#1", "m#2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == serialize(build_mat(builtin("as"), ColorSet.of(2)))
+
+
+def test_a_refused_call_leaves_the_next_one_as_in_a_fresh_process(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ex-rbcom", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "ex-rbcom", "--omega", "2")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "opdkit.cli", "verify", "ex-rbcom", "--omega", "2"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out.startswith("PASS")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opdkit.catalog import builtin
+from opdkit.catalog import builtin, default_grid
 from opdkit.compat import build_lin, build_mat, build_tot
 from opdkit.duality import koszul_dual
 from opdkit.manin import black_square, white_square
@@ -305,3 +305,82 @@ def test_random_presentations_roundtrip(seed):
     text = serialize(pres)
     assert parse_presentation(text) == pres
     assert serialize(parse_presentation(text)) == text
+
+
+# --- JSON text against json.dumps ---
+
+
+def _json_reference(p: Presentation) -> str:
+    """What ``serialize(p, "json")`` must write, byte for byte."""
+    return json.dumps(presentation_to_json(p), indent=2) + "\n"
+
+
+def _quadratic_catalog() -> list[Presentation]:
+    grid = [p for _, p in default_grid()] + [builtin("multi_diff", n) for n in (1, 3)]
+    return [p for p in grid if all(rel.weight == 2 for rel in p.relations)]
+
+
+def test_json_matches_json_dumps_on_koszul_duals():
+    duals = [koszul_dual(p) for p in _quadratic_catalog()]
+    assert len(duals) >= 5
+    for dual in duals:
+        assert serialize(dual, "json") == _json_reference(dual), dual.name
+
+
+def test_json_matches_json_dumps_on_products():
+    for a in ("as", "dend"):
+        for b in ("as", "dend"):
+            left, right = builtin(a), builtin(b)
+            for product in (black_square(left, right), white_square(left, right, "white_dual"),
+                            white_square(left, right, "white_literal")):
+                assert serialize(product, "json") == _json_reference(product), (a, b)
+
+
+def test_json_writes_empty_lists():
+    d, m = Generator("d", 1), Generator("m", 2)
+    free = Presentation("free", (d,), (m,), ())
+    assert '"relations": []' in serialize(free, "json")
+    assert '"unary": []' in serialize(builtin("as"), "json")
+    for p in (free, builtin("as"), Presentation("empty", (), (), ())):
+        assert serialize(p, "json") == _json_reference(p)
+
+
+# Quotes, backslashes, control characters, non-ASCII letters and digits, a
+# line separator and a character outside the basic plane.
+_AWKWARD_TEXT = st.text(
+    st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "፩", " ", "😀", "a", " "])
+    | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def _named_presentations(draw) -> Presentation:
+    unary = tuple(Generator(name, 1) for name in draw(st.lists(_AWKWARD_TEXT, max_size=2)))
+    binary = tuple(Generator(name, 2) for name in draw(st.lists(_AWKWARD_TEXT, max_size=2)))
+    trees = st.just(leaf())
+    if unary or binary:
+        trees = st.recursive(
+            trees,
+            lambda sub: st.sampled_from(unary + binary).flatmap(
+                lambda g: st.tuples(*[sub] * g.arity).map(lambda ch, g=g: Tree(g, ch))
+            ),
+            max_leaves=3,
+        )
+
+    def term(tree: Tree):
+        coeffs = st.fractions(-9, 9, max_denominator=4).filter(bool)
+        slots = st.permutations(range(1, tree.weight + 1)).map(tuple)
+        return st.builds(Term, coeffs, st.just(tree), slots)
+
+    relations = st.builds(
+        Relation, _AWKWARD_TEXT, st.lists(trees.flatmap(term), min_size=1, max_size=3).map(tuple)
+    )
+    return Presentation(draw(_AWKWARD_TEXT), unary, binary,
+                        tuple(draw(st.lists(relations, max_size=3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_named_presentations())
+def test_json_matches_json_dumps_on_arbitrary_names(p):
+    assert serialize(p, "json") == _json_reference(p)
