@@ -83,7 +83,10 @@ def _omega(spec: str) -> ColorSet:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise CommandError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -95,7 +98,8 @@ def load_golden(name: str) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# plain subcommands
+# plain subcommands: each checks its preconditions itself, with the library's
+# messages, so that a ValueError from the library stays a bug
 
 
 def cmd_build(args) -> int:
@@ -103,8 +107,6 @@ def cmd_build(args) -> int:
     omega = _omega(args.omega)
     for g in p.generators:
         if g.color is not None:
-            # Every builder refuses this; checked here so that a ValueError
-            # from a builder stays a bug, not a usage error.
             raise CommandError(f"cannot replicate already-colored generator {g.serialized()}")
     built = build_compatible(
         {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind], p, omega
@@ -115,26 +117,25 @@ def cmd_build(args) -> int:
 
 def cmd_dual(args) -> int:
     p = _read_presentation(args.input)
-    try:
-        dual = koszul_dual(p)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-    _emit(serialize(dual, args.format), args.output)
+    for rel in p.relations:
+        if rel.weight != 2:
+            raise CommandError("Koszul dual undefined for non-quadratic presentation: "
+                               f"relation {rel.name} has weight {rel.weight}")
+    _emit(serialize(koszul_dual(p), args.format), args.output)
     return 0
 
 
 def cmd_product(args) -> int:
     left = _read_presentation(args.left)
     right = _read_presentation(args.right)
-    try:
-        if args.kind == "black":
-            product = black_square(left, right)
-        else:
-            product = white_square(
-                left, right, {"white-literal": "white_literal", "white-dual": "white_dual"}[args.kind]
-            )
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    for p in (left, right):
+        if p.unary:
+            raise CommandError(f"presentation {p.name} has unary generators")
+        for rel in p.relations:
+            if rel.weight != 2:
+                raise CommandError(f"presentation {p.name} has the cubic relation {rel.name}")
+    kind = args.kind.replace("-", "_")
+    product = black_square(left, right) if kind == "black" else white_square(left, right, kind)
     _emit(serialize(product, args.format), args.output)
     return 0
 
@@ -178,10 +179,11 @@ def cmd_check_iso(args) -> int:
     a = _read_presentation(args.a)
     b = _read_presentation(args.b)
     if args.map:
-        try:
-            a = rename_generators(a, _parse_rename_spec(args.map, a))
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        # Every image keeps its source's arity; it must also be injective.
+        mapping = _parse_rename_spec(args.map, a)
+        if len(set(mapping.values())) != len(mapping):
+            raise CommandError("rename map is not injective on the generator list")
+        a = rename_generators(a, mapping)
     if set(a.generators) != set(b.generators):
         raise CommandError(
             "generator sets differ after renaming; supply --map to identify them"

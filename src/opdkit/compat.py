@@ -19,12 +19,13 @@ linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
 
-Each public function colors every (subtree, vertex colors) pair once: it
-makes one memo of colored subtrees and colored generators and passes it to
+Each public function colors every (tree, vertex colors) pair once: it
+makes one memo of colored trees and colored generators and passes it to
 its private steps, so ``build_tot`` shares it between its matching relations
 and its swaps, and ``verify_lin_encoding`` between ``build_lin`` and
-``expand_formal``.  Colored trees built through one memo share their equal
-subtrees.  The memo lives only for that call; nothing is cached across calls.
+``expand_formal``.  Equal colored trees built through one memo are one
+object, and a build's colored generators are those of its generator list.
+The memo lives only for that call; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
     return [key for key in order if totals[key] != 0]
 
 
-def _colored_gens(p: Presentation, omega: ColorSet) -> tuple[list[Generator], list[Generator]]:
-    gens = replicate(p, omega)
+def _colored_gens(
+    p: Presentation, omega: ColorSet, memo: dict
+) -> tuple[list[Generator], list[Generator]]:
+    gens = replicate(p, omega)  # g#w for every generator g, then every color w
+    # The colored trees take their generators from this list, through memo.
+    memo.update(zip(itertools.product(p.generators, omega.labels), gens))
     return [g for g in gens if g.arity == 1], [g for g in gens if g.arity == 2]
 
 
@@ -91,7 +96,7 @@ def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
 
 
 def _build_mat(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
-    unary, binary = _colored_gens(p, omega)
+    unary, binary = _colored_gens(p, omega, memo)
     rels = []
     for rel in p.relations:
         for colors in itertools.product(omega.labels, repeat=rel.weight):
@@ -119,7 +124,7 @@ def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
 
 
 def _build_lin(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
-    unary, binary = _colored_gens(p, omega)
+    unary, binary = _colored_gens(p, omega, memo)
     rels = []
     for rel in p.relations:
         for colors in itertools.combinations_with_replacement(omega.labels, rel.weight):
@@ -151,16 +156,16 @@ def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
     Weight 2: t(mu,nu) - t(nu,mu).  Weight 3: t(mu,nu,mu) - t(nu,mu,mu) and
     t(mu,nu,mu) - t(mu,mu,nu), i.e. the swap of slots 1,2 and of slots 2,3.
     """
-    return _transpositions(rel, mu, nu, {})
+    return _transpositions(rel, support(rel), mu, nu, {})
 
 
-def _transpositions(rel: Relation, mu: str, nu: str, memo: dict) -> list[Relation]:
+def _transpositions(rel: Relation, supported: list, mu: str, nu: str, memo: dict) -> list[Relation]:
     if mu == nu:
         raise ValueError("transposition needs two distinct colors")
     if rel.weight not in (2, 3):
         raise ValueError(f"relation {rel.name} has weight {rel.weight}, expected 2 or 3")
     out = []
-    for idx, (tree, slots) in enumerate(support(rel)):
+    for idx, (tree, slots) in enumerate(supported):
         name = f"{rel.name}__T_{idx}"
         if rel.weight == 2:
             out.append(_swap(f"{name}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu), memo))
@@ -175,13 +180,14 @@ def uncovered_trees(p: Presentation) -> list[Tree]:
 
     Listed arity by arity (1, 2, 3), each in canonical basis order.
     """
-    covered = {tree for rel in p.relations for tree, _ in support(rel)}
-    return [
-        tree
-        for arity in (1, 2, 3)
-        for tree in enumerate_basis(p.generators, arity, 2).basis
-        if tree not in covered
-    ]
+    return [tree for _, tree in _uncovered(p, map(support, p.relations))]
+
+
+def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
+    """``uncovered_trees`` given the supports, each with its basis index."""
+    covered = {tree for supported in supports for tree, _ in supported}
+    bases = (enumerate_basis(p.generators, arity, 2).basis for arity in (1, 2, 3))
+    return [(i, tree) for basis in bases for i, tree in enumerate(basis) if tree not in covered]
 
 
 def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
@@ -216,15 +222,15 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     memo: dict = {}
     mat = _build_mat(p, omega, memo)
     extra = []
-    for rel in p.relations:
+    supports = [support(rel) for rel in p.relations]
+    for rel, supported in zip(p.relations, supports):
         # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
         # the two weight-3 swaps for (nu,mu) are new relations.
         pairs = itertools.combinations if rel.weight == 2 else itertools.permutations
         for mu, nu in pairs(omega.labels, 2):
-            extra.extend(_transpositions(rel, mu, nu, memo))
+            extra.extend(_transpositions(rel, supported, mu, nu, memo))
     if p.is_quadratic:
-        for tree in uncovered_trees(p):
-            idx = enumerate_basis(p.generators, tree.arity, 2).basis.index(tree)
+        for idx, tree in _uncovered(p, supports):
             slots = standard_slots(tree)
             # t(nu,mu) - t(mu,nu) is the negative, so unordered pairs suffice.
             for mu, nu in itertools.combinations(omega.labels, 2):
@@ -267,8 +273,9 @@ def _expand_formal(p: Presentation, omega: ColorSet, memo: dict) -> list[FormalE
         buckets: dict[tuple[str, ...], list[Term]] = {}
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             monomial = tuple(sorted(colors))
+            # Relation sorts the terms of each coefficient once, below.
             buckets.setdefault(monomial, []).extend(
-                _color_relation(rel, colors, omega, memo, rel.name).terms
+                [_color_term(term, colors, memo) for term in rel.terms]
             )
         coefficients = {
             monomial: Relation(f"{rel.name}__c_{'.'.join(monomial)}", tuple(terms))

@@ -123,7 +123,8 @@ class _Parser:
     """Recursive descent over one line's string tokens at a time.
 
     Equal subtrees are built once per parse: ``subtrees`` maps (generator,
-    children) to the tree, so children are shared and compared by identity.
+    children) to the tree, and the children come from that map, so a repeated
+    subtree is found by identity instead of being rebuilt.
     """
 
     def __init__(self, text: str):

@@ -5,7 +5,9 @@ A relation is a rational linear combination of decorated trees of one fixed
 positional roles of internal vertices inside a relation template so that a
 coloring can be applied uniformly across all terms: slot j of every term
 receives the same color even when the decorating generators differ from
-term to term (as in a commutator).
+term to term (as in a commutator).  Coloring keeps a tree's shape and
+replaces its generators, so each colored tree is built in one step from
+the uncolored tree's shape and the colored generators.
 
 The module also carries the span machinery used throughout.  Presentations
 are compared componentwise by exact row-space equality or containment: the
@@ -31,6 +33,7 @@ from .trees import (
     Generator,
     GradedComponent,
     Tree,
+    _flat_tree,
     enumerate_basis,
     relabel,
     tree_key,
@@ -294,48 +297,28 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return _WEIGHT_TWO_SHAPES[tree.shape][1]
 
 
-def _colored_subtree(tree: Tree, vertex_colors: tuple[str, ...], memo: dict) -> Tree:
-    """``tree`` with ``vertex_colors`` on its internal vertices in preorder.
-
-    A child's vertex colors are a contiguous slice of its parent's, so the
-    walk goes bottom-up through ``memo`` and builds each colored subtree once.
-    """
-    gen = tree.gen
-    if gen is None:
-        return tree
-    key = (tree, vertex_colors)
-    colored = memo.get(key)
-    if colored is None:
-        gen_key = (gen, vertex_colors[0])
-        colored_gen = memo.get(gen_key)
-        if colored_gen is None:
-            colored_gen = memo[gen_key] = gen.colored(vertex_colors[0])
-        children = tree.children
-        if len(children) == 1:
-            colored_children = (_colored_subtree(children[0], vertex_colors[1:], memo),)
-        else:
-            left, right = children
-            split = 1 + left.weight
-            colored_children = (
-                _colored_subtree(left, vertex_colors[1:split], memo),
-                _colored_subtree(right, vertex_colors[split:], memo),
-            )
-        colored = memo[key] = Tree(colored_gen, colored_children)
-    return colored
-
-
 def _colored_tree(
     tree: Tree, slots: tuple[int, ...], colors: Sequence[str], memo: dict
 ) -> Tree:
     """``tree`` with ``colors[j-1]`` on the vertex at slot j, built once per ``memo``.
 
-    The memo holds every colored subtree, keyed by the uncolored subtree and
-    the colors of its vertices in preorder, so equal colored trees built
-    through one memo are one object and share their subtrees.  It also holds
-    each colored generator, keyed by (generator, color), so a build colors
-    each generator once per color.
+    The memo holds each colored tree, keyed by the uncolored tree and the
+    colors of its vertices in preorder, and each colored generator, keyed by
+    (generator, color): equal colored trees built through one memo are one
+    object, and a build colors each generator once per color.
     """
-    return _colored_subtree(tree, tuple([colors[slot - 1] for slot in slots]), memo)
+    vertex_colors = tuple([colors[slot - 1] for slot in slots])
+    key = (tree, vertex_colors)
+    colored = memo.get(key)
+    if colored is None:
+        gens = []
+        for gen, color in zip(tree.internal_generators(), vertex_colors):
+            colored_gen = memo.get((gen, color))
+            if colored_gen is None:
+                colored_gen = memo[gen, color] = gen.colored(color)
+            gens.append(colored_gen)
+        colored = memo[key] = _flat_tree(tree.shape, tuple(gens))
+    return colored
 
 
 def _color_term(term: Term, colors: Sequence[str], memo: dict) -> Term:

@@ -8,16 +8,17 @@ its weight is its internal-vertex count.
 
 Everything here is immutable and hashable, so trees can key dictionaries
 when linear combinations of trees are turned into coefficient vectors.  A
-generator stores its hash and sort key when it is built.  A tree computes
-its arity, weight, hash, shape, preorder generators and their sort keys
-once, at construction, from its children's; the canonical key ``tree_key``
-is read off them without walking the tree.  ``relabel`` rebuilds a tree
-with new generators; renaming, dualizing and the Manin products use it,
-while coloring walks the tree itself (``presentation._colored_tree``).
+generator stores its hash and sort key when it is built.  A tree is stored
+flat, as its shape and its generators in preorder, with its arity, weight,
+hash and sort keys derived from them once; ``tree_key`` reads them without
+a walk.  ``relabel`` (renaming, dualizing, the Manin products) and coloring
+(``presentation._colored_tree``) build each tree in one step from a
+template's shape and new generators; composition splices flat forms.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -96,83 +97,57 @@ class Generator:
 
 # Node-kind codes for the canonical order: internal vertices sort before
 # leaves, unary before binary, so e.g. the left comb precedes the right comb
-# and m(P(x1),x2) precedes m(x1,P(x2)).
+# and m(P(x1),x2) precedes m(x1,P(x2)).  A vertex's kind is its arity - 1.
 _KIND_UNARY = 0
 _KIND_BINARY = 1
 _KIND_LEAF = 2
-_LEAF_SHAPE = (_KIND_LEAF,)
 
 
-@dataclass(frozen=True, slots=True)
 class Tree:
-    """A decorated planar rooted tree; ``gen is None`` marks a leaf.
+    """A decorated planar rooted tree: its ``shape`` (the node kinds in
+    preorder, leaves included) and its generators in preorder.
 
-    Arity, weight, hash, ``shape`` (the node kinds in preorder, leaves
-    included), the generators in preorder and their sort keys are computed
-    once, from the children's, when the tree is built: trees key every
-    column map of the span engine and every canonical sort, and
-    recomputing them recursively dominated both.
+    Arity, weight, sort keys and hash are derived once, when the tree is
+    built.  ``Tree(gen, children)`` builds from a root and its subtrees,
+    ``Tree()`` is a leaf; ``gen`` and ``children`` are read back from the
+    flat form, which nothing on the hot path asks for.
     """
 
-    gen: Optional[Generator] = None
-    children: tuple["Tree", ...] = ()
-    arity: int = field(init=False, repr=False, compare=False)
-    weight: int = field(init=False, repr=False, compare=False)
-    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _gens: tuple[Generator, ...] = field(init=False, repr=False, compare=False)
-    _keys: tuple[tuple[str, str, bool], ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("shape", "_gens", "arity", "weight", "_keys", "_hash")
 
-    def __post_init__(self) -> None:
-        gen, children = self.gen, self.children
+    def __new__(cls, gen: Optional[Generator] = None, children: tuple["Tree", ...] = ()):
         if gen is None:
             if children:
                 raise ValueError("leaves have no children")
-            arity, weight, shape, gens, keys = 1, 0, _LEAF_SHAPE, (), ()
-            h = hash((None,))
-        elif len(children) != gen.arity:
+            return _flat_tree((_KIND_LEAF,), ())
+        if len(children) != gen.arity:
             raise ValueError(
                 f"node {gen.serialized()} needs {gen.arity} children, "
                 f"got {len(children)}"
             )
-        elif len(children) == 2:
-            left, right = children
-            arity = left.arity + right.arity
-            weight = left.weight + right.weight + 1
-            shape = (_KIND_BINARY, *left.shape, *right.shape)
-            gens = (gen, *left._gens, *right._gens)
-            keys = (gen.sort_key, *left._keys, *right._keys)
-            h = hash((gen._hash, left._hash, right._hash))
-        else:
-            (child,) = children
-            arity = child.arity
-            weight = child.weight + 1
-            shape = (_KIND_UNARY, *child.shape)
-            gens = (gen, *child._gens)
-            keys = (gen.sort_key, *child._keys)
-            h = hash((gen._hash, child._hash))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_hash", h)
+        shape, gens = [gen.arity - 1], [gen]
+        for child in children:
+            shape += child.shape
+            gens += child._gens
+        return _flat_tree(tuple(shape), tuple(gens))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # String hashes differ between processes: rebuild, never copy _hash
-        # or the other computed fields.
-        return (Tree, (self.gen, self.children))
+        # or the other derived fields.
+        return (_flat_tree, (self.shape, self._gens))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if other.__class__ is not Tree:
             return NotImplemented
-        # Shape and preorder generators determine the tree, so equal trees
-        # from separate builds compare without recursion.
+        # Shape and preorder generators determine the tree.
         return (
             self._hash == other._hash
             and self.shape == other.shape
@@ -180,8 +155,28 @@ class Tree:
         )
 
     @property
+    def gen(self) -> Optional[Generator]:
+        """The root's generator; ``None`` for a leaf."""
+        return self._gens[0] if self._gens else None
+
+    @property
+    def children(self) -> tuple["Tree", ...]:
+        """The root's subtrees, rebuilt from the flat form."""
+        shape, gens = self.shape, self._gens
+        if not gens:
+            return ()
+        # The first subtree ends where its leaves first outnumber its binary vertices.
+        depths = itertools.accumulate((0, 1, -1)[kind] for kind in shape[1:])
+        end = 2 + next(i for i, depth in enumerate(depths) if depth < 0)
+        split = end - shape[:end].count(_KIND_LEAF)
+        first = _flat_tree(shape[1:end], gens[1:split])
+        if shape[0] == _KIND_UNARY:
+            return (first,)
+        return (first, _flat_tree(shape[end:], gens[split:]))
+
+    @property
     def is_leaf(self) -> bool:
-        return self.gen is None
+        return not self._gens
 
     def internal_generators(self) -> tuple[Generator, ...]:
         """Generators of internal vertices in preorder."""
@@ -189,6 +184,25 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tree({tree_text(self)})"
+
+
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _flat_tree(shape: tuple[int, ...], gens: tuple[Generator, ...]) -> Tree:
+    """The tree of ``shape`` with ``gens`` on its internal vertices in
+    preorder, unchecked.  Every tree is built here, so the hash is one
+    function of (shape, generators) however the tree was made."""
+    keys = tuple([g.sort_key for g in gens])
+    tree = _new(Tree)
+    _set(tree, "shape", shape)
+    _set(tree, "_gens", gens)
+    _set(tree, "arity", shape.count(_KIND_LEAF))
+    _set(tree, "weight", len(gens))
+    _set(tree, "_keys", keys)
+    _set(tree, "_hash", hash((shape, keys)))
+    return tree
 
 
 _LEAF = Tree()
@@ -207,46 +221,37 @@ def graft(t: Tree, i: int, s: Tree) -> Tree:
     """Replace the i-th leaf (1-based, left to right) of ``t`` by ``s``."""
     if not 1 <= i <= t.arity:
         raise IndexError(f"leaf index {i} out of range for tree of arity {t.arity}")
-
-    def go(node: Tree, k: int) -> Tree:
-        if node.is_leaf:
-            return s
-        new_children = []
-        for child in node.children:
-            a = child.arity
-            if 1 <= k <= a:
-                new_children.append(go(child, k))
-            else:
-                new_children.append(child)
-            k -= a
-        return Tree(node.gen, tuple(new_children))
-
-    return go(t, i)
+    return compose(t, (_LEAF,) * (i - 1) + (s,) + (_LEAF,) * (t.arity - i))
 
 
 def compose(t: Tree, args: Sequence[Tree]) -> Tree:
-    """Operadic composition: graft ``args[i]`` onto the i-th leaf of ``t``.
-
-    Grafting proceeds right to left so earlier leaf positions stay valid.
-    """
+    """Operadic composition: graft ``args[i]`` onto the i-th leaf of ``t``,
+    splicing the flat form of each argument in place of its leaf."""
     if len(args) != t.arity:
         raise ValueError(f"expected {t.arity} arguments, got {len(args)}")
-    out = t
-    for i in range(len(args), 0, -1):
-        out = graft(out, i, args[i - 1])
-    return out
+    shape, gens, own, grafted = [], [], iter(t._gens), iter(args)
+    for kind in t.shape:
+        if kind == _KIND_LEAF:
+            arg = next(grafted)
+            shape += arg.shape
+            gens += arg._gens
+        else:
+            shape.append(kind)
+            gens.append(next(own))
+    return _flat_tree(tuple(shape), tuple(gens))
 
 
 def relabel(tree: Tree, gens: Iterable[Generator]) -> Tree:
-    """``tree`` with its internal vertices decorated by ``gens``, in preorder."""
-    it = iter(gens)
-
-    def go(node: Tree) -> Tree:
-        if node.gen is None:
-            return node
-        return Tree(next(it), tuple(map(go, node.children)))
-
-    return go(tree)
+    """``tree`` with its internal vertices decorated by ``gens``, in preorder;
+    ``ValueError`` unless there is one generator per vertex, of its arity."""
+    gens = tuple(gens)
+    if len(gens) != tree.weight:
+        raise ValueError(f"tree has {tree.weight} internal vertices but {len(gens)} generators")
+    arities = [kind + 1 for kind in tree.shape if kind != _KIND_LEAF]
+    for gen, arity in zip(gens, arities):
+        if gen.arity != arity:
+            raise ValueError(f"node {gen.serialized()} needs {gen.arity} children, got {arity}")
+    return _flat_tree(tree.shape, gens) if gens else tree
 
 
 def tree_key(t: Tree) -> tuple:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opdkit import cli
+from opdkit import cli, duality
 from opdkit.catalog import builtin
 from opdkit.cli import CLAIMS, Claim, main
 from opdkit.compat import build_mat
@@ -297,6 +297,40 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "build_compatible", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["build", "lin", str(PRES / "as.opd"), "--omega", "2"])
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (duality, "shape_sign", ["dual", str(PRES / "as.opd")]),
+    (duality, "shape_sign", ["product", "white-dual", str(PRES / "as.opd"), str(PRES / "dend.opd")]),
+    (cli, "rename_generators", ["check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--map", "m=m"]),
+], ids=["dual", "product white-dual", "check-iso --map"])
+def test_internal_value_error_in_dual_product_and_check_iso_raises(monkeypatch, module, name, argv):
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(argv)
+
+
+def test_a_rename_map_that_is_not_injective_exits_2(capsys, tmp_path):
+    two = tmp_path / "two.opd"
+    two.write_text(
+        "operad t\nbinary m n\n"
+        "relation r: m@2(m@1(x1,x2),x3) - n@1(x1,n@2(x2,x3))\n"
+    )
+    code, out, err = run(capsys, "check-iso", str(two), str(two), "--map", "n=m")
+    assert (code, out) == (2, "")
+    assert err == "error: rename map is not injective on the generator list\n"
+
+
+def test_an_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.opd"
+    code, out, err = run(capsys, "build", "mat", str(PRES / "as.opd"), "--omega", "2",
+                         "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert not target.exists()
 
 
 # --- one parser per process ---

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import dataclasses
+import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from opdkit.presentation import (
     tensor_generators,
     validate,
 )
-from opdkit.trees import Generator, Tree, leaf, relabel, tree_text
+from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
 
 P = Generator("P", 1)
 M = Generator("m", 2)
@@ -154,13 +155,6 @@ def uncolored_trees(draw, max_weight):
     return Tree(draw(st.sampled_from(BINARY)), (left, right))
 
 
-def walked_subtrees(tree):
-    """Every subtree of ``tree`` with an internal vertex, in preorder."""
-    if tree.gen is None:
-        return []
-    return [tree] + [s for child in tree.children for s in walked_subtrees(child)]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_colored_walk_matches_relabel_and_shares_subtrees(data):
@@ -179,13 +173,83 @@ def test_colored_walk_matches_relabel_and_shares_subtrees(data):
     assert colored == reference
     assert colored.internal_generators() == reference.internal_generators()
     assert tree_text(colored) == tree_text(reference)
-    # Equal colored subtrees built through one memo are one object.
-    seen = {}
-    for built in (colored, _colored_tree(other, other_slots, colors, memo)):
-        for sub in walked_subtrees(built):
-            assert seen.setdefault(sub, sub) is sub
-    # Building again through the same memo gives back the same object.
-    assert _colored_tree(tree, slots, colors, memo) is colored
+    # A colored tree holds no subtrees; built again through the same memo,
+    # after other trees, it is the same object.
+    _colored_tree(other, other_slots, colors, memo)
+    assert _colored_tree(pickle.loads(pickle.dumps(tree)), slots, colors, memo) is colored
+
+
+@st.composite
+def plans(draw, max_weight):
+    """A tree as nested (generator, color, subplans), ``None`` for a leaf."""
+    weight = draw(st.integers(0, max_weight))
+    if weight == 0:
+        return None
+    color = draw(st.sampled_from(["a", "b", "c"]))
+    if draw(st.booleans()):
+        return (draw(st.sampled_from(UNARY)), color, (draw(plans(weight - 1)),))
+    left = draw(plans(weight - 1))
+    right = draw(plans(weight - 1 - plan_weight(left)))
+    return (draw(st.sampled_from(BINARY)), color, (left, right))
+
+
+def plan_weight(plan):
+    return 0 if plan is None else 1 + sum(map(plan_weight, plan[2]))
+
+
+def walked_tree(plan, colored):
+    """The tree of ``plan`` built vertex by vertex with ``Tree(gen, children)``,
+    its generators colored when ``colored`` is set."""
+    if plan is None:
+        return Tree()
+    gen, color, subplans = plan
+    return Tree(
+        gen.colored(color) if colored else gen,
+        tuple(walked_tree(sub, colored) for sub in subplans),
+    )
+
+
+def plan_colors(plan):
+    """The colors of ``plan``'s vertices in preorder."""
+    if plan is None:
+        return []
+    return [plan[1]] + [c for sub in plan[2] for c in plan_colors(sub)]
+
+
+def assert_matches_plan(tree, plan):
+    """``tree``'s ``gen`` and ``children`` are, vertex by vertex, the colored
+    generators and walked subtrees of ``plan``."""
+    assert tree == walked_tree(plan, True)
+    if plan is None:
+        assert tree.is_leaf and tree.gen is None and tree.children == ()
+        return
+    gen, color, subplans = plan
+    assert not tree.is_leaf and tree.gen == gen.colored(color)
+    assert len(tree.children) == len(subplans)
+    for child, sub in zip(tree.children, subplans):
+        assert_matches_plan(child, sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans(4), st.data())
+def test_flat_colored_and_relabelled_trees_match_the_walked_tree(plan, data):
+    tree, walked = walked_tree(plan, False), walked_tree(plan, True)
+    vertex_colors = plan_colors(plan)
+    slots = tuple(data.draw(st.permutations(range(1, tree.weight + 1))))
+    colors = [""] * tree.weight
+    for slot, color in zip(slots, vertex_colors):
+        colors[slot - 1] = color
+    colored = _colored_tree(tree, slots, colors, {})
+    relabelled = relabel(tree, walked.internal_generators())
+    for flat in (colored, relabelled):
+        for built in (flat, pickle.loads(pickle.dumps(flat))):
+            assert built == walked and walked == built
+            assert hash(built) == hash(walked)
+            assert tree_key(built) == tree_key(walked)
+            assert tree_text(built) == tree_text(walked)
+            assert tree_text(built, slots) == tree_text(walked, slots)
+            assert built.internal_generators() == walked.internal_generators()
+            assert_matches_plan(built, plan)
 
 
 def test_color_commutes_with_sum():

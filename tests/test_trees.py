@@ -97,6 +97,17 @@ def test_relabel_decorates_in_preorder():
     assert relabel(X, []) is X
 
 
+@pytest.mark.parametrize("gens, message", [
+    ((M, M, M), "tree has 2 internal vertices but 3 generators"),
+    ((M,), "tree has 2 internal vertices but 1 generators"),
+    ((M, P), "node P needs 1 children, got 2"),
+], ids=["surplus", "too-few", "wrong-arity"])
+def test_relabel_needs_one_generator_of_each_vertex_arity(gens, message):
+    with pytest.raises(ValueError) as excinfo:
+        relabel(t(M, t(M, X, X), X), gens)
+    assert str(excinfo.value) == message
+
+
 def test_compare_equal_and_examples():
     left_comb = t(M, t(M, X, X), X)
     right_comb = t(M, X, t(M, X, X))
