@@ -225,6 +225,13 @@ class Claim:
     key: str
     description: str
     runner: Callable[[argparse.Namespace], Iterator[tuple[str, bool, str]]]
+    options: tuple[str, ...] = ()  # the verify options the runner reads
+
+
+# The options of ``verify`` that only some claims read, and those of the
+# claims that check a grid of color counts.
+_CLAIM_OPTIONS = ("omega", "delta", "output")
+_OMEGA = ("omega",)
 
 
 def _quadratic_grid():
@@ -429,29 +436,31 @@ CLAIMS: dict[str, Claim] = {
     for c in [
         Claim("thm-comp", "formal-expansion span equals the linear-construction span",
               _grid_claim(default_grid, lambda p, omega: verify_lin_encoding(p, omega),
-                          "expansion span == linear span")),
+                          "expansion span == linear span"), _OMEGA),
         Claim("thm-mdul", "dual of matching equals matching of dual",
               _grid_claim(_quadratic_grid, lambda p, omega: check_dual_identity("matching", p, omega),
-                          "dual(mat) == mat(dual)")),
-        Claim("thm-dul", "dual of linear/total equals total/linear of dual", _claim_thm_dul),
+                          "dual(mat) == mat(dual)"), _OMEGA),
+        Claim("thm-dul", "dual of linear/total equals total/linear of dual", _claim_thm_dul, _OMEGA),
         Claim("prop-maninbl", "black product with the replicated associative operad gives the linear construction",
-              _product_claim("lin", ("black",), "== lin of the factor")),
+              _product_claim("lin", ("black",), "== lin of the factor"), _OMEGA),
         Claim("prop-maninbll", "black and white products with the matching associative operad give the matching construction",
-              _product_claim("mat", ("black", "white"), "")),
+              _product_claim("mat", ("black", "white"), ""), _OMEGA),
         Claim("cor-totalwhite", "white product with the totally compatible associative operad gives the total construction",
-              _product_claim("tot", ("white",), "== tot of the factor")),
+              _product_claim("tot", ("white",), "== tot of the factor"), _OMEGA),
         Claim("cor-undual", "the two-operator presentation and its matching constructions are self-dual", _claim_cor_undual),
-        Claim("prop-kdualdda", "dual of n commuting derivations: dimensions and relation families", _claim_prop_kdualdda),
+        Claim("prop-kdualdda", "dual of n commuting derivations: dimensions and relation families",
+              _claim_prop_kdualdda, ("delta",)),
         Claim("prop-matlin", "linear relations lie inside the matching span",
               _grid_claim(default_grid, lambda p, omega: presentation_span_contains(
-                  build_mat(p, omega), build_lin(p, omega)), "lin span inside mat span")),
+                  build_mat(p, omega), build_lin(p, omega)), "lin span inside mat span"), _OMEGA),
         Claim("prop-totmat", "matching relations lie inside the total span",
               _grid_claim(default_grid, lambda p, omega: presentation_span_contains(
-                  build_tot(p, omega), build_mat(p, omega)), "mat span inside tot span")),
+                  build_tot(p, omega), build_mat(p, omega)), "mat span inside tot span"), _OMEGA),
         Claim("ex-rbcom", "linearly compatible Rota-Baxter relations match the golden file", _claim_ex_rbcom),
         Claim("ex-rbmat-dend", "matching dendriform relations match the golden file", _claim_ex_rbmat_dend),
         Claim("ex-rbtot", "totally compatible Rota-Baxter relations match the golden file", _claim_ex_rbtot),
-        Claim("white-report", "emit the literal-vs-dual white product comparison", _claim_white_report),
+        Claim("white-report", "emit the literal-vs-dual white product comparison",
+              _claim_white_report, ("output",)),
     ]
 }
 
@@ -467,8 +476,12 @@ def cmd_verify(args) -> int:
         raise CommandError(
             f"unknown claim {args.claim!r}; see 'list-claims' for the registry"
         )
+    claim = CLAIMS[args.claim]
+    for option in _CLAIM_OPTIONS:
+        if getattr(args, option) is not None and option not in claim.options:
+            raise CommandError(f"claim {claim.key} does not take --{option}")
     all_ok = True
-    for label, ok, detail in CLAIMS[args.claim].runner(args):
+    for label, ok, detail in claim.runner(args):
         all_ok &= ok
         if ok and args.quiet:
             continue

@@ -19,13 +19,18 @@ linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
 
-Each public function colors every (tree, vertex colors) pair once: it
-makes one memo of colored trees and colored generators and passes it to
-its private steps, so ``build_tot`` shares it between its matching relations
-and its swaps, and ``verify_lin_encoding`` between ``build_lin`` and
-``expand_formal``.  Equal colored trees built through one memo are one
-object, and a build's colored generators are those of its generator list.
-The memo lives only for that call; nothing is cached across calls.
+A construction replicates each relation over color tuples or multisets, so
+each relation is compiled once per build into a template
+(``presentation._Template``) and every coloring is stamped from it; each
+swap is a template of one tree, compiled once and stamped for every pair of
+colors.  Each public function makes one memo and passes it to its private
+steps, so ``build_tot`` shares it between its matching relations and its
+swaps, and ``verify_lin_encoding`` between ``build_lin`` and
+``expand_formal``.  The memo maps each tree to its colored trees, keyed by
+the colors of the tree's vertices, so equal colored trees built through one
+memo are one object; it is seeded with the build's colored generators, so
+the trees and the generator list hold the same objects.  The memo lives
+only for that call; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .presentation import (
     Presentation,
     Relation,
     Term,
-    _color_relation,
-    _color_term,
+    _colored_copies,
+    _Template,
     presentation_span_equal,
     replicate,
     require_valid,
@@ -85,7 +90,8 @@ def _colored_gens(
 ) -> tuple[list[Generator], list[Generator]]:
     gens = replicate(p, omega)  # g#w for every generator g, then every color w
     # The colored trees take their generators from this list, through memo.
-    memo.update(zip(itertools.product(p.generators, omega.labels), gens))
+    for (g, color), colored in zip(itertools.product(p.generators, omega.labels), gens):
+        _colored_copies(memo, g)[color] = colored
     return [g for g in gens if g.arity == 1], [g for g in gens if g.arity == 2]
 
 
@@ -99,9 +105,9 @@ def _build_mat(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
     unary, binary = _colored_gens(p, omega, memo)
     rels = []
     for rel in p.relations:
+        template = _Template(rel.terms, memo)
         for colors in itertools.product(omega.labels, repeat=rel.weight):
-            name = f"{rel.name}__{','.join(colors)}"
-            rels.append(_color_relation(rel, colors, omega, memo, name))
+            rels.append(template.relation(f"{rel.name}__{','.join(colors)}", (colors,)))
     return Presentation(
         f"mat_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
     )
@@ -127,27 +133,35 @@ def _build_lin(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
     unary, binary = _colored_gens(p, omega, memo)
     rels = []
     for rel in p.relations:
+        template = _Template(rel.terms, memo)
         for colors in itertools.combinations_with_replacement(omega.labels, rel.weight):
             # The coefficient of c_mu c_nu ... is the sum over all distinct
             # orderings of the colors; the orderings are not individually
             # extractable from commuting scalars.
-            terms = tuple(
-                _color_term(term, ordering, memo)
-                for ordering in dict.fromkeys(itertools.permutations(colors))
-                for term in rel.terms
-            )
-            rels.append(Relation(_monomial_name(rel.name, colors), terms))
+            orderings = list(dict.fromkeys(itertools.permutations(colors)))
+            rels.append(template.relation(_monomial_name(rel.name, colors), orderings))
     return Presentation(
         f"lin_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
     )
 
 
-def _swap(
-    name: str, tree: Tree, slots: tuple[int, ...], first, second, memo: dict
-) -> Relation:
-    """t(first) - t(second): one slotted tree under two colorings."""
-    plus, minus = Term(Fraction(1), tree, slots), Term(Fraction(-1), tree, slots)
-    return Relation(name, (_color_term(plus, first, memo), _color_term(minus, second, memo)))
+# Transpositions of slots, as maps from slot to slot, and the swaps of a
+# relation of each weight: a name suffix and the transposition applied.
+_SWAP_12 = {1: 2, 2: 1, 3: 3}
+_SWAP_23 = {1: 1, 2: 3, 3: 2}
+_SWAPS = {2: (("", _SWAP_12),), 3: (("a", _SWAP_12), ("b", _SWAP_23))}
+
+
+def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) -> _Template:
+    """The swap t(first) - t(second) of one slotted tree, as a template that
+    is stamped by ``first``.
+
+    ``second`` is ``first`` with the colors of the slots that ``swap``
+    exchanges exchanged, so both terms are ``tree`` with ``slots`` and the
+    second one's vertices read their colors from the swapped slots.
+    """
+    terms = (Term(Fraction(1), tree, slots), Term(Fraction(-1), tree, slots))
+    return _Template(terms, memo, (slots, tuple([swap[s] for s in slots])))
 
 
 def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
@@ -156,23 +170,25 @@ def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
     Weight 2: t(mu,nu) - t(nu,mu).  Weight 3: t(mu,nu,mu) - t(nu,mu,mu) and
     t(mu,nu,mu) - t(mu,mu,nu), i.e. the swap of slots 1,2 and of slots 2,3.
     """
-    return _transpositions(rel, support(rel), mu, nu, {})
-
-
-def _transpositions(rel: Relation, supported: list, mu: str, nu: str, memo: dict) -> list[Relation]:
     if mu == nu:
         raise ValueError("transposition needs two distinct colors")
+    return _transpositions(rel.weight, _swaps(rel, support(rel), {}), mu, nu)
+
+
+def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Template]]:
+    """The swap templates of ``rel``'s support trees, with their name stems."""
     if rel.weight not in (2, 3):
         raise ValueError(f"relation {rel.name} has weight {rel.weight}, expected 2 or 3")
-    out = []
-    for idx, (tree, slots) in enumerate(supported):
-        name = f"{rel.name}__T_{idx}"
-        if rel.weight == 2:
-            out.append(_swap(f"{name}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu), memo))
-        else:
-            out.append(_swap(f"{name}a_{mu},{nu}", tree, slots, (mu, nu, mu), (nu, mu, mu), memo))
-            out.append(_swap(f"{name}b_{mu},{nu}", tree, slots, (mu, nu, mu), (mu, mu, nu), memo))
-    return out
+    return [
+        (f"{rel.name}__T_{idx}{suffix}", _swap(tree, slots, swap, memo))
+        for idx, (tree, slots) in enumerate(supported)
+        for suffix, swap in _SWAPS[rel.weight]
+    ]
+
+
+def _transpositions(weight: int, swaps: list, mu: str, nu: str) -> list[Relation]:
+    first = (mu, nu) if weight == 2 else (mu, nu, mu)
+    return [template.relation(f"{stem}_{mu},{nu}", (first,)) for stem, template in swaps]
 
 
 def uncovered_trees(p: Presentation) -> list[Tree]:
@@ -224,18 +240,18 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     extra = []
     supports = [support(rel) for rel in p.relations]
     for rel, supported in zip(p.relations, supports):
+        swaps = _swaps(rel, supported, memo)
         # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
         # the two weight-3 swaps for (nu,mu) are new relations.
         pairs = itertools.combinations if rel.weight == 2 else itertools.permutations
         for mu, nu in pairs(omega.labels, 2):
-            extra.extend(_transpositions(rel, supported, mu, nu, memo))
+            extra.extend(_transpositions(rel.weight, swaps, mu, nu))
     if p.is_quadratic:
         for idx, tree in _uncovered(p, supports):
-            slots = standard_slots(tree)
+            swap = _swap(tree, standard_slots(tree), _SWAP_12, memo)
             # t(nu,mu) - t(mu,nu) is the negative, so unordered pairs suffice.
             for mu, nu in itertools.combinations(omega.labels, 2):
-                name = f"swap__a{tree.arity}_{idx}_{mu},{nu}"
-                extra.append(_swap(name, tree, slots, (mu, nu), (nu, mu), memo))
+                extra.append(swap.relation(f"swap__a{tree.arity}_{idx}_{mu},{nu}", ((mu, nu),)))
     return Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,
@@ -270,16 +286,13 @@ def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
 def _expand_formal(p: Presentation, omega: ColorSet, memo: dict) -> list[FormalExpansion]:
     out = []
     for rel in p.relations:
-        buckets: dict[tuple[str, ...], list[Term]] = {}
+        template = _Template(rel.terms, memo)
+        buckets: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for colors in itertools.product(omega.labels, repeat=rel.weight):
-            monomial = tuple(sorted(colors))
-            # Relation sorts the terms of each coefficient once, below.
-            buckets.setdefault(monomial, []).extend(
-                [_color_term(term, colors, memo) for term in rel.terms]
-            )
+            buckets.setdefault(tuple(sorted(colors)), []).append(colors)
         coefficients = {
-            monomial: Relation(f"{rel.name}__c_{'.'.join(monomial)}", tuple(terms))
-            for monomial, terms in sorted(buckets.items())
+            monomial: template.relation(f"{rel.name}__c_{'.'.join(monomial)}", colorings)
+            for monomial, colorings in sorted(buckets.items())
         }
         out.append(FormalExpansion(rel.name, coefficients))
     return out

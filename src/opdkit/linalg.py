@@ -4,7 +4,8 @@ Every span question reduces to the ``Echelon`` kernel.  A row is a sparse
 integer vector ``{column: int}`` with content 1 (entries coprime), which
 fixes a rational row up to a nonzero scalar.  ``integer_row`` makes one from
 rational entries by scaling them all by one common denominator, so rows are
-integer from the start and no rational sum is formed.  ``Echelon`` keeps a
+integer from the start and no rational sum is formed; ``primitive_row``
+finishes a row whose entries are already integers.  ``Echelon`` keeps a
 fully reduced echelon basis keyed by pivot column: each basis row has a
 positive entry at its pivot, which is its smallest column, and no entry at
 any other pivot.  Rows are reduced fraction-free, cross-multiplying by the pivot and
@@ -41,6 +42,7 @@ __all__ = [
     "DiagonalForm",
     "Echelon",
     "integer_row",
+    "primitive_row",
     "rref",
     "rank",
     "nullspace",
@@ -139,6 +141,12 @@ def integer_row(entries: Iterable[tuple[int, Fraction]]) -> SparseRow:
     else:
         for col, x in entries:
             row[col] = row.get(col, 0) + x.numerator * (scale // x.denominator)
+    return primitive_row(row)
+
+
+def primitive_row(row: SparseRow) -> SparseRow:
+    """``row`` without its zero entries and divided by their gcd: the sparse
+    content-1 row on its line, or the empty row if every entry is zero."""
     if 0 in row.values():
         row = {col: v for col, v in row.items() if v}
     return _primitive(row) if row else row

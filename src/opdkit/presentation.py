@@ -9,10 +9,19 @@ term to term (as in a commutator).  Coloring keeps a tree's shape and
 replaces its generators, so each colored tree is built in one step from
 the uncolored tree's shape and the colored generators.
 
+Every coloring goes through ``_Template``: a relation's terms are compiled
+once per build, with each vertex's slot and table of colored generators,
+and each coloring is stamped from the compiled form.  A build's memo has
+two levels: ``memo[tree]`` maps the colors of the tree's vertices to the
+colored tree, so a stamp looks a tree up by a tuple of color labels and
+equal colored trees built through one memo are one object.
+
 The module also carries the span machinery used throughout.  Presentations
 are compared componentwise by exact row-space equality or containment: the
 relations of each grading become sparse integer rows over the trees that
-occur in them, reduced by the kernel of ``linalg``.  ``span_components``
+occur in them, reduced by the kernel of ``linalg``.  A relation's integer
+coefficients (its coefficients scaled by one common denominator) are worked
+out once; a colored relation takes its template's.  ``span_components``
 is the one routine that walks the gradings: it reports the rank of each
 side and, per grading, whether the spans are equal and whether the left one
 contains the right one.  Equality and containment checks, ``check-iso`` and
@@ -23,12 +32,14 @@ program no longer uses it, and the tests keep it as the dense reference.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property
+from math import lcm
+from operator import getitem, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .linalg import Echelon, RationalMatrix, SparseRow, integer_row
+from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import (
     Generator,
     GradedComponent,
@@ -117,8 +128,23 @@ class Relation:
     def grading(self) -> tuple[int, int]:
         return (self.arity, self.weight)
 
-    def renamed(self, name: str) -> "Relation":
-        return dataclasses.replace(self, name=name)
+    @cached_property
+    def _integer_coefficients(self) -> tuple[int, ...]:
+        """The coefficients scaled by one common denominator, in term order.
+
+        Worked out on first use; a colored relation gets its template's.
+        """
+        return tuple(_integers(self.terms))
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only, as before the integer coefficients existed.
+        return {"name": self.name, "terms": self.terms}
+
+
+def _integers(terms: Sequence[Term]) -> list[int]:
+    """The coefficients of ``terms`` scaled by one common denominator."""
+    scale = lcm(*(term.coeff.denominator for term in terms))
+    return [term.coeff.numerator * (scale // term.coeff.denominator) for term in terms]
 
 
 @dataclass(frozen=True)
@@ -297,32 +323,137 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return _WEIGHT_TWO_SHAPES[tree.shape][1]
 
 
-def _colored_tree(
-    tree: Tree, slots: tuple[int, ...], colors: Sequence[str], memo: dict
-) -> Tree:
-    """``tree`` with ``colors[j-1]`` on the vertex at slot j, built once per ``memo``.
+_new = object.__new__
+_set = object.__setattr__
+# A colored term is made without Term.__init__, whose check its template
+# passed: its fields are set through their slot descriptors.
+_set_coeff, _set_tree, _set_slots = Term.coeff.__set__, Term.tree.__set__, Term.slots.__set__
 
-    The memo holds each colored tree, keyed by the uncolored tree and the
-    colors of its vertices in preorder, and each colored generator, keyed by
-    (generator, color): equal colored trees built through one memo are one
-    object, and a build colors each generator once per color.
+
+class _ColoredCopies(dict):
+    """color -> one generator colored by it, each copy made on first use."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, gen: Generator) -> None:
+        super().__init__()
+        self.gen = gen
+
+    def __missing__(self, color: str) -> Generator:
+        colored = self[color] = self.gen.colored(color)
+        return colored
+
+
+def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
+    """The memo's table of the colored copies of ``gen``."""
+    copies = memo.get(gen)
+    if copies is None:
+        copies = memo[gen] = _ColoredCopies(gen)
+    return copies
+
+
+def _picker(indices: tuple[int, ...]) -> Callable[[Sequence[str]], tuple[str, ...]]:
+    """The function taking a color sequence to the tuple of its entries at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda colors: (colors[index],)
+    return lambda colors: ()
+
+
+class _Template:
+    """Terms compiled once, to be colored by many colorings.
+
+    Per term it holds the coefficient and the integer coefficient (all
+    coefficients scaled by one common denominator), the shape and slots,
+    the 0-based slot each vertex reads its color from, each vertex's table
+    of colored generators and the memo's dict of the tree's colorings.  A
+    coloring then makes each term from a lookup keyed by the colors of its
+    vertices, and puts the terms in canonical order without checking them
+    again.
+
+    The memo is shared by everything colored in one build: ``memo[gen]``
+    maps a color to the colored generator, ``memo[tree]`` maps the colors
+    of the tree's vertices in preorder to the colored tree.  Equal colored
+    trees built through one memo are therefore one object.
+
+    ``reads`` gives, per term, the slots its vertices read their colors
+    from, when they are not the term's own slots (see ``compat._swap``).
     """
-    vertex_colors = tuple([colors[slot - 1] for slot in slots])
-    key = (tree, vertex_colors)
-    colored = memo.get(key)
-    if colored is None:
-        gens = []
-        for gen, color in zip(tree.internal_generators(), vertex_colors):
-            colored_gen = memo.get((gen, color))
-            if colored_gen is None:
-                colored_gen = memo[gen, color] = gen.colored(color)
-            gens.append(colored_gen)
-        colored = memo[key] = _flat_tree(tree.shape, tuple(gens))
-    return colored
 
+    __slots__ = ("_parts", "_ranks", "_ties", "_in_order", "_integer_rows")
 
-def _color_term(term: Term, colors: Sequence[str], memo: dict) -> Term:
-    return Term(term.coeff, _colored_tree(term.tree, term.slots, colors, memo), term.slots)
+    def __init__(
+        self, terms: Sequence[Term], memo: dict, reads: Optional[Sequence[tuple[int, ...]]] = None
+    ) -> None:
+        parts = []
+        for term, value, read in zip(terms, _integers(terms), reads or [t.slots for t in terms]):
+            tree = term.tree
+            colorings = memo.get(tree)
+            if colorings is None:
+                colorings = memo[tree] = {}
+            parts.append((
+                term.coeff,
+                value,
+                tree.shape,
+                term.slots,
+                _picker(tuple([slot - 1 for slot in read])),
+                tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()]),
+                colorings,
+            ))
+        self._parts = parts
+        # Colored terms compare as in Term.sort_key by (rank, generator
+        # keys, tie).  Coloring keeps a tree's (arity, weight, shape), whose
+        # rank comes first.  Two colored trees with equal keys come from
+        # equal trees, so their terms compare by slots and coefficient, as
+        # their template terms do: the tie is a term's place in the sorted
+        # template.  One coloring of terms of increasing rank needs no sort.
+        grades = [(term.tree.arity, term.tree.weight, term.tree.shape) for term in terms]
+        rank = {grade: i for i, grade in enumerate(sorted(set(grades)))}
+        self._ranks = [rank[grade] for grade in grades]
+        self._ties = [0] * len(terms)
+        if len(rank) < len(terms):  # else equal keys mean one template term
+            for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
+                self._ties[i] = place
+        self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
+        # Stamped relations with equal integer coefficients share one tuple.
+        self._integer_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def stamp(self, colorings: Iterable[Sequence[str]]) -> tuple[list[Term], list[int]]:
+        """The terms under each coloring in turn, in template order, with
+        their integer coefficients."""
+        terms, ints = [], []
+        for colors in colorings:
+            for coeff, value, shape, slots, pick, copies, trees in self._parts:
+                vertex_colors = pick(colors)
+                tree = trees.get(vertex_colors)
+                if tree is None:
+                    gens = tuple(map(getitem, copies, vertex_colors))
+                    tree = trees[vertex_colors] = _flat_tree(shape, gens)
+                term = _new(Term)
+                _set_coeff(term, coeff)
+                _set_tree(term, tree)
+                _set_slots(term, slots)
+                terms.append(term)
+                ints.append(value)
+        return terms, ints
+
+    def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
+        """The relation ``name`` whose terms are those of every coloring."""
+        terms, ints = self.stamp(colorings)
+        if len(colorings) > 1 or not self._in_order:
+            n = len(colorings)
+            keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
+            order = sorted(range(len(terms)), key=keys.__getitem__)
+            terms = [terms[i] for i in order]
+            ints = [ints[i] for i in order]
+        rel = _new(Relation)
+        _set(rel, "name", name)
+        _set(rel, "terms", tuple(terms))
+        ints = tuple(ints)
+        _set(rel, "_integer_coefficients", self._integer_rows.setdefault(ints, ints))
+        return rel
 
 
 def color_term(term: Term, colors: Sequence[str]) -> Term:
@@ -333,22 +464,8 @@ def color_term(term: Term, colors: Sequence[str]) -> Term:
             f"term {tree_text(term.tree, term.slots)} has weight {weight}, "
             f"got {len(colors)} colors"
         )
-    return _color_term(term, colors, {})
-
-
-def _color_relation(
-    rel: Relation, colors: Sequence[str], omega: Optional[ColorSet], memo: dict, name: str
-) -> Relation:
-    """``rel`` colored by ``colors`` and named ``name``, sorted once."""
-    if len(colors) != rel.weight:
-        raise ValueError(
-            f"relation {rel.name} has weight {rel.weight}, got {len(colors)} colors"
-        )
-    if omega is not None:
-        for c in colors:
-            if c not in omega.labels:
-                raise ValueError(f"color label {c!r} not in the ambient color set")
-    return Relation(name, tuple([_color_term(term, colors, memo) for term in rel.terms]))
+    (colored,), _ = _Template((term,), {}).stamp((colors,))
+    return colored
 
 
 def color_relation(
@@ -357,7 +474,15 @@ def color_relation(
     omega: Optional[ColorSet] = None,
 ) -> Relation:
     """Apply ``colors[j-1]`` to the generator sitting at slot j of every term."""
-    return _color_relation(rel, colors, omega, {}, rel.name)
+    if len(colors) != rel.weight:
+        raise ValueError(
+            f"relation {rel.name} has weight {rel.weight}, got {len(colors)} colors"
+        )
+    if omega is not None:
+        for c in colors:
+            if c not in omega.labels:
+                raise ValueError(f"color label {c!r} not in the ambient color set")
+    return _Template(rel.terms, {}).relation(rel.name, (colors,))
 
 
 def rename_generators(
@@ -491,8 +616,8 @@ class _Columns:
 
     def row(self, rel: Relation) -> SparseRow:
         cols = self.cols
-        entries = []
-        for term in rel.terms:
+        row: SparseRow = {}
+        for term, value in zip(rel.terms, rel._integer_coefficients):
             tree = term.tree
             col = cols.get(tree)
             if col is None:
@@ -501,8 +626,8 @@ class _Columns:
                 ):
                     raise _outside_component(rel)
                 col = cols[tree] = len(cols)
-            entries.append((col, term.coeff))
-        return integer_row(entries)
+            row[col] = row.get(col, 0) + value
+        return primitive_row(row)
 
 
 def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Relation]]:

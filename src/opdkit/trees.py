@@ -12,7 +12,7 @@ generator stores its hash and sort key when it is built.  A tree is stored
 flat, as its shape and its generators in preorder, with its arity, weight,
 hash and sort keys derived from them once; ``tree_key`` reads them without
 a walk.  ``relabel`` (renaming, dualizing, the Manin products) and coloring
-(``presentation._colored_tree``) build each tree in one step from a
+(``presentation._Template``) build each tree in one step from a
 template's shape and new generators; composition splices flat forms.
 """
 
@@ -186,8 +186,13 @@ class Tree:
         return f"Tree({tree_text(self)})"
 
 
-_set = object.__setattr__
 _new = object.__new__
+# Tree.__setattr__ refuses every assignment; _flat_tree sets the fields
+# through their slot descriptors.
+_set_shape, _set_gens, _set_keys, _set_hash = (
+    Tree.shape.__set__, Tree._gens.__set__, Tree._keys.__set__, Tree._hash.__set__
+)
+_set_arity, _set_weight = Tree.arity.__set__, Tree.weight.__set__
 
 
 def _flat_tree(shape: tuple[int, ...], gens: tuple[Generator, ...]) -> Tree:
@@ -196,12 +201,12 @@ def _flat_tree(shape: tuple[int, ...], gens: tuple[Generator, ...]) -> Tree:
     function of (shape, generators) however the tree was made."""
     keys = tuple([g.sort_key for g in gens])
     tree = _new(Tree)
-    _set(tree, "shape", shape)
-    _set(tree, "_gens", gens)
-    _set(tree, "arity", shape.count(_KIND_LEAF))
-    _set(tree, "weight", len(gens))
-    _set(tree, "_keys", keys)
-    _set(tree, "_hash", hash((shape, keys)))
+    _set_shape(tree, shape)
+    _set_gens(tree, gens)
+    _set_arity(tree, shape.count(_KIND_LEAF))
+    _set_weight(tree, len(gens))
+    _set_keys(tree, keys)
+    _set_hash(tree, hash((shape, keys)))
     return tree
 
 

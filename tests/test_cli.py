@@ -233,8 +233,9 @@ def test_verify_transcript_matches_archived_copy(capsys):
     for claim in sorted(CLAIMS):
         if claim == "white-report":
             continue
-        code, out, _ = run(capsys, "verify", claim, "--omega", "2")
-        parts.append(f"$ opdkit verify {claim} --omega 2  # exit {code}\n{out}")
+        argv = ["verify", claim] + (["--omega", "2"] if "omega" in CLAIMS[claim].options else [])
+        code, out, _ = run(capsys, *argv)
+        parts.append(f"$ opdkit {' '.join(argv)}  # exit {code}\n{out}")
     archived = (ROOT / "tests" / "golden" / "verify_omega2.txt").read_text()
     assert "".join(parts) == archived
 
@@ -250,6 +251,33 @@ def test_black_product_of_two_total_builds(capsys, tmp_path):
     code, out, err = run(capsys, "product", "black", *paths)
     assert (code, err) == (0, "")
     assert "relation assoc__T_0_1,2__x__dleft__T_0_1,2:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ex-rbtot", "--omega", "8"],
+    ["ex-rbcom", "--omega", "2"],
+    ["ex-rbmat-dend", "--omega", "3"],
+    ["cor-undual", "--omega", "2"],
+    ["prop-kdualdda", "--omega", "2"],
+    ["white-report", "--omega", "2"],
+    ["thm-comp", "--delta", "2"],
+    ["prop-maninbl", "--omega", "2", "--delta", "2"],
+    ["ex-rbcom", "--output", "report.md"],
+], ids=" ".join)
+def test_verify_refuses_options_the_claim_does_not_read(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: claim {argv[0]} does not take {argv[-2]}\n"
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_verify_claims_read_the_options_they_declare():
+    omega = {key for key, claim in CLAIMS.items() if "omega" in claim.options}
+    assert omega == {"thm-comp", "thm-mdul", "thm-dul", "prop-maninbl", "prop-maninbll",
+                     "cor-totalwhite", "prop-matlin", "prop-totmat"}
+    assert [key for key, claim in CLAIMS.items() if "delta" in claim.options] == ["prop-kdualdda"]
+    assert [key for key, claim in CLAIMS.items() if "output" in claim.options] == ["white-report"]
 
 
 @pytest.mark.parametrize("spec", ["a", "0"])
@@ -351,7 +379,8 @@ def test_options_do_not_carry_over_between_calls(capsys, monkeypatch):
         seen.append((args.omega, args.delta, args.output, args.quiet))
         yield "probe", True, ""
 
-    monkeypatch.setitem(CLAIMS, "probe", Claim("probe", "records its arguments", runner))
+    probe = Claim("probe", "records its arguments", runner, ("omega", "delta", "output"))
+    monkeypatch.setitem(CLAIMS, "probe", probe)
     run(capsys, "verify", "probe", "--omega", "2", "--delta", "3", "--output", "x", "--quiet")
     run(capsys, "verify", "probe")
     assert seen == [(2, 3, "x", True), (None, None, None, False)]
@@ -370,10 +399,10 @@ def test_a_refused_call_leaves_the_next_one_as_in_a_fresh_process(capsys):
         main(["verify", "ex-rbcom", "--format", "json"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-    code, out, err = run(capsys, "verify", "ex-rbcom", "--omega", "2")
+    code, out, err = run(capsys, "verify", "ex-rbcom")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     fresh = subprocess.run(
-        [sys.executable, "-m", "opdkit.cli", "verify", "ex-rbcom", "--omega", "2"],
+        [sys.executable, "-m", "opdkit.cli", "verify", "ex-rbcom"],
         capture_output=True, text=True, env=env, check=False,
     )
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

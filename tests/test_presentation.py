@@ -14,7 +14,7 @@ from opdkit.presentation import (
     Presentation,
     Relation,
     Term,
-    _colored_tree,
+    _Template,
     color_relation,
     color_term,
     presentation_span_contains,
@@ -138,6 +138,14 @@ def test_color_term_checks_its_colors():
 
 # --- the colored walk against relabel ---
 
+
+def colored_tree(tree, slots, colors, memo):
+    """``tree`` with ``colors[j-1]`` on its vertex at slot j, stamped from a
+    one-term template compiled through ``memo``."""
+    (term,), _ = _Template((Term(Fraction(1), tree, slots),), memo).stamp((colors,))
+    return term.tree
+
+
 UNARY = [P, Generator("d", 1), Generator("P", 1, None, True)]
 BINARY = [M, Generator("n", 2), Generator("m", 2, None, True)]
 
@@ -166,7 +174,7 @@ def test_colored_walk_matches_relabel_and_shares_subtrees(data):
     slots = tuple(data.draw(st.permutations(range(1, tree.weight + 1))))
     other_slots = tuple(data.draw(st.permutations(range(1, other.weight + 1))))
     memo = {}
-    colored = _colored_tree(tree, slots, colors, memo)
+    colored = colored_tree(tree, slots, colors, memo)
     reference = relabel(
         tree, [g.colored(colors[s - 1]) for g, s in zip(tree.internal_generators(), slots)]
     )
@@ -175,8 +183,8 @@ def test_colored_walk_matches_relabel_and_shares_subtrees(data):
     assert tree_text(colored) == tree_text(reference)
     # A colored tree holds no subtrees; built again through the same memo,
     # after other trees, it is the same object.
-    _colored_tree(other, other_slots, colors, memo)
-    assert _colored_tree(pickle.loads(pickle.dumps(tree)), slots, colors, memo) is colored
+    colored_tree(other, other_slots, colors, memo)
+    assert colored_tree(pickle.loads(pickle.dumps(tree)), slots, colors, memo) is colored
 
 
 @st.composite
@@ -239,7 +247,7 @@ def test_flat_colored_and_relabelled_trees_match_the_walked_tree(plan, data):
     colors = [""] * tree.weight
     for slot, color in zip(slots, vertex_colors):
         colors[slot - 1] = color
-    colored = _colored_tree(tree, slots, colors, {})
+    colored = colored_tree(tree, slots, colors, {})
     relabelled = relabel(tree, walked.internal_generators())
     for flat in (colored, relabelled):
         for built in (flat, pickle.loads(pickle.dumps(flat))):
@@ -260,12 +268,30 @@ def test_color_commutes_with_sum():
     assert a.terms == b.terms
 
 
+def test_colored_relations_pickle_and_compare_as_their_fields():
+    rel = builtin("rba0").relation("rb")
+    scales = (Fraction(1, 2), Fraction(-3), Fraction(2, 3))
+    rel = Relation(rel.name, tuple(Term(t.coeff * c, t.tree, t.slots) for t, c in zip(rel.terms, scales)))
+    colored = color_relation(rel, ("1", "2", "1"))
+    plain = Relation(colored.name, colored.terms)
+    assert pickle.dumps(colored) == pickle.dumps(plain)
+    assert (colored, hash(colored), repr(colored)) == (plain, hash(plain), repr(plain))
+    # The stamped integer coefficients are the ones worked out afresh.
+    assert colored._integer_coefficients == plain._integer_coefficients
+    copy = pickle.loads(pickle.dumps(colored))
+    assert copy == colored and "_integer_coefficients" not in vars(copy)
+    assert copy._integer_coefficients == colored._integer_coefficients
+    assert pickle.dumps(copy) == pickle.dumps(plain)
+
+
 def test_removed_helpers_are_gone_from_the_api():
     import opdkit
     from opdkit import presentation, trees
 
     for module, name in ((opdkit, "elementwise_sum"), (opdkit, "compare"),
-                         (presentation, "elementwise_sum"), (trees, "compare")):
+                         (presentation, "elementwise_sum"), (trees, "compare"),
+                         (Relation, "renamed"), (presentation, "_colored_tree"),
+                         (presentation, "_color_term"), (presentation, "_color_relation")):
         assert not hasattr(module, name), name
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import dense_reference as ref
+import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +190,44 @@ def test_presentation_spans_match_reference(label, big_kind, small_kind, nested,
     # A subset of big's own relations is contained in big, so both
     # verdicts of the containment check are exercised.
     small = subset(data, big if nested else constructed(label, small_kind))
+    assert_spans_match_reference(big, small)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(rescaled.GRID)),
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.booleans(),
+    st.data(),
+)
+def test_rescaled_spans_match_reference(label, big_kind, small_kind, nested, data):
+    # Rational coefficients, terms that a coloring merges onto one tree, and
+    # relations that cancel to zero.  Each side is rescaled on its own; a
+    # nested side rescales big's own relations, whose integer coefficients
+    # are then worked out afresh rather than taken from their template.
+    p = rescaled.GRID[label]
+    big = subset(data, build_compatible(big_kind, rescaled.rescaled(data, p), ColorSet.of(2)))
+    if nested:
+        other = rescaled.rescaled(data, big)
+    else:
+        other = build_compatible(small_kind, rescaled.rescaled(data, p), ColorSet.of(2))
+    assert_spans_match_reference(big, subset(data, other))
+
+
+def test_a_colored_relation_that_cancels_to_zero_adds_no_rank():
+    mat = build_compatible("matching", rescaled.two_slot_maps(False), ColorSet.of(2))
+    zero = Presentation(mat.name, mat.unary, mat.binary, (mat.relation("cancel__1,1"),))
+    _, rows = component_matrix(mat.generators, zero.relations, 1, 2)
+    assert not any(any(row) for row in rows.rows)
+    unary = [c for c in span_components(mat, zero) if c.arity == 1]
+    # The mixed colorings, P#1(P#2(x1)) - P#2(P#1(x1)) and its negative, span one line.
+    assert [(c.left_rank, c.right_rank, c.equal, c.contains) for c in unary] == [(1, 0, False, True)]
+    assert_spans_match_reference(mat, zero)
+    assert_spans_match_reference(zero, mat)
+
+
+def assert_spans_match_reference(big, small):
     assert presentation_span_contains(big, small) == reference_contains(big, small)
     assert presentation_span_contains(small, big) == reference_contains(small, big)
     assert presentation_span_equal(big, small) == reference_equal(big, small)
