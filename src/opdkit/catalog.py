@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .presentation import Presentation, Relation, Term, validate
+from .presentation import Presentation, Relation, Term
 from .trees import Generator, Tree, leaf
 
 __all__ = ["CatalogEntry", "builtin", "entries", "catalog_keys", "default_grid"]
@@ -261,7 +261,7 @@ def builtin(key: str, param: Optional[int] = None) -> Presentation:
         if param is not None:
             raise ValueError(f"catalog entry {key!r} takes no parameter")
         p = entry.builder()
-    report = validate(p)
+    report = p._validation
     assert report.ok, f"catalog entry {key} failed validation: {report}"
     return p
 

@@ -41,7 +41,6 @@ from .presentation import (
     presentation_span_equal,
     rename_generators,
     span_components,
-    validate,
 )
 from .trees import Generator, Tree, enumerate_basis, leaf, tree_text
 
@@ -58,7 +57,8 @@ def _read_presentation(path: str) -> Presentation:
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}") from exc
     p = parse_presentation(text)
-    report = validate(p)
+    # The report stays on p, so the builds that follow do not validate again.
+    report = p._validation
     if not report.ok:
         raise CommandError(f"{path}: invalid presentation:\n{report}")
     return p

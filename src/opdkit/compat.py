@@ -20,17 +20,21 @@ sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
 
 A construction replicates each relation over color tuples or multisets, so
-each relation is compiled once per build into a template
-(``presentation._Template``) and every coloring is stamped from it; each
-swap is a template of one tree, compiled once and stamped for every pair of
-colors.  Each public function makes one memo and passes it to its private
-steps, so ``build_tot`` shares it between its matching relations and its
-swaps, and ``verify_lin_encoding`` between ``build_lin`` and
-``expand_formal``.  The memo maps each tree to its colored trees, keyed by
-the colors of the tree's vertices, so equal colored trees built through one
-memo are one object; it is seeded with the build's colored generators, so
-the trees and the generator list hold the same objects.  The memo lives
-only for that call; nothing is cached across calls.
+each relation is compiled into a template (``presentation._Template``)
+and every coloring is stamped from it; each swap is a template of one
+tree, stamped for every pair of colors.  The templates, the swaps and the
+coloring memo they share are the presentation's compiled state
+(``presentation._Compiled``), made by the first build from a presentation
+object and kept as long as that object lives.  So every build from one
+input, at any color count, shares them: ``build_tot`` with a ``build_mat``
+of the same input, ``expand_formal`` with ``build_lin``, a 3-color build
+with a 2-color one.  The memo maps each tree to its colored trees, keyed
+by the colors of the tree's vertices, so equal colored trees built from
+one input are one object, and a build's generator list is read from the
+memo's colored copies, so its trees and its generator list hold the same
+objects.  The state is never global; an equal presentation built anew
+starts with none, and ``transposition_relations``, which takes a relation,
+not a presentation, compiles its swaps afresh on every call.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from .presentation import (
     Presentation,
     Relation,
     Term,
-    _colored_copies,
+    _Compiled,
+    _require_uncolored,
     _Template,
     presentation_span_equal,
-    replicate,
     require_valid,
     standard_slots,
 )
@@ -85,32 +89,36 @@ def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
     return [key for key in order if totals[key] != 0]
 
 
+def _compiled(p: Presentation) -> _Compiled:
+    """``p``'s compiled state, once ``p`` is known to be valid and uncolored."""
+    require_valid(p)
+    _require_uncolored(p)
+    return p._compiled
+
+
 def _colored_gens(
-    p: Presentation, omega: ColorSet, memo: dict
-) -> tuple[list[Generator], list[Generator]]:
-    gens = replicate(p, omega)  # g#w for every generator g, then every color w
-    # The colored trees take their generators from this list, through memo.
-    for (g, color), colored in zip(itertools.product(p.generators, omega.labels), gens):
-        _colored_copies(memo, g)[color] = colored
-    return [g for g in gens if g.arity == 1], [g for g in gens if g.arity == 2]
+    omega: ColorSet, compiled: _Compiled
+) -> tuple[tuple[Generator, ...], tuple[Generator, ...]]:
+    """g#w for every generator g, then every color w, as ``replicate`` lists
+    them, taken from the memo that the colored trees take theirs from."""
+    gens = [copies[w] for copies in compiled.copies for w in omega.labels]
+    return tuple([g for g in gens if g.arity == 1]), tuple([g for g in gens if g.arity == 2])
 
 
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
-    require_valid(p)
-    return _build_mat(p, ColorSet.of(omega), {})
+    compiled = _compiled(p)
+    return _build_mat(p, ColorSet.of(omega), compiled)
 
 
-def _build_mat(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
-    unary, binary = _colored_gens(p, omega, memo)
-    rels = []
-    for rel in p.relations:
-        template = _Template(rel.terms, memo)
-        for colors in itertools.product(omega.labels, repeat=rel.weight):
-            rels.append(template.relation(f"{rel.name}__{','.join(colors)}", (colors,)))
-    return Presentation(
-        f"mat_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
-    )
+def _build_mat(p: Presentation, omega: ColorSet, compiled: _Compiled) -> Presentation:
+    unary, binary = _colored_gens(omega, compiled)
+    rels = [
+        template.relation(f"{rel.name}__{','.join(colors)}", (colors,))
+        for rel, template in zip(p.relations, compiled.templates)
+        for colors in itertools.product(omega.labels, repeat=rel.weight)
+    ]
+    return Presentation(f"mat_{p.name}__{'_'.join(omega.labels)}", unary, binary, tuple(rels))
 
 
 def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
@@ -125,24 +133,21 @@ def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
 def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     """Linearly compatible operad: one relation per color monomial of each
     relation, the sum of its distinct orderings."""
-    require_valid(p)
-    return _build_lin(p, ColorSet.of(omega), {})
+    compiled = _compiled(p)
+    return _build_lin(p, ColorSet.of(omega), compiled)
 
 
-def _build_lin(p: Presentation, omega: ColorSet, memo: dict) -> Presentation:
-    unary, binary = _colored_gens(p, omega, memo)
+def _build_lin(p: Presentation, omega: ColorSet, compiled: _Compiled) -> Presentation:
+    unary, binary = _colored_gens(omega, compiled)
     rels = []
-    for rel in p.relations:
-        template = _Template(rel.terms, memo)
+    for rel, template in zip(p.relations, compiled.templates):
         for colors in itertools.combinations_with_replacement(omega.labels, rel.weight):
             # The coefficient of c_mu c_nu ... is the sum over all distinct
             # orderings of the colors; the orderings are not individually
             # extractable from commuting scalars.
             orderings = list(dict.fromkeys(itertools.permutations(colors)))
             rels.append(template.relation(_monomial_name(rel.name, colors), orderings))
-    return Presentation(
-        f"lin_{p.name}__{'_'.join(omega.labels)}", tuple(unary), tuple(binary), tuple(rels)
-    )
+    return Presentation(f"lin_{p.name}__{'_'.join(omega.labels)}", unary, binary, tuple(rels))
 
 
 # Transpositions of slots, as maps from slot to slot, and the swaps of a
@@ -234,30 +239,40 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     golden file records.
     """
     omega = ColorSet.of(omega)
-    require_valid(p)
-    memo: dict = {}
-    mat = _build_mat(p, omega, memo)
+    compiled = _compiled(p)
+    mat = _build_mat(p, omega, compiled)
+    if compiled.tot_swaps is None:
+        compiled.tot_swaps = _tot_swaps(p, compiled.memo)
     extra = []
-    supports = [support(rel) for rel in p.relations]
-    for rel, supported in zip(p.relations, supports):
-        swaps = _swaps(rel, supported, memo)
+    for weight, swaps in compiled.tot_swaps:
         # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
         # the two weight-3 swaps for (nu,mu) are new relations.
-        pairs = itertools.combinations if rel.weight == 2 else itertools.permutations
+        pairs = itertools.combinations if weight == 2 else itertools.permutations
         for mu, nu in pairs(omega.labels, 2):
-            extra.extend(_transpositions(rel.weight, swaps, mu, nu))
-    if p.is_quadratic:
-        for idx, tree in _uncovered(p, supports):
-            swap = _swap(tree, standard_slots(tree), _SWAP_12, memo)
-            # t(nu,mu) - t(mu,nu) is the negative, so unordered pairs suffice.
-            for mu, nu in itertools.combinations(omega.labels, 2):
-                extra.append(swap.relation(f"swap__a{tree.arity}_{idx}_{mu},{nu}", ((mu, nu),)))
+            extra.extend(_transpositions(weight, swaps, mu, nu))
     return Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,
         mat.binary,
         mat.relations + tuple(extra),
     )
+
+
+def _tot_swaps(p: Presentation, memo: dict) -> list[tuple[int, list[tuple[str, _Template]]]]:
+    """The swap templates of ``build_tot`` with their name stems, grouped by
+    weight: each relation's support swaps, then, for a quadratic ``p``, the
+    weight-2 swaps of the uncovered trees."""
+    supports = [support(rel) for rel in p.relations]
+    groups = [
+        (rel.weight, _swaps(rel, supported, memo))
+        for rel, supported in zip(p.relations, supports)
+    ]
+    if p.is_quadratic:
+        groups.append((2, [
+            (f"swap__a{tree.arity}_{idx}", _swap(tree, standard_slots(tree), _SWAP_12, memo))
+            for idx, tree in _uncovered(p, supports)
+        ]))
+    return groups
 
 
 def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Presentation:
@@ -279,14 +294,13 @@ class FormalExpansion:
 
 def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
     """Substitute sum_w c_w g#w into every slot and collect by monomial in the c's."""
-    require_valid(p)
-    return _expand_formal(p, ColorSet.of(omega), {})
+    compiled = _compiled(p)
+    return _expand_formal(p, ColorSet.of(omega), compiled)
 
 
-def _expand_formal(p: Presentation, omega: ColorSet, memo: dict) -> list[FormalExpansion]:
+def _expand_formal(p: Presentation, omega: ColorSet, compiled: _Compiled) -> list[FormalExpansion]:
     out = []
-    for rel in p.relations:
-        template = _Template(rel.terms, memo)
+    for rel, template in zip(p.relations, compiled.templates):
         buckets: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             buckets.setdefault(tuple(sorted(colors)), []).append(colors)
@@ -304,12 +318,11 @@ def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
     Checked separately in every (arity, weight) component.
     """
     omega = ColorSet.of(omega)
-    require_valid(p)
-    memo: dict = {}
-    lin = _build_lin(p, omega, memo)
+    compiled = _compiled(p)
+    lin = _build_lin(p, omega, compiled)
     extracted = [
         rel
-        for expansion in _expand_formal(p, omega, memo)
+        for expansion in _expand_formal(p, omega, compiled)
         for rel in expansion.coefficients.values()
     ]
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))

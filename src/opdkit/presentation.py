@@ -10,11 +10,21 @@ replaces its generators, so each colored tree is built in one step from
 the uncolored tree's shape and the colored generators.
 
 Every coloring goes through ``_Template``: a relation's terms are compiled
-once per build, with each vertex's slot and table of colored generators,
-and each coloring is stamped from the compiled form.  A build's memo has
-two levels: ``memo[tree]`` maps the colors of the tree's vertices to the
-colored tree, so a stamp looks a tree up by a tuple of color labels and
-equal colored trees built through one memo are one object.
+once, with each vertex's slot and table of colored generators, and each
+coloring is stamped from the compiled form.  A memo has two levels:
+``memo[tree]`` maps the colors of the tree's vertices to the colored tree,
+so a stamp looks a tree up by a tuple of color labels and equal colored
+trees built through one memo are one object.
+
+A presentation keeps what the builders derive from it, made on first use
+and kept as long as the presentation lives: its validation report and
+its ``_Compiled`` state (the coloring memo, one template per relation and
+the total construction's swaps).  Every build from one presentation object
+shares them, whatever colors it asks for, so the state grows with the
+color labels asked of it.  Nothing is kept anywhere else: the state is not
+a field, takes no part in equality, hashing, copying or pickling, and goes
+when the presentation goes.  ``color_term`` and ``color_relation`` take no
+presentation, so each call compiles with a memo of its own.
 
 The module also carries the span machinery used throughout.  Presentations
 are compared componentwise by exact row-space equality or containment: the
@@ -36,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
@@ -141,6 +151,9 @@ class Relation:
         return {"name": self.name, "terms": self.terms}
 
 
+_relation_name = attrgetter("name")
+
+
 def _integers(terms: Sequence[Term]) -> list[int]:
     """The coefficients of ``terms`` scaled by one common denominator."""
     scale = lcm(*(term.coeff.denominator for term in terms))
@@ -152,7 +165,12 @@ class Presentation:
     """Generators plus relations, presenting the quotient of a free operad.
 
     Generators keep declaration order; relations are kept sorted by name so
-    that structural equality and serialization agree.
+    that structural equality and serialization agree.  Relations that share
+    a name, which only an invalid presentation has, are ordered by their
+    first terms.
+
+    The validation report and the builders' compiled state are worked out
+    on first use and kept on the object; they are not fields.
     """
 
     name: str
@@ -161,9 +179,31 @@ class Presentation:
     relations: tuple[Relation, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.relations, key=lambda r: (r.name, r.terms[0].sort_key())))
+        ordered = sorted(self.relations, key=_relation_name)
+        if len(set(map(_relation_name, ordered))) < len(ordered):
+            ordered.sort(key=lambda r: (r.name, r.terms[0].sort_key()))
+        ordered = tuple(ordered)
         if ordered != self.relations:
             object.__setattr__(self, "relations", ordered)
+
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        """``validate(self)``, worked out on first use."""
+        return validate(self)
+
+    @cached_property
+    def _compiled(self) -> "_Compiled":
+        """The builders' state (see ``_Compiled``), made on first use."""
+        return _Compiled(self)
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy the fields only: the derived state holds functions.
+        return {
+            "name": self.name,
+            "unary": self.unary,
+            "binary": self.binary,
+            "relations": self.relations,
+        }
 
     @property
     def generators(self) -> tuple[Generator, ...]:
@@ -282,18 +322,22 @@ def validate(p: Presentation) -> ValidationReport:
 
 
 def require_valid(p: Presentation) -> None:
-    report = validate(p)
+    report = p._validation
     if not report.ok:
         raise ValueError(f"invalid presentation {p.name}: {report}")
 
 
-def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
-    """The colored generator family: one copy g#w of every generator per color."""
+def _require_uncolored(p: Presentation) -> None:
     for g in p.generators:
         if g.color is not None:
             raise ValueError(
                 f"cannot replicate already-colored generator {g.serialized()}"
             )
+
+
+def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
+    """The colored generator family: one copy g#w of every generator per color."""
+    _require_uncolored(p)
     return [g.colored(w) for g in p.generators for w in omega]
 
 
@@ -373,10 +417,11 @@ class _Template:
     vertices, and puts the terms in canonical order without checking them
     again.
 
-    The memo is shared by everything colored in one build: ``memo[gen]``
-    maps a color to the colored generator, ``memo[tree]`` maps the colors
-    of the tree's vertices in preorder to the colored tree.  Equal colored
-    trees built through one memo are therefore one object.
+    The memo is shared by everything colored from one presentation (see
+    ``_Compiled``): ``memo[gen]`` maps a color to the colored generator,
+    ``memo[tree]`` maps the colors of the tree's vertices in preorder to
+    the colored tree.  Equal colored trees built through one memo are
+    therefore one object.
 
     ``reads`` gives, per term, the slots its vertices read their colors
     from, when they are not the term's own slots (see ``compat._swap``).
@@ -454,6 +499,30 @@ class _Template:
         ints = tuple(ints)
         _set(rel, "_integer_coefficients", self._integer_rows.setdefault(ints, ints))
         return rel
+
+
+class _Compiled:
+    """What the builders derive from one valid presentation.
+
+    ``memo`` is the coloring memo that every build from the presentation
+    shares, ``copies`` the memo's table of colored copies of each
+    generator, in generator order, and ``templates`` one compiled template
+    per relation, by position.  ``tot_swaps`` holds the total
+    construction's swap templates, grouped by weight, once
+    ``compat.build_tot`` has compiled them.
+
+    It is made on first use (``Presentation._compiled``) and lives as long
+    as its presentation.  It grows with the color labels asked of it: each
+    new label adds its colored generators and the colored trees that use it.
+    """
+
+    __slots__ = ("memo", "copies", "templates", "tot_swaps")
+
+    def __init__(self, p: Presentation) -> None:
+        self.memo = memo = {}
+        self.copies = tuple([_colored_copies(memo, g) for g in p.generators])
+        self.templates = tuple([_Template(rel.terms, memo) for rel in p.relations])
+        self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
 
 
 def color_term(term: Term, colors: Sequence[str]) -> Term:
@@ -633,7 +702,8 @@ class _Columns:
 def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Relation]]:
     out: dict[tuple[int, int], list[Relation]] = {}
     for rel in relations:
-        out.setdefault(rel.grading(), []).append(rel)
+        tree = rel.terms[0].tree
+        out.setdefault((tree.arity, tree.weight), []).append(rel)
     return out
 
 

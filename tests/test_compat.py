@@ -1,6 +1,8 @@
 """The three compatible constructions and the linear-encoding check."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -16,8 +18,10 @@ from opdkit.compat import (
     verify_lin_encoding,
 )
 from opdkit.linalg import rank, span_equal
+from opdkit.parser import serialize
 from opdkit.presentation import (
     ColorSet,
+    Presentation,
     Relation,
     Term,
     component_matrix,
@@ -352,6 +356,72 @@ def test_verify_lin_encoding_colors_each_tree_once(monkeypatch):
     for label, pres in default_grid():
         assert verify_lin_encoding(pres, THREE), label
         assert _equal_trees_are_one_object(*compared.pop()), label
+
+
+def _trees(*presentations):
+    return [term.tree for p in presentations for rel in p.relations for term in rel.terms]
+
+
+def _memo_colorings(pres):
+    """Every (generator or tree, colors) entry of ``pres``'s coloring memo."""
+    return {
+        (key, colors if isinstance(colors, tuple) else (colors,))
+        for key, table in pres._compiled.memo.items()
+        for colors in table
+    }
+
+
+def test_builds_of_one_input_share_trees_and_generators():
+    for label, pres in default_grid():
+        built = [build(pres, TWO) for build in (build_tot, build_mat, build_lin)]
+        assert _equal_trees_are_one_object(*built), label
+        gens = {id(g) for g in built[0].generators}
+        for other in built:
+            assert [id(g) for g in other.generators] == [id(g) for g in built[0].generators], label
+            for tree in _trees(other):
+                assert gens.issuperset(map(id, tree.internal_generators())), label
+
+
+def test_more_colors_add_only_colorings_of_the_new_label():
+    for label, pres in default_grid():
+        two = build_tot(pres, TWO)
+        before = _memo_colorings(pres)
+        built = [build_tot(pres, THREE), build_lin(pres, THREE)]
+        verify_lin_encoding(pres, THREE)
+        added = _memo_colorings(pres) - before
+        assert added and all("3" in colors for _, colors in added), label
+        seen = {tree: tree for tree in _trees(two)}
+        for tree in _trees(*built):
+            if all(g.color != "3" for g in tree.internal_generators()):
+                assert seen[tree] is tree, label
+
+
+def test_built_presentation_pickles_and_copies_as_its_fields():
+    built_from, never_built = builtin("rba0"), builtin("rba0")
+    tot = serialize(build_tot(built_from, THREE))
+    assert verify_lin_encoding(built_from, THREE) and "_compiled" in vars(built_from)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(built_from, protocol) == pickle.dumps(never_built, protocol)
+    clone = pickle.loads(pickle.dumps(built_from))
+    for other in (clone, copy.copy(built_from), copy.deepcopy(built_from)):
+        assert other == built_from and set(vars(other)) == {"name", "unary", "binary", "relations"}
+    assert serialize(build_tot(clone, THREE)) == tot
+
+
+def test_refused_input_raises_the_same_error_on_every_build():
+    pres = builtin("as")
+    twice = Presentation(pres.name, pres.unary, pres.binary, pres.relations * 2)
+    builds = (build_lin, build_mat, build_tot, expand_formal, verify_lin_encoding)
+    messages = set()
+    for build in builds * 2:
+        with pytest.raises(ValueError) as info:
+            build(twice, TWO)
+        messages.add(str(info.value))
+    assert messages == {"invalid presentation as: duplicate relation name assoc"}
+    colored = build_mat(pres, TWO)
+    for build in builds * 2:
+        with pytest.raises(ValueError, match="^cannot replicate already-colored generator m#1$"):
+            build(colored, TWO)
 
 
 def test_verify_lin_encoding_singleton_trivial():

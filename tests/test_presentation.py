@@ -76,6 +76,17 @@ def test_validate_mutations_of_catalog():
     assert any("listed as binary has arity 1" in p for p in report.problems)
 
 
+def test_relations_sort_by_name_then_first_term():
+    assoc = builtin("as").relation("assoc")
+    left, right = (Relation("r", (term,)) for term in assoc.terms)
+    assert tree_key(left.terms[0].tree) < tree_key(right.terms[0].tree)
+    other = Relation("a", assoc.terms)
+    for given in ((right, other, left), (left, right, other), (other, right, left)):
+        p = Presentation("dup", (), (M,), given)
+        assert p.relations == (other, left, right)
+        assert validate(p).problems == ["duplicate relation name r"]
+
+
 def test_replicate_order_and_errors():
     omega = ColorSet.of(2)
     fam = replicate(builtin("as"), omega)

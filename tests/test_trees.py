@@ -421,9 +421,12 @@ def test_tree_equality_matches_the_tree_walk(a, b):
 
 @pytest.mark.parametrize("name", ["as", "rba0", "cubic_as"])
 def test_equal_trees_from_separate_builds_compare_equal(name):
-    p, colors = builtin(name), ColorSet.of(3)
-    tot_trees = {id(term.tree): term.tree for r in build_tot(p, colors).relations for term in r.terms}
-    mat_trees = {id(term.tree): term.tree for r in build_mat(p, colors).relations for term in r.terms}
+    # Builds of one input share their colored trees; two equal inputs made
+    # apart share none.
+    colors = ColorSet.of(3)
+    tot, mat = build_tot(builtin(name), colors), build_mat(builtin(name), colors)
+    tot_trees = {id(term.tree): term.tree for r in tot.relations for term in r.terms}
+    mat_trees = {id(term.tree): term.tree for r in mat.relations for term in r.terms}
     assert not tot_trees.keys() & mat_trees.keys()  # no tree object is shared
     lookup = {tree: tree for tree in tot_trees.values()}
     for tree in mat_trees.values():
