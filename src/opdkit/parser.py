@@ -18,9 +18,17 @@ slot annotation.  Generator names may carry a color (``m#1``), a dual
 marker (``P^*``), or be tensor pairs (``m#1~prec``); a ``#`` directly
 attached to a name is part of the name, otherwise it opens a comment.
 
-Each line is split into string tokens by one regular expression; a token's
-kind is its first character.  Source spans are worked out only for an
-error, by matching that line again.
+Each line is split into string tokens by one regular expression, whose
+name token is ``trees``' name pattern; a token's kind is its first
+character.  A leaf token (``x`` and digits) cannot be declared as a
+generator.  Each term is read in one loop over its tokens, which collects
+its flat form (the node kinds and the generators in preorder) and its slots
+and builds the tree once.  Source spans are worked out only for an error,
+by matching that line again.
+
+Printing reads each generator's stored text.  A term's text is one format
+string per (shape, slots), filled with its generators' texts, after its
+coefficient written from the numerator and denominator.
 
 JSON text is written directly in the layout of ``json.dumps(doc,
 indent=2)``, whose indented form runs json's pure-Python encoder; strings
@@ -35,10 +43,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Optional
 
 from .presentation import Presentation, Relation, Term
-from .trees import Generator, Tree, leaf, tree_text
+from .trees import (
+    _KIND_LEAF,
+    _NAME_PATTERN,
+    Generator,
+    _flat_tree,
+    _is_leaf_name,
+    split_generator_token,
+    tree_text,
+)
 
 __all__ = [
     "SourceSpan",
@@ -69,19 +84,17 @@ class ParseError(Exception):
 
 # One match per token: a name, an integer, a comment (a detached ``#`` and
 # the rest of the line) or any other single character; blanks separate
-# tokens.  A name may hold an attached color ``#`` and a dual marker ``^*``;
-# after a ``~``, or just before one, it also holds ``*`` (``m*~prec*``).
-_TOKEN = re.compile(
-    r"[A-Za-z_](?:[A-Za-z0-9_]|#(?=[A-Za-z0-9_~])|\^\*|\*(?=~))*"
-    r"(?:~(?:[A-Za-z0-9_~*]|#(?=[A-Za-z0-9_~])|\^\*)*)?"
-    r"|[0-9]+|#.*|[^ \t\r]"
-)
+# tokens.
+_TOKEN = re.compile(_NAME_PATTERN + r"|[0-9]+|#.*|[^ \t\r]")
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _DIGITS = frozenset("0123456789")
 # Any other first character is a one-character token the DSL does not have.
 _TOKEN_START = _NAME_START | _DIGITS | frozenset("#@(),:+-*/")
 _UNIT = {1: Fraction(1), -1: Fraction(-1)}
-_LEAF = leaf()
+# The slot and leaf tokens of all but the largest terms, looked up before
+# any other check of the token.
+_SLOTS = {str(i): i for i in range(1, 65)}
+_LEAVES = {i: f"x{i}" for i in range(1, 65)}
 
 
 def _lex_line(line: str, lineno: int) -> list[str]:
@@ -104,33 +117,15 @@ def _token_span(line: str, lineno: int, index: int) -> SourceSpan:
     return SourceSpan(lineno, match.start() + 1, match.end() - match.start())
 
 
-def split_generator_token(token: str) -> tuple[str, Optional[str], bool]:
-    """(name, color, dualized) of a generator token.
-
-    A trailing ``^*`` is the dual flag; a ``#`` splits name from color except
-    inside tensor names (those contain ``~`` and keep everything as name).
-    """
-    dualized = token.endswith("^*")
-    if dualized:
-        token = token[:-2]
-    if "~" in token:
-        return token, None, dualized
-    name, sep, color = token.partition("#")
-    return name, (color if sep else None), dualized
-
-
 class _Parser:
-    """Recursive descent over one line's string tokens at a time.
-
-    Equal subtrees are built once per parse: ``subtrees`` maps (generator,
-    children) to the tree, and the children come from that map, so a repeated
-    subtree is found by identity instead of being rebuilt.
-    """
+    """Reads one line's string tokens at a time; a term's tokens in one
+    loop, with an explicit stack of the vertices whose ``)`` is still to
+    come, so each tree is built once, from its flat form, and nothing is
+    kept from one term to the next."""
 
     def __init__(self, text: str):
         self.lines = text.split("\n")
         self.by_token: dict[str, Generator] = {}
-        self.subtrees: dict[tuple, Tree] = {}
         self.line = ""
         self.lineno = 0
 
@@ -173,6 +168,8 @@ class _Parser:
                     tok = tokens[index]
                     if tok[0] not in _NAME_START:
                         raise self.fail("expected a generator name", index)
+                    if _is_leaf_name(tok):
+                        raise self.fail(f"leaf {tok} declared as a generator", index)
                     if tok in by_token:
                         raise self.fail(f"duplicate generator {tok}", index)
                     gname, color, dualized = split_generator_token(tok)
@@ -189,10 +186,11 @@ class _Parser:
         # The relation name is everything up to the colon; built presentations
         # carry color lists like assoc__1,2 there, so commas are allowed.
         n = len(tokens)
+        fail = self.fail
         if n == 1 or tokens[1][0] not in _NAME_START:
-            raise self.fail("expected a relation name", min(1, n - 1))
+            raise fail("expected a relation name", min(1, n - 1))
         if ":" not in tokens:
-            raise self.fail("expected ':' after the relation name", n - 1)
+            raise fail("expected ':' after the relation name", n - 1)
         colon = tokens.index(":")
         if colon > 2:
             # The name's tokens must touch: ``a b`` is not the name ``ab``.
@@ -200,8 +198,12 @@ class _Parser:
             at = line.index(tokens[1], line.index("relation") + len("relation"))
             for index in range(1, colon):
                 if not line.startswith(tokens[index], at):
-                    raise self.fail("blank inside a relation name", index)
+                    raise fail("blank inside a relation name", index)
                 at += len(tokens[index])
+        # A newline is never a token: past the last token, every check that
+        # wants a token fails on it, and the error names the last token.
+        tokens.append("\n")
+        by_token = self.by_token
         terms: list[Term] = []
         pos = colon + 1
         while pos < n:
@@ -212,108 +214,118 @@ class _Parser:
                 pos += 1
             elif terms:
                 if tok != "+":
-                    raise self.fail("expected '+' or '-' between terms", pos)
+                    raise fail("expected '+' or '-' between terms", pos)
                 pos += 1
             coeff = _UNIT[sign]
-            if pos < n and tokens[pos][0] in _DIGITS:
+            if tokens[pos][0] in _DIGITS:
                 num = self.integer(tokens[pos], pos)
                 den = 1
                 pos += 1
-                if pos < n and tokens[pos] == "/":
+                if tokens[pos] == "/":
                     pos += 1
-                    if pos >= n or tokens[pos][0] not in _DIGITS:
-                        raise self.fail("expected a denominator", pos - 1)
+                    if tokens[pos][0] not in _DIGITS:
+                        raise fail("expected a denominator", pos - 1)
                     den = self.integer(tokens[pos], pos)
                     if den == 0:
-                        raise self.fail("zero denominator", pos)
+                        raise fail("zero denominator", pos)
                     pos += 1
-                if pos >= n or tokens[pos] != "*":
-                    raise self.fail("expected '*' after a coefficient", min(pos, n - 1))
+                if tokens[pos] != "*":
+                    raise fail("expected '*' after a coefficient", min(pos, n - 1))
                 pos += 1
                 coeff = Fraction(sign * num, den)
+
+            # The term's tree, in preorder: node kinds, generators and slots.
+            # ``open_vertices`` holds [token index, generator, children read]
+            # for each vertex whose ')' is still to come.
+            shape: list[int] = []
+            gens: list[Generator] = []
             slots: list[int] = []
-            tree, pos = self._tree(tokens, pos, slots)
-            terms.append(Term(coeff, tree, tuple(slots)))
-        if not terms:
-            raise self.fail("relation has no terms", n - 1)
-        return Relation("".join(tokens[1:colon]), tuple(terms))
-
-    def _tree(self, tokens: list[str], start: int, slots: list[int]) -> tuple[Tree, int]:
-        """One term body from ``start``; appends its slots in preorder to
-        ``slots`` and returns (tree, next position)."""
-        n = len(tokens)
-        by_token, subtrees, fail = self.by_token, self.subtrees, self.fail
-        next_leaf = 1
-
-        def node(pos: int) -> tuple[Tree, int]:
-            nonlocal next_leaf
-            if pos >= n:
-                raise fail("unexpected end of relation", n - 1)
-            tok = tokens[pos]
-            if tok[0] not in _NAME_START:
-                raise fail("expected a generator or leaf", pos)
-            if tok[0] == "x" and tok[1:].isdigit():
-                if self.integer(tok[1:], pos) != next_leaf:
-                    raise fail(f"leaf-order violation: expected x{next_leaf}, got {tok}", pos)
-                next_leaf += 1
-                return _LEAF, pos + 1
-            gen = by_token.get(tok)
-            if gen is None:
-                raise fail(f"unknown generator {tok}", pos)
-            at = pos
-            pos += 1
-            if pos >= n or tokens[pos] != "@":
-                raise fail(f"missing '@slot' on {tok}", min(pos, n - 1))
-            pos += 1
-            if pos >= n or tokens[pos][0] not in _DIGITS:
-                raise fail("expected a slot index", min(pos, n - 1))
-            slot = self.integer(tokens[pos], pos)
-            if slot < 1:
-                raise fail("slot indices start at 1", pos)
-            if slot in slots:
-                raise fail(f"slot {slot} reused within a term", pos)
-            slots.append(slot)
-            pos += 1
-            if pos >= n or tokens[pos] != "(":
-                raise fail("expected '(' after the slot", min(pos, n - 1))
-            children = []
+            open_vertices: list[list] = []
+            next_leaf = 1
             while True:
-                child, pos = node(pos + 1)
-                children.append(child)
-                if pos >= n:
-                    raise fail("unclosed '('", n - 1)
-                if tokens[pos] == ")":
+                tok = tokens[pos]
+                gen = by_token.get(tok)
+                if gen is not None:
+                    if tokens[pos + 1] != "@":
+                        raise fail(f"missing '@slot' on {tok}", min(pos + 1, n - 1))
+                    slot = _SLOTS.get(tokens[pos + 2])
+                    if slot is None:
+                        if tokens[pos + 2][0] not in _DIGITS:
+                            raise fail("expected a slot index", min(pos + 2, n - 1))
+                        slot = self.integer(tokens[pos + 2], pos + 2)
+                        if slot < 1:
+                            raise fail("slot indices start at 1", pos + 2)
+                    if slot in slots:
+                        raise fail(f"slot {slot} reused within a term", pos + 2)
+                    if tokens[pos + 3] != "(":
+                        raise fail("expected '(' after the slot", min(pos + 3, n - 1))
+                    shape.append(gen.arity - 1)
+                    gens.append(gen)
+                    slots.append(slot)
+                    open_vertices.append([pos, gen, 0])
+                    pos += 4
+                    continue
+                # No declared generator has the form of a leaf.
+                if tok != _LEAVES.get(next_leaf):
+                    if pos == n:
+                        raise fail("unexpected end of relation", n - 1)
+                    if tok[0] not in _NAME_START:
+                        raise fail("expected a generator or leaf", pos)
+                    if not _is_leaf_name(tok):
+                        raise fail(f"unknown generator {tok}", pos)
+                    if self.integer(tok[1:], pos) != next_leaf:
+                        raise fail(f"leaf-order violation: expected x{next_leaf}, got {tok}", pos)
+                next_leaf += 1
+                shape.append(_KIND_LEAF)
+                pos += 1
+                # Close each vertex whose last child this leaf ends, up to the
+                # first with a child still to read.
+                while open_vertices:
+                    vertex = open_vertices[-1]
+                    vertex[2] += 1
+                    tok = tokens[pos]
+                    pos += 1
+                    if tok == ",":
+                        break
+                    if tok != ")":
+                        if pos > n:
+                            raise fail("unclosed '('", n - 1)
+                        raise fail("expected ',' or ')'", pos - 1)
+                    at, gen, children = vertex
+                    if children != gen.arity:
+                        raise fail(
+                            f"arity mismatch: {tokens[at]} takes {gen.arity} arguments, "
+                            f"got {children}",
+                            at,
+                        )
+                    open_vertices.pop()
+                else:
                     break
-                if tokens[pos] != ",":
-                    raise fail("expected ',' or ')'", pos)
-            if len(children) != gen.arity:
-                raise fail(
-                    f"arity mismatch: {tok} takes {gen.arity} arguments, got {len(children)}",
-                    at,
-                )
-            key = (gen, tuple(children))
-            tree = subtrees.get(key)
-            if tree is None:
-                tree = subtrees[key] = Tree(gen, key[1])
-            return tree, pos + 1
-
-        return node(start)
+            terms.append(Term(coeff, _flat_tree(tuple(shape), tuple(gens)), tuple(slots)))
+        if not terms:
+            raise fail("relation has no terms", n - 1)
+        return Relation("".join(tokens[1:colon]), tuple(terms))
 
 
 def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse()
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _format_term(term: Term) -> str:
-    body = tree_text(term.tree, term.slots)
-    mag = abs(term.coeff)
-    if mag == 1:
-        return body
-    return f"{_format_coeff(mag)}*{body}"
+def _terms_text(terms: tuple[Term, ...]) -> str:
+    """The DSL text of a relation's terms: each slotted tree after its sign
+    and, unless it is 1, its coefficient's magnitude."""
+    parts = []
+    for term in terms:
+        num, den = term.coeff.numerator, term.coeff.denominator
+        body = tree_text(term.tree, term.slots)
+        if den != 1:
+            body = f"{abs(num)}/{den}*{body}"
+        elif num != 1 and num != -1:
+            body = f"{abs(num)}*{body}"
+        parts.append(("- " if num < 0 else "+ ") + body)
+    text = " ".join(parts)
+    # The first term's sign is bare: "-" for a negative one, none otherwise.
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def serialize(p: Presentation, fmt: str = "dsl") -> str:
@@ -325,18 +337,11 @@ def serialize(p: Presentation, fmt: str = "dsl") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"operad {p.name}"]
     if p.unary:
-        lines.append("unary " + " ".join(g.serialized() for g in p.unary))
+        lines.append("unary " + " ".join([g.text for g in p.unary]))
     if p.binary:
-        lines.append("binary " + " ".join(g.serialized() for g in p.binary))
+        lines.append("binary " + " ".join([g.text for g in p.binary]))
     for rel in p.relations:
-        parts = []
-        for i, term in enumerate(rel.terms):
-            rendered = _format_term(term)
-            if i == 0:
-                parts.append(("-" if term.coeff < 0 else "") + rendered)
-            else:
-                parts.append(("- " if term.coeff < 0 else "+ ") + rendered)
-        lines.append(f"relation {rel.name}: " + " ".join(parts))
+        lines.append(f"relation {rel.name}: {_terms_text(rel.terms)}")
     return "\n".join(lines) + "\n"
 
 
@@ -345,14 +350,14 @@ def presentation_to_json(p: Presentation) -> dict:
     with slots carried separately (one per internal vertex, preorder)."""
     return {
         "name": p.name,
-        "unary": [g.serialized() for g in p.unary],
-        "binary": [g.serialized() for g in p.binary],
+        "unary": [g.text for g in p.unary],
+        "binary": [g.text for g in p.binary],
         "relations": [
             {
                 "name": rel.name,
                 "terms": [
                     {
-                        "coeff": _format_coeff(term.coeff),
+                        "coeff": str(term.coeff),
                         "tree": tree_text(term.tree),
                         "slots": list(term.slots),
                     }
@@ -377,8 +382,9 @@ def _json_text(p: Presentation) -> str:
     """``json.dumps(presentation_to_json(p), indent=2) + "\\n"``, written directly."""
     relations = []
     for rel in p.relations:
+        # A coefficient's text is ASCII digits, '-' and '/': nothing to escape.
         terms = [
-            f'{{\n          "coeff": {_json_string(_format_coeff(term.coeff))},'
+            f'{{\n          "coeff": "{term.coeff}",'
             f'\n          "tree": {_json_string(tree_text(term.tree))},'
             f'\n          "slots": {_json_array([str(s) for s in term.slots], "          ")}'
             "\n        }"
@@ -388,8 +394,8 @@ def _json_text(p: Presentation) -> str:
             f'{{\n      "name": {_json_string(rel.name)},'
             f'\n      "terms": {_json_array(terms, "      ")}\n    }}'
         )
-    unary = _json_array([_json_string(g.serialized()) for g in p.unary], "  ")
-    binary = _json_array([_json_string(g.serialized()) for g in p.binary], "  ")
+    unary = _json_array([_json_string(g.text) for g in p.unary], "  ")
+    binary = _json_array([_json_string(g.text) for g in p.binary], "  ")
     return (
         f'{{\n  "name": {_json_string(p.name)},\n  "unary": {unary},\n  "binary": {binary},'
         f'\n  "relations": {_json_array(relations, "  ")}\n}}\n'

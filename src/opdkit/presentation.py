@@ -42,6 +42,7 @@ program no longer uses it, and the tests keep it as the dense reference.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,12 +52,16 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import (
+    _NAME,
+    _NAME_PATTERN,
     Generator,
     GradedComponent,
     Tree,
     _flat_tree,
+    _is_leaf_name,
     enumerate_basis,
     relabel,
+    split_generator_token,
     tree_key,
     tree_text,
 )
@@ -264,9 +269,23 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
+# A relation name as the parser reads it: the tokens between ``relation``
+# and the first ``:``, touching, the first of them a name.
+_RELATION_NAME = re.compile(rf"(?:{_NAME_PATTERN})(?:{_NAME_PATTERN}|[0-9]+|[@(),+\-*/])*")
+
+
 def validate(p: Presentation) -> ValidationReport:
-    """Check every presentation and relation invariant; never raises."""
+    """Check every presentation and relation invariant; never raises.
+
+    Names are checked too: the DSL must read the serialized text back, so
+    the presentation's name is one name token, each generator's text is a
+    name token that splits back into its name, color and dual flag and is
+    not a leaf ``x1``, ``x2``, ..., and each relation name is what the
+    parser reads between ``relation`` and ``:``.
+    """
     problems: list[str] = []
+    if not _NAME.fullmatch(p.name):
+        problems.append(f"presentation name {p.name!r} is not a DSL name")
     seen_triples = set()
     for g in p.unary:
         if g.arity != 1:
@@ -279,6 +298,10 @@ def validate(p: Presentation) -> ValidationReport:
         if triple in seen_triples:
             problems.append(f"duplicate generator {g.serialized()}")
         seen_triples.add(triple)
+        if _is_leaf_name(g.text):
+            problems.append(f"generator {g.text} has the form of a leaf")
+        elif not _NAME.fullmatch(g.text) or split_generator_token(g.text) != triple:
+            problems.append(f"generator {g.text!r} does not read back as itself")
     known = set(p.generators)
     names: set[str] = set()
 
@@ -286,6 +309,8 @@ def validate(p: Presentation) -> ValidationReport:
         if rel.name in names:
             problems.append(f"duplicate relation name {rel.name}")
         names.add(rel.name)
+        if not _RELATION_NAME.fullmatch(rel.name):
+            problems.append(f"relation name {rel.name!r} is not a DSL relation name")
         gradings = {(t.tree.arity, t.tree.weight) for t in rel.terms}
         if len(gradings) > 1:
             problems.append(

@@ -8,17 +8,24 @@ its weight is its internal-vertex count.
 
 Everything here is immutable and hashable, so trees can key dictionaries
 when linear combinations of trees are turned into coefficient vectors.  A
-generator stores its hash and sort key when it is built.  A tree is stored
-flat, as its shape and its generators in preorder, with its arity, weight,
-hash and sort keys derived from them once; ``tree_key`` reads them without
-a walk.  ``relabel`` (renaming, dualizing, the Manin products) and coloring
-(``presentation._Template``) build each tree in one step from a
-template's shape and new generators; composition splices flat forms.
+generator stores its hash, sort key and DSL text when it is built.  A tree
+is stored flat, as its shape and its generators in preorder, with its
+arity, weight, hash and sort keys derived from them once; ``tree_key``
+reads them without a walk.  ``relabel`` (renaming, dualizing, the Manin
+products) and coloring (``presentation._Template``) build each tree in one
+step from a template's shape and new generators; composition splices flat
+forms.
+
+A tree's text is one format string per shape, or per (shape, slots) for
+the slotted form of the DSL, filled with its generators' stored texts.
+The DSL's name token is defined here too, beside ``Generator``: the parser
+lexes with it and ``validate`` checks names against it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -35,16 +42,49 @@ __all__ = [
     "tree_key",
     "enumerate_basis",
     "tree_text",
+    "split_generator_token",
 ]
+
+
+# A name of the DSL: a letter or ``_``, then letters, digits and ``_``,
+# broken by an attached color ``#``, a dual marker ``^*`` or, just before a
+# ``~``, a ``*``; after a ``~`` it also holds ``*`` (``m*~prec*``).  Runs of
+# letters and digits are matched whole, which keeps the lexer fast.
+_NAME_PATTERN = (
+    r"[A-Za-z_][A-Za-z0-9_]*(?:(?:#(?=[A-Za-z0-9_~])|\^\*|\*(?=~))[A-Za-z0-9_]*)*"
+    r"(?:~(?:[A-Za-z0-9_~*]+|#(?=[A-Za-z0-9_~])|\^\*)*)?"
+)
+_NAME = re.compile(_NAME_PATTERN)
+
+
+def _is_leaf_name(token: str) -> bool:
+    """Whether ``token`` reads as a leaf ``x1``, ``x2``, ... in the DSL."""
+    return token[:1] == "x" and token[1:].isdigit() and token[1:].isascii()
+
+
+def split_generator_token(token: str) -> tuple[str, Optional[str], bool]:
+    """(name, color, dualized) of a generator token.
+
+    A trailing ``^*`` is the dual flag; a ``#`` splits name from color except
+    inside tensor names (those contain ``~`` and keep everything as name).
+    """
+    dualized = token.endswith("^*")
+    if dualized:
+        token = token[:-2]
+    if "~" in token:
+        return token, None, dualized
+    name, sep, color = token.partition("#")
+    return name, (color if sep else None), dualized
 
 
 @dataclass(frozen=True, slots=True)
 class Generator:
     """A named operation of arity 1 or 2, optionally colored and/or dualized.
 
-    ``sort_key`` and the hash are computed once, when the generator is
-    built: generators key the coloring memo and every tree hash, and each
-    canonical tree key is made of their sort keys.
+    ``sort_key``, the hash and ``text``, the DSL token, are computed once,
+    when the generator is built: generators key the coloring memo and every
+    tree hash, each canonical tree key is made of their sort keys, and every
+    printed tree is made of their texts.
     """
 
     name: str
@@ -53,6 +93,7 @@ class Generator:
     dualized: bool = False
     sort_key: tuple[str, str, bool] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity not in (1, 2):
@@ -63,6 +104,8 @@ class Generator:
         object.__setattr__(
             self, "_hash", hash((self.name, self.arity, self.color, self.dualized))
         )
+        text = self.name if self.color is None else f"{self.name}#{self.color}"
+        object.__setattr__(self, "text", text + "^*" if self.dualized else text)
 
     def __hash__(self) -> int:
         return self._hash
@@ -84,12 +127,7 @@ class Generator:
         return Generator(self.name, self.arity, self.color, not self.dualized)
 
     def serialized(self) -> str:
-        out = self.name
-        if self.color is not None:
-            out += f"#{self.color}"
-        if self.dualized:
-            out += "^*"
-        return out
+        return self.text
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Generator({self.serialized()}/{self.arity})"
@@ -317,15 +355,18 @@ def enumerate_basis(
 
 
 @lru_cache(maxsize=None)
-def _text_template(shape: tuple[int, ...]) -> str:
-    """Format string of ``tree_text`` for one shape: a ``{}`` per internal
-    vertex in preorder, leaves numbered x1, x2, ... left to right."""
+def _text_template(shape: tuple[int, ...], slots: Optional[tuple[int, ...]]) -> str:
+    """Format string of ``tree_text`` for one shape and, unless ``None``, one
+    slot per internal vertex: a ``{}`` per internal vertex in preorder,
+    followed by ``@slot`` when slotted, and leaves numbered x1, x2, ... left
+    to right."""
     parts = []
     open_arguments = []  # per open vertex, the children still to write
-    leaves = 0
+    leaves = vertices = 0
     for kind in shape:
         if kind != _KIND_LEAF:
-            parts.append("{}(")
+            parts.append("{}(" if slots is None else f"{{}}@{slots[vertices]}(")
+            vertices += 1
             open_arguments.append(1 if kind == _KIND_UNARY else 2)
             continue
         leaves += 1
@@ -346,12 +387,11 @@ def tree_text(t: Tree, slots: Optional[Sequence[int]] = None) -> str:
     When ``slots`` is given (one slot index per internal vertex in preorder),
     each generator is rendered ``name@slot`` as in the presentation DSL.
     """
-    labels = [g.serialized() for g in t._gens]
     if slots is not None:
+        slots = tuple(slots)
         if len(slots) != t.weight:
             raise ValueError(
                 f"tree has {t.weight} internal vertices "
                 f"but {len(slots)} slot annotations"
             )
-        labels = [f"{label}@{slot}" for label, slot in zip(labels, slots)]
-    return _text_template(t.shape).format(*labels)
+    return _text_template(t.shape, slots).format(*[g.text for g in t._gens])

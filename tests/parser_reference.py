@@ -109,6 +109,8 @@ class _Parser:
                 for tok in tokens[1:]:
                     if tok.kind != "NAME":
                         raise ParseError("expected a generator name", tok.span)
+                    if tok.text[0] == "x" and tok.text[1:].isdigit():
+                        raise ParseError(f"leaf {tok.text} declared as a generator", tok.span)
                     gname, color, dualized = split_generator_token(tok.text)
                     gen = Generator(gname, arity, color, dualized)
                     if tok.text in by_token:

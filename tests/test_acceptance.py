@@ -263,7 +263,7 @@ def _criterion_12_parser_roundtrip() -> bool:
         if serialize(parse_presentation(text)) != text:
             return False
     malformed = sorted((ROOT / "tests" / "malformed").glob("*.opd"))
-    if len(malformed) != 22:
+    if len(malformed) != 23:
         return False
     for path in malformed:
         text = path.read_text()

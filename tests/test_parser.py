@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opdkit.catalog import builtin, default_grid
@@ -133,6 +133,7 @@ EXPECTED_SPANS = {
     "20_missing_coeff_star.opd": (3, 15, 1, "expected '*' after a coefficient"),
     "21_non_ascii_digit.opd": (3, 13, 1, "lexical error: unexpected character '\u00b2'"),
     "22_duplicate_relation_name.opd": (3, 12, 1, "blank inside a relation name"),
+    "23_leaf_named_generator.opd": (2, 9, 2, "leaf x2 declared as a generator"),
 }
 
 
@@ -245,7 +246,7 @@ def test_json_is_deterministic():
 # --- randomized round trips ---
 
 from opdkit.presentation import Presentation, Relation, Term
-from opdkit.trees import Generator, Tree, enumerate_basis, leaf
+from opdkit.trees import Generator, Tree, corolla, enumerate_basis, leaf
 
 
 def _random_presentation(rng: random.Random) -> Presentation:
@@ -384,3 +385,112 @@ def _named_presentations(draw) -> Presentation:
 @given(_named_presentations())
 def test_json_matches_json_dumps_on_arbitrary_names(p):
     assert serialize(p, "json") == _json_reference(p)
+
+
+# --- names the DSL reads back ---
+
+# DSL characters, including those only names may hold, a blank and a colon.
+_DSL_TEXT = st.text(st.sampled_from("xmP_019#~*^@,:(/ -"), max_size=5)
+# Names the DSL reads back, and besides them leaf forms, a name holding
+# ``#``, other DSL text and awkward text.
+_GOOD_NAMES = st.sampled_from(["m", "P", "d1", "_q", "x", "x_2", "m~prec", "m*~prec*", "m#1~prec", "P^*Q"])
+_NAMES = st.one_of(_GOOD_NAMES, st.sampled_from(["x2", "x01", "a#b"]), _DSL_TEXT, _AWKWARD_TEXT)
+
+
+@st.composite
+def _presentations_with_names(draw) -> Presentation:
+    """Presentations whose relations validate (two terms of weight 2 on two
+    generators) and whose names are drawn from ``_GOOD_NAMES``, or, in half
+    of them, from ``_NAMES``."""
+    good = draw(st.booleans())
+    names = _GOOD_NAMES if good else _NAMES
+    colors = st.sampled_from(["1", "b_2"]) if good else _NAMES
+
+    def generator(arity: int) -> Generator:
+        name = draw(names)
+        # A tensor name carries its colors inside; one more does not read back.
+        color = None if good and "~" in name else draw(st.none() | colors)
+        return Generator(name, arity, color, draw(st.booleans()))
+
+    unary = tuple(generator(1) for _ in range(draw(st.integers(0, 2))))
+    binary = tuple(generator(2) for _ in range(draw(st.integers(0 if unary else 1, 2))))
+    relations = []
+    for _ in range(draw(st.integers(1, 2))):
+        outer, inner = draw(st.lists(st.sampled_from(unary + binary), min_size=2, max_size=2))
+        # outer@1(inner@2(...)) and inner@2(outer@1(...)): one slot per
+        # generator, so the two terms agree on each slot's arity.
+        terms = tuple(
+            Term(draw(st.fractions(-9, 9, max_denominator=4).filter(bool)),
+                 Tree(top, (corolla(below),) + (leaf(),) * (top.arity - 1)), slots)
+            for top, below, slots in ((outer, inner, (1, 2)), (inner, outer, (2, 1)))
+        )
+        name = draw(st.sampled_from(["r", "assoc__1,2", "b__T_0_1,2", "a(b"]) if good else names)
+        relations.append(Relation(name, terms[: draw(st.integers(1, 2))]))
+    return Presentation(draw(names), unary, binary, tuple(relations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_presentations_with_names())
+@example(Presentation("leafy", (Generator("x2", 1),), (), (
+    Relation("r", (Term(Fraction(1), Tree(Generator("x2", 1), (corolla(Generator("x2", 1)),)),
+                        (1, 2)),)),
+)))
+def test_valid_presentations_round_trip(p):
+    text = serialize(p)
+    if validate(p).ok:
+        assert parse_presentation(text) == p
+        assert serialize(parse_presentation(text)) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DSL_TEXT.filter(bool))
+def test_validate_accepts_exactly_the_names_the_parser_reads(name):
+    try:
+        readable = parse_presentation(f"operad {name}\n").name == name
+    except ParseError:
+        readable = False
+    reported = validate(Presentation(name, (), (), ())).problems
+    assert reported == ([] if readable else [f"presentation name {name!r} is not a DSL name"])
+
+    try:
+        readable = [r.name for r in parse_presentation(HEADER + f"relation {name}: {TERM}\n").relations] == [name]
+    except ParseError:
+        readable = False
+    m = Generator("m", 2)
+    relation = Relation(name, (Term(Fraction(1), corolla(m), (1,)),))
+    reported = validate(Presentation("c", (), (m,), (relation,))).problems
+    assert (f"relation name {name!r} is not a DSL relation name" not in reported) == readable
+
+
+def test_built_names_stay_valid():
+    three = ColorSet.of(("a", "b_1", "c"))
+    as_, dend = builtin("as"), builtin("dend")
+    built = [build_lin(builtin("rba0"), three), build_tot(builtin("cubic_as"), three),
+             build_tot(builtin("d1d2"), three), koszul_dual(dend),
+             black_square(koszul_dual(as_), dend), koszul_dual(black_square(build_lin(as_, three), dend)),
+             white_square(as_, dend, "white_dual"), white_square(as_, dend, "white_literal")]
+    for p in built:
+        assert validate(p).ok, (p.name, validate(p).problems)
+    text = "".join(serialize(p) for p in built)
+    for made in ("__a,a", "__L_", "__S_", "__T_", "swap__a", "#a~prec", "^*", "*~"):
+        assert made in text, made
+
+
+@pytest.mark.parametrize("unary,binary,relation,problem", [
+    (("x2",), (), "r", "generator x2 has the form of a leaf"),
+    (("m-1",), (), "r", "generator 'm-1' does not read back as itself"),
+    (("",), (), "r", "generator '' does not read back as itself"),
+    (("a#b",), (), "r", "generator 'a#b' does not read back as itself"),
+    ((), ("m",), "a b", "relation name 'a b' is not a DSL relation name"),
+    ((), ("m",), "a:b", "relation name 'a:b' is not a DSL relation name"),
+    ((), ("m",), "1a", "relation name '1a' is not a DSL relation name"),
+])
+def test_validate_reports_names_the_dsl_cannot_read(unary, binary, relation, problem):
+    gens = [Generator(name, 1) for name in unary] + [Generator(name, 2) for name in binary]
+    g = gens[0]
+    tree = Tree(g, (corolla(g),) + (leaf(),) * (g.arity - 1))
+    rel = Relation(relation, (Term(Fraction(1), tree, (1, 2)),))
+    p = Presentation("c", tuple(gens[: len(unary)]), tuple(gens[len(unary):]), (rel,))
+    assert validate(p).problems == [problem]
+    assert validate(Presentation("t u", p.unary, p.binary, p.relations)).problems == [
+        "presentation name 't u' is not a DSL name", problem]

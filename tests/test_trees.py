@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import opdkit
 from opdkit.catalog import builtin
 from opdkit.compat import build_mat, build_tot
-from opdkit.presentation import ColorSet
+from opdkit.parser import parse_presentation, serialize
+from opdkit.presentation import ColorSet, Presentation, Relation, Term
 from opdkit.trees import (
     Generator,
     Tree,
@@ -382,6 +384,12 @@ def test_text_template_matches_the_tree_walk(tree, data):
     assert tree_text(tree) == walked_text(tree)
     slots = data.draw(st.permutations(range(1, tree.weight + 1)))
     assert tree_text(tree, slots) == walked_text(tree, slots)
+    # The slotted form: a term as serialize prints it, and the parser reads it.
+    term = Term(Fraction(data.draw(st.sampled_from([1, -1, 3, -2]))), tree, tuple(slots))
+    text = serialize(Presentation("t", tuple(UNARY), tuple(BINARY), (Relation("r", (term,)),)))
+    coeff = {1: "", -1: "-", 3: "3*", -2: "-2*"}[term.coeff]
+    assert text.splitlines()[-1] == f"relation r: {coeff}{walked_text(tree, slots)}"
+    assert parse_presentation(text).relations[0].terms == (term,)
 
 
 @pytest.mark.parametrize(
