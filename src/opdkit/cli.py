@@ -17,12 +17,11 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from importlib import resources
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .catalog import builtin, default_grid
+from .catalog import builtin, data_text, default_grid
 from .compat import build_compatible, build_lin, build_mat, build_tot, verify_lin_encoding
 from .duality import check_dual_identity, is_self_dual, koszul_dual
 from .manin import (
@@ -35,14 +34,12 @@ from .parser import ParseError, parse_presentation, serialize, split_generator_t
 from .presentation import (
     ColorSet,
     Presentation,
-    Relation,
-    Term,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
     span_components,
 )
-from .trees import Generator, Tree, enumerate_basis, leaf, tree_text
+from .trees import Generator, enumerate_basis, tree_text
 
 __all__ = ["main", "CLAIMS", "run_claim", "load_golden"]
 
@@ -93,8 +90,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def load_golden(name: str) -> Presentation:
     """One of the golden relation sets shipped inside the package."""
-    text = resources.files("opdkit").joinpath("data", f"{name}.opd").read_text()
-    return parse_presentation(text)
+    return parse_presentation(data_text(name))
 
 
 # ---------------------------------------------------------------------------
@@ -321,51 +317,19 @@ def _claim_cor_undual(args):
 
 def expected_multi_diff_dual(n: int) -> Presentation:
     """The expected dual presentation of n commuting derivations, transcribed."""
-    ds = [Generator(f"d{i}", 1, None, True) for i in range(1, n + 1)]
-    m = Generator("m", 2, None, True)
-    x = leaf()
-    rels: list[Relation] = []
-    for i in range(n):
-        for j in range(i, n):
-            rels.append(
-                Relation(
-                    f"sym_{i + 1}_{j + 1}",
-                    (
-                        Term(Fraction(1), Tree(ds[i], (Tree(ds[j], (x,)),)), (2, 1)),
-                        Term(Fraction(1), Tree(ds[j], (Tree(ds[i], (x,)),)), (2, 1)),
-                    ),
-                )
-            )
-    for i, d in enumerate(ds):
-        chain = Tree(d, (Tree(m, (x, x)),))
-        rels.append(
-            Relation(
-                f"half_left_{i + 1}",
-                (
-                    Term(Fraction(1), chain, (1, 2)),
-                    Term(Fraction(-1), Tree(m, (Tree(d, (x,)), x)), (2, 1)),
-                ),
-            )
-        )
-        rels.append(
-            Relation(
-                f"half_right_{i + 1}",
-                (
-                    Term(Fraction(1), chain, (1, 2)),
-                    Term(Fraction(-1), Tree(m, (x, Tree(d, (x,)))), (2, 1)),
-                ),
-            )
-        )
-    rels.append(
-        Relation(
-            "assoc",
-            (
-                Term(Fraction(1), Tree(m, (Tree(m, (x, x)), x)), (2, 1)),
-                Term(Fraction(-1), Tree(m, (x, Tree(m, (x, x)))), (1, 2)),
-            ),
-        )
-    )
-    return Presentation(f"expected_dual_multi_diff_{n}", tuple(ds), (m,), tuple(rels))
+    ops = range(1, n + 1)
+    lines = [
+        f"operad expected_dual_multi_diff_{n}",
+        "unary " + " ".join(f"d{i}^*" for i in ops),
+        "binary m^*",
+        "relation assoc: m^*@2(m^*@1(x1,x2),x3) - m^*@1(x1,m^*@2(x2,x3))",
+    ]
+    for i, j in combinations_with_replacement(ops, 2):
+        lines.append(f"relation sym_{i}_{j}: d{i}^*@2(d{j}^*@1(x1)) + d{j}^*@2(d{i}^*@1(x1))")
+    for i in ops:
+        lines.append(f"relation half_left_{i}: d{i}^*@1(m^*@2(x1,x2)) - m^*@2(d{i}^*@1(x1),x2)")
+        lines.append(f"relation half_right_{i}: d{i}^*@1(m^*@2(x1,x2)) - m^*@2(x1,d{i}^*@1(x2))")
+    return parse_presentation("\n".join(lines) + "\n")
 
 
 def _claim_prop_kdualdda(args):
@@ -381,23 +345,18 @@ def _claim_prop_kdualdda(args):
         yield f"|operators|={n} span vs transcribed families", ok, ""
 
 
-def _claim_ex_rbcom(args):
-    built = build_lin(builtin("rba0"), ColorSet.of(2))
-    ok = presentation_span_equal(built, load_golden("golden_rbcom"))
-    yield "lin(rba0, 2 colors) vs golden file", ok, ""
+def _golden_claim(kind, key, golden_name, verbs):
+    """A claim comparing kind(key) at 2 colors with a golden relation set."""
 
+    def run(args):
+        build = {"lin": build_lin, "mat": build_mat, "tot": build_tot}[kind]
+        built = build(builtin(key), ColorSet.of(2))
+        golden = load_golden(golden_name)
+        for verb in verbs:
+            test = presentation_span_contains if verb == "contains" else presentation_span_equal
+            yield f"{kind}({key}, 2 colors) {verb} golden file", test(built, golden), ""
 
-def _claim_ex_rbmat_dend(args):
-    built = build_mat(builtin("dend"), ColorSet.of(2))
-    ok = presentation_span_equal(built, load_golden("golden_rbmat_dend"))
-    yield "mat(dend, 2 colors) vs golden file", ok, ""
-
-
-def _claim_ex_rbtot(args):
-    built = build_tot(builtin("rba0"), ColorSet.of(2))
-    golden = load_golden("golden_rbtot")
-    yield "tot(rba0, 2 colors) contains golden file", presentation_span_contains(built, golden), ""
-    yield "tot(rba0, 2 colors) equals golden file", presentation_span_equal(built, golden), ""
+    return run
 
 
 def white_readings_report() -> list[str]:
@@ -456,9 +415,12 @@ CLAIMS: dict[str, Claim] = {
         Claim("prop-totmat", "matching relations lie inside the total span",
               _grid_claim(default_grid, lambda p, omega: presentation_span_contains(
                   build_tot(p, omega), build_mat(p, omega)), "mat span inside tot span"), _OMEGA),
-        Claim("ex-rbcom", "linearly compatible Rota-Baxter relations match the golden file", _claim_ex_rbcom),
-        Claim("ex-rbmat-dend", "matching dendriform relations match the golden file", _claim_ex_rbmat_dend),
-        Claim("ex-rbtot", "totally compatible Rota-Baxter relations match the golden file", _claim_ex_rbtot),
+        Claim("ex-rbcom", "linearly compatible Rota-Baxter relations match the golden file",
+              _golden_claim("lin", "rba0", "golden_rbcom", ("vs",))),
+        Claim("ex-rbmat-dend", "matching dendriform relations match the golden file",
+              _golden_claim("mat", "dend", "golden_rbmat_dend", ("vs",))),
+        Claim("ex-rbtot", "totally compatible Rota-Baxter relations match the golden file",
+              _golden_claim("tot", "rba0", "golden_rbtot", ("contains", "equals"))),
         Claim("white-report", "emit the literal-vs-dual white product comparison",
               _claim_white_report, ("output",)),
     ]

@@ -1,16 +1,17 @@
-"""Catalog entries: shapes, counts, shipped DSL files."""
+"""Catalog entries: shapes, counts, the DSL files they are read from."""
 
 from pathlib import Path
 
 import pytest
 
+from opdkit import catalog
 from opdkit.catalog import builtin, catalog_keys, default_grid, entries
 from opdkit.compat import build_lin, build_mat, build_tot
 from opdkit.duality import koszul_dual
-from opdkit.parser import serialize
+from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import ColorSet, presentation_span_equal, validate
 
-ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent.parent / "src" / "opdkit" / "data"
 TWO = ColorSet.of(2)
 
 
@@ -84,11 +85,30 @@ def test_quadratic_entries_double_dual():
 
 
 def test_shipped_files_byte_identical():
+    # Every catalog file is canonical and reads back as its entry; the
+    # multi_diff template prints exactly the shipped examples.
     for key in catalog_keys():
         if key == "multi_diff":
             for n in (1, 2, 3):
-                path = ROOT / "presentations" / f"multi_diff_{n}.opd"
-                assert path.read_text() == serialize(builtin(key, n))
+                text = (DATA / f"multi_diff_{n}.opd").read_text()
+                assert catalog._multi_diff_text(n) == text
+                assert serialize(builtin(key, n)) == text
         else:
-            path = ROOT / "presentations" / f"{key}.opd"
-            assert path.read_text() == serialize(builtin(key))
+            text = (DATA / f"{key}.opd").read_text()
+            assert catalog.data_text(key) == text
+            assert serialize(parse_presentation(text)) == text
+            assert serialize(builtin(key)) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("operad as\nbinary m\nrelation assoc: m@2(m@1(x1,x2),x3) - m@1(x1,m@2(x2,x3)\n",
+     "catalog entry as does not parse"),
+    ("operad as\nbinary m\nrelation assoc: m@1(x1,x2) - m@2(m@1(x1,x2),x3)\n",
+     "catalog entry as failed validation"),
+], ids=["unparsable", "invalid"])
+def test_broken_catalog_text_is_an_internal_error(monkeypatch, text, message):
+    # Neither a ParseError nor a CommandError: the cli would report those as
+    # a user's error, and python -O strips an assert.
+    monkeypatch.setattr(catalog, "data_text", lambda name: text)
+    with pytest.raises(RuntimeError, match=message):
+        builtin("as")

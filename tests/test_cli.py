@@ -16,7 +16,7 @@ from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import ColorSet
 
 ROOT = Path(__file__).resolve().parent.parent
-PRES = ROOT / "presentations"
+PRES = ROOT / "src" / "opdkit" / "data"
 
 
 def run(capsys, *argv):
@@ -193,9 +193,11 @@ def test_verify_passing_claim(capsys):
 
 
 def test_verify_kdualdda_delta_flag(capsys):
-    code, out, _ = run(capsys, "verify", "prop-kdualdda", "--delta", "3")
-    assert code == 0
-    assert "(6, 6, 1)" in out
+    # 4 and 5 run both generated families beyond the shipped multi_diff files.
+    for delta, dims in [(3, "(6, 6, 1)"), (4, "(10, 8, 1)"), (5, "(15, 10, 1)")]:
+        code, out, _ = run(capsys, "verify", "prop-kdualdda", "--delta", str(delta))
+        assert code == 0, delta
+        assert dims in out
 
 
 def test_verify_quiet_suppresses_passes(capsys):

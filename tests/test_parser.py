@@ -24,6 +24,7 @@ from opdkit.parser import (
 from opdkit.presentation import ColorSet, validate
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "opdkit" / "data"
 MALFORMED = Path(__file__).resolve().parent / "malformed"
 
 
@@ -38,7 +39,7 @@ def test_parse_assoc_example():
 
 
 def test_parse_rba0_file_matches_builtin():
-    text = (ROOT / "presentations" / "rba0.opd").read_text()
+    text = (DATA / "rba0.opd").read_text()
     assert parse_presentation(text) == builtin("rba0")
 
 
@@ -82,7 +83,7 @@ def test_colored_and_dual_names_roundtrip_bytes():
     assert serialize(parse_presentation(src)) == src
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "presentations").glob("*.opd")))
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.opd")))
 def test_all_shipped_files_roundtrip(path):
     text = path.read_text()
     parsed = parse_presentation(text)

@@ -2,7 +2,7 @@
 
 Serialized presentations (the catalog entries and their lin, mat and tot at
 1-3 colors; Koszul duals and Manin products, for ``^*`` and ``~`` in
-generator names), the shipped ``presentations/*.opd`` files and the
+generator names), the ``.opd`` files shipped in ``src/opdkit/data`` and the
 malformed corpus are mutated by inserting, deleting and replacing
 characters.  On each text both parsers must return equal presentations, or
 raise a ``ParseError`` with the same message and span.
@@ -35,7 +35,7 @@ def texts() -> tuple[str, ...]:
         serialize(black_square(koszul_dual(as_), dend)),  # m*~prec
         serialize(koszul_dual(black_square(as_, dend))),  # m~prec^*
     ]
-    for folder in (ROOT / "presentations", ROOT / "tests" / "malformed"):
+    for folder in (ROOT / "src" / "opdkit" / "data", ROOT / "tests" / "malformed"):
         out.extend(path.read_text(encoding="utf-8") for path in sorted(folder.glob("*.opd")))
     for _, p in default_grid():
         out.append(serialize(p))
