@@ -16,7 +16,6 @@ from .compat import (
     build_tot,
     expand_formal,
     support,
-    transposition_relations,
     verify_lin_encoding,
 )
 from .duality import check_dual_identity, is_self_dual, koszul_dual, pairing_form
@@ -36,19 +35,18 @@ from .presentation import (
     Presentation,
     Relation,
     Term,
-    color_relation,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
     replicate,
     span_components,
-    tensor_generators,
     validate,
 )
 from .trees import (
     Generator,
     GradedComponent,
     Tree,
+    basis_dimension,
     compose,
     corolla,
     enumerate_basis,

@@ -39,7 +39,7 @@ from .presentation import (
     rename_generators,
     span_components,
 )
-from .trees import Generator, enumerate_basis, tree_text
+from .trees import Generator, basis_dimension, enumerate_basis, tree_text
 
 __all__ = ["main", "CLAIMS", "run_claim", "load_golden"]
 
@@ -188,7 +188,7 @@ def cmd_check_iso(args) -> int:
     for c in span_components(a, b):
         equal &= c.equal
         if not args.quiet:
-            ambient = enumerate_basis(a.generators, c.arity, c.weight).dimension
+            ambient = basis_dimension(a.generators, c.arity, c.weight)
             print(
                 f"component (arity {c.arity}, weight {c.weight}): "
                 f"dims {c.left_rank} vs {c.right_rank} of ambient {ambient} -> "
@@ -198,12 +198,23 @@ def cmd_check_iso(args) -> int:
     return 0 if equal else 1
 
 
+# The most trees ``basis`` lists; a larger basis is refused before any tree
+# is built, since listing it would outlast any user.
+BASIS_BUDGET = 100_000
+
+
 def cmd_basis(args) -> int:
     p = _read_presentation(args.input)
     if args.arity < 1:
         raise CommandError(f"--arity {args.arity}: arity must be >= 1")
     if args.weight < 0:
         raise CommandError(f"--weight {args.weight}: weight must be >= 0")
+    size = basis_dimension(p.generators, args.arity, args.weight)
+    if size > BASIS_BUDGET:
+        raise CommandError(
+            f"--arity {args.arity} --weight {args.weight}: the basis has {size} trees, "
+            f"above the budget of {BASIS_BUDGET}"
+        )
     component = enumerate_basis(p.generators, args.arity, args.weight)
     lines = [tree_text(t) for t in component.basis]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.output)
@@ -325,7 +336,11 @@ def expected_multi_diff_dual(n: int) -> Presentation:
         "relation assoc: m^*@2(m^*@1(x1,x2),x3) - m^*@1(x1,m^*@2(x2,x3))",
     ]
     for i, j in combinations_with_replacement(ops, 2):
-        lines.append(f"relation sym_{i}_{j}: d{i}^*@2(d{j}^*@1(x1)) + d{j}^*@2(d{i}^*@1(x1))")
+        if i < j:
+            terms = f"d{i}^*@2(d{j}^*@1(x1)) + d{j}^*@2(d{i}^*@1(x1))"
+        else:  # the two terms are one tree
+            terms = f"2*d{i}^*@2(d{i}^*@1(x1))"
+        lines.append(f"relation sym_{i}_{j}: {terms}")
     for i in ops:
         lines.append(f"relation half_left_{i}: d{i}^*@1(m^*@2(x1,x2)) - m^*@2(d{i}^*@1(x1),x2)")
         lines.append(f"relation half_right_{i}: d{i}^*@1(m^*@2(x1,x2)) - m^*@2(x1,d{i}^*@1(x2))")

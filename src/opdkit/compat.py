@@ -19,22 +19,21 @@ linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
 
-A construction replicates each relation over color tuples or multisets, so
-each relation is compiled into a template (``presentation._Template``)
-and every coloring is stamped from it; each swap is a template of one
-tree, stamped for every pair of colors.  The templates, the swaps and the
-coloring memo they share are the presentation's compiled state
-(``presentation._Compiled``), made by the first build from a presentation
-object and kept as long as that object lives.  So every build from one
-input, at any color count, shares them: ``build_tot`` with a ``build_mat``
-of the same input, ``expand_formal`` with ``build_lin``, a 3-color build
-with a 2-color one.  The memo maps each tree to its colored trees, keyed
-by the colors of the tree's vertices, so equal colored trees built from
-one input are one object, and a build's generator list is read from the
-memo's colored copies, so its trees and its generator list hold the same
-objects.  The state is never global; an equal presentation built anew
-starts with none, and ``transposition_relations``, which takes a relation,
-not a presentation, compiles its swaps afresh on every call.
+This module is the only one that knows how a coloring is made.  Each
+relation is compiled once into a template (``_Template``) and every
+coloring is stamped from it; each swap is a template of one tree, stamped
+for every pair of colors.  The templates, the swaps and the coloring memo
+they share are the presentation's compiled state (``_Compiled``, reached
+as ``Presentation._compiled``), made by the first build from a
+presentation object and kept as long as that object lives.  So every
+build from one input, at any color count, shares them: ``build_tot`` with
+a ``build_mat`` of the same input, ``expand_formal`` with ``build_lin``, a
+3-color build with a 2-color one.  The memo maps each tree to its colored
+trees, keyed by the colors of the tree's vertices, so equal colored trees
+built from one input are one object, and a build's generator list is read
+from the memo's colored copies, so its trees and its generator list hold
+the same objects.  The state is never global: an equal presentation built
+anew starts with none.
 """
 
 from __future__ import annotations
@@ -43,21 +42,21 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from operator import getitem, itemgetter
+from typing import Callable, Literal, Optional, Sequence
 
 from .presentation import (
     ColorSet,
     Presentation,
     Relation,
     Term,
-    _Compiled,
+    _integers,
     _require_uncolored,
-    _Template,
     presentation_span_equal,
     require_valid,
     standard_slots,
 )
-from .trees import Generator, Tree, enumerate_basis
+from .trees import Generator, Tree, _flat_tree, enumerate_basis
 
 __all__ = [
     "CompatKind",
@@ -67,8 +66,6 @@ __all__ = [
     "build_mat",
     "build_tot",
     "build_compatible",
-    "transposition_relations",
-    "uncovered_trees",
     "expand_formal",
     "verify_lin_encoding",
 ]
@@ -87,6 +84,158 @@ def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
             order.append(key)
         totals[key] += term.coeff
     return [key for key in order if totals[key] != 0]
+
+
+_new = object.__new__
+_set = object.__setattr__
+# A colored term is made without Term.__init__, whose check its template
+# passed: its fields are set through their slot descriptors.
+_set_coeff, _set_tree, _set_slots = Term.coeff.__set__, Term.tree.__set__, Term.slots.__set__
+
+
+class _ColoredCopies(dict):
+    """color -> one generator colored by it, each copy made on first use."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, gen: Generator) -> None:
+        super().__init__()
+        self.gen = gen
+
+    def __missing__(self, color: str) -> Generator:
+        colored = self[color] = self.gen.colored(color)
+        return colored
+
+
+def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
+    """The memo's table of the colored copies of ``gen``."""
+    copies = memo.get(gen)
+    if copies is None:
+        copies = memo[gen] = _ColoredCopies(gen)
+    return copies
+
+
+def _picker(indices: tuple[int, ...]) -> Callable[[Sequence[str]], tuple[str, ...]]:
+    """The function taking a color sequence to the tuple of its entries at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda colors: (colors[index],)
+    return lambda colors: ()
+
+
+class _Template:
+    """Terms compiled once, to be colored by many colorings.
+
+    Per term it holds the coefficient and the integer coefficient (all
+    coefficients scaled by one common denominator), the shape and slots,
+    the 0-based slot each vertex reads its color from, each vertex's table
+    of colored generators and the memo's dict of the tree's colorings.  A
+    coloring then makes each term from a lookup keyed by the colors of its
+    vertices, and puts the terms in canonical order without checking them
+    again.
+
+    The memo is shared by everything colored from one presentation (see
+    ``_Compiled``): ``memo[gen]`` maps a color to the colored generator,
+    ``memo[tree]`` maps the colors of the tree's vertices in preorder to
+    the colored tree.  Equal colored trees built through one memo are
+    therefore one object.
+
+    ``reads`` gives, per term, the slots its vertices read their colors
+    from, when they are not the term's own slots (see ``_swap``).
+    """
+
+    __slots__ = ("_parts", "_ranks", "_ties", "_in_order", "_integer_rows")
+
+    def __init__(
+        self, terms: Sequence[Term], memo: dict, reads: Optional[Sequence[tuple[int, ...]]] = None
+    ) -> None:
+        parts = []
+        for term, value, read in zip(terms, _integers(terms), reads or [t.slots for t in terms]):
+            tree = term.tree
+            colorings = memo.get(tree)
+            if colorings is None:
+                colorings = memo[tree] = {}
+            parts.append((
+                term.coeff,
+                value,
+                tree.shape,
+                term.slots,
+                _picker(tuple([slot - 1 for slot in read])),
+                tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()]),
+                colorings,
+            ))
+        self._parts = parts
+        # Colored terms compare as in Term.sort_key by (rank, generator
+        # keys, tie).  Coloring keeps a tree's (arity, weight, shape), whose
+        # rank comes first.  Two colored trees with equal keys come from
+        # equal trees, so their terms compare by slots and coefficient, as
+        # their template terms do: the tie is a term's place in the sorted
+        # template.  One coloring of terms of increasing rank needs no sort.
+        grades = [(term.tree.arity, term.tree.weight, term.tree.shape) for term in terms]
+        rank = {grade: i for i, grade in enumerate(sorted(set(grades)))}
+        self._ranks = [rank[grade] for grade in grades]
+        self._ties = [0] * len(terms)
+        if len(rank) < len(terms):  # else equal keys mean one template term
+            for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
+                self._ties[i] = place
+        self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
+        # Stamped relations with equal integer coefficients share one tuple.
+        self._integer_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
+        """The relation ``name`` whose terms are those of every coloring."""
+        terms, ints = [], []
+        for colors in colorings:
+            for coeff, value, shape, slots, pick, copies, trees in self._parts:
+                vertex_colors = pick(colors)
+                tree = trees.get(vertex_colors)
+                if tree is None:
+                    gens = tuple(map(getitem, copies, vertex_colors))
+                    tree = trees[vertex_colors] = _flat_tree(shape, gens)
+                term = _new(Term)
+                _set_coeff(term, coeff)
+                _set_tree(term, tree)
+                _set_slots(term, slots)
+                terms.append(term)
+                ints.append(value)
+        if len(colorings) > 1 or not self._in_order:
+            n = len(colorings)
+            keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
+            order = sorted(range(len(terms)), key=keys.__getitem__)
+            terms = [terms[i] for i in order]
+            ints = [ints[i] for i in order]
+        rel = _new(Relation)
+        _set(rel, "name", name)
+        _set(rel, "terms", tuple(terms))
+        ints = tuple(ints)
+        _set(rel, "_integer_coefficients", self._integer_rows.setdefault(ints, ints))
+        return rel
+
+
+class _Compiled:
+    """What the builders derive from one valid presentation.
+
+    ``memo`` is the coloring memo that every build from the presentation
+    shares, ``copies`` the memo's table of colored copies of each
+    generator, in generator order, and ``templates`` one compiled template
+    per relation, by position.  ``tot_swaps`` holds the total
+    construction's swap templates, grouped by weight, once ``build_tot``
+    has compiled them.
+
+    It is made on first use (``Presentation._compiled``) and lives as long
+    as its presentation.  It grows with the color labels asked of it: each
+    new label adds its colored generators and the colored trees that use it.
+    """
+
+    __slots__ = ("memo", "copies", "templates", "tot_swaps")
+
+    def __init__(self, p: Presentation) -> None:
+        self.memo = memo = {}
+        self.copies = tuple([_colored_copies(memo, g) for g in p.generators])
+        self.templates = tuple([_Template(rel.terms, memo) for rel in p.relations])
+        self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
 
 
 def _compiled(p: Presentation) -> _Compiled:
@@ -108,10 +257,7 @@ def _colored_gens(
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
     compiled = _compiled(p)
-    return _build_mat(p, ColorSet.of(omega), compiled)
-
-
-def _build_mat(p: Presentation, omega: ColorSet, compiled: _Compiled) -> Presentation:
+    omega = ColorSet.of(omega)
     unary, binary = _colored_gens(omega, compiled)
     rels = [
         template.relation(f"{rel.name}__{','.join(colors)}", (colors,))
@@ -134,10 +280,7 @@ def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     """Linearly compatible operad: one relation per color monomial of each
     relation, the sum of its distinct orderings."""
     compiled = _compiled(p)
-    return _build_lin(p, ColorSet.of(omega), compiled)
-
-
-def _build_lin(p: Presentation, omega: ColorSet, compiled: _Compiled) -> Presentation:
+    omega = ColorSet.of(omega)
     unary, binary = _colored_gens(omega, compiled)
     rels = []
     for rel, template in zip(p.relations, compiled.templates):
@@ -169,21 +312,12 @@ def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) 
     return _Template(terms, memo, (slots, tuple([swap[s] for s in slots])))
 
 
-def transposition_relations(rel: Relation, mu: str, nu: str) -> list[Relation]:
-    """Color-swap relations on every support tree of ``rel``.
+def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Template]]:
+    """The swap templates of ``rel``'s support trees, with their name stems.
 
     Weight 2: t(mu,nu) - t(nu,mu).  Weight 3: t(mu,nu,mu) - t(nu,mu,mu) and
     t(mu,nu,mu) - t(mu,mu,nu), i.e. the swap of slots 1,2 and of slots 2,3.
     """
-    if mu == nu:
-        raise ValueError("transposition needs two distinct colors")
-    return _transpositions(rel.weight, _swaps(rel, support(rel), {}), mu, nu)
-
-
-def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Template]]:
-    """The swap templates of ``rel``'s support trees, with their name stems."""
-    if rel.weight not in (2, 3):
-        raise ValueError(f"relation {rel.name} has weight {rel.weight}, expected 2 or 3")
     return [
         (f"{rel.name}__T_{idx}{suffix}", _swap(tree, slots, swap, memo))
         for idx, (tree, slots) in enumerate(supported)
@@ -196,16 +330,9 @@ def _transpositions(weight: int, swaps: list, mu: str, nu: str) -> list[Relation
     return [template.relation(f"{stem}_{mu},{nu}", (first,)) for stem, template in swaps]
 
 
-def uncovered_trees(p: Presentation) -> list[Tree]:
-    """Weight-2 trees over p's generators that lie in no relation's support.
-
-    Listed arity by arity (1, 2, 3), each in canonical basis order.
-    """
-    return [tree for _, tree in _uncovered(p, map(support, p.relations))]
-
-
 def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
-    """``uncovered_trees`` given the supports, each with its basis index."""
+    """The weight-2 trees over p's generators outside every support, each
+    with its basis index, arity by arity (1, 2, 3) in canonical order."""
     covered = {tree for supported in supports for tree, _ in supported}
     bases = (enumerate_basis(p.generators, arity, 2).basis for arity in (1, 2, 3))
     return [(i, tree) for basis in bases for i, tree in enumerate(basis) if tree not in covered]
@@ -214,11 +341,11 @@ def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
 def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """Totally compatible operad: matching relations plus color swaps.
 
-    Every relation contributes the swaps of ``transposition_relations`` on
-    its support trees.  For a quadratic presentation the swap
-    t(mu,nu) - t(nu,mu) is imposed on every weight-2 tree t, so the trees
-    outside all supports (``uncovered_trees``) get one more swap per pair of
-    colors, named ``swap__a<arity>_<basis index>_<mu>,<nu>``.
+    Every relation contributes color swaps on its support trees, named
+    ``<relation>__T_<support index>[a|b]_<mu>,<nu>`` (see ``_swaps``).  For
+    a quadratic presentation the swap t(mu,nu) - t(nu,mu) is imposed on
+    every weight-2 tree t, so the trees outside all supports get one more
+    swap per pair of colors, named ``swap__a<arity>_<basis index>_<mu>,<nu>``.
 
     The quadratic rule is forced by the Koszul duality with the linear
     construction.  Write V for the weight-2 trees of one arity and R for the
@@ -239,8 +366,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     golden file records.
     """
     omega = ColorSet.of(omega)
-    compiled = _compiled(p)
-    mat = _build_mat(p, omega, compiled)
+    mat = build_mat(p, omega)
+    compiled = p._compiled
     if compiled.tot_swaps is None:
         compiled.tot_swaps = _tot_swaps(p, compiled.memo)
     extra = []
@@ -295,10 +422,7 @@ class FormalExpansion:
 def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
     """Substitute sum_w c_w g#w into every slot and collect by monomial in the c's."""
     compiled = _compiled(p)
-    return _expand_formal(p, ColorSet.of(omega), compiled)
-
-
-def _expand_formal(p: Presentation, omega: ColorSet, compiled: _Compiled) -> list[FormalExpansion]:
+    omega = ColorSet.of(omega)
     out = []
     for rel, template in zip(p.relations, compiled.templates):
         buckets: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
@@ -318,11 +442,10 @@ def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
     Checked separately in every (arity, weight) component.
     """
     omega = ColorSet.of(omega)
-    compiled = _compiled(p)
-    lin = _build_lin(p, omega, compiled)
+    lin = build_lin(p, omega)
     extracted = [
         rel
-        for expansion in _expand_formal(p, omega, compiled)
+        for expansion in expand_formal(p, omega)
         for rel in expansion.coefficients.values()
     ]
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))

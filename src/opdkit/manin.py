@@ -33,7 +33,7 @@ from .presentation import (
     span_components,
     tensor_map,
 )
-from .trees import Generator, enumerate_basis, relabel
+from .trees import Generator, basis_dimension, relabel
 
 __all__ = [
     "ProductKind",
@@ -235,7 +235,7 @@ def compare_white_readings(p: Presentation, q: Presentation) -> WhiteComparison:
         q.name,
         all(c.equal for c in report),
         *ranks.get((3, 2), (0, 0)),
-        enumerate_basis(literal.generators, 3, 2).dimension,
+        basis_dimension(literal.generators, 3, 2),
     )
 
 

@@ -5,26 +5,15 @@ A relation is a rational linear combination of decorated trees of one fixed
 positional roles of internal vertices inside a relation template so that a
 coloring can be applied uniformly across all terms: slot j of every term
 receives the same color even when the decorating generators differ from
-term to term (as in a commutator).  Coloring keeps a tree's shape and
-replaces its generators, so each colored tree is built in one step from
-the uncolored tree's shape and the colored generators.
+term to term (as in a commutator).  The colorings themselves are made in
+``compat``, the one module that compiles and stamps them.
 
-Every coloring goes through ``_Template``: a relation's terms are compiled
-once, with each vertex's slot and table of colored generators, and each
-coloring is stamped from the compiled form.  A memo has two levels:
-``memo[tree]`` maps the colors of the tree's vertices to the colored tree,
-so a stamp looks a tree up by a tuple of color labels and equal colored
-trees built through one memo are one object.
-
-A presentation keeps what the builders derive from it, made on first use
-and kept as long as the presentation lives: its validation report and
-its ``_Compiled`` state (the coloring memo, one template per relation and
-the total construction's swaps).  Every build from one presentation object
-shares them, whatever colors it asks for, so the state grows with the
-color labels asked of it.  Nothing is kept anywhere else: the state is not
-a field, takes no part in equality, hashing, copying or pickling, and goes
-when the presentation goes.  ``color_term`` and ``color_relation`` take no
-presentation, so each call compiles with a memo of its own.
+A presentation keeps what is derived from it, made on first use and kept
+as long as the presentation lives: its validation report and the
+builders' compiled state (``Presentation._compiled``, a
+``compat._Compiled``).  Neither is a field: equality, hashing, copying and
+pickling see the fields only, and the state goes when the presentation
+goes.
 
 The module also carries the span machinery used throughout.  Presentations
 are compared componentwise by exact row-space equality or containment: the
@@ -47,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter, getitem, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import (
@@ -57,13 +46,11 @@ from .trees import (
     Generator,
     GradedComponent,
     Tree,
-    _flat_tree,
     _is_leaf_name,
     enumerate_basis,
     relabel,
     split_generator_token,
     tree_key,
-    tree_text,
 )
 
 __all__ = [
@@ -74,11 +61,8 @@ __all__ = [
     "ValidationReport",
     "validate",
     "replicate",
-    "color_term",
-    "color_relation",
     "rename_generators",
     "tensor_map",
-    "tensor_generators",
     "tensor_atom_name",
     "relation_gradings",
     "component_matrix",
@@ -197,8 +181,10 @@ class Presentation:
         return validate(self)
 
     @cached_property
-    def _compiled(self) -> "_Compiled":
-        """The builders' state (see ``_Compiled``), made on first use."""
+    def _compiled(self):
+        """The builders' state (see ``compat._Compiled``), made on first use."""
+        from .compat import _Compiled
+
         return _Compiled(self)
 
     def __getstate__(self) -> dict:
@@ -392,193 +378,6 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return _WEIGHT_TWO_SHAPES[tree.shape][1]
 
 
-_new = object.__new__
-_set = object.__setattr__
-# A colored term is made without Term.__init__, whose check its template
-# passed: its fields are set through their slot descriptors.
-_set_coeff, _set_tree, _set_slots = Term.coeff.__set__, Term.tree.__set__, Term.slots.__set__
-
-
-class _ColoredCopies(dict):
-    """color -> one generator colored by it, each copy made on first use."""
-
-    __slots__ = ("gen",)
-
-    def __init__(self, gen: Generator) -> None:
-        super().__init__()
-        self.gen = gen
-
-    def __missing__(self, color: str) -> Generator:
-        colored = self[color] = self.gen.colored(color)
-        return colored
-
-
-def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
-    """The memo's table of the colored copies of ``gen``."""
-    copies = memo.get(gen)
-    if copies is None:
-        copies = memo[gen] = _ColoredCopies(gen)
-    return copies
-
-
-def _picker(indices: tuple[int, ...]) -> Callable[[Sequence[str]], tuple[str, ...]]:
-    """The function taking a color sequence to the tuple of its entries at ``indices``."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        (index,) = indices
-        return lambda colors: (colors[index],)
-    return lambda colors: ()
-
-
-class _Template:
-    """Terms compiled once, to be colored by many colorings.
-
-    Per term it holds the coefficient and the integer coefficient (all
-    coefficients scaled by one common denominator), the shape and slots,
-    the 0-based slot each vertex reads its color from, each vertex's table
-    of colored generators and the memo's dict of the tree's colorings.  A
-    coloring then makes each term from a lookup keyed by the colors of its
-    vertices, and puts the terms in canonical order without checking them
-    again.
-
-    The memo is shared by everything colored from one presentation (see
-    ``_Compiled``): ``memo[gen]`` maps a color to the colored generator,
-    ``memo[tree]`` maps the colors of the tree's vertices in preorder to
-    the colored tree.  Equal colored trees built through one memo are
-    therefore one object.
-
-    ``reads`` gives, per term, the slots its vertices read their colors
-    from, when they are not the term's own slots (see ``compat._swap``).
-    """
-
-    __slots__ = ("_parts", "_ranks", "_ties", "_in_order", "_integer_rows")
-
-    def __init__(
-        self, terms: Sequence[Term], memo: dict, reads: Optional[Sequence[tuple[int, ...]]] = None
-    ) -> None:
-        parts = []
-        for term, value, read in zip(terms, _integers(terms), reads or [t.slots for t in terms]):
-            tree = term.tree
-            colorings = memo.get(tree)
-            if colorings is None:
-                colorings = memo[tree] = {}
-            parts.append((
-                term.coeff,
-                value,
-                tree.shape,
-                term.slots,
-                _picker(tuple([slot - 1 for slot in read])),
-                tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()]),
-                colorings,
-            ))
-        self._parts = parts
-        # Colored terms compare as in Term.sort_key by (rank, generator
-        # keys, tie).  Coloring keeps a tree's (arity, weight, shape), whose
-        # rank comes first.  Two colored trees with equal keys come from
-        # equal trees, so their terms compare by slots and coefficient, as
-        # their template terms do: the tie is a term's place in the sorted
-        # template.  One coloring of terms of increasing rank needs no sort.
-        grades = [(term.tree.arity, term.tree.weight, term.tree.shape) for term in terms]
-        rank = {grade: i for i, grade in enumerate(sorted(set(grades)))}
-        self._ranks = [rank[grade] for grade in grades]
-        self._ties = [0] * len(terms)
-        if len(rank) < len(terms):  # else equal keys mean one template term
-            for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
-                self._ties[i] = place
-        self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
-        # Stamped relations with equal integer coefficients share one tuple.
-        self._integer_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def stamp(self, colorings: Iterable[Sequence[str]]) -> tuple[list[Term], list[int]]:
-        """The terms under each coloring in turn, in template order, with
-        their integer coefficients."""
-        terms, ints = [], []
-        for colors in colorings:
-            for coeff, value, shape, slots, pick, copies, trees in self._parts:
-                vertex_colors = pick(colors)
-                tree = trees.get(vertex_colors)
-                if tree is None:
-                    gens = tuple(map(getitem, copies, vertex_colors))
-                    tree = trees[vertex_colors] = _flat_tree(shape, gens)
-                term = _new(Term)
-                _set_coeff(term, coeff)
-                _set_tree(term, tree)
-                _set_slots(term, slots)
-                terms.append(term)
-                ints.append(value)
-        return terms, ints
-
-    def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
-        """The relation ``name`` whose terms are those of every coloring."""
-        terms, ints = self.stamp(colorings)
-        if len(colorings) > 1 or not self._in_order:
-            n = len(colorings)
-            keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
-            order = sorted(range(len(terms)), key=keys.__getitem__)
-            terms = [terms[i] for i in order]
-            ints = [ints[i] for i in order]
-        rel = _new(Relation)
-        _set(rel, "name", name)
-        _set(rel, "terms", tuple(terms))
-        ints = tuple(ints)
-        _set(rel, "_integer_coefficients", self._integer_rows.setdefault(ints, ints))
-        return rel
-
-
-class _Compiled:
-    """What the builders derive from one valid presentation.
-
-    ``memo`` is the coloring memo that every build from the presentation
-    shares, ``copies`` the memo's table of colored copies of each
-    generator, in generator order, and ``templates`` one compiled template
-    per relation, by position.  ``tot_swaps`` holds the total
-    construction's swap templates, grouped by weight, once
-    ``compat.build_tot`` has compiled them.
-
-    It is made on first use (``Presentation._compiled``) and lives as long
-    as its presentation.  It grows with the color labels asked of it: each
-    new label adds its colored generators and the colored trees that use it.
-    """
-
-    __slots__ = ("memo", "copies", "templates", "tot_swaps")
-
-    def __init__(self, p: Presentation) -> None:
-        self.memo = memo = {}
-        self.copies = tuple([_colored_copies(memo, g) for g in p.generators])
-        self.templates = tuple([_Template(rel.terms, memo) for rel in p.relations])
-        self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
-
-
-def color_term(term: Term, colors: Sequence[str]) -> Term:
-    """Apply ``colors[j-1]`` to the generator sitting at slot j of ``term``."""
-    weight = term.tree.weight
-    if len(colors) != weight:
-        raise ValueError(
-            f"term {tree_text(term.tree, term.slots)} has weight {weight}, "
-            f"got {len(colors)} colors"
-        )
-    (colored,), _ = _Template((term,), {}).stamp((colors,))
-    return colored
-
-
-def color_relation(
-    rel: Relation,
-    colors: Sequence[str],
-    omega: Optional[ColorSet] = None,
-) -> Relation:
-    """Apply ``colors[j-1]`` to the generator sitting at slot j of every term."""
-    if len(colors) != rel.weight:
-        raise ValueError(
-            f"relation {rel.name} has weight {rel.weight}, got {len(colors)} colors"
-        )
-    if omega is not None:
-        for c in colors:
-            if c not in omega.labels:
-                raise ValueError(f"color label {c!r} not in the ambient color set")
-    return _Template(rel.terms, {}).relation(rel.name, (colors,))
-
-
 def rename_generators(
     p: Presentation, mapping: Mapping[Generator, Generator]
 ) -> Presentation:
@@ -637,13 +436,6 @@ def tensor_map(
         (ge, gf): Generator(f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}", 2)
         for ge, gf in pairs
     }
-
-
-def tensor_generators(
-    e: Sequence[Generator], f: Sequence[Generator]
-) -> list[Generator]:
-    """One binary generator per pair, named ``e~f``, in lexicographic pair order."""
-    return list(tensor_map(e, f).values())
 
 
 # ---------------------------------------------------------------------------

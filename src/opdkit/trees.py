@@ -12,9 +12,10 @@ generator stores its hash, sort key and DSL text when it is built.  A tree
 is stored flat, as its shape and its generators in preorder, with its
 arity, weight, hash and sort keys derived from them once; ``tree_key``
 reads them without a walk.  ``relabel`` (renaming, dualizing, the Manin
-products) and coloring (``presentation._Template``) build each tree in one
-step from a template's shape and new generators; composition splices flat
-forms.
+products) and coloring (``compat._Template``) build each tree in one step
+from a template's shape and new generators; composition splices flat
+forms.  ``basis_dimension`` counts a graded basis in closed form, so a
+size can be known, and refused, before any tree is built.
 
 A tree's text is one format string per shape, or per (shape, slots) for
 the slotted form of the DSL, filled with its generators' stored texts.
@@ -25,6 +26,7 @@ lexes with it and ``validate`` checks names against it.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,6 +43,7 @@ __all__ = [
     "relabel",
     "tree_key",
     "enumerate_basis",
+    "basis_dimension",
     "tree_text",
     "split_generator_token",
 ]
@@ -352,6 +355,27 @@ def enumerate_basis(
         raise ValueError("weight must be >= 0")
     basis = _all_trees(tuple(gens), arity, weight)
     return GradedComponent(arity, weight, basis)
+
+
+def basis_dimension(gens: Sequence[Generator], arity: int, weight: int) -> int:
+    """The number of trees ``enumerate_basis`` lists, counted without them.
+
+    A tree of arity a has b = a - 1 binary vertices and u = weight - b
+    unary ones.  Its binary skeleton is one of Catalan(b) planar binary
+    trees, with 2b + 1 edges counting the root's, and its unary vertices
+    sit in chains on those edges, in C(u + 2b, u) ways; each vertex then
+    carries any generator of its arity.
+    """
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if weight < 0:
+        raise ValueError("weight must be >= 0")
+    b, u = arity - 1, weight - arity + 1
+    if u < 0:
+        return 0
+    unary = sum(1 for g in gens if g.arity == 1)
+    binary = sum(1 for g in gens if g.arity == 2)
+    return math.comb(2 * b, b) // (b + 1) * math.comb(u + 2 * b, u) * binary**b * unary**u
 
 
 @lru_cache(maxsize=None)

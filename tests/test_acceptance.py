@@ -41,7 +41,7 @@ from opdkit.presentation import (
     presentation_span_equal,
     rename_generators,
 )
-from opdkit.trees import Generator, corolla, enumerate_basis, graft, leaf
+from opdkit.trees import Generator, basis_dimension, corolla, enumerate_basis, graft, leaf
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO = ColorSet.of(2)
@@ -298,6 +298,8 @@ def _criterion_12_basis_counts() -> bool:
             }
             for (arity, weight), count in expected.items():
                 if enumerate_basis(gens, arity, weight).dimension != count:
+                    return False
+                if basis_dimension(gens, arity, weight) != count:
                     return False
     return True
 

@@ -1,4 +1,4 @@
-"""The builders and the public coloring against a reference coloring.
+"""The builders against a reference coloring.
 
 The reference shares no code with the compiled templates of the builders:
 it colors a tree vertex by vertex with ``Tree(gen, children)``, builds
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rescaled import GRID, rescaled
 from opdkit.compat import FormalExpansion, build_lin, build_mat, build_tot, expand_formal
-from opdkit.presentation import ColorSet, Presentation, Relation, Term, color_relation, standard_slots
+from opdkit.presentation import ColorSet, Presentation, Relation, Term, standard_slots
 from opdkit.trees import Generator, Tree, enumerate_basis
 
 LABELS = st.sampled_from([("1",), ("1", "2"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b")])
@@ -155,8 +155,9 @@ def test_color_relation_matches_the_reference_coloring(label, data):
     p = rescaled(data, GRID[label])
     rel = data.draw(st.sampled_from(p.relations))
     colors = tuple(data.draw(st.lists(st.sampled_from("abc"), min_size=rel.weight, max_size=rel.weight)))
-    colored = color_relation(rel, colors)
-    reference = Relation(rel.name, tuple(painted_term(t, colors) for t in rel.terms))
+    name = f"{rel.name}__{','.join(colors)}"
+    colored = build_mat(p, ColorSet(("a", "b", "c"))).relation(name)
+    reference = Relation(name, tuple(painted_term(t, colors) for t in rel.terms))
     assert colored == reference
     assert [t.tree.internal_generators() for t in colored.terms] == [
         t.tree.internal_generators() for t in reference.terms

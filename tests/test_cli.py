@@ -306,7 +306,11 @@ def test_verify_delta_must_be_an_operator_count(capsys, spec):
     (["build", "lin", str(PRES / "as.opd"), "--omega", ","], "--omega ',': color set must be nonempty"),
     (["basis", str(PRES / "as.opd"), "--arity", "0", "--weight", "2"], "--arity 0: arity must be >= 1"),
     (["basis", str(PRES / "as.opd"), "--arity", "3", "--weight", "-1"], "--weight -1: weight must be >= 0"),
-], ids=["build --omega a,a", "build --omega 0", "build --omega ,", "basis --arity 0", "basis --weight -1"])
+    # Refused from the closed-form count, before any of its trees is built.
+    (["basis", str(PRES / "d1d2.opd"), "--arity", "8", "--weight", "20"],
+     "--arity 8 --weight 20: the basis has 70492247654400 trees, above the budget of 100000"),
+], ids=["build --omega a,a", "build --omega 0", "build --omega ,", "basis --arity 0", "basis --weight -1",
+        "basis over budget"])
 def test_bad_sizes_exit_2_naming_the_option(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")

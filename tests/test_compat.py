@@ -14,7 +14,6 @@ from opdkit.compat import (
     build_tot,
     expand_formal,
     support,
-    transposition_relations,
     verify_lin_encoding,
 )
 from opdkit.linalg import rank, span_equal
@@ -170,9 +169,17 @@ def test_epimorphism_chain():
             assert presentation_span_contains(tot, mat), label
 
 
+def _transpositions(tot, base, mu, nu):
+    """The swaps that ``tot`` holds on the support trees of relation ``base``
+    for the colors ``mu``, ``nu``."""
+    return [
+        rel for rel in tot.relations
+        if rel.name.startswith(f"{base}__T_") and rel.name.endswith(f"_{mu},{nu}")
+    ]
+
+
 def test_transpositions_of_assoc():
-    assoc = builtin("as").relation("assoc")
-    rels = transposition_relations(assoc, "1", "2")
+    rels = _transpositions(build_tot(builtin("as"), TWO), "assoc", "1", "2")
     assert len(rels) == 2
     texts = [sorted((str(t.coeff), tree_text(t.tree)) for t in rel.terms) for rel in rels]
     assert [("-1", "m#1(m#2(x1,x2),x3)"), ("1", "m#2(m#1(x1,x2),x3)")] in texts
@@ -180,16 +187,17 @@ def test_transpositions_of_assoc():
 
 
 def test_transpositions_weight3_two_per_tree():
-    rb = builtin("rba0").relation("rb")
-    rels = transposition_relations(rb, "1", "2")
-    assert len(rels) == 6
+    tot = build_tot(builtin("rba0"), TWO)
+    assert len(_transpositions(tot, "rb", "1", "2")) == 6
+    assert not _transpositions(tot, "rb", "1", "1")
+    # A swap needs two distinct colors, and a color set has no repeated label.
     with pytest.raises(ValueError):
-        transposition_relations(rb, "1", "1")
+        build_tot(builtin("rba0"), ColorSet(("1", "1")))
 
 
 def test_transpositions_single_tree_weight2():
-    rel = builtin("d1d2").relation("dd_a")
-    assert len(transposition_relations(rel, "1", "2")) == 1
+    tot = build_tot(builtin("d1d2"), TWO)
+    assert len(_transpositions(tot, "dd_a", "1", "2")) == 1
 
 
 def test_build_tot_as_span():
@@ -274,17 +282,20 @@ def test_build_tot_cubic_keeps_support_swaps():
         if pres.is_quadratic:
             continue
         tot = build_tot(pres, THREE)
-        swaps = [
-            rel
+        swaps = {
+            f"{base.name}__T_{idx}{half}_{mu},{nu}"
             for base in pres.relations
+            for idx in range(len(support(base)))
+            for half in (("",) if base.weight == 2 else ("a", "b"))
             for mu, nu in (
                 itertools.combinations(THREE.labels, 2)
                 if base.weight == 2
                 else itertools.permutations(THREE.labels, 2)
             )
-            for rel in transposition_relations(base, mu, nu)
-        ]
-        assert len(tot.relations) == len(build_mat(pres, THREE).relations) + len(swaps), label
+        }
+        mat = build_mat(pres, THREE)
+        assert len(tot.relations) == len(mat.relations) + len(swaps), label
+        assert {rel.name for rel in tot.relations} == {rel.name for rel in mat.relations} | swaps, label
         assert not any(rel.name.startswith("swap__") for rel in tot.relations), label
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from opdkit.catalog import builtin
 from opdkit.cli import expected_multi_diff_dual
-from opdkit.compat import build_mat, support, uncovered_trees
+from opdkit.compat import build_mat, build_tot, support
 from opdkit.duality import (
     check_dual_identity,
     is_self_dual,
@@ -20,11 +20,22 @@ from opdkit.presentation import (
     presentation_span_equal,
     rename_generators,
 )
-from opdkit.trees import Generator, Tree, enumerate_basis, leaf, tree_text
+from opdkit.trees import Generator, Tree, enumerate_basis, leaf, relabel, tree_text
 
 TWO = ColorSet.of(2)
 D = Generator("d", 1)
 M = Generator("m", 2)
+
+
+def uncovered_trees(p):
+    """The uncolored trees of ``build_tot``'s ``swap__`` relations at 2 colors:
+    the weight-2 trees outside every support of a quadratic ``p``."""
+    trees = []
+    for rel in build_tot(p, TWO).relations:
+        if rel.name.startswith("swap__"):
+            tree = rel.terms[0].tree
+            trees.append(relabel(tree, [g.uncolored() for g in tree.internal_generators()]))
+    return trees
 
 
 def test_pairing_form_by_component():
@@ -77,6 +88,15 @@ def test_dual_of_commuting_derivations(n):
         dims[arity] = rank(matrix)
     assert (dims[1], dims[2], dims[3]) == (n * (n + 1) // 2, 2 * n, 1)
     assert presentation_span_equal(dual, expected_multi_diff_dual(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expected_dual_writes_each_slotted_tree_once(n):
+    for rel in expected_multi_diff_dual(n).relations:
+        pairs = [(term.tree, term.slots) for term in rel.terms]
+        assert len(set(pairs)) == len(pairs), rel.name
+    sym = expected_multi_diff_dual(n).relation(f"sym_{n}_{n}")
+    assert [term.coeff for term in sym.terms] == [2]
 
 
 def test_dimension_bookkeeping_per_arity():

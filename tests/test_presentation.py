@@ -14,16 +14,14 @@ from opdkit.presentation import (
     Presentation,
     Relation,
     Term,
-    _Template,
-    color_relation,
-    color_term,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
     replicate,
-    tensor_generators,
+    tensor_map,
     validate,
 )
+from opdkit.compat import _Template, build_mat
 from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
 
 P = Generator("P", 1)
@@ -102,15 +100,14 @@ def test_replicate_order_and_errors():
 
 
 def test_color_relation_assoc_matches_matching_pattern():
-    rel = builtin("as").relation("assoc")
-    colored = color_relation(rel, ("1", "2"))
+    colored = build_mat(builtin("as"), ColorSet.of(2)).relation("assoc__1,2")
     texts = sorted(tree_text(t.tree, t.slots) for t in colored.terms)
     assert texts == ["m#1@1(x1,m#2@2(x2,x3))", "m#2@2(m#1@1(x1,x2),x3)"]
 
 
 def test_color_relation_constant_color_forgets_back():
     rel = builtin("rba0").relation("rb")
-    colored = color_relation(rel, ("w",) * 3)
+    colored = build_mat(builtin("rba0"), ColorSet(("w",))).relation("rb__w,w,w")
     stripped = []
     for term in colored.terms:
         gens = [g.uncolored() for g in term.tree.internal_generators()]
@@ -119,8 +116,7 @@ def test_color_relation_constant_color_forgets_back():
 
 
 def test_color_relation_rb_mixed():
-    rel = builtin("rba0").relation("rb")
-    colored = color_relation(rel, ("1", "2", "1"))
+    colored = build_mat(builtin("rba0"), ColorSet.of(2)).relation("rb__1,2,1")
     texts = {tree_text(t.tree): t.coeff for t in colored.terms}
     assert texts == {
         "m#1(P#1(x1),P#2(x2))": 1,
@@ -129,31 +125,13 @@ def test_color_relation_rb_mixed():
     }
 
 
-def test_color_relation_errors():
-    rel = builtin("as").relation("assoc")
-    with pytest.raises(ValueError):
-        color_relation(rel, ("1",))
-    with pytest.raises(ValueError):
-        color_relation(rel, ("1", "3"), ColorSet.of(2))
-
-
-def test_color_term_checks_its_colors():
-    term = builtin("as").relation("assoc").terms[0]
-    with pytest.raises(ValueError, match="has weight 2, got 1 colors"):
-        color_term(term, ("a",))
-    with pytest.raises(ValueError, match="has weight 2, got 3 colors"):
-        color_term(term, ("a", "b", "c"))
-    colored = color_term(term, ("a", "b"))
-    assert sorted(g.color for g in colored.tree.internal_generators()) == ["a", "b"]
-
-
 # --- the colored walk against relabel ---
 
 
 def colored_tree(tree, slots, colors, memo):
     """``tree`` with ``colors[j-1]`` on its vertex at slot j, stamped from a
     one-term template compiled through ``memo``."""
-    (term,), _ = _Template((Term(Fraction(1), tree, slots),), memo).stamp((colors,))
+    (term,) = _Template((Term(Fraction(1), tree, slots),), memo).relation("t", (colors,)).terms
     return term.tree
 
 
@@ -272,9 +250,11 @@ def test_flat_colored_and_relabelled_trees_match_the_walked_tree(plan, data):
 
 
 def test_color_commutes_with_sum():
-    rel = builtin("dend").relation("dleft")
-    a = color_relation(Relation(rel.name, rel.terms + rel.terms), ("1", "2"))
-    colored = color_relation(rel, ("1", "2"))
+    dend = builtin("dend")
+    rel = dend.relation("dleft")
+    doubled = Presentation(dend.name, dend.unary, dend.binary, (Relation(rel.name, rel.terms + rel.terms),))
+    a = build_mat(doubled, ColorSet.of(2)).relation("dleft__1,2")
+    colored = build_mat(dend, ColorSet.of(2)).relation("dleft__1,2")
     b = Relation(colored.name, colored.terms + colored.terms)
     assert a.terms == b.terms
 
@@ -283,7 +263,9 @@ def test_colored_relations_pickle_and_compare_as_their_fields():
     rel = builtin("rba0").relation("rb")
     scales = (Fraction(1, 2), Fraction(-3), Fraction(2, 3))
     rel = Relation(rel.name, tuple(Term(t.coeff * c, t.tree, t.slots) for t, c in zip(rel.terms, scales)))
-    colored = color_relation(rel, ("1", "2", "1"))
+    rba0 = builtin("rba0")
+    scaled = Presentation(rba0.name, rba0.unary, rba0.binary, (rel,))
+    colored = build_mat(scaled, ColorSet.of(2)).relation("rb__1,2,1")
     plain = Relation(colored.name, colored.terms)
     assert pickle.dumps(colored) == pickle.dumps(plain)
     assert (colored, hash(colored), repr(colored)) == (plain, hash(plain), repr(plain))
@@ -297,13 +279,25 @@ def test_colored_relations_pickle_and_compare_as_their_fields():
 
 def test_removed_helpers_are_gone_from_the_api():
     import opdkit
-    from opdkit import presentation, trees
+    from opdkit import compat, presentation, trees
 
     for module, name in ((opdkit, "elementwise_sum"), (opdkit, "compare"),
                          (presentation, "elementwise_sum"), (trees, "compare"),
                          (Relation, "renamed"), (presentation, "_colored_tree"),
                          (presentation, "_color_term"), (presentation, "_color_relation")):
         assert not hasattr(module, name), name
+    # The second coloring paths: the builders are the only way in.
+    removed = {
+        presentation: ("color_term", "color_relation", "tensor_generators",
+                       "_Template", "_Compiled", "_ColoredCopies", "_colored_copies", "_picker"),
+        compat: ("transposition_relations", "uncovered_trees",
+                 "_build_mat", "_build_lin", "_expand_formal"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name), name
+            assert name not in module.__all__, name
+            assert not hasattr(opdkit, name), name
 
 
 def test_rename_generators_roundtrip():
@@ -329,11 +323,12 @@ def test_rename_rejects_collapse_and_arity_change():
 def test_tensor_generators():
     colored = [Generator("m", 2, "1"), Generator("m", 2, "2")]
     dend = builtin("dend").binary
-    got = tensor_generators(colored, dend)
-    assert [g.name for g in got] == ["m#1~prec", "m#1~succ", "m#2~prec", "m#2~succ"]
-    assert tensor_generators([M], [M])[0].name == "m~m"
+    got = tensor_map(colored, dend)
+    assert [g.name for g in got.values()] == ["m#1~prec", "m#1~succ", "m#2~prec", "m#2~succ"]
+    assert list(got) == [(c, d) for c in colored for d in dend]
+    assert tensor_map([M], [M])[M, M].name == "m~m"
     with pytest.raises(ValueError):
-        tensor_generators([P, M], [M])
+        tensor_map([P, M], [M])
 
 
 def test_presentation_span_equal_requires_same_generators():

@@ -23,6 +23,7 @@ from opdkit.presentation import ColorSet, Presentation, Relation, Term
 from opdkit.trees import (
     Generator,
     Tree,
+    basis_dimension,
     compose,
     corolla,
     enumerate_basis,
@@ -179,6 +180,19 @@ def test_empty_and_identity_components():
     assert enumerate_basis([P, M], 2, 0).basis == ()
     assert enumerate_basis([P, M], 1, 0).basis == (leaf(),)
     assert enumerate_basis([M], 1, 2).basis == ()
+
+
+def test_basis_dimension_counts_the_enumerated_basis():
+    for t_count, s_count in itertools.product(range(3), repeat=2):
+        gens = [Generator(f"u{i}", 1) for i in range(t_count)] + [
+            Generator(f"b{i}", 2) for i in range(s_count)
+        ]
+        for arity, weight in itertools.product(range(1, 5), range(6)):
+            want = enumerate_basis(gens, arity, weight).dimension
+            assert basis_dimension(gens, arity, weight) == want, (t_count, s_count, arity, weight)
+    for arity, weight in ((0, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            basis_dimension([P, M], arity, weight)
 
 
 # --- random structural properties ---
