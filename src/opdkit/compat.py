@@ -51,7 +51,9 @@ from .presentation import (
     Relation,
     Term,
     _integers,
+    _ordered_relation,
     _require_uncolored,
+    _term,
     presentation_span_equal,
     require_valid,
     standard_slots,
@@ -86,11 +88,7 @@ def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
     return [key for key in order if totals[key] != 0]
 
 
-_new = object.__new__
 _set = object.__setattr__
-# A colored term is made without Term.__init__, whose check its template
-# passed: its fields are set through their slot descriptors.
-_set_coeff, _set_tree, _set_slots = Term.coeff.__set__, Term.tree.__set__, Term.slots.__set__
 
 
 class _ColoredCopies(dict):
@@ -194,11 +192,8 @@ class _Template:
                 if tree is None:
                     gens = tuple(map(getitem, copies, vertex_colors))
                     tree = trees[vertex_colors] = _flat_tree(shape, gens)
-                term = _new(Term)
-                _set_coeff(term, coeff)
-                _set_tree(term, tree)
-                _set_slots(term, slots)
-                terms.append(term)
+                # The template checked the term: it is made without Term's check.
+                terms.append(_term(coeff, tree, slots))
                 ints.append(value)
         if len(colorings) > 1 or not self._in_order:
             n = len(colorings)
@@ -206,9 +201,7 @@ class _Template:
             order = sorted(range(len(terms)), key=keys.__getitem__)
             terms = [terms[i] for i in order]
             ints = [ints[i] for i in order]
-        rel = _new(Relation)
-        _set(rel, "name", name)
-        _set(rel, "terms", tuple(terms))
+        rel = _ordered_relation(name, tuple(terms))
         ints = tuple(ints)
         _set(rel, "_integer_coefficients", self._integer_rows.setdefault(ints, ints))
         return rel

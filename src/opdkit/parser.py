@@ -18,13 +18,34 @@ slot annotation.  Generator names may carry a color (``m#1``), a dual
 marker (``P^*``), or be tensor pairs (``m#1~prec``); a ``#`` directly
 attached to a name is part of the name, otherwise it opens a comment.
 
-Each line is split into string tokens by one regular expression, whose
-name token is ``trees``' name pattern; a token's kind is its first
-character.  A leaf token (``x`` and digits) cannot be declared as a
-generator.  Each term is read in one loop over its tokens, which collects
-its flat form (the node kinds and the generators in preorder) and its slots
-and builds the tree once.  Source spans are worked out only for an error,
-by matching that line again.
+A ``relation`` line as ``serialize`` writes it is read without lexing.
+After its name, one linear expression, ``([A-Za-z_][^@(),\\s]*)@``,
+splits the line into its generator texts and a skeleton, the text with
+each of them replaced by ``{}``: ``m@2(m@1(x1,x2),x3) - m@1(x1,m@2(x2,x3))``
+gives ``{}@2({}@1(x1,x2),x3) - {}@1(x1,{}@2(x2,x3))``.  String operations
+split the skeleton into its signs (a bare leading ``-``, then `` + `` and
+`` - ``), each term's ``num[/den]*`` coefficient and its tree's skeleton,
+which ``trees._template_shape`` inverts to (shape, slots): it takes it only
+if those slots are distinct and at least 1 and the slotted print template
+of that (shape, slots) is the skeleton exactly.  The relation name must be
+a DSL relation name, each coefficient ASCII digits that convert, with a
+nonzero denominator, and the generator texts, one per ``{}``, declared
+tokens of their vertices' arities.  So a line is taken only when each term
+is its coefficient and the print template of its tree filled with declared
+tokens, which the token loop below reads as exactly that coefficient,
+shape, generators and slots, under the same name.  The colorings of one
+relation share a skeleton, so each skeleton is read once per parse.  Any
+other line, blanks, comments, CRLF endings and text not in that form
+included, goes to the token loop, which is the only code that raises
+``ParseError``: every message and span is the token loop's.
+
+The token loop splits each line into string tokens by one regular
+expression, whose name token is ``trees``' name pattern; a token's kind is
+its first character.  A leaf token (``x`` and digits) cannot be declared
+as a generator.  Each term is read in one loop over its tokens, which
+collects its flat form (the node kinds and the generators in preorder) and
+its slots and builds the tree once.  Source spans are worked out only for
+an error, by matching that line again.
 
 Printing reads each generator's stored text.  A term's text is one format
 string per (shape, slots), filled with its generators' texts, after its
@@ -43,14 +64,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import Optional
 
-from .presentation import Presentation, Relation, Term
+from .presentation import _RELATION_NAME, Presentation, Relation, Term, _ordered_relation, _term
 from .trees import (
     _KIND_LEAF,
     _NAME_PATTERN,
     Generator,
     _flat_tree,
     _is_leaf_name,
+    _template_shape,
     split_generator_token,
     tree_text,
 )
@@ -91,10 +114,68 @@ _DIGITS = frozenset("0123456789")
 # Any other first character is a one-character token the DSL does not have.
 _TOKEN_START = _NAME_START | _DIGITS | frozenset("#@(),:+-*/")
 _UNIT = {1: Fraction(1), -1: Fraction(-1)}
+_SIGNS = frozenset("+-")
 # The slot and leaf tokens of all but the largest terms, looked up before
 # any other check of the token.
 _SLOTS = {str(i): i for i in range(1, 65)}
 _LEAVES = {i: f"x{i}" for i in range(1, 65)}
+
+
+# A generator's text in a relation line as ``serialize`` writes it: a name
+# start and the text up to the next '@'.
+_GENERATOR_AT = re.compile(r"([A-Za-z_][^@(),\s]*)@")
+
+
+def _coefficient(text: str) -> Optional[Fraction]:
+    """The coefficient of ``text``, a sign and then ``num`` or ``num/den`` in
+    ASCII digits, as the token loop reads it; ``None`` for any other text, a
+    zero denominator, or an integer longer than the interpreter converts."""
+    num, slash, den = text[1:].partition("/")
+    if not (num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())):
+        return None
+    try:
+        return Fraction(int(text[0] + num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _terms_template(skeleton: str, coefficients: dict) -> Optional[tuple]:
+    """The terms of a relation line's skeleton, its text after ``": "``
+    with each generator text replaced by ``{}``: per term its coefficient,
+    shape and slots, and the arities of all its vertices in preorder;
+    ``None`` unless the skeleton is in the form ``serialize`` writes.
+    ``coefficients`` memoizes ``_coefficient`` by its text."""
+    # Each term after its sign: a bare leading '-', then " + " or " - ".
+    split = skeleton.split(" ")
+    bodies = split[0::2]
+    signs = split[1::2]
+    if len(bodies) == len(signs) or not _SIGNS.issuperset(signs):
+        return None
+    if bodies[0][:1] == "-":
+        bodies[0] = bodies[0][1:]
+        signs.insert(0, "-")
+    else:
+        signs.insert(0, "+")
+    parts = []
+    arities: tuple[int, ...] = ()
+    for sign, body in zip(signs, bodies):
+        text = sign
+        if body[:1] in _DIGITS:
+            star = body.find("*")
+            if star < 0:
+                return None
+            text += body[:star]
+            body = body[star + 1:]
+        coeff = coefficients.get(text)
+        if coeff is None:
+            coeff = coefficients[text] = _coefficient(text)
+        tree = _template_shape(body)
+        if coeff is None or tree is None:
+            return None
+        shape, slots, vertex_arities = tree
+        parts.append((coeff, shape, slots))
+        arities += vertex_arities
+    return tuple(parts), arities
 
 
 def _lex_line(line: str, lineno: int) -> list[str]:
@@ -118,14 +199,19 @@ def _token_span(line: str, lineno: int, index: int) -> SourceSpan:
 
 
 class _Parser:
-    """Reads one line's string tokens at a time; a term's tokens in one
-    loop, with an explicit stack of the vertices whose ``)`` is still to
-    come, so each tree is built once, from its flat form, and nothing is
-    kept from one term to the next."""
+    """Reads a relation line in canonical form from its print templates,
+    and any other line as its string tokens: a term's tokens in one loop,
+    with an explicit stack of the vertices whose ``)`` is still to come, so
+    each tree is built once, from its flat form."""
 
     def __init__(self, text: str):
         self.lines = text.split("\n")
         self.by_token: dict[str, Generator] = {}
+        self.arity_of: dict[str, int] = {}
+        # The canonical-line reader's readings of line skeletons and of
+        # coefficients, by their text.
+        self.templates: dict[str, tuple] = {}
+        self.coefficients = {"+": _UNIT[1], "-": _UNIT[-1]}
         self.line = ""
         self.lineno = 0
 
@@ -147,6 +233,11 @@ class _Parser:
         by_token = self.by_token
 
         for lineno, line in enumerate(self.lines, start=1):
+            if name is not None and line.startswith("relation "):
+                relation = self._canonical_relation(line)
+                if relation is not None:
+                    relations.append(relation)
+                    continue
             tokens = _lex_line(line, lineno)
             if not tokens:
                 continue
@@ -175,12 +266,47 @@ class _Parser:
                     gname, color, dualized = split_generator_token(tok)
                     gen = Generator(gname, arity, color, dualized)
                     by_token[tok] = gen
+                    self.arity_of[tok] = arity
                     (unary if arity == 1 else binary).append(gen)
             else:
                 raise self.fail("expected 'unary', 'binary' or 'relation'", 0)
         if name is None:
             raise ParseError("empty input: missing 'operad' header", SourceSpan(1, 1, 1))
         return Presentation(name, tuple(unary), tuple(binary), tuple(relations))
+
+    def _canonical_relation(self, line: str) -> Optional[Relation]:
+        """The relation of a ``relation`` line as ``serialize`` writes it,
+        read without lexing; ``None`` for any other line, which the token
+        loop then reads.  See the module docstring for why the two agree."""
+        colon = line.find(": ", 9)  # the name starts after "relation "
+        name = line[9:colon]
+        if colon < 0 or not _RELATION_NAME.fullmatch(name):
+            return None
+        pieces = _GENERATOR_AT.split(line[colon + 2:])
+        names = pieces[1::2]
+        skeleton = "{}@".join(pieces[0::2])
+        template = self.templates.get(skeleton)
+        if template is None:
+            template = _terms_template(skeleton, self.coefficients)
+            if template is None:
+                return None
+            self.templates[skeleton] = template
+        parts, arities = template
+        if tuple(map(self.arity_of.get, names)) != arities:
+            return None
+        by_token = self.by_token
+        terms = []
+        keys = []  # each term's Term.sort_key, flattened
+        end = 0
+        for coeff, shape, slots in parts:
+            start, end = end, end + len(slots)
+            tree = _flat_tree(shape, tuple(map(by_token.__getitem__, names[start:end])))
+            terms.append(_term(coeff, tree, slots))
+            keys.append((tree.arity, tree.weight, shape, tree._keys, slots, coeff))
+        # Terms as serialize writes them are in canonical order already.
+        if sorted(keys) == keys:
+            return _ordered_relation(name, tuple(terms))
+        return Relation(name, tuple(terms))
 
     def _relation(self, tokens: list[str]) -> Relation:
         # The relation name is everything up to the colon; built presentations

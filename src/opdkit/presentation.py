@@ -42,7 +42,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import (
     _NAME,
-    _NAME_PATTERN,
+    _NAME_HEAD,
+    _NAME_TAIL,
     Generator,
     GradedComponent,
     Tree,
@@ -98,6 +99,23 @@ class Term:
         return (tree_key(self.tree), self.slots, self.coeff)
 
 
+# Term.__setattr__ refuses every assignment; _term sets the fields through
+# their slot descriptors.
+_new_term = Term.__new__
+_set_coeff, _set_tree, _set_slots = Term.coeff.__set__, Term.tree.__set__, Term.slots.__set__
+
+
+def _term(coeff: Fraction, tree: Tree, slots: tuple[int, ...]) -> Term:
+    """``Term(coeff, tree, slots)`` without its check, for a caller whose
+    slots come from a template of the tree's shape: a compiled coloring
+    (``compat``) or a relation line the parser matched to its print template."""
+    term = _new_term(Term)
+    _set_coeff(term, coeff)
+    _set_tree(term, tree)
+    _set_slots(term, slots)
+    return term
+
+
 @dataclass(frozen=True)
 class Relation:
     """A named linear combination of slotted trees.
@@ -138,6 +156,19 @@ class Relation:
     def __getstate__(self) -> dict:
         # Pickle the fields only, as before the integer coefficients existed.
         return {"name": self.name, "terms": self.terms}
+
+
+_new_relation = Relation.__new__
+_set = object.__setattr__
+
+
+def _ordered_relation(name: str, terms: tuple[Term, ...]) -> Relation:
+    """``Relation(name, terms)`` without its sort, for terms already in
+    canonical order."""
+    rel = _new_relation(Relation)
+    _set(rel, "name", name)
+    _set(rel, "terms", terms)
+    return rel
 
 
 _relation_name = attrgetter("name")
@@ -256,8 +287,16 @@ class ValidationReport:
 
 
 # A relation name as the parser reads it: the tokens between ``relation``
-# and the first ``:``, touching, the first of them a name.
-_RELATION_NAME = re.compile(rf"(?:{_NAME_PATTERN})(?:{_NAME_PATTERN}|[0-9]+|[@(),+\-*/])*")
+# and the first ``:``, touching, the first of them a name.  Written so that a
+# text matches in at most one way: names without their tensor tails
+# alternate with runs of integers and punctuation, and a run after a tail
+# starts with punctuation other than ``*``, which the tail would take.
+_WORD = rf"[A-Za-z_]{_NAME_HEAD}"
+_RUN = r"[0-9@(),+\-*/]*"
+_RELATION_NAME = re.compile(
+    rf"{_WORD}(?:(?:{_NAME_TAIL}[@(),+\-/]|[@(),+\-/*]){_RUN}{_WORD})*"
+    rf"(?:{_NAME_TAIL}(?:[@(),+\-/]{_RUN})?|[@(),+\-/*]{_RUN})?"
+)
 
 
 def validate(p: Presentation) -> ValidationReport:

@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,11 +190,16 @@ LONG = "1" * 5000
     [
         ("\u00b2*m@1(x1,x2)", 13, 1, "lexical error: unexpected character '\u00b2'"),
         ("\u0663*m@1(x1,x2)", 13, 1, "lexical error: unexpected character '\u0663'"),
+        ("2\u0663*m@1(x1,x2)", 14, 1, "lexical error: unexpected character '\u0663'"),
+        ("1/2\u0663*m@1(x1,x2)", 16, 1, "lexical error: unexpected character '\u0663'"),
+        ("m@1\u0663(x1,x2)", 16, 1, "lexical error: unexpected character '\u0663'"),
         (f"{LONG}*m@1(x1,x2)", 13, 5000, "integer too long: 5000 digits"),
         (f"m@{LONG}(x1,x2)", 15, 5000, "integer too long: 5000 digits"),
         (f"m@1(x{LONG},x2)", 17, 5001, "integer too long: 5000 digits"),
     ],
-    ids=["superscript-two", "arabic-indic-three", "long-coefficient", "long-slot", "long-leaf"],
+    ids=["superscript-two", "arabic-indic-three", "arabic-indic-three-in-a-coefficient",
+         "arabic-indic-three-in-a-denominator", "arabic-indic-three-in-a-slot",
+         "long-coefficient", "long-slot", "long-leaf"],
 )
 def test_integers_are_ascii_digits_the_interpreter_converts(body, column, length, message):
     """Digits outside 0-9 are lexical errors; an integer ``int`` refuses is a ParseError."""
@@ -461,6 +468,60 @@ def test_validate_accepts_exactly_the_names_the_parser_reads(name):
     relation = Relation(name, (Term(Fraction(1), corolla(m), (1,)),))
     reported = validate(Presentation("c", (), (m,), (relation,))).problems
     assert (f"relation name {name!r} is not a DSL relation name" not in reported) == readable
+
+
+# The name patterns as they were before they were written to match each text
+# in at most one way: nested repetitions whose failing matches backtrack
+# exponentially.  They define the language the patterns keep.
+_NESTED_NAME = (
+    r"[A-Za-z_][A-Za-z0-9_]*(?:(?:#(?=[A-Za-z0-9_~])|\^\*|\*(?=~))[A-Za-z0-9_]*)*"
+    r"(?:~(?:[A-Za-z0-9_~*]+|#(?=[A-Za-z0-9_~])|\^\*)*)?"
+)
+_NESTED_RELATION_NAME = rf"(?:{_NESTED_NAME})(?:{_NESTED_NAME}|[0-9]+|[@(),+\-*/])*"
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.text(st.sampled_from("aZ_x09#^*~@(),+-/: !"), max_size=12))
+def test_name_patterns_keep_the_language_of_the_nested_patterns(text):
+    from opdkit.presentation import _RELATION_NAME
+    from opdkit.trees import _NAME
+
+    name, relation_name = re.compile(_NESTED_NAME), re.compile(_NESTED_RELATION_NAME)
+    # The lexer takes the same name token from the front of any text.
+    old, new = name.match(text), _NAME.match(text)
+    assert (old and old.group()) == (new and new.group())
+    assert bool(name.fullmatch(text)) == bool(_NAME.fullmatch(text))
+    assert bool(relation_name.fullmatch(text)) == bool(_RELATION_NAME.fullmatch(text))
+
+
+# A failing match of the nested patterns on these names would take about
+# 2^200 steps.
+
+
+def test_a_long_relation_name_with_a_blank_fails_in_linear_time():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="blank inside a relation name"):
+        parse_presentation(HEADER + f"relation {'a' * 200} b: {TERM}\n")
+    assert time.perf_counter() - start < 1
+
+
+def _validated_in_linear_time(relation_name: str, generator: Generator) -> list[str]:
+    relation = Relation(relation_name, (Term(Fraction(1), Tree(generator, (corolla(generator), leaf())), (1, 2)),))
+    start = time.perf_counter()
+    problems = validate(Presentation("c", (), (generator,), (relation,))).problems
+    assert time.perf_counter() - start < 1
+    return problems
+
+
+def test_validate_refuses_a_long_relation_name_in_linear_time():
+    name = "a" * 199 + " "
+    assert _validated_in_linear_time(name, Generator("m", 2)) == [
+        f"relation name {name!r} is not a DSL relation name"]
+
+
+def test_validate_refuses_a_long_generator_name_in_linear_time():
+    m = Generator("m~" + "a" * 197 + "!", 2)
+    assert _validated_in_linear_time("r", m) == [f"generator {m.text!r} does not read back as itself"]
 
 
 def test_built_names_stay_valid():
