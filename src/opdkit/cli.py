@@ -38,6 +38,7 @@ from .presentation import (
     presentation_span_equal,
     rename_generators,
     span_components,
+    tensor_clash,
 )
 from .trees import Generator, basis_dimension, enumerate_basis, tree_text
 
@@ -131,6 +132,15 @@ def cmd_product(args) -> int:
             if rel.weight != 2:
                 raise CommandError(f"presentation {p.name} has the cubic relation {rel.name}")
     kind = args.kind.replace("-", "_")
+    factors = [(left.binary, right.binary)]
+    if kind == "white_dual":
+        # The dual route also multiplies the Koszul duals, whose tensor names
+        # spell each dual marker as '*'.
+        factors.append(([g.dual() for g in left.binary], [g.dual() for g in right.binary]))
+    for e, f in factors:
+        clash = tensor_clash(e, f)
+        if clash:
+            raise CommandError(clash)
     product = black_square(left, right) if kind == "black" else white_square(left, right, kind)
     _emit(serialize(product, args.format), args.output)
     return 0
@@ -164,6 +174,8 @@ def _parse_rename_spec(spec: str, p: Presentation) -> dict[Generator, Generator]
         if old not in by_token:
             raise CommandError(f"unknown generator {old!r} in rename map")
         g = by_token[old]
+        if g in mapping:
+            raise CommandError(f"generator {old!r} renamed twice in rename map")
         name, color, dual = split_generator_token(new)
         mapping[g] = Generator(name, g.arity, color, dual)
     for g in p.generators:

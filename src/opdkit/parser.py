@@ -18,26 +18,25 @@ slot annotation.  Generator names may carry a color (``m#1``), a dual
 marker (``P^*``), or be tensor pairs (``m#1~prec``); a ``#`` directly
 attached to a name is part of the name, otherwise it opens a comment.
 
-A ``relation`` line as ``serialize`` writes it is read without lexing.
+A ``relation`` line as ``serialize`` writes it is read from its skeleton.
 After its name, one linear expression, ``([A-Za-z_][^@(),\\s]*)@``,
 splits the line into its generator texts and a skeleton, the text with
 each of them replaced by ``{}``: ``m@2(m@1(x1,x2),x3) - m@1(x1,m@2(x2,x3))``
-gives ``{}@2({}@1(x1,x2),x3) - {}@1(x1,{}@2(x2,x3))``.  String operations
-split the skeleton into its signs (a bare leading ``-``, then `` + `` and
-`` - ``), each term's ``num[/den]*`` coefficient and its tree's skeleton,
-which ``trees._template_shape`` inverts to (shape, slots): it takes it only
-if those slots are distinct and at least 1 and the slotted print template
-of that (shape, slots) is the skeleton exactly.  The relation name must be
-a DSL relation name, each coefficient ASCII digits that convert, with a
-nonzero denominator, and the generator texts, one per ``{}``, declared
-tokens of their vertices' arities.  So a line is taken only when each term
-is its coefficient and the print template of its tree filled with declared
-tokens, which the token loop below reads as exactly that coefficient,
-shape, generators and slots, under the same name.  The colorings of one
-relation share a skeleton, so each skeleton is read once per parse.  Any
-other line, blanks, comments, CRLF endings and text not in that form
-included, goes to the token loop, which is the only code that raises
-``ParseError``: every message and span is the token loop's.
+gives ``{}@2({}@1(x1,x2),x3) - {}@1(x1,{}@2(x2,x3))``.  The generator
+texts must be declared tokens.  A (skeleton, arities) pair is read once,
+by the token loop in a parser of its own, on the skeleton filled with
+stand-in generators of those arities, and the reading, each term's
+coefficient, shape and slots in written order, is kept only if printing
+those terms gives the skeleton back.  This is sound: the stand-in line
+differs from the real line only in generator tokens of equal arity, which
+the token loop reads only for their arity, and the relation name must be
+a DSL relation name, which the token loop reads as written.  The readings
+are kept in one ``functools`` cache, shared by every parse, since the
+colorings of one relation share a skeleton; being a ``functools`` cache,
+it is emptied with opdkit's others before the benchmark's cold set-ups.
+Any other line, blanks, comments, CRLF endings and text not in that form
+included, goes to the token loop on the line itself, so every
+``ParseError``, message and span, is the token loop's on the text read.
 
 The token loop splits each line into string tokens by one regular
 expression, whose name token is ``trees``' name pattern; a token's kind is
@@ -47,9 +46,11 @@ collects its flat form (the node kinds and the generators in preorder) and
 its slots and builds the tree once.  Source spans are worked out only for
 an error, by matching that line again.
 
-Printing reads each generator's stored text.  A term's text is one format
-string per (shape, slots), filled with its generators' texts, after its
-coefficient written from the numerator and denominator.
+Printing reads each generator's stored text.  A relation's terms print as
+one skeleton, each term's coefficient written from its numerator and
+denominator and then the format string of its (shape, slots), which is
+filled with the generators' texts; the canonical-line reader checks its
+readings against that same skeleton.
 
 JSON text is written directly in the layout of ``json.dumps(doc,
 indent=2)``, whose indented form runs json's pure-Python encoder; strings
@@ -62,9 +63,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Optional
+from typing import Optional, Sequence
 
 from .presentation import _RELATION_NAME, Presentation, Relation, Term, _ordered_relation, _term
 from .trees import (
@@ -73,7 +75,7 @@ from .trees import (
     Generator,
     _flat_tree,
     _is_leaf_name,
-    _template_shape,
+    _text_template,
     split_generator_token,
     tree_text,
 )
@@ -114,7 +116,6 @@ _DIGITS = frozenset("0123456789")
 # Any other first character is a one-character token the DSL does not have.
 _TOKEN_START = _NAME_START | _DIGITS | frozenset("#@(),:+-*/")
 _UNIT = {1: Fraction(1), -1: Fraction(-1)}
-_SIGNS = frozenset("+-")
 # The slot and leaf tokens of all but the largest terms, looked up before
 # any other check of the token.
 _SLOTS = {str(i): i for i in range(1, 65)}
@@ -124,58 +125,6 @@ _LEAVES = {i: f"x{i}" for i in range(1, 65)}
 # A generator's text in a relation line as ``serialize`` writes it: a name
 # start and the text up to the next '@'.
 _GENERATOR_AT = re.compile(r"([A-Za-z_][^@(),\s]*)@")
-
-
-def _coefficient(text: str) -> Optional[Fraction]:
-    """The coefficient of ``text``, a sign and then ``num`` or ``num/den`` in
-    ASCII digits, as the token loop reads it; ``None`` for any other text, a
-    zero denominator, or an integer longer than the interpreter converts."""
-    num, slash, den = text[1:].partition("/")
-    if not (num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())):
-        return None
-    try:
-        return Fraction(int(text[0] + num), int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
-def _terms_template(skeleton: str, coefficients: dict) -> Optional[tuple]:
-    """The terms of a relation line's skeleton, its text after ``": "``
-    with each generator text replaced by ``{}``: per term its coefficient,
-    shape and slots, and the arities of all its vertices in preorder;
-    ``None`` unless the skeleton is in the form ``serialize`` writes.
-    ``coefficients`` memoizes ``_coefficient`` by its text."""
-    # Each term after its sign: a bare leading '-', then " + " or " - ".
-    split = skeleton.split(" ")
-    bodies = split[0::2]
-    signs = split[1::2]
-    if len(bodies) == len(signs) or not _SIGNS.issuperset(signs):
-        return None
-    if bodies[0][:1] == "-":
-        bodies[0] = bodies[0][1:]
-        signs.insert(0, "-")
-    else:
-        signs.insert(0, "+")
-    parts = []
-    arities: tuple[int, ...] = ()
-    for sign, body in zip(signs, bodies):
-        text = sign
-        if body[:1] in _DIGITS:
-            star = body.find("*")
-            if star < 0:
-                return None
-            text += body[:star]
-            body = body[star + 1:]
-        coeff = coefficients.get(text)
-        if coeff is None:
-            coeff = coefficients[text] = _coefficient(text)
-        tree = _template_shape(body)
-        if coeff is None or tree is None:
-            return None
-        shape, slots, vertex_arities = tree
-        parts.append((coeff, shape, slots))
-        arities += vertex_arities
-    return tuple(parts), arities
 
 
 def _lex_line(line: str, lineno: int) -> list[str]:
@@ -199,19 +148,15 @@ def _token_span(line: str, lineno: int, index: int) -> SourceSpan:
 
 
 class _Parser:
-    """Reads a relation line in canonical form from its print templates,
-    and any other line as its string tokens: a term's tokens in one loop,
-    with an explicit stack of the vertices whose ``)`` is still to come, so
-    each tree is built once, from its flat form."""
+    """Reads a relation line in canonical form from its skeleton's cached
+    reading, and any other line as its string tokens: a term's tokens in
+    one loop, with an explicit stack of the vertices whose ``)`` is still
+    to come, so each tree is built once, from its flat form."""
 
     def __init__(self, text: str):
         self.lines = text.split("\n")
         self.by_token: dict[str, Generator] = {}
         self.arity_of: dict[str, int] = {}
-        # The canonical-line reader's readings of line skeletons and of
-        # coefficients, by their text.
-        self.templates: dict[str, tuple] = {}
-        self.coefficients = {"+": _UNIT[1], "-": _UNIT[-1]}
         self.line = ""
         self.lineno = 0
 
@@ -276,23 +221,20 @@ class _Parser:
 
     def _canonical_relation(self, line: str) -> Optional[Relation]:
         """The relation of a ``relation`` line as ``serialize`` writes it,
-        read without lexing; ``None`` for any other line, which the token
-        loop then reads.  See the module docstring for why the two agree."""
+        read from its skeleton's reading; ``None`` for any other line, which
+        the token loop then reads.  See the module docstring for why the two
+        agree."""
         colon = line.find(": ", 9)  # the name starts after "relation "
         name = line[9:colon]
         if colon < 0 or not _RELATION_NAME.fullmatch(name):
             return None
         pieces = _GENERATOR_AT.split(line[colon + 2:])
         names = pieces[1::2]
-        skeleton = "{}@".join(pieces[0::2])
-        template = self.templates.get(skeleton)
-        if template is None:
-            template = _terms_template(skeleton, self.coefficients)
-            if template is None:
-                return None
-            self.templates[skeleton] = template
-        parts, arities = template
-        if tuple(map(self.arity_of.get, names)) != arities:
+        arities = tuple(map(self.arity_of.get, names))
+        if None in arities:
+            return None
+        parts = _skeleton_terms("{}@".join(pieces[0::2]), arities)
+        if parts is None:
             return None
         by_token = self.by_token
         terms = []
@@ -309,6 +251,7 @@ class _Parser:
         return Relation(name, tuple(terms))
 
     def _relation(self, tokens: list[str]) -> Relation:
+        """The relation of a ``relation`` line's tokens, its terms sorted."""
         # The relation name is everything up to the colon; built presentations
         # carry color lists like assoc__1,2 there, so commas are allowed.
         n = len(tokens)
@@ -326,12 +269,18 @@ class _Parser:
                 if not line.startswith(tokens[index], at):
                     raise fail("blank inside a relation name", index)
                 at += len(tokens[index])
+        return Relation("".join(tokens[1:colon]), tuple(self._terms(tokens, colon + 1)))
+
+    def _terms(self, tokens: list[str], pos: int) -> list[Term]:
+        """The terms of a relation line from its token ``pos`` on, in the
+        order written."""
+        n = len(tokens)
+        fail = self.fail
         # A newline is never a token: past the last token, every check that
         # wants a token fails on it, and the error names the last token.
         tokens.append("\n")
         by_token = self.by_token
         terms: list[Term] = []
-        pos = colon + 1
         while pos < n:
             tok = tokens[pos]
             sign = 1
@@ -430,20 +379,50 @@ class _Parser:
             terms.append(Term(coeff, _flat_tree(tuple(shape), tuple(gens)), tuple(slots)))
         if not terms:
             raise fail("relation has no terms", n - 1)
-        return Relation("".join(tokens[1:colon]), tuple(terms))
+        return terms
+
+
+# The generators a line skeleton is filled with, by arity.
+_STAND_INS = {1: Generator("u", 1), 2: Generator("b", 2)}
+
+
+@lru_cache(maxsize=4096)
+def _skeleton_terms(skeleton: str, arities: tuple[int, ...]) -> Optional[tuple]:
+    """The token loop's reading of the relation terms ``skeleton`` with its
+    ``{}``s filled by generators of ``arities``: per term, in written order,
+    its coefficient, shape and slots; ``None`` unless the loop reads the
+    skeleton filled with stand-in generators and printing the terms read
+    gives the skeleton back."""
+    parts = skeleton.split("{}")
+    if len(parts) != len(arities) + 1:
+        return None
+    line = "relation r: " + parts[0] + "".join(
+        [_STAND_INS[arity].text + part for arity, part in zip(arities, parts[1:])]
+    )
+    stand_in = _Parser(line)
+    stand_in.by_token = {g.text: g for g in _STAND_INS.values()}
+    stand_in.line, stand_in.lineno = line, 1
+    try:
+        terms = stand_in._terms(_lex_line(line, 1), 3)  # after "relation", "r" and ":"
+    except ParseError:
+        return None
+    if _terms_skeleton(terms) != skeleton:
+        return None
+    return tuple([(term.coeff, term.tree.shape, term.slots) for term in terms])
 
 
 def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse()
 
 
-def _terms_text(terms: tuple[Term, ...]) -> str:
-    """The DSL text of a relation's terms: each slotted tree after its sign
-    and, unless it is 1, its coefficient's magnitude."""
+def _terms_skeleton(terms: Sequence[Term]) -> str:
+    """The DSL text of a relation's terms with ``{}`` for each generator:
+    each slotted tree's format string after its sign and, unless it is 1,
+    its coefficient's magnitude."""
     parts = []
     for term in terms:
         num, den = term.coeff.numerator, term.coeff.denominator
-        body = tree_text(term.tree, term.slots)
+        body = _text_template(term.tree.shape, term.slots)
         if den != 1:
             body = f"{abs(num)}/{den}*{body}"
         elif num != 1 and num != -1:
@@ -467,7 +446,8 @@ def serialize(p: Presentation, fmt: str = "dsl") -> str:
     if p.binary:
         lines.append("binary " + " ".join([g.text for g in p.binary]))
     for rel in p.relations:
-        lines.append(f"relation {rel.name}: {_terms_text(rel.terms)}")
+        texts = [g.text for term in rel.terms for g in term.tree.internal_generators()]
+        lines.append(f"relation {rel.name}: " + _terms_skeleton(rel.terms).format(*texts))
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import (
@@ -64,6 +64,7 @@ __all__ = [
     "replicate",
     "rename_generators",
     "tensor_map",
+    "tensor_clash",
     "tensor_atom_name",
     "relation_gradings",
     "component_matrix",
@@ -460,10 +461,15 @@ def tensor_atom_name(g: Generator) -> str:
     return out
 
 
+def _tensor_name(ge: Generator, gf: Generator) -> str:
+    return f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}"
+
+
 def tensor_map(
     e: Sequence[Generator], f: Sequence[Generator]
 ) -> dict[tuple[Generator, Generator], Generator]:
-    """The binary generator ``e~f`` of every pair, in lexicographic pair order."""
+    """The binary generator ``e~f`` of every pair, in lexicographic pair order;
+    ``ValueError`` if two pairs give one name (``tensor_clash``)."""
     for g in list(e) + list(f):
         if g.arity != 2:
             raise ValueError(f"unary generator {g.serialized()} in tensor product")
@@ -471,10 +477,27 @@ def tensor_map(
         ((ge, gf) for ge in e for gf in f),
         key=lambda p: (p[0].sort_key, p[1].sort_key),
     )
-    return {
-        (ge, gf): Generator(f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}", 2)
-        for ge, gf in pairs
-    }
+    tensors = {(ge, gf): Generator(_tensor_name(ge, gf), 2) for ge, gf in pairs}
+    if len(set(tensors.values())) < len(tensors):
+        raise ValueError(tensor_clash(e, f))
+    return tensors
+
+
+def tensor_clash(e: Sequence[Generator], f: Sequence[Generator]) -> Optional[str]:
+    """Two pairs of ``e`` x ``f`` whose tensors share a name, as a message,
+    such as (a, b~c) and (a~b, c), which both give ``a~b~c``; ``None`` if
+    each pair's tensor has a name of its own."""
+    made: dict[str, tuple[Generator, Generator]] = {}
+    for ge in e:
+        for gf in f:
+            name = _tensor_name(ge, gf)
+            first = made.setdefault(name, (ge, gf))
+            if first != (ge, gf):
+                return (
+                    f"tensor generators collide: ({first[0].text}, {first[1].text}) and "
+                    f"({ge.text}, {gf.text}) both give {name}"
+                )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ size can be known, and refused, before any tree is built.
 
 A tree's text is one format string per shape, or per (shape, slots) for
 the slotted form of the DSL, filled with its generators' stored texts;
-the parser reads canonical text back by inverting the slotted one.
+the parser prints relation lines from the slotted ones.
 The DSL's name token is defined here too, beside ``Generator``: the parser
 lexes with it and ``validate`` checks names against it.
 """
@@ -406,61 +406,6 @@ def _text_template(shape: tuple[int, ...], slots: Optional[tuple[int, ...]]) -> 
             open_arguments.pop()
             parts.append(")")
     return "".join(parts)
-
-
-# The pieces of a slotted template: a vertex ``{}@slot(``, a leaf, ``,`` or ``)``.
-_TEMPLATE_PIECE = re.compile(r"\{\}@([0-9]+)\(|x[0-9]+|[,)]")
-
-
-@lru_cache(maxsize=4096)
-def _template_shape(
-    skeleton: str,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """The inverse of the slotted ``_text_template``: (shape, slots, vertex
-    arities in preorder) of the one tree whose template is ``skeleton``, its
-    slots distinct and at least 1; ``None`` for any other text."""
-    shape: list[int] = []
-    slots: list[int] = []
-    open_vertices: list[list[int]] = []  # per open vertex: [place in shape, children read]
-    expect_node = True
-    for piece in _TEMPLATE_PIECE.finditer(skeleton):
-        text = piece.group()
-        if expect_node:
-            if text[0] == "{":
-                open_vertices.append([len(shape), 0])
-                shape.append(_KIND_LEAF)  # until its ')' gives its kind
-                try:
-                    slots.append(int(piece.group(1)))
-                except ValueError:  # longer than the interpreter converts
-                    return None
-            elif text[0] == "x":
-                shape.append(_KIND_LEAF)
-                expect_node = False
-            else:
-                return None
-            continue
-        if not open_vertices:
-            return None  # text after the whole tree
-        vertex = open_vertices[-1]
-        vertex[1] += 1
-        if text == ",":
-            if vertex[1] != 1:
-                return None
-            expect_node = True
-        elif text == ")":
-            shape[vertex[0]] = vertex[1] - 1
-            open_vertices.pop()
-        else:
-            return None
-    if expect_node or open_vertices or min(slots, default=1) < 1 or len(set(slots)) < len(slots):
-        return None
-    shape_t, slots_t = tuple(shape), tuple(slots)
-    # Characters no piece matched, and slots or leaves written other than
-    # the template writes them, print back differently.  The template is
-    # made uncached: the unbounded cache serves printing.
-    if _text_template.__wrapped__(shape_t, slots_t) != skeleton:
-        return None
-    return shape_t, slots_t, tuple([kind + 1 for kind in shape_t if kind != _KIND_LEAF])
 
 
 def tree_text(t: Tree, slots: Optional[Sequence[int]] = None) -> str:

@@ -413,3 +413,36 @@ def test_a_refused_call_leaves_the_next_one_as_in_a_fresh_process(capsys):
     )
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert code == 0 and out.startswith("PASS")
+
+
+@pytest.mark.parametrize("left, right, kind, message", [
+    ("a a~b", "b~c c", "black", "(a, b~c) and (a~b, c) both give a~b~c"),
+    ("a a~b", "b~c c", "white-dual", "(a, b~c) and (a~b, c) both give a~b~c"),
+    ("a a*~x", "x*~y y", "white-dual", "(a^*, x*~y^*) and (a*~x^*, y^*) both give a*~x*~y*"),
+], ids=["black", "white-dual", "white-dual, duals only"])
+def test_a_product_with_colliding_tensor_names_exits_2(capsys, tmp_path, left, right, kind, message):
+    paths = []
+    for name, binary in (("l", left), ("r", right)):
+        g = binary.split()[0]
+        paths.append(tmp_path / f"{name}.opd")
+        paths[-1].write_text(f"operad {name}\nbinary {binary}\n"
+                             f"relation r: {g}@2({g}@1(x1,x2),x3) - {g}@1(x1,{g}@2(x2,x3))\n")
+    target = tmp_path / "product.opd"
+    code, out, err = run(capsys, "product", kind, *map(str, paths), "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: tensor generators collide: {message}\n"
+    assert not target.exists()
+
+
+def test_a_rename_map_that_names_a_generator_twice_exits_2(capsys, tmp_path):
+    # With the last pair kept, m -> p, the two would be span-equal.
+    texts = {}
+    for g in "mp":
+        texts[g] = tmp_path / f"{g}.opd"
+        texts[g].write_text(f"operad t\nbinary {g}\n"
+                            f"relation r: {g}@2({g}@1(x1,x2),x3) - {g}@1(x1,{g}@2(x2,x3))\n")
+    code, out, err = run(capsys, "check-iso", str(texts["m"]), str(texts["p"]), "--map", "m=q,m=p")
+    assert (code, out) == (2, "")
+    assert err == "error: generator 'm' renamed twice in rename map\n"
+    code, out, _ = run(capsys, "check-iso", str(texts["m"]), str(texts["p"]), "--map", "m=p", "--quiet")
+    assert (code, out) == (0, "span-equal\n")

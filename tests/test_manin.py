@@ -15,11 +15,13 @@ from opdkit.manin import (
     tensor_map,
     white_square,
 )
+from opdkit.parser import parse_presentation
 from opdkit.presentation import (
     ColorSet,
     Presentation,
     presentation_span_equal,
     rename_generators,
+    tensor_clash,
 )
 
 TWO = ColorSet.of(2)
@@ -175,3 +177,31 @@ def test_product_duality_on_relation_subsets(pair, data):
     p, q = (relation_subset(data, FACTORS[label]) for label in pair)
     holds, _ = check_product_duality(p, q)
     assert holds
+
+
+ASSOC = "relation r: {0}@2({0}@1(x1,x2),x3) - {0}@1(x1,{0}@2(x2,x3))\n"
+
+
+def _assoc_on(name, binary):
+    return parse_presentation(f"operad {name}\nbinary {binary}\n" + ASSOC.format(binary.split()[0]))
+
+
+def test_products_refuse_colliding_tensor_names():
+    # (a, b~c) and (a~b, c) are both a~b~c.
+    p, q = _assoc_on("l", "a a~b"), _assoc_on("r", "b~c c")
+    message = "tensor generators collide: (a, b~c) and (a~b, c) both give a~b~c"
+    assert tensor_clash(p.binary, q.binary) == message
+    for kind in ("black", "white_literal", "white_dual"):
+        with pytest.raises(ValueError) as error:
+            black_square(p, q) if kind == "black" else white_square(p, q, kind)
+        assert str(error.value) == message
+
+
+def test_white_dual_refuses_tensor_names_that_collide_only_between_the_duals():
+    # a*~x~y and a~x*~y differ, but a^* with x*~y^* and a*~x^* with y^*
+    # both give a*~x*~y*.
+    p, q = _assoc_on("l", "a a*~x"), _assoc_on("r", "x*~y y")
+    assert tensor_clash(p.binary, q.binary) is None
+    black_square(p, q)
+    with pytest.raises(ValueError, match=r"both give a\*~x\*~y\*"):
+        white_square(p, q, "white_dual")

@@ -7,9 +7,11 @@ malformed corpus are mutated by inserting, deleting and replacing
 characters.  On each text both parsers must return equal presentations, or
 raise a ``ParseError`` with the same message and span.
 
-The parser reads a relation line as ``serialize`` writes it without its
-token loop; on every relation line of the corpus that reading must be the
-token loop's, and it must read every relation line ``serialize`` writes.
+The parser reads a relation line as ``serialize`` writes it from the
+cached reading of its skeleton, which the token loop made on the skeleton
+filled with stand-in generators, not on the line itself; on every relation
+line of the corpus that reading must be the token loop's, and it must read
+every relation line ``serialize`` writes.
 """
 
 import string
@@ -178,3 +180,36 @@ def test_canonical_lines_with_terms_out_of_order_read_sorted():
 def test_signs_and_coefficients_out_of_form_agree_with_the_reference(terms):
     text = f"operad c\nbinary m\nrelation r: {terms}\n"
     assert outcome(parse_presentation, text) == outcome(ref.parse_presentation, text)
+
+
+def test_generators_named_like_the_stand_ins_read_as_declared():
+    # The skeleton is read with a stand-in unary u and binary b; here they
+    # are declared with the arities swapped.
+    text = "operad s\nunary b\nbinary u\nrelation r: u@2(b@1(x1),x2) - b@1(u@2(x1,x2))\n"
+    assert [canonical is not None for _, canonical, _ in readings(text)] == [True]
+    assert parse_presentation(text) == ref.parse_presentation(text)
+
+
+def test_a_cached_skeleton_read_with_other_arities_fails_in_the_token_loop():
+    binary = "operad c\nbinary m\nrelation r: m@1(x1,x2)\n"
+    assert parse_presentation(binary) == ref.parse_presentation(binary)
+    assert parser._skeleton_terms("{}@1(x1,x2)", (2,)) is not None
+    unary = "operad c\nunary m\nrelation r: m@1(x1,x2)\n"
+    with pytest.raises(ParseError) as error:
+        parse_presentation(unary)
+    assert error.value.message == "arity mismatch: m takes 1 arguments, got 2"
+    assert (error.value.message, error.value.span) == outcome(ref.parse_presentation, unary)
+    assert parser._skeleton_terms("{}@1(x1,x2)", (1,)) is None
+
+
+def test_cold_and_warm_parses_are_equal():
+    folder = ROOT / "src" / "opdkit" / "data"
+    corpus = [path.read_text(encoding="utf-8") for path in sorted(folder.glob("*.opd"))]
+    corpus.append(serialize(build_tot(builtin("rba0"), ColorSet.of(3))))
+    for text in corpus:
+        parser._skeleton_terms.cache_clear()
+        cold = parse_presentation(text)
+        misses = parser._skeleton_terms.cache_info().misses
+        warm = parse_presentation(text)
+        assert parser._skeleton_terms.cache_info().misses == misses
+        assert cold == warm == ref.parse_presentation(text)
