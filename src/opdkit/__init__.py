@@ -18,7 +18,7 @@ from .compat import (
     support,
     verify_lin_encoding,
 )
-from .duality import check_dual_identity, is_self_dual, koszul_dual, pairing_form
+from .duality import check_dual_identity, is_self_dual, koszul_dual, pairing_form, self_duality
 from .linalg import (
     DiagonalForm,
     RationalMatrix,

@@ -18,6 +18,9 @@ linear construction encodes exactly the algebras closed under arbitrary
 linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
+The expansion stamps the same colorings from the same templates as
+``build_lin``, so it is not independent of it (the two agree term for term
+up to names); ``tests/test_build_oracle.py::reference_expansion`` is.
 
 This module is the only one that knows how a coloring is made.  Each
 relation is compiled once into a template (``_Template``) and every
@@ -69,6 +72,7 @@ __all__ = [
     "build_tot",
     "build_compatible",
     "expand_formal",
+    "lin_encoding_sides",
     "verify_lin_encoding",
 ]
 
@@ -429,11 +433,9 @@ def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
     return out
 
 
-def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
-    """Span of all formal-expansion coefficients == span of the linear relations.
-
-    Checked separately in every (arity, weight) component.
-    """
+def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, Presentation]:
+    """All formal-expansion coefficients and the linear construction, as two
+    presentations over the linear construction's generators."""
     omega = ColorSet.of(omega)
     lin = build_lin(p, omega)
     extracted = [
@@ -442,4 +444,10 @@ def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
         for rel in expansion.coefficients.values()
     ]
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))
-    return presentation_span_equal(formal, lin)
+    return formal, lin
+
+
+def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:
+    """Span of all formal-expansion coefficients == span of the linear relations,
+    checked separately in every (arity, weight) component."""
+    return presentation_span_equal(*lin_encoding_sides(p, omega))

@@ -18,6 +18,7 @@ column of their sparse echelon basis over the ambient tree basis.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from .compat import CompatKind, build_compatible
 from .linalg import DiagonalForm, Echelon, integer_row
@@ -33,14 +34,16 @@ from .presentation import (
     span_components,
     standard_slots,
 )
-from .trees import GradedComponent, Tree, enumerate_basis, relabel
+from .trees import Generator, GradedComponent, Tree, enumerate_basis, relabel
 
 __all__ = [
     "shape_sign",
     "pairing_form",
     "standard_slots",
     "koszul_dual",
+    "self_duality",
     "is_self_dual",
+    "dual_identity_sides",
     "check_dual_identity",
 ]
 
@@ -95,33 +98,31 @@ def koszul_dual(p: Presentation) -> Presentation:
     return Presentation(f"dual_{p.name}", dual_unary, dual_binary, tuple(rels))
 
 
-def is_self_dual(p: Presentation) -> bool:
-    """Whether some arity-preserving renaming of the dual matches p's spans.
+def self_duality(p: Presentation) -> Optional[dict[Generator, Generator]]:
+    """An arity-preserving renaming of the dual's generators under which the
+    dual spans as p does, or ``None``.
 
-    The identity renaming g* -> g is tried first; otherwise all generator
-    bijections are searched (feasible at catalog sizes, and necessary: some
-    self-dual presentations match only after permuting same-arity generators).
-    The identity comparison also prunes the search: renamings never change
-    span dimensions, so a rank that differs in any grading rules out every
-    renaming.
+    Every bijection is tried, the identity g* -> g first: some self-dual
+    presentations match only after permuting same-arity generators.  A
+    renaming never changes span dimensions, so differing ranks end the search.
     """
     dual = koszul_dual(p)
-    identity = {g.dual(): g for g in p.generators}
-    report = list(span_components(rename_generators(dual, identity), p))
-    if all(c.equal for c in report):
-        return True
-    if any(c.left_rank != c.right_rank for c in report):
-        return False
     for pu in itertools.permutations(p.unary):
         for pb in itertools.permutations(p.binary):
-            mapping = {
-                g.dual(): h for g, h in zip(p.unary + p.binary, pu + pb)
-            }
-            if mapping == identity:
-                continue
-            if presentation_span_equal(rename_generators(dual, mapping), p):
-                return True
-    return False
+            mapping = {g.dual(): h for g, h in zip(p.unary + p.binary, pu + pb)}
+            for c in span_components(rename_generators(dual, mapping), p):
+                if c.left_rank != c.right_rank:
+                    return None
+                if not c.equal:
+                    break
+            else:
+                return mapping
+    return None
+
+
+def is_self_dual(p: Presentation) -> bool:
+    """Whether some arity-preserving renaming of the dual matches p's spans."""
+    return self_duality(p) is not None
 
 
 _DUAL_SIDE: dict[CompatKind, CompatKind] = {
@@ -131,8 +132,10 @@ _DUAL_SIDE: dict[CompatKind, CompatKind] = {
 }
 
 
-def check_dual_identity(kind: CompatKind, p: Presentation, omega: ColorSet) -> bool:
-    """dual(kind(P, W)) == dual-kind(dual(P), W) as componentwise spans.
+def dual_identity_sides(
+    kind: CompatKind, p: Presentation, omega: ColorSet
+) -> tuple[Presentation, Presentation]:
+    """dual(kind(P, W)) and dual-kind(dual(P), W).
 
     The identification (g#w)* = g*#w is automatic: colors and the dual flag
     are independent generator fields.
@@ -140,4 +143,9 @@ def check_dual_identity(kind: CompatKind, p: Presentation, omega: ColorSet) -> b
     omega = ColorSet.of(omega)
     lhs = koszul_dual(build_compatible(kind, p, omega))
     rhs = build_compatible(_DUAL_SIDE[kind], koszul_dual(p), omega)
-    return presentation_span_equal(lhs, rhs)
+    return lhs, rhs
+
+
+def check_dual_identity(kind: CompatKind, p: Presentation, omega: ColorSet) -> bool:
+    """dual(kind(P, W)) == dual-kind(dual(P), W) as componentwise spans."""
+    return presentation_span_equal(*dual_identity_sides(kind, p, omega))

@@ -11,29 +11,28 @@ relation.  The white product is computed through the duality identity
     white(P, Q) = dual(black(dual(P), dual(Q)))
 
 renamed back to the tensor generators of P and Q.  A literal one-relation-
-per-source-relation reading of the white product is kept alongside for
-comparison; the two need not agree, and ``check_product_duality`` reports
-the discrepancy instead of hiding it.
+per-source-relation reading of the white product is kept alongside; the
+two need not agree, and the ``white-report`` claim (``claims.py``) archives
+their comparison instead of hiding the discrepancy.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .duality import koszul_dual, shape_sign, standard_slots
 from .presentation import (
     Presentation,
     Relation,
+    SpanComponent,
     Term,
-    presentation_span_equal,
     rename_generators,
     require_valid,
     span_components,
     tensor_map,
 )
-from .trees import Generator, basis_dimension, relabel
+from .trees import Generator, relabel
 
 __all__ = [
     "ProductKind",
@@ -201,51 +200,13 @@ def white_square(p: Presentation, q: Presentation, mode: ProductKind = "white_du
     raise ValueError(f"not a white product mode: {mode}")
 
 
-@dataclass
-class WhiteComparison:
-    """Span comparison of the literal and dual readings of the white product.
-
-    Both readings are binary quadratic, so they live in the one grading
-    (arity 3, weight 2); the dimensions are those of their spans there.
-    """
-
-    left: str
-    right: str
-    agree: bool
-    literal_dim: int
-    dual_dim: int
-    ambient: int
-
-    def lines(self) -> list[str]:
-        return [
-            f"white product of {self.left} and {self.right}: "
-            f"literal {'==' if self.agree else '!='} dual",
-            f"  component (arity 3, weight 2): literal dim {self.literal_dim}, "
-            f"dual dim {self.dual_dim}, ambient {self.ambient}",
-        ]
-
-
-def compare_white_readings(p: Presentation, q: Presentation) -> WhiteComparison:
-    literal = white_square(p, q, "white_literal")
-    dual = white_square(p, q, "white_dual")
-    report = list(span_components(literal, dual))
-    ranks = {(c.arity, c.weight): (c.left_rank, c.right_rank) for c in report}
-    return WhiteComparison(
-        p.name,
-        q.name,
-        all(c.equal for c in report),
-        *ranks.get((3, 2), (0, 0)),
-        basis_dimension(literal.generators, 3, 2),
-    )
-
-
-def check_product_duality(p: Presentation, q: Presentation) -> tuple[bool, WhiteComparison]:
-    """dual(black(P, Q)) vs white(dual(P), dual(Q)), plus the white-reading report.
+def check_product_duality(p: Presentation, q: Presentation) -> tuple[bool, list[SpanComponent]]:
+    """dual(black(P, Q)) vs white(dual(P), dual(Q)): the verdict and the span report.
 
     The two sides are identified by matching the dualized tensor of (gp, gq)
     with the tensor of (gp*, gq*).
     """
     lhs = koszul_dual(black_square(p, q))
     rhs = white_square(koszul_dual(p), koszul_dual(q), "white_dual")
-    renamed = rename_generators(lhs, _dual_tensors(p.binary, q.binary))
-    return presentation_span_equal(renamed, rhs), compare_white_readings(p, q)
+    report = list(span_components(rename_generators(lhs, _dual_tensors(p.binary, q.binary)), rhs))
+    return all(c.equal for c in report), report

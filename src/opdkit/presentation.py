@@ -61,6 +61,7 @@ __all__ = [
     "ColorSet",
     "ValidationReport",
     "validate",
+    "generator_text_problem",
     "replicate",
     "rename_generators",
     "tensor_map",
@@ -300,6 +301,15 @@ _RELATION_NAME = re.compile(
 )
 
 
+def generator_text_problem(g: Generator) -> Optional[str]:
+    """Why ``g``'s DSL text cannot stand for it (see ``validate``), or ``None``."""
+    if _is_leaf_name(g.text):
+        return f"generator {g.text} has the form of a leaf"
+    if not _NAME.fullmatch(g.text) or split_generator_token(g.text) != (g.name, g.color, g.dualized):
+        return f"generator {g.text!r} does not read back as itself"
+    return None
+
+
 def validate(p: Presentation) -> ValidationReport:
     """Check every presentation and relation invariant; never raises.
 
@@ -324,10 +334,9 @@ def validate(p: Presentation) -> ValidationReport:
         if triple in seen_triples:
             problems.append(f"duplicate generator {g.serialized()}")
         seen_triples.add(triple)
-        if _is_leaf_name(g.text):
-            problems.append(f"generator {g.text} has the form of a leaf")
-        elif not _NAME.fullmatch(g.text) or split_generator_token(g.text) != triple:
-            problems.append(f"generator {g.text!r} does not read back as itself")
+        problem = generator_text_problem(g)
+        if problem:
+            problems.append(problem)
     known = set(p.generators)
     names: set[str] = set()
 

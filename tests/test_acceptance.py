@@ -16,7 +16,7 @@ import random
 from pathlib import Path
 
 from opdkit.catalog import builtin, default_grid
-from opdkit.cli import (
+from opdkit.claims import (
     expected_multi_diff_dual,
     load_golden,
     run_claim,

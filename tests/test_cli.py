@@ -1,5 +1,6 @@
 """Exit-code contract and output determinism of the command-line surface."""
 
+import collections
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 from opdkit import cli, duality
 from opdkit.catalog import builtin
-from opdkit.cli import CLAIMS, Claim, main
+from opdkit.claims import CLAIMS, Check, Claim, Pair, equal
+from opdkit.cli import main
 from opdkit.compat import build_mat
 from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import ColorSet
@@ -380,16 +382,17 @@ def test_parser_is_built_once():
 
 def test_options_do_not_carry_over_between_calls(capsys, monkeypatch):
     seen = []
+    p = builtin("as")
 
-    def runner(args):
-        seen.append((args.omega, args.delta, args.output, args.quiet))
-        yield "probe", True, ""
+    def checks(omega=None, delta=None, output=None):
+        seen.append((omega, delta, output))
+        yield Check("probe", Pair(p, p), equal)
 
-    probe = Claim("probe", "records its arguments", runner, ("omega", "delta", "output"))
-    monkeypatch.setitem(CLAIMS, "probe", probe)
-    run(capsys, "verify", "probe", "--omega", "2", "--delta", "3", "--output", "x", "--quiet")
-    run(capsys, "verify", "probe")
-    assert seen == [(2, 3, "x", True), (None, None, None, False)]
+    monkeypatch.setitem(CLAIMS, "probe", Claim("probe", "records its options", checks))
+    quiet = run(capsys, "verify", "probe", "--omega", "2", "--delta", "3", "--output", "x", "--quiet")
+    loud = run(capsys, "verify", "probe")
+    assert seen == [(2, 3, "x"), (None, None, None)]
+    assert (quiet, loud) == ((0, "", ""), (0, "PASS  probe: probe\n", ""))
 
 
 def test_build_format_does_not_carry_over(capsys):
@@ -446,3 +449,55 @@ def test_a_rename_map_that_names_a_generator_twice_exits_2(capsys, tmp_path):
     assert err == "error: generator 'm' renamed twice in rename map\n"
     code, out, _ = run(capsys, "check-iso", str(texts["m"]), str(texts["p"]), "--map", "m=p", "--quiet")
     assert (code, out) == (0, "span-equal\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("m=", "bad rename pair 'm=': generator '' does not read back as itself"),
+    ("m=a b", "bad rename pair 'm=a b': generator 'a b' does not read back as itself"),
+    ("m=x1", "bad rename pair 'm=x1': generator x1 has the form of a leaf"),
+    # m#1#2 reads back as m colored 1#2, a generator validate accepts, which
+    # as.opd does not declare.
+    ("m=m#1#2", "generator sets differ after renaming (m, m#1#2 not shared); supply --map"),
+], ids=["empty", "blank inside", "leaf", "colored twice"])
+def test_a_rename_map_with_a_bad_new_name_exits_2_naming_it(capsys, spec, message):
+    code, out, err = run(capsys, "check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--map", spec)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# --- the claims compare and build no more than they need ---
+
+
+def _count_calls(monkeypatch, targets):
+    """Count the calls of each (module, function) at every opdkit binding of it."""
+    counts = collections.Counter()
+    modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "opdkit"]
+    for module_name, name in targets:
+        original = getattr(sys.modules[module_name], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+# The claims used to make 2, 3 and 2 span comparisons, with the same builds.
+@pytest.mark.parametrize("argv, want", [
+    (["ex-rbtot"], {"span_components": 1, "build_tot": 1, "build_mat": 1}),
+    (["prop-kdualdda"], {"span_components": 3, "koszul_dual": 3}),
+    (["prop-maninbl", "--omega", "2"], {"span_components": 2, "build_lin": 3, "black_square": 2}),
+], ids=["ex-rbtot", "prop-kdualdda", "prop-maninbl --omega 2"])
+def test_verify_compares_each_pair_once(capsys, monkeypatch, argv, want):
+    counts = _count_calls(monkeypatch, [
+        ("opdkit.presentation", "span_components"),
+        ("opdkit.compat", "build_lin"), ("opdkit.compat", "build_mat"), ("opdkit.compat", "build_tot"),
+        ("opdkit.compat", "build_compatible"), ("opdkit.duality", "koszul_dual"),
+        ("opdkit.manin", "black_square"), ("opdkit.manin", "white_square"),
+    ])
+    code, _, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert counts == want

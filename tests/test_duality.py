@@ -3,7 +3,7 @@
 import pytest
 
 from opdkit.catalog import builtin
-from opdkit.cli import expected_multi_diff_dual
+from opdkit.claims import expected_multi_diff_dual
 from opdkit.compat import build_mat, build_tot, support
 from opdkit.duality import (
     check_dual_identity,

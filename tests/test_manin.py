@@ -11,7 +11,6 @@ from opdkit.manin import (
     black_square,
     check_product_duality,
     colorize_tensor_map,
-    compare_white_readings,
     tensor_map,
     white_square,
 )
@@ -99,9 +98,13 @@ def test_white_square_of_as_is_as():
 
 def test_product_duality_identity():
     for left, right in [("as", "as"), ("dend", "as")]:
-        holds, report = check_product_duality(builtin(left), builtin(right))
-        assert holds
-        assert not report.agree  # the literal reading differs from the dual route
+        p, q = builtin(left), builtin(right)
+        holds, report = check_product_duality(p, q)
+        assert holds and all(c.equal for c in report)
+        # the literal reading differs from the dual route
+        assert not presentation_span_equal(
+            white_square(p, q, "white_literal"), white_square(p, q, "white_dual")
+        )
 
 
 def test_product_duality_with_matching_factor():
@@ -111,9 +114,8 @@ def test_product_duality_with_matching_factor():
 
 
 def test_white_literal_disagrees_on_as():
-    report = compare_white_readings(builtin("as"), builtin("as"))
-    assert not report.agree
     literal = white_square(builtin("as"), builtin("as"), "white_literal")
+    assert not presentation_span_equal(literal, white_square(builtin("as"), builtin("as"), "white_dual"))
     # the literal reading flips the right-comb sign: x(yz) + (xy)z
     coeffs = sorted(term.coeff for term in literal.relations[0].terms)
     assert coeffs == [1, 1]
