@@ -5,7 +5,10 @@ verified), 1 a span/identity check failed, 2 usage, parse, validation, or
 precondition errors.  Only ``ParseError`` and ``CommandError`` (defined in
 ``claims``, whose ``verify`` refusals raise it too) become exit 2; any other
 exception is a bug in opdkit and propagates.  Output is deterministic for
-identical inputs.
+identical inputs.  Refusals of bad input come from the library's
+``*_problem`` functions, asked about the parsed inputs before any
+computation; this module states only the rules of its own text (argument
+splitting, ``--map`` pairs, files and ``BASIS_BUDGET``).
 
 The argument parser is built on the first call of ``main`` and reused for
 the rest of the process: ``parse_args`` keeps no state on the parser.
@@ -15,24 +18,26 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .claims import CLAIMS, CommandError, emit, run_claim
 from .compat import build_compatible
-from .duality import koszul_dual
-from .manin import black_square, white_square
+from .duality import dual_problem, koszul_dual
+from .manin import black_square, product_problem, tensor_colors, tensor_colors_problem, white_square
 from .parser import ParseError, parse_presentation, serialize, split_generator_token
 from .presentation import (
     ColorSet,
     Presentation,
     generator_text_problem,
     rename_generators,
+    rename_problem,
+    replicate_problem,
+    shared_generators_problem,
     span_components,
-    tensor_clash,
 )
-from .trees import Generator, basis_dimension, enumerate_basis, tree_text
+from .trees import Generator, basis_dimension, color_label_problem, enumerate_basis, grading_problem, tree_text
 
 __all__ = ["main"]
 
@@ -50,17 +55,16 @@ def _read_presentation(path: str) -> Presentation:
     return p
 
 
-_COLOR_LABEL = re.compile(r"[A-Za-z0-9_]+")
+def _refuse(problem: Optional[str], prefix: str = "") -> None:
+    """Exit 2 with ``problem``, a library ``*_problem`` answer, unless it is ``None``."""
+    if problem:
+        raise CommandError(prefix + problem)
 
 
 def _omega(spec: str) -> ColorSet:
     labels = [label.strip() for label in spec.split(",") if label.strip()]
     for label in labels:
-        # Built presentations spell colors as g#label, which the DSL must read back.
-        if not _COLOR_LABEL.fullmatch(label):
-            raise CommandError(
-                f"color label {label!r} is not a DSL name (letters, digits and _ only)"
-            )
+        _refuse(color_label_problem(label))
     try:
         return ColorSet.of(int(spec) if spec.isdigit() else labels)
     except ValueError as exc:
@@ -68,16 +72,14 @@ def _omega(spec: str) -> ColorSet:
 
 
 # ---------------------------------------------------------------------------
-# plain subcommands: each checks its preconditions itself, with the library's
-# messages, so that a ValueError from the library stays a bug
+# plain subcommands: each asks the library's *_problem checks about its inputs
+# before it computes, so that a ValueError from the computation stays a bug
 
 
 def cmd_build(args) -> int:
     p = _read_presentation(args.input)
     omega = _omega(args.omega)
-    for g in p.generators:
-        if g.color is not None:
-            raise CommandError(f"cannot replicate already-colored generator {g.serialized()}")
+    _refuse(replicate_problem(p))
     built = build_compatible(
         {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind], p, omega
     )
@@ -87,10 +89,7 @@ def cmd_build(args) -> int:
 
 def cmd_dual(args) -> int:
     p = _read_presentation(args.input)
-    for rel in p.relations:
-        if rel.weight != 2:
-            raise CommandError("Koszul dual undefined for non-quadratic presentation: "
-                               f"relation {rel.name} has weight {rel.weight}")
+    _refuse(dual_problem(p))
     emit(serialize(koszul_dual(p), args.format), args.output)
     return 0
 
@@ -98,22 +97,8 @@ def cmd_dual(args) -> int:
 def cmd_product(args) -> int:
     left = _read_presentation(args.left)
     right = _read_presentation(args.right)
-    for p in (left, right):
-        if p.unary:
-            raise CommandError(f"presentation {p.name} has unary generators")
-        for rel in p.relations:
-            if rel.weight != 2:
-                raise CommandError(f"presentation {p.name} has the cubic relation {rel.name}")
     kind = args.kind.replace("-", "_")
-    factors = [(left.binary, right.binary)]
-    if kind == "white_dual":
-        # The dual route also multiplies the Koszul duals, whose tensor names
-        # spell each dual marker as '*'.
-        factors.append(([g.dual() for g in left.binary], [g.dual() for g in right.binary]))
-    for e, f in factors:
-        clash = tensor_clash(e, f)
-        if clash:
-            raise CommandError(clash)
+    _refuse(product_problem(left, right, kind))
     product = black_square(left, right) if kind == "black" else white_square(left, right, kind)
     emit(serialize(product, args.format), args.output)
     return 0
@@ -121,22 +106,8 @@ def cmd_product(args) -> int:
 
 def _parse_rename_spec(spec: str, p: Presentation) -> dict[Generator, Generator]:
     if spec == "tensor-colors":
-        mapping = {}
-        for g in p.generators:
-            left_atom, _, right_atom = g.name.partition("~")
-            if not right_atom or "#" not in left_atom:
-                raise CommandError(
-                    f"generator {g.serialized()} is not a colored tensor; "
-                    "cannot apply the tensor-colors map"
-                )
-            color = left_atom.rpartition("#")[2]
-            dual = right_atom.endswith("*")
-            base = right_atom[:-1] if dual else right_atom
-            name, inner_color, inner_dual = split_generator_token(base)
-            if inner_color is not None:
-                raise CommandError(f"tensor factor {right_atom} already colored")
-            mapping[g] = Generator(name, g.arity, color, dual or inner_dual or g.dualized)
-        return mapping
+        _refuse(tensor_colors_problem(p.generators))
+        return tensor_colors(p.generators)
     by_token = {g.serialized(): g for g in p.generators}
     mapping = {}
     for pair in spec.split(","):
@@ -151,9 +122,7 @@ def _parse_rename_spec(spec: str, p: Presentation) -> dict[Generator, Generator]
             raise CommandError(f"generator {old!r} renamed twice in rename map")
         name, color, dual = split_generator_token(new)
         mapping[g] = Generator(name, g.arity, color, dual)
-        problem = generator_text_problem(mapping[g])
-        if problem:
-            raise CommandError(f"bad rename pair {pair!r}: {problem}")
+        _refuse(generator_text_problem(mapping[g]), f"bad rename pair {pair!r}: ")
     for g in p.generators:
         mapping.setdefault(g, g)
     return mapping
@@ -163,14 +132,12 @@ def cmd_check_iso(args) -> int:
     a = _read_presentation(args.a)
     b = _read_presentation(args.b)
     if args.map:
-        # Every image keeps its source's arity; it must also be injective.
         mapping = _parse_rename_spec(args.map, a)
-        if len(set(mapping.values())) != len(mapping):
-            raise CommandError("rename map is not injective on the generator list")
+        _refuse(rename_problem(a, mapping))
         a = rename_generators(a, mapping)
-    if set(a.generators) != set(b.generators):
-        unshared = ", ".join(sorted(g.serialized() for g in set(a.generators) ^ set(b.generators)))
-        raise CommandError(f"generator sets differ after renaming ({unshared} not shared); supply --map")
+    unshared = shared_generators_problem(a, b)
+    if unshared:
+        raise CommandError(f"generator sets differ after renaming ({unshared}); supply --map")
     equal = True
     for c in span_components(a, b):
         equal &= c.equal
@@ -192,10 +159,10 @@ BASIS_BUDGET = 100_000
 
 def cmd_basis(args) -> int:
     p = _read_presentation(args.input)
-    if args.arity < 1:
-        raise CommandError(f"--arity {args.arity}: arity must be >= 1")
-    if args.weight < 0:
-        raise CommandError(f"--weight {args.weight}: weight must be >= 0")
+    problem = grading_problem(args.arity, args.weight)
+    if problem:
+        option = problem.partition(" ")[0]  # the coordinate at fault
+        raise CommandError(f"--{option} {getattr(args, option)}: {problem}")
     size = basis_dimension(p.generators, args.arity, args.weight)
     if size > BASIS_BUDGET:
         raise CommandError(

@@ -55,13 +55,13 @@ from .presentation import (
     Term,
     _integers,
     _ordered_relation,
-    _require_uncolored,
     _term,
     presentation_span_equal,
+    replicate_problem,
     require_valid,
     standard_slots,
 )
-from .trees import Generator, Tree, _flat_tree, enumerate_basis
+from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
     "CompatKind",
@@ -238,7 +238,7 @@ class _Compiled:
 def _compiled(p: Presentation) -> _Compiled:
     """``p``'s compiled state, once ``p`` is known to be valid and uncolored."""
     require_valid(p)
-    _require_uncolored(p)
+    _require(replicate_problem(p))
     return p._compiled
 
 

@@ -27,6 +27,7 @@ from .presentation import (
     ColorSet,
     Presentation,
     Relation,
+    SpanComponent,
     Term,
     presentation_span_equal,
     rename_generators,
@@ -34,12 +35,13 @@ from .presentation import (
     span_components,
     standard_slots,
 )
-from .trees import Generator, GradedComponent, Tree, enumerate_basis, relabel
+from .trees import GradedComponent, Tree, _require, enumerate_basis, relabel
 
 __all__ = [
     "shape_sign",
     "pairing_form",
     "standard_slots",
+    "dual_problem",
     "koszul_dual",
     "self_duality",
     "is_self_dual",
@@ -62,15 +64,21 @@ def pairing_form(component: GradedComponent) -> DiagonalForm:
     return DiagonalForm(tuple(shape_sign(t) for t in component.basis))
 
 
+def dual_problem(p: Presentation) -> Optional[str]:
+    """Why ``koszul_dual`` is undefined on ``p`` (a relation not quadratic), or ``None``."""
+    for rel in p.relations:
+        if rel.weight != 2:
+            return (
+                "Koszul dual undefined for non-quadratic presentation: "
+                f"relation {rel.name} has weight {rel.weight}"
+            )
+    return None
+
+
 def koszul_dual(p: Presentation) -> Presentation:
     """T(E*)/<R^perp> for a quadratic presentation, componentwise by arity."""
     require_valid(p)
-    for rel in p.relations:
-        if rel.weight != 2:
-            raise ValueError(
-                f"Koszul dual undefined for non-quadratic presentation: "
-                f"relation {rel.name} has weight {rel.weight}"
-            )
+    _require(dual_problem(p))
     dual_unary = tuple(g.dual() for g in p.unary)
     dual_binary = tuple(g.dual() for g in p.binary)
 
@@ -98,9 +106,10 @@ def koszul_dual(p: Presentation) -> Presentation:
     return Presentation(f"dual_{p.name}", dual_unary, dual_binary, tuple(rels))
 
 
-def self_duality(p: Presentation) -> Optional[dict[Generator, Generator]]:
-    """An arity-preserving renaming of the dual's generators under which the
-    dual spans as p does, or ``None``.
+def self_duality(p: Presentation) -> Optional[tuple[Presentation, list[SpanComponent]]]:
+    """The dual under the first arity-preserving renaming of its generators
+    that makes it span as p does, with the span report that matched it; or
+    ``None``.
 
     Every bijection is tried, the identity g* -> g first: some self-dual
     presentations match only after permuting same-arity generators.  A
@@ -110,13 +119,15 @@ def self_duality(p: Presentation) -> Optional[dict[Generator, Generator]]:
     for pu in itertools.permutations(p.unary):
         for pb in itertools.permutations(p.binary):
             mapping = {g.dual(): h for g, h in zip(p.unary + p.binary, pu + pb)}
-            for c in span_components(rename_generators(dual, mapping), p):
+            renamed, report = rename_generators(dual, mapping), []
+            for c in span_components(renamed, p):
                 if c.left_rank != c.right_rank:
                     return None
                 if not c.equal:
                     break
+                report.append(c)
             else:
-                return mapping
+                return renamed, report
     return None
 
 

@@ -19,7 +19,7 @@ their comparison instead of hiding the discrepancy.
 from __future__ import annotations
 
 import itertools
-from typing import Literal, Sequence
+from typing import Collection, Literal, Optional, Sequence
 
 from .duality import koszul_dual, shape_sign, standard_slots
 from .presentation import (
@@ -30,47 +30,68 @@ from .presentation import (
     rename_generators,
     require_valid,
     span_components,
+    tensor_atom_name,
+    tensor_clash,
+    tensor_factors,
     tensor_map,
 )
-from .trees import Generator, relabel
+from .trees import Generator, _require, relabel
 
 __all__ = [
     "ProductKind",
+    "product_problem",
     "black_square",
     "white_square",
     "check_product_duality",
     "tensor_map",
+    "tensor_colors_problem",
+    "tensor_colors",
     "colorize_tensor_map",
 ]
 
 ProductKind = Literal["black", "white_literal", "white_dual"]
 
 
-def _require_binary_quadratic(p: Presentation) -> None:
-    require_valid(p)
-    if p.unary:
-        raise ValueError(f"presentation {p.name} has unary generators")
-    for rel in p.relations:
-        if rel.weight != 2:
-            raise ValueError(
-                f"presentation {p.name} has the cubic relation {rel.name}"
-            )
+def product_problem(p: Presentation, q: Presentation, kind: ProductKind) -> Optional[str]:
+    """Why the ``kind`` product of ``p`` and ``q`` is undefined, or ``None``:
+    the factors must be binary quadratic with no ``tensor_clash``, and so
+    must their duals' tensors (dual markers spelled ``*``) for ``white_dual``."""
+    for r in (p, q):
+        if r.unary:
+            return f"presentation {r.name} has unary generators"
+        for rel in r.relations:
+            if rel.weight != 2:
+                return f"presentation {r.name} has the cubic relation {rel.name}"
+    clash = tensor_clash(p.binary, q.binary)
+    if clash is None and kind == "white_dual":
+        clash = tensor_clash([g.dual() for g in p.binary], [g.dual() for g in q.binary])
+    return clash
+
+
+def tensor_colors_problem(tensors: Collection[Generator]) -> Optional[str]:
+    """Why ``tensor_colors`` cannot rename ``tensors`` (each must be the
+    tensor of a colored generator and an uncolored one), or ``None``."""
+    for g in tensors:
+        factors = tensor_factors(g.name)
+        if factors is None or factors[0].color is None:
+            return f"generator {g.serialized()} is not a colored tensor; cannot apply the tensor-colors map"
+        if factors[1].color is not None:
+            return f"tensor factor {tensor_atom_name(factors[1])} already colored"
+    return None
+
+
+def tensor_colors(tensors: Collection[Generator]) -> dict[Generator, Generator]:
+    """Send each tensor of (g#w, h), read off its name, to h#w, dualized if
+    h or the tensor is: the identification under which a product with a
+    replicated one-generator factor collapses onto the replicated other one."""
+    _require(tensor_colors_problem(tensors))
+    pairs = {g: tensor_factors(g.name) for g in tensors}
+    return {g: Generator(f.name, 2, e.color, f.dualized or g.dualized) for g, (e, f) in pairs.items()}
 
 
 def colorize_tensor_map(colored, plain) -> dict[Generator, Generator]:
-    """Rename tensors of colored-by-plain generators to colored plain ones.
-
-    Sends the tensor of (g#w, h) to h#w, the identification under which a
-    product with a replicated one-generator factor collapses onto the
-    replicated second factor.
-    """
-    tmap = tensor_map(colored, plain)
-    out = {}
-    for (e, f), tensor in tmap.items():
-        if e.color is None:
-            raise ValueError(f"left factor {e.serialized()} carries no color")
-        out[tensor] = Generator(f.name, f.arity, e.color, f.dualized)
-    return out
+    """``tensor_colors`` of the tensors of colored-by-plain generators."""
+    return tensor_colors(tensor_map(colored, plain).values())
 
 
 def _by_shape(rel: Relation) -> dict:
@@ -132,8 +153,8 @@ def black_square(p: Presentation, q: Presentation) -> Presentation:
     decorated by the tensors of their generator pairs.  A pair of relations
     with no shape in common gives no relation.
     """
-    _require_binary_quadratic(p)
-    _require_binary_quadratic(q)
+    require_valid(p, q)
+    _require(product_problem(p, q, "black"))
     tmap = tensor_map(p.binary, q.binary)
     theirs = [(rq.name, _by_shape(rq)) for rq in q.relations]
     rels = []
@@ -191,8 +212,8 @@ def _white_dual(p: Presentation, q: Presentation) -> Presentation:
 
 
 def white_square(p: Presentation, q: Presentation, mode: ProductKind = "white_dual") -> Presentation:
-    _require_binary_quadratic(p)
-    _require_binary_quadratic(q)
+    require_valid(p, q)
+    _require(product_problem(p, q, mode))
     if mode == "white_dual":
         return _white_dual(p, q)
     if mode == "white_literal":

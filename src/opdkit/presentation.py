@@ -48,6 +48,8 @@ from .trees import (
     GradedComponent,
     Tree,
     _is_leaf_name,
+    _require,
+    color_label_problem,
     enumerate_basis,
     relabel,
     split_generator_token,
@@ -62,11 +64,15 @@ __all__ = [
     "ValidationReport",
     "validate",
     "generator_text_problem",
+    "replicate_problem",
     "replicate",
+    "rename_problem",
     "rename_generators",
     "tensor_map",
     "tensor_clash",
     "tensor_atom_name",
+    "tensor_factors",
+    "shared_generators_problem",
     "relation_gradings",
     "component_matrix",
     "SpanComponent",
@@ -307,7 +313,8 @@ def generator_text_problem(g: Generator) -> Optional[str]:
         return f"generator {g.text} has the form of a leaf"
     if not _NAME.fullmatch(g.text) or split_generator_token(g.text) != (g.name, g.color, g.dualized):
         return f"generator {g.text!r} does not read back as itself"
-    return None
+    problem = None if g.color is None else color_label_problem(g.color)
+    return f"generator {g.text!r}: {problem}" if problem else None
 
 
 def validate(p: Presentation) -> ValidationReport:
@@ -316,8 +323,8 @@ def validate(p: Presentation) -> ValidationReport:
     Names are checked too: the DSL must read the serialized text back, so
     the presentation's name is one name token, each generator's text is a
     name token that splits back into its name, color and dual flag and is
-    not a leaf ``x1``, ``x2``, ..., and each relation name is what the
-    parser reads between ``relation`` and ``:``.
+    not a leaf ``x1``, ``x2``, ... nor colored by a non-label, and each
+    relation name is what the parser reads between ``relation`` and ``:``.
     """
     problems: list[str] = []
     if not _NAME.fullmatch(p.name):
@@ -381,23 +388,23 @@ def validate(p: Presentation) -> ValidationReport:
     return ValidationReport(problems)
 
 
-def require_valid(p: Presentation) -> None:
-    report = p._validation
-    if not report.ok:
-        raise ValueError(f"invalid presentation {p.name}: {report}")
+def require_valid(*presentations: Presentation) -> None:
+    for p in presentations:
+        if not p._validation.ok:
+            raise ValueError(f"invalid presentation {p.name}: {p._validation}")
 
 
-def _require_uncolored(p: Presentation) -> None:
+def replicate_problem(p: Presentation) -> Optional[str]:
+    """Why ``p``'s generators cannot be colored (a colored one), or ``None``."""
     for g in p.generators:
         if g.color is not None:
-            raise ValueError(
-                f"cannot replicate already-colored generator {g.serialized()}"
-            )
+            return f"cannot replicate already-colored generator {g.serialized()}"
+    return None
 
 
 def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
     """The colored generator family: one copy g#w of every generator per color."""
-    _require_uncolored(p)
+    _require(replicate_problem(p))
     return [g.colored(w) for g in p.generators for w in omega]
 
 
@@ -427,21 +434,24 @@ def standard_slots(tree: Tree) -> tuple[int, ...]:
     return _WEIGHT_TWO_SHAPES[tree.shape][1]
 
 
+def rename_problem(p: Presentation, mapping: Mapping[Generator, Generator]) -> Optional[str]:
+    """Why ``mapping`` cannot rename ``p``, or ``None``: it must cover the
+    generators, keep their arities and be injective on them."""
+    for g in p.generators:
+        if g not in mapping:
+            return f"rename map misses generator {g.serialized()}"
+        if mapping[g].arity != g.arity:
+            return f"rename map changes arity of {g.serialized()} ({g.arity} -> {mapping[g].arity})"
+    if len({mapping[g] for g in p.generators}) != len(p.generators):
+        return "rename map is not injective on the generator list"
+    return None
+
+
 def rename_generators(
     p: Presentation, mapping: Mapping[Generator, Generator]
 ) -> Presentation:
     """Structurally identical presentation over renamed generators."""
-    for g in p.generators:
-        if g not in mapping:
-            raise ValueError(f"rename map misses generator {g.serialized()}")
-        if mapping[g].arity != g.arity:
-            raise ValueError(
-                f"rename map changes arity of {g.serialized()} "
-                f"({g.arity} -> {mapping[g].arity})"
-            )
-    images = [mapping[g] for g in p.generators]
-    if len(set(images)) != len(images):
-        raise ValueError("rename map is not injective on the generator list")
+    _require(rename_problem(p, mapping))
 
     def rename_term(term: Term) -> Term:
         new_gens = (mapping[g] for g in term.tree.internal_generators())
@@ -474,6 +484,20 @@ def _tensor_name(ge: Generator, gf: Generator) -> str:
     return f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}"
 
 
+def _tensor_atom(atom: str) -> Generator:
+    """The binary generator whose ``tensor_atom_name`` is ``atom``."""
+    name, color, _ = split_generator_token(atom.removesuffix("*"))
+    return Generator(name, 2, color, atom.endswith("*"))
+
+
+def tensor_factors(name: str) -> Optional[tuple[Generator, Generator]]:
+    """The pair whose tensor ``tensor_map`` names ``name``, or ``None`` if
+    ``name`` has no ``~``.  The left factor is read up to the first ``~``,
+    so a left factor that is a tensor itself reads back wrongly."""
+    left, sep, right = name.partition("~")
+    return (_tensor_atom(left), _tensor_atom(right)) if sep else None
+
+
 def tensor_map(
     e: Sequence[Generator], f: Sequence[Generator]
 ) -> dict[tuple[Generator, Generator], Generator]:
@@ -482,14 +506,12 @@ def tensor_map(
     for g in list(e) + list(f):
         if g.arity != 2:
             raise ValueError(f"unary generator {g.serialized()} in tensor product")
+    _require(tensor_clash(e, f))
     pairs = sorted(
         ((ge, gf) for ge in e for gf in f),
         key=lambda p: (p[0].sort_key, p[1].sort_key),
     )
-    tensors = {(ge, gf): Generator(_tensor_name(ge, gf), 2) for ge, gf in pairs}
-    if len(set(tensors.values())) < len(tensors):
-        raise ValueError(tensor_clash(e, f))
-    return tensors
+    return {(ge, gf): Generator(_tensor_name(ge, gf), 2) for ge, gf in pairs}
 
 
 def tensor_clash(e: Sequence[Generator], f: Sequence[Generator]) -> Optional[str]:
@@ -546,15 +568,10 @@ def component_matrix(
     return component, RationalMatrix(tuple(rows), component.dimension)
 
 
-def _common_generators(p: Presentation, q: Presentation) -> tuple[Generator, ...]:
-    if set(p.generators) != set(q.generators):
-        ours = {g.serialized() for g in p.generators}
-        theirs = {g.serialized() for g in q.generators}
-        raise ValueError(
-            "presentations live over different generators: "
-            f"{sorted(ours ^ theirs)} not shared"
-        )
-    return p.generators
+def shared_generators_problem(p: Presentation, q: Presentation) -> Optional[str]:
+    """The generators only one of ``p`` and ``q`` has, as ``a, b not shared``, or ``None``."""
+    unshared = set(p.generators) ^ set(q.generators)
+    return f"{', '.join(sorted(g.text for g in unshared))} not shared" if unshared else None
 
 
 class _Columns:
@@ -612,7 +629,10 @@ def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]
     Yields a record for every grading in which either side has a relation,
     in grading order, so a caller may stop at the first unequal one.
     """
-    gens = frozenset(_common_generators(p, q))
+    problem = shared_generators_problem(p, q)
+    if problem:
+        raise ValueError(f"presentations live over different generators: {problem}")
+    gens = frozenset(p.generators)
     left, right = _by_grading(p.relations), _by_grading(q.relations)
     for grading in sorted(left.keys() | right.keys()):
         # One column map serves both sides, so the canonical bases compare.

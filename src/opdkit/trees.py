@@ -20,8 +20,9 @@ size can be known, and refused, before any tree is built.
 A tree's text is one format string per shape, or per (shape, slots) for
 the slotted form of the DSL, filled with its generators' stored texts;
 the parser prints relation lines from the slotted ones.
-The DSL's name token is defined here too, beside ``Generator``: the parser
-lexes with it and ``validate`` checks names against it.
+The DSL's name token and color label are defined here too, beside
+``Generator``: the parser lexes with the one, and ``validate`` and
+``build --omega`` check names and labels against them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ __all__ = [
     "basis_dimension",
     "tree_text",
     "split_generator_token",
+    "color_label_problem",
+    "grading_problem",
 ]
 
 
@@ -61,6 +64,20 @@ _NAME_HEAD = r"[A-Za-z0-9_]*(?:(?:#(?=[A-Za-z0-9_~])|\^\*)[A-Za-z0-9_]*)*"
 _NAME_TAIL = r"\*?~[A-Za-z0-9_~*]*(?:(?:#(?=[A-Za-z0-9_~])|\^\*)[A-Za-z0-9_~*]*)*"
 _NAME_PATTERN = rf"[A-Za-z_]{_NAME_HEAD}(?:{_NAME_TAIL})?"
 _NAME = re.compile(_NAME_PATTERN)
+_COLOR_LABEL = re.compile(r"[A-Za-z0-9_]+")
+
+
+def color_label_problem(label: str) -> Optional[str]:
+    """Why ``label`` cannot be a color, whose ``g#label`` must read back, or ``None``."""
+    if not _COLOR_LABEL.fullmatch(label):
+        return f"color label {label!r} is not a DSL name (letters, digits and _ only)"
+    return None
+
+
+def _require(problem: Optional[str]) -> None:
+    """Raise ``ValueError`` with the text of a ``*_problem`` check, if any."""
+    if problem:
+        raise ValueError(problem)
 
 
 def _is_leaf_name(token: str) -> bool:
@@ -348,14 +365,21 @@ def _all_trees(gens: tuple[Generator, ...], arity: int, weight: int) -> tuple[Tr
     return tuple(sorted(out, key=tree_key))
 
 
+def grading_problem(arity: int, weight: int) -> Optional[str]:
+    """Why no graded basis has this arity and weight, or ``None``.  The text
+    starts with the coordinate at fault, which ``basis`` names as an option."""
+    if arity < 1:
+        return "arity must be >= 1"
+    if weight < 0:
+        return "weight must be >= 0"
+    return None
+
+
 def enumerate_basis(
     gens: Sequence[Generator], arity: int, weight: int
 ) -> GradedComponent:
     """All decorated trees of the given arity and weight, in canonical order."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
+    _require(grading_problem(arity, weight))
     basis = _all_trees(tuple(gens), arity, weight)
     return GradedComponent(arity, weight, basis)
 
@@ -369,10 +393,7 @@ def basis_dimension(gens: Sequence[Generator], arity: int, weight: int) -> int:
     sit in chains on those edges, in C(u + 2b, u) ways; each vertex then
     carries any generator of its arity.
     """
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
+    _require(grading_problem(arity, weight))
     b, u = arity - 1, weight - arity + 1
     if u < 0:
         return 0

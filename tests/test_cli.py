@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from opdkit import cli, duality
+from opdkit import cli, duality, manin
 from opdkit.catalog import builtin
 from opdkit.claims import CLAIMS, Check, Claim, Pair, equal
 from opdkit.cli import main
-from opdkit.compat import build_mat
+from opdkit.compat import build_lin, build_mat
+from opdkit.duality import koszul_dual
 from opdkit.parser import parse_presentation, serialize
-from opdkit.presentation import ColorSet
+from opdkit.presentation import ColorSet, rename_generators
 
 ROOT = Path(__file__).resolve().parent.parent
 PRES = ROOT / "src" / "opdkit" / "data"
@@ -114,6 +115,19 @@ def test_product_and_check_iso_pipeline(capsys, tmp_path):
         "component (arity 3, weight 2): dims 9 vs 9 of ambient 32 -> equal",
         "span-equal",
     ]
+
+
+def test_tensor_colors_map_agrees_with_the_library(capsys, tmp_path):
+    # The left factors are dualized: m#1^* gives the tensor m#1*~prec, which
+    # the map sends to prec#1 as colorize_tensor_map does.
+    left, dend = koszul_dual(build_lin(builtin("as"), ColorSet.of(2))), builtin("dend")
+    product = manin.black_square(left, dend)
+    renamed = rename_generators(product, manin.colorize_tensor_map(left.binary, dend.binary))
+    paths = [tmp_path / "product.opd", tmp_path / "renamed.opd"]
+    for path, p in zip(paths, (product, renamed)):
+        path.write_text(serialize(p))
+    code, out, err = run(capsys, "check-iso", *map(str, paths), "--map", "tensor-colors", "--quiet")
+    assert (code, out, err) == (0, "span-equal\n", "")
 
 
 def test_product_precondition_error(capsys):
@@ -338,8 +352,12 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 @pytest.mark.parametrize("module, name, argv", [
     (duality, "shape_sign", ["dual", str(PRES / "as.opd")]),
     (duality, "shape_sign", ["product", "white-dual", str(PRES / "as.opd"), str(PRES / "dend.opd")]),
+    (manin, "_product", ["product", "black", str(PRES / "as.opd"), str(PRES / "dend.opd")]),
     (cli, "rename_generators", ["check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--map", "m=m"]),
-], ids=["dual", "product white-dual", "check-iso --map"])
+    (manin, "tensor_factors", ["check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--map", "tensor-colors"]),
+    (cli, "enumerate_basis", ["basis", str(PRES / "as.opd"), "--arity", "3", "--weight", "2"]),
+], ids=["dual", "product white-dual", "product black", "check-iso --map", "check-iso --map tensor-colors",
+        "basis"])
 def test_internal_value_error_in_dual_product_and_check_iso_raises(monkeypatch, module, name, argv):
     def broken(*args):
         raise ValueError("internal")
@@ -455,9 +473,9 @@ def test_a_rename_map_that_names_a_generator_twice_exits_2(capsys, tmp_path):
     ("m=", "bad rename pair 'm=': generator '' does not read back as itself"),
     ("m=a b", "bad rename pair 'm=a b': generator 'a b' does not read back as itself"),
     ("m=x1", "bad rename pair 'm=x1': generator x1 has the form of a leaf"),
-    # m#1#2 reads back as m colored 1#2, a generator validate accepts, which
-    # as.opd does not declare.
-    ("m=m#1#2", "generator sets differ after renaming (m, m#1#2 not shared); supply --map"),
+    # m#1#2 reads back as m colored 1#2, a label build --omega refuses.
+    ("m=m#1#2", "bad rename pair 'm=m#1#2': generator 'm#1#2': "
+                "color label '1#2' is not a DSL name (letters, digits and _ only)"),
 ], ids=["empty", "blank inside", "leaf", "colored twice"])
 def test_a_rename_map_with_a_bad_new_name_exits_2_naming_it(capsys, spec, message):
     code, out, err = run(capsys, "check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--map", spec)
@@ -485,12 +503,15 @@ def _count_calls(monkeypatch, targets):
     return counts
 
 
-# The claims used to make 2, 3 and 2 span comparisons, with the same builds.
+# The claims used to make 2, 3, 2 and 39 span comparisons, with the same
+# builds; cor-undual also made 6 Koszul duals.  Its 36 comparisons are the
+# self-duality searches, whose last reports it reuses.
 @pytest.mark.parametrize("argv, want", [
     (["ex-rbtot"], {"span_components": 1, "build_tot": 1, "build_mat": 1}),
     (["prop-kdualdda"], {"span_components": 3, "koszul_dual": 3}),
     (["prop-maninbl", "--omega", "2"], {"span_components": 2, "build_lin": 3, "black_square": 2}),
-], ids=["ex-rbtot", "prop-kdualdda", "prop-maninbl --omega 2"])
+    (["cor-undual"], {"span_components": 36, "koszul_dual": 3, "build_mat": 2}),
+], ids=["ex-rbtot", "prop-kdualdda", "prop-maninbl --omega 2", "cor-undual"])
 def test_verify_compares_each_pair_once(capsys, monkeypatch, argv, want):
     counts = _count_calls(monkeypatch, [
         ("opdkit.presentation", "span_components"),

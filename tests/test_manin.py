@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opdkit.catalog import builtin
+from opdkit.catalog import builtin, default_grid
 from opdkit.compat import build_lin, build_mat, build_tot
 from opdkit.duality import koszul_dual
 from opdkit.manin import (
     black_square,
     check_product_duality,
     colorize_tensor_map,
+    product_problem,
+    tensor_colors,
+    tensor_colors_problem,
     tensor_map,
     white_square,
 )
@@ -21,6 +24,7 @@ from opdkit.presentation import (
     presentation_span_equal,
     rename_generators,
     tensor_clash,
+    tensor_factors,
 )
 
 TWO = ColorSet.of(2)
@@ -207,3 +211,43 @@ def test_white_dual_refuses_tensor_names_that_collide_only_between_the_duals():
     black_square(p, q)
     with pytest.raises(ValueError, match=r"both give a\*~x\*~y\*"):
         white_square(p, q, "white_dual")
+
+
+def test_product_problem_names_the_first_fault():
+    as_, dend, rba0 = builtin("as"), builtin("dend"), builtin("rba0")
+    assert product_problem(as_, dend, "black") is None
+    assert product_problem(rba0, as_, "black") == "presentation rba0 has unary generators"
+    cubic = parse_presentation("operad c\nbinary m\nrelation r: m@3(m@2(m@1(x1,x2),x3),x4)\n")
+    assert product_problem(as_, cubic, "white_literal") == "presentation c has the cubic relation r"
+
+
+# Every binary generator of the catalog, colored or not and dualized or
+# not, times every plain one, dualized or not.
+_LEFT = sorted({v for _, p in default_grid() for g in p.binary
+                for v in (g, g.dual(), g.colored("1"), g.colored("c_2").dual())}, key=lambda g: g.sort_key)
+_RIGHT = sorted({v for _, p in default_grid() for g in p.binary for v in (g, g.dual())}, key=lambda g: g.sort_key)
+
+
+@pytest.mark.parametrize("e", _LEFT, ids=lambda g: g.text)
+def test_tensor_names_read_back_as_their_pairs(e):
+    for (ge, gf), tensor in tensor_map([e], _RIGHT).items():
+        assert tensor_factors(tensor.name) == (ge, gf)
+    assert tensor_factors(e.name) is None
+
+
+def test_tensor_colors_reads_the_color_off_a_dualized_left_factor():
+    # The tensor of (m#1^*, prec) is m#1*~prec; its color is 1, not 1*.
+    left = koszul_dual(build_lin(builtin("as"), TWO)).binary
+    mapping = tensor_colors(tensor_map(left, builtin("dend").binary).values())
+    assert sorted(g.text for g in mapping.values()) == ["prec#1", "prec#2", "succ#1", "succ#2"]
+    assert mapping == colorize_tensor_map(left, builtin("dend").binary)
+
+
+def test_tensor_colors_refuses_what_is_not_a_colored_tensor():
+    plain = tensor_map(builtin("as").binary, builtin("dend").binary).values()
+    assert tensor_colors_problem(plain) == (
+        "generator m~prec is not a colored tensor; cannot apply the tensor-colors map")
+    twice = tensor_map(build_lin(builtin("as"), TWO).binary, build_lin(builtin("dend"), TWO).binary)
+    assert tensor_colors_problem(twice.values()) == "tensor factor prec#1 already colored"
+    with pytest.raises(ValueError, match="not a colored tensor"):
+        colorize_tensor_map(builtin("as").binary, builtin("dend").binary)

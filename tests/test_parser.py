@@ -538,6 +538,14 @@ def test_built_names_stay_valid():
         assert made in text, made
 
 
+def test_validate_reports_a_color_that_is_not_a_color_label():
+    # m#1#2 reads back as m colored 1#2, a label build --omega refuses.
+    p = parse_presentation("operad t\nbinary m#1#2\nrelation r: m#1#2@2(m#1#2@1(x1,x2),x3)\n")
+    assert p.binary == (Generator("m", 2, "1#2"),)
+    assert validate(p).problems == [
+        "generator 'm#1#2': color label '1#2' is not a DSL name (letters, digits and _ only)"]
+
+
 @pytest.mark.parametrize("unary,binary,relation,problem", [
     (("x2",), (), "r", "generator x2 has the form of a leaf"),
     (("m-1",), (), "r", "generator 'm-1' does not read back as itself"),
