@@ -4,8 +4,11 @@ Construct linearly compatible, matching, and totally compatible operads over
 a finite color set, compute Koszul duals of quadratic presentations, form
 Manin square products, and compare everything grading by grading with one
 sparse exact elimination kernel (``span_components`` reports the rank of
-each side and the verdict per grading).  The dense rational matrix functions
-are thin adapters over the same kernel.
+each side and the verdict per grading).
+
+The dense rational matrix API is not exposed here: the program does not use
+it, and it stays in ``opdkit.linalg`` for the benchmark's tracer, the
+acceptance gate and the tests.
 """
 
 from .catalog import builtin, catalog_keys, default_grid
@@ -18,30 +21,18 @@ from .compat import (
     support,
     verify_lin_encoding,
 )
-from .duality import check_dual_identity, is_self_dual, koszul_dual, pairing_form, self_duality
-from .linalg import (
-    DiagonalForm,
-    RationalMatrix,
-    nullspace,
-    orthogonal_complement,
-    rank,
-    rref,
-    span_contains,
-    span_equal,
-)
+from .duality import check_dual_identity, is_self_dual, koszul_dual, self_duality
 from .manin import black_square, check_product_duality, white_square
 from .presentation import (
     ColorSet,
     Presentation,
     Relation,
     Term,
-    presentation_span_contains,
-    presentation_span_equal,
     rename_generators,
     replicate,
-    span_components,
     validate,
 )
+from .spans import presentation_span_contains, presentation_span_equal, span_components
 from .trees import (
     Generator,
     GradedComponent,

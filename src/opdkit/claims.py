@@ -25,7 +25,8 @@ from .compat import build_lin, build_mat, build_tot, lin_encoding_sides
 from .duality import dual_identity_sides, koszul_dual, self_duality
 from .manin import black_square, colorize_tensor_map, white_square
 from .parser import parse_presentation
-from .presentation import ColorSet, Presentation, SpanComponent, rename_generators, span_components
+from .presentation import ColorSet, Presentation, rename_generators
+from .spans import SpanComponent, contains, equal, span_components
 from .trees import basis_dimension
 
 __all__ = ["Claim", "Check", "Pair", "CommandError", "CLAIMS", "emit", "evaluate", "run_claim",
@@ -60,14 +61,6 @@ class Check(NamedTuple):
     label: str
     pair: Pair
     states: Callable[[list[SpanComponent]], bool]
-
-
-def equal(report: list[SpanComponent]) -> bool:
-    return all(c.equal for c in report)
-
-
-def contains(report: list[SpanComponent]) -> bool:
-    return all(c.contains for c in report)
 
 
 def evaluate(check: Check) -> bool:

@@ -34,9 +34,8 @@ from .presentation import (
     rename_generators,
     rename_problem,
     replicate_problem,
-    shared_generators_problem,
-    span_components,
 )
+from .spans import equal, shared_generators_problem, span_components
 from .trees import Generator, basis_dimension, color_label_problem, enumerate_basis, grading_problem, tree_text
 
 __all__ = ["main"]
@@ -138,18 +137,18 @@ def cmd_check_iso(args) -> int:
     unshared = shared_generators_problem(a, b)
     if unshared:
         raise CommandError(f"generator sets differ after renaming ({unshared}); supply --map")
-    equal = True
-    for c in span_components(a, b):
-        equal &= c.equal
-        if not args.quiet:
+    report = list(span_components(a, b))
+    if not args.quiet:
+        for c in report:
             ambient = basis_dimension(a.generators, c.arity, c.weight)
             print(
                 f"component (arity {c.arity}, weight {c.weight}): "
                 f"dims {c.left_rank} vs {c.right_rank} of ambient {ambient} -> "
                 f"{'equal' if c.equal else 'DIFFER'}"
             )
-    print("span-equal" if equal else "span mismatch")
-    return 0 if equal else 1
+    holds = equal(report)
+    print("span-equal" if holds else "span mismatch")
+    return 0 if holds else 1
 
 
 # The most trees ``basis`` lists; a larger basis is refused before any tree

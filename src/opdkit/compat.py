@@ -27,8 +27,8 @@ relation is compiled once into a template (``_Template``) and every
 coloring is stamped from it; each swap is a template of one tree, stamped
 for every pair of colors.  The templates, the swaps and the coloring memo
 they share are the presentation's compiled state (``_Compiled``, reached
-as ``Presentation._compiled``), made by the first build from a
-presentation object and kept as long as that object lives.  So every
+through ``_compiled``), made by the first build from a presentation
+object and kept in its instance dict as long as that object lives.  So every
 build from one input, at any color count, shares them: ``build_tot`` with
 a ``build_mat`` of the same input, ``expand_formal`` with ``build_lin``, a
 3-color build with a 2-color one.  The memo maps each tree to its colored
@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem, itemgetter
-from typing import Callable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 from .presentation import (
     ColorSet,
@@ -55,12 +55,13 @@ from .presentation import (
     Term,
     _integers,
     _ordered_relation,
+    _set,
     _term,
-    presentation_span_equal,
     replicate_problem,
     require_valid,
     standard_slots,
 )
+from .spans import presentation_span_equal
 from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
@@ -92,9 +93,6 @@ def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
     return [key for key in order if totals[key] != 0]
 
 
-_set = object.__setattr__
-
-
 class _ColoredCopies(dict):
     """color -> one generator colored by it, each copy made on first use."""
 
@@ -115,16 +113,6 @@ def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
     if copies is None:
         copies = memo[gen] = _ColoredCopies(gen)
     return copies
-
-
-def _picker(indices: tuple[int, ...]) -> Callable[[Sequence[str]], tuple[str, ...]]:
-    """The function taking a color sequence to the tuple of its entries at ``indices``."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        (index,) = indices
-        return lambda colors: (colors[index],)
-    return lambda colors: ()
 
 
 class _Template:
@@ -164,7 +152,8 @@ class _Template:
                 value,
                 tree.shape,
                 term.slots,
-                _picker(tuple([slot - 1 for slot in read])),
+                # A valid term has 2 or 3 vertices, so this picks a tuple.
+                itemgetter(*[slot - 1 for slot in read]),
                 tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()]),
                 colorings,
             ))
@@ -221,8 +210,8 @@ class _Compiled:
     construction's swap templates, grouped by weight, once ``build_tot``
     has compiled them.
 
-    It is made on first use (``Presentation._compiled``) and lives as long
-    as its presentation.  It grows with the color labels asked of it: each
+    It is made on first use (``_compiled``) and lives as long as its
+    presentation.  It grows with the color labels asked of it: each
     new label adds its colored generators and the colored trees that use it.
     """
 
@@ -236,10 +225,14 @@ class _Compiled:
 
 
 def _compiled(p: Presentation) -> _Compiled:
-    """``p``'s compiled state, once ``p`` is known to be valid and uncolored."""
-    require_valid(p)
-    _require(replicate_problem(p))
-    return p._compiled
+    """``p``'s compiled state, made once ``p`` is known to be valid and uncolored
+    and kept in its instance dict, as ``cached_property`` keeps a value."""
+    state = vars(p).get("_compiled")
+    if state is None:
+        require_valid(p)
+        _require(replicate_problem(p))
+        state = vars(p)["_compiled"] = _Compiled(p)
+    return state
 
 
 def _colored_gens(
@@ -322,11 +315,6 @@ def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Templ
     ]
 
 
-def _transpositions(weight: int, swaps: list, mu: str, nu: str) -> list[Relation]:
-    first = (mu, nu) if weight == 2 else (mu, nu, mu)
-    return [template.relation(f"{stem}_{mu},{nu}", (first,)) for stem, template in swaps]
-
-
 def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
     """The weight-2 trees over p's generators outside every support, each
     with its basis index, arity by arity (1, 2, 3) in canonical order."""
@@ -364,7 +352,7 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """
     omega = ColorSet.of(omega)
     mat = build_mat(p, omega)
-    compiled = p._compiled
+    compiled = _compiled(p)
     if compiled.tot_swaps is None:
         compiled.tot_swaps = _tot_swaps(p, compiled.memo)
     extra = []
@@ -373,7 +361,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
         # the two weight-3 swaps for (nu,mu) are new relations.
         pairs = itertools.combinations if weight == 2 else itertools.permutations
         for mu, nu in pairs(omega.labels, 2):
-            extra.extend(_transpositions(weight, swaps, mu, nu))
+            first = (mu, nu) if weight == 2 else (mu, nu, mu)
+            extra.extend(template.relation(f"{stem}_{mu},{nu}", (first,)) for stem, template in swaps)
     return Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,

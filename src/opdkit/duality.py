@@ -21,25 +21,22 @@ import itertools
 from typing import Optional
 
 from .compat import CompatKind, build_compatible
-from .linalg import DiagonalForm, Echelon, integer_row
+from .linalg import Echelon, integer_row
 from .presentation import (
     _WEIGHT_TWO_SHAPES,
     ColorSet,
     Presentation,
     Relation,
-    SpanComponent,
     Term,
-    presentation_span_equal,
     rename_generators,
     require_valid,
-    span_components,
     standard_slots,
 )
-from .trees import GradedComponent, Tree, _require, enumerate_basis, relabel
+from .spans import SpanComponent, presentation_span_equal, span_components
+from .trees import Tree, _require, enumerate_basis, relabel
 
 __all__ = [
     "shape_sign",
-    "pairing_form",
     "standard_slots",
     "dual_problem",
     "koszul_dual",
@@ -55,13 +52,6 @@ def shape_sign(tree: Tree) -> int:
     if tree.weight != 2:
         raise ValueError("pairing signs are defined on weight-2 trees")
     return _WEIGHT_TWO_SHAPES[tree.shape][0]
-
-
-def pairing_form(component: GradedComponent) -> DiagonalForm:
-    """One sign per basis tree; only weight-2 components carry the pairing."""
-    if component.weight != 2:
-        raise ValueError(f"pairing form needs weight 2, got weight {component.weight}")
-    return DiagonalForm(tuple(shape_sign(t) for t in component.basis))
 
 
 def dual_problem(p: Presentation) -> Optional[str]:

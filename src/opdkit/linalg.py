@@ -24,10 +24,12 @@ than scanning the basis; the map is updated where an entry appears
 The kernel also gives the complement of a span: the right kernel has one
 basis vector per free (non-pivot) column, read straight off the basis.
 
-The public dense API (``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
-``span_contains``, ``span_equal``, ``orthogonal_complement``) consists of
-thin adapters that convert dense rational rows to sparse integer rows, run
-the kernel, and convert back.
+The dense API (``RationalMatrix``, ``DiagonalForm``, ``rref``, ``rank``,
+``nullspace``, ``span_contains``, ``span_equal``, ``orthogonal_complement``)
+consists of thin adapters that convert dense rational rows to sparse integer
+rows, run the kernel, and convert back.  The program does not use them, and
+``import opdkit`` does not expose them; they stay here for the benchmark's
+tracer, the acceptance gate and the tests.
 """
 
 from __future__ import annotations
@@ -89,10 +91,6 @@ class RationalMatrix:
             ),
             n,
         )
-
-    @classmethod
-    def empty(cls, cols: int) -> "RationalMatrix":
-        return cls((), cols)
 
 
 @dataclass(frozen=True)
@@ -313,8 +311,6 @@ def orthogonal_complement(relations: RationalMatrix, form: DiagonalForm) -> Rati
         raise ValueError(
             f"dimension mismatch: {relations.cols} columns vs form of size {len(form)}"
         )
-    if not relations.rows:
-        return RationalMatrix.identity(len(form))
     scaled = RationalMatrix(
         tuple(
             tuple(x * s for x, s in zip(row, form.signs))

@@ -25,16 +25,15 @@ from .duality import koszul_dual, shape_sign, standard_slots
 from .presentation import (
     Presentation,
     Relation,
-    SpanComponent,
     Term,
     rename_generators,
     require_valid,
-    span_components,
     tensor_atom_name,
     tensor_clash,
     tensor_factors,
     tensor_map,
 )
+from .spans import SpanComponent, equal, span_components
 from .trees import Generator, _require, relabel
 
 __all__ = [
@@ -70,13 +69,16 @@ def product_problem(p: Presentation, q: Presentation, kind: ProductKind) -> Opti
 
 def tensor_colors_problem(tensors: Collection[Generator]) -> Optional[str]:
     """Why ``tensor_colors`` cannot rename ``tensors`` (each must be the
-    tensor of a colored generator and an uncolored one), or ``None``."""
+    tensor of a colored generator and an uncolored one that is not a tensor
+    itself), or ``None``."""
     for g in tensors:
         factors = tensor_factors(g.name)
         if factors is None or factors[0].color is None:
             return f"generator {g.serialized()} is not a colored tensor; cannot apply the tensor-colors map"
         if factors[1].color is not None:
             return f"tensor factor {tensor_atom_name(factors[1])} already colored"
+        if "~" in factors[1].name:
+            return f"tensor factor {tensor_atom_name(factors[1])} is itself a tensor"
     return None
 
 
@@ -230,4 +232,4 @@ def check_product_duality(p: Presentation, q: Presentation) -> tuple[bool, list[
     lhs = koszul_dual(black_square(p, q))
     rhs = white_square(koszul_dual(p), koszul_dual(q), "white_dual")
     report = list(span_components(rename_generators(lhs, _dual_tensors(p.binary, q.binary)), rhs))
-    return all(c.equal for c in report), report
+    return equal(report), report

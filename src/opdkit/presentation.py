@@ -8,25 +8,14 @@ receives the same color even when the decorating generators differ from
 term to term (as in a commutator).  The colorings themselves are made in
 ``compat``, the one module that compiles and stamps them.
 
-A presentation keeps what is derived from it, made on first use and kept
-as long as the presentation lives: its validation report and the
-builders' compiled state (``Presentation._compiled``, a
-``compat._Compiled``).  Neither is a field: equality, hashing, copying and
-pickling see the fields only, and the state goes when the presentation
-goes.
-
-The module also carries the span machinery used throughout.  Presentations
-are compared componentwise by exact row-space equality or containment: the
-relations of each grading become sparse integer rows over the trees that
-occur in them, reduced by the kernel of ``linalg``.  A relation's integer
-coefficients (its coefficients scaled by one common denominator) are worked
-out once; a colored relation takes its template's.  ``span_components``
-is the one routine that walks the gradings: it reports the rank of each
-side and, per grading, whether the spans are equal and whether the left one
-contains the right one.  Equality and containment checks, ``check-iso`` and
-the dimension reports all read it.  ``component_matrix``
-gives the dense coefficient rows over the full canonical tree basis; the
-program no longer uses it, and the tests keep it as the dense reference.
+This module is the data model: presentations, validation, renaming and the
+tensor names.  A presentation keeps what is derived from it, made on first
+use and kept as long as the presentation lives: its validation report and
+the builders' compiled state (which ``compat`` makes).  Neither is a field:
+equality, hashing, copying and pickling see the fields only.  The span
+comparison lives in ``spans``; its seven public names are bound here too,
+though not listed in ``__all__``, for the benchmark's tracer and workloads
+and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -37,20 +26,26 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
+from .spans import (
+    SpanComponent,
+    component_matrix,
+    presentation_span_contains,
+    presentation_span_equal,
+    relation_gradings,
+    shared_generators_problem,
+    span_components,
+)
 from .trees import (
     _NAME,
     _NAME_HEAD,
     _NAME_TAIL,
     Generator,
-    GradedComponent,
     Tree,
     _is_leaf_name,
     _require,
     color_label_problem,
-    enumerate_basis,
     relabel,
     split_generator_token,
     tree_key,
@@ -72,13 +67,6 @@ __all__ = [
     "tensor_clash",
     "tensor_atom_name",
     "tensor_factors",
-    "shared_generators_problem",
-    "relation_gradings",
-    "component_matrix",
-    "SpanComponent",
-    "span_components",
-    "presentation_span_equal",
-    "presentation_span_contains",
     "standard_slots",
 ]
 
@@ -197,8 +185,9 @@ class Presentation:
     a name, which only an invalid presentation has, are ordered by their
     first terms.
 
-    The validation report and the builders' compiled state are worked out
-    on first use and kept on the object; they are not fields.
+    The validation report and the builders' compiled state (``compat``'s
+    ``_compiled``) are worked out on first use and kept in the instance
+    dict; they are not fields.
     """
 
     name: str
@@ -218,13 +207,6 @@ class Presentation:
     def _validation(self) -> "ValidationReport":
         """``validate(self)``, worked out on first use."""
         return validate(self)
-
-    @cached_property
-    def _compiled(self):
-        """The builders' state (see ``compat._Compiled``), made on first use."""
-        from .compat import _Compiled
-
-        return _Compiled(self)
 
     def __getstate__(self) -> dict:
         # Pickle and copy the fields only: the derived state holds functions.
@@ -529,126 +511,3 @@ def tensor_clash(e: Sequence[Generator], f: Sequence[Generator]) -> Optional[str
                     f"({ge.text}, {gf.text}) both give {name}"
                 )
     return None
-
-
-# ---------------------------------------------------------------------------
-# Span machinery
-
-
-def relation_gradings(relations: Iterable[Relation]) -> list[tuple[int, int]]:
-    return sorted({r.grading() for r in relations})
-
-
-def _outside_component(rel: Relation) -> ValueError:
-    return ValueError(
-        f"relation {rel.name} contains a tree outside its graded component"
-    )
-
-
-def component_matrix(
-    gens: Sequence[Generator],
-    relations: Iterable[Relation],
-    arity: int,
-    weight: int,
-) -> tuple[GradedComponent, RationalMatrix]:
-    """Coefficient rows of the relations of one grading over the canonical basis."""
-    component = enumerate_basis(gens, arity, weight)
-    index = component.index()
-    rows = []
-    for rel in relations:
-        if rel.grading() != (arity, weight):
-            continue
-        vec = [Fraction(0)] * component.dimension
-        for term in rel.terms:
-            try:
-                vec[index[term.tree]] += term.coeff
-            except KeyError:
-                raise _outside_component(rel) from None
-        rows.append(tuple(vec))
-    return component, RationalMatrix(tuple(rows), component.dimension)
-
-
-def shared_generators_problem(p: Presentation, q: Presentation) -> Optional[str]:
-    """The generators only one of ``p`` and ``q`` has, as ``a, b not shared``, or ``None``."""
-    unshared = set(p.generators) ^ set(q.generators)
-    return f"{', '.join(sorted(g.text for g in unshared))} not shared" if unshared else None
-
-
-class _Columns:
-    """Column numbers for the trees that occur in the relations of one grading.
-
-    Only trees that some relation uses get a column, in order of first
-    appearance, so no graded basis is enumerated.  A tree is admitted once,
-    when it first appears: it must have the grading and be built from the
-    shared generators, which is membership in the graded component.
-    """
-
-    def __init__(self, gens: frozenset[Generator], grading: tuple[int, int]) -> None:
-        self.gens = gens
-        self.grading = grading
-        self.cols: dict[Tree, int] = {}
-
-    def row(self, rel: Relation) -> SparseRow:
-        cols = self.cols
-        row: SparseRow = {}
-        for term, value in zip(rel.terms, rel._integer_coefficients):
-            tree = term.tree
-            col = cols.get(tree)
-            if col is None:
-                if (tree.arity, tree.weight) != self.grading or not self.gens.issuperset(
-                    tree.internal_generators()
-                ):
-                    raise _outside_component(rel)
-                col = cols[tree] = len(cols)
-            row[col] = row.get(col, 0) + value
-        return primitive_row(row)
-
-
-def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Relation]]:
-    out: dict[tuple[int, int], list[Relation]] = {}
-    for rel in relations:
-        tree = rel.terms[0].tree
-        out.setdefault((tree.arity, tree.weight), []).append(rel)
-    return out
-
-
-class SpanComponent(NamedTuple):
-    """The comparison of two relation sets in one (arity, weight) grading."""
-
-    arity: int
-    weight: int
-    left_rank: int
-    right_rank: int
-    equal: bool
-    contains: bool  # every relation of the right side lies in the left span
-
-
-def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:
-    """Compare the relation spans of ``p`` and ``q``, one grading at a time.
-
-    Yields a record for every grading in which either side has a relation,
-    in grading order, so a caller may stop at the first unequal one.
-    """
-    problem = shared_generators_problem(p, q)
-    if problem:
-        raise ValueError(f"presentations live over different generators: {problem}")
-    gens = frozenset(p.generators)
-    left, right = _by_grading(p.relations), _by_grading(q.relations)
-    for grading in sorted(left.keys() | right.keys()):
-        # One column map serves both sides, so the canonical bases compare.
-        columns = _Columns(gens, grading)
-        ours = Echelon(map(columns.row, left.get(grading, ())))
-        theirs = Echelon(map(columns.row, right.get(grading, ())))
-        equal = ours.rows == theirs.rows
-        contains = equal or all(map(ours.contains, theirs.rows.values()))
-        yield SpanComponent(*grading, len(ours), len(theirs), equal, contains)
-
-
-def presentation_span_equal(p: Presentation, q: Presentation) -> bool:
-    """Componentwise row-space equality of the two relation sets."""
-    return all(c.equal for c in span_components(p, q))
-
-
-def presentation_span_contains(big: Presentation, small: Presentation) -> bool:
-    """True iff every relation of ``small`` lies in the componentwise span of ``big``."""
-    return all(c.contains for c in span_components(big, small))

@@ -341,28 +341,39 @@ class GradedComponent:
         return {t: i for i, t in enumerate(self.basis)}
 
 
-@lru_cache(maxsize=None)
-def _all_trees(gens: tuple[Generator, ...], arity: int, weight: int) -> tuple[Tree, ...]:
+def _all_trees(gens: tuple[Generator, ...], arity: int, weight: int, memo: dict) -> tuple[Tree, ...]:
+    """The trees of one grading in canonical order, the lower ones kept in ``memo``."""
     if weight == 0:
         return (_LEAF,) if arity == 1 else ()
+    found = memo.get((arity, weight))
+    if found is not None:
+        return found
     out = []
     for g in gens:
         if g.arity == 1:
-            for sub in _all_trees(gens, arity, weight - 1):
+            for sub in _all_trees(gens, arity, weight - 1, memo):
                 out.append(Tree(g, (sub,)))
         else:
             for left_arity in range(1, arity):
                 for left_weight in range(weight):
-                    lefts = _all_trees(gens, left_arity, left_weight)
+                    lefts = _all_trees(gens, left_arity, left_weight, memo)
                     if not lefts:
                         continue
                     rights = _all_trees(
-                        gens, arity - left_arity, weight - 1 - left_weight
+                        gens, arity - left_arity, weight - 1 - left_weight, memo
                     )
                     for lt in lefts:
                         for rt in rights:
                             out.append(Tree(g, (lt, rt)))
-    return tuple(sorted(out, key=tree_key))
+    found = memo[arity, weight] = tuple(sorted(out, key=tree_key))
+    return found
+
+
+@lru_cache(maxsize=256)
+def _weight_two_trees(gens: tuple[Generator, ...], arity: int) -> tuple[Tree, ...]:
+    """The weight-2 bases that ``koszul_dual`` and ``build_tot`` ask for on
+    every call, kept across calls; no other basis outlives its call."""
+    return _all_trees(gens, arity, 2, {})
 
 
 def grading_problem(arity: int, weight: int) -> Optional[str]:
@@ -380,7 +391,8 @@ def enumerate_basis(
 ) -> GradedComponent:
     """All decorated trees of the given arity and weight, in canonical order."""
     _require(grading_problem(arity, weight))
-    basis = _all_trees(tuple(gens), arity, weight)
+    gens = tuple(gens)
+    basis = _weight_two_trees(gens, arity) if weight == 2 else _all_trees(gens, arity, weight, {})
     return GradedComponent(arity, weight, basis)
 
 

@@ -130,6 +130,15 @@ def test_tensor_colors_map_agrees_with_the_library(capsys, tmp_path):
     assert (code, out, err) == (0, "span-equal\n", "")
 
 
+def test_tensor_colors_map_refuses_a_tensor_of_a_tensor(capsys, tmp_path):
+    lin = build_lin(builtin("as"), ColorSet.of(2))
+    path = tmp_path / "product.opd"
+    path.write_text(serialize(manin.black_square(lin, manin.black_square(builtin("dend"), lin))))
+    code, out, err = run(capsys, "check-iso", str(path), str(path), "--map", "tensor-colors")
+    assert (code, out) == (2, "")
+    assert err == "error: tensor factor prec~m#1 is itself a tensor\n"
+
+
 def test_product_precondition_error(capsys):
     code, _, err = run(capsys, "product", "black", str(PRES / "rba0.opd"),
                        str(PRES / "as.opd"))

@@ -9,11 +9,10 @@ from opdkit.duality import (
     check_dual_identity,
     is_self_dual,
     koszul_dual,
-    pairing_form,
     shape_sign,
     standard_slots,
 )
-from opdkit.linalg import RationalMatrix, orthogonal_complement, rank, span_equal
+from opdkit.linalg import DiagonalForm, RationalMatrix, orthogonal_complement, rank, span_equal
 from opdkit.presentation import (
     ColorSet,
     component_matrix,
@@ -38,19 +37,21 @@ def uncovered_trees(p):
     return trees
 
 
-def test_pairing_form_by_component():
+def signs(component):
+    return tuple(shape_sign(t) for t in component.basis)
+
+
+def test_shape_sign_by_component():
     arity3 = enumerate_basis([M], 3, 2)
-    assert pairing_form(arity3).signs == (1, -1)  # left comb, right comb
+    assert signs(arity3) == (1, -1)  # left comb, right comb
     arity2 = enumerate_basis([D, M], 2, 2)
-    by_text = dict(zip((tree_text(t) for t in arity2.basis), pairing_form(arity2).signs))
+    by_text = dict(zip((tree_text(t) for t in arity2.basis), signs(arity2)))
     assert by_text == {"d(m(x1,x2))": -1, "m(d(x1),x2)": 1, "m(x1,d(x2))": 1}
     arity1 = enumerate_basis([D], 1, 2)
-    assert pairing_form(arity1).signs == (1,)
+    assert signs(arity1) == (1,)
 
 
-def test_pairing_form_needs_weight_two():
-    with pytest.raises(ValueError):
-        pairing_form(enumerate_basis([M], 4, 3))
+def test_shape_sign_needs_weight_two():
     with pytest.raises(ValueError):
         shape_sign(enumerate_basis([M], 4, 3).basis[0])
 
@@ -188,7 +189,7 @@ def test_restricted_complement_lemma():
     gens = mat.generators
     for arity in (1, 2, 3):
         component, rows = component_matrix(gens, mat.relations, arity, 2)
-        form = pairing_form(component)
+        form = DiagonalForm(signs(component))
         constant_idx = [
             i
             for i, t in enumerate(component.basis)
@@ -204,8 +205,6 @@ def test_restricted_complement_lemma():
                 if any(sub):
                     sub_rows.append(sub)
             sub_form_signs = tuple(form.signs[i] for i in indices)
-            from opdkit.linalg import DiagonalForm
-
             comp = orthogonal_complement(
                 RationalMatrix(tuple(sub_rows), len(indices)),
                 DiagonalForm(sub_form_signs),

@@ -58,7 +58,7 @@ def test_span_contains_examples():
     basis = mat([[1, 0, 1], [0, 1, 1]])
     assert span_contains(basis, mat([[2, 3, 5]]))
     assert not span_contains(mat([[1, 0]]), mat([[0, 1]]))
-    assert span_contains(basis, RationalMatrix.empty(3))
+    assert span_contains(basis, RationalMatrix((), 3))
 
 
 def test_column_mismatch_raises():
@@ -99,7 +99,7 @@ def test_orthogonal_complement_leibniz_line():
 
 
 def test_orthogonal_complement_empty_relations():
-    comp = orthogonal_complement(RationalMatrix.empty(3), DiagonalForm((1, 1, -1)))
+    comp = orthogonal_complement(RationalMatrix((), 3), DiagonalForm((1, 1, -1)))
     assert span_equal(comp, RationalMatrix.identity(3))
 
 

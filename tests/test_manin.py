@@ -251,3 +251,13 @@ def test_tensor_colors_refuses_what_is_not_a_colored_tensor():
     assert tensor_colors_problem(twice.values()) == "tensor factor prec#1 already colored"
     with pytest.raises(ValueError, match="not a colored tensor"):
         colorize_tensor_map(builtin("as").binary, builtin("dend").binary)
+
+
+def test_tensor_colors_refuses_a_right_factor_that_is_a_tensor():
+    # m#1~prec~m#1 reads as (m#1, prec~m#1); renamed, it would be prec~m#1#1,
+    # a generator text that does not read back as itself.
+    lin = build_lin(builtin("as"), TWO)
+    tensors = tensor_map(lin.binary, black_square(builtin("dend"), lin).binary).values()
+    assert tensor_colors_problem(tensors) == "tensor factor prec~m#1 is itself a tensor"
+    with pytest.raises(ValueError, match="is itself a tensor"):
+        colorize_tensor_map(lin.binary, black_square(builtin("dend"), lin).binary)

@@ -1,7 +1,9 @@
 """Presentations: validation, coloring, sums, renaming, tensor generators."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import ast
 import dataclasses
 import pickle
 import pytest
@@ -130,7 +132,8 @@ def test_color_relation_rb_mixed():
 
 def colored_tree(tree, slots, colors, memo):
     """``tree`` with ``colors[j-1]`` on its vertex at slot j, stamped from a
-    one-term template compiled through ``memo``."""
+    one-term template compiled through ``memo``.  A template term has at
+    least 2 vertices, as every term of a valid relation and every swap has."""
     (term,) = _Template((Term(Fraction(1), tree, slots),), memo).relation("t", (colors,)).terms
     return term.tree
 
@@ -140,9 +143,9 @@ BINARY = [M, Generator("n", 2), Generator("m", 2, None, True)]
 
 
 @st.composite
-def uncolored_trees(draw, max_weight):
-    """A tree of weight <= ``max_weight`` over unary and binary generators."""
-    weight = draw(st.integers(0, max_weight))
+def uncolored_trees(draw, max_weight, min_weight=0):
+    """A tree of weight ``min_weight`` to ``max_weight`` over unary and binary generators."""
+    weight = draw(st.integers(min_weight, max_weight))
     if weight == 0:
         return X
     if draw(st.booleans()):
@@ -155,8 +158,8 @@ def uncolored_trees(draw, max_weight):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_colored_walk_matches_relabel_and_shares_subtrees(data):
-    tree = data.draw(uncolored_trees(4))
-    other = data.draw(uncolored_trees(4))
+    tree = data.draw(uncolored_trees(4, 2))
+    other = data.draw(uncolored_trees(4, 2))
     labels = st.sampled_from(["a", "b", "c"])
     weight = max(tree.weight, other.weight)
     colors = tuple(data.draw(st.lists(labels, min_size=weight, max_size=weight)))
@@ -236,9 +239,10 @@ def test_flat_colored_and_relabelled_trees_match_the_walked_tree(plan, data):
     colors = [""] * tree.weight
     for slot, color in zip(slots, vertex_colors):
         colors[slot - 1] = color
-    colored = colored_tree(tree, slots, colors, {})
-    relabelled = relabel(tree, walked.internal_generators())
-    for flat in (colored, relabelled):
+    flats = [relabel(tree, walked.internal_generators())]
+    if tree.weight >= 2:
+        flats.append(colored_tree(tree, slots, colors, {}))
+    for flat in flats:
         for built in (flat, pickle.loads(pickle.dumps(flat))):
             assert built == walked and walked == built
             assert hash(built) == hash(walked)
@@ -298,6 +302,37 @@ def test_removed_helpers_are_gone_from_the_api():
             assert not hasattr(module, name), name
             assert name not in module.__all__, name
             assert not hasattr(opdkit, name), name
+
+
+DENSE = ("rref", "rank", "nullspace", "span_equal", "span_contains", "orthogonal_complement",
+         "RationalMatrix", "DiagonalForm")
+SPAN_NAMES = ("shared_generators_problem", "relation_gradings", "component_matrix", "SpanComponent",
+              "span_components", "presentation_span_equal", "presentation_span_contains")
+
+
+def test_dense_api_left_the_top_level():
+    import opdkit
+    from opdkit import duality, linalg
+
+    for name in DENSE + ("pairing_form",):
+        assert not hasattr(opdkit, name), name
+    for name in DENSE:
+        assert name in linalg.__all__ and hasattr(linalg, name), name
+    assert not hasattr(duality, "pairing_form") and not hasattr(linalg.RationalMatrix, "empty")
+
+
+def test_span_machinery_lives_in_spans():
+    from opdkit import presentation, spans
+
+    imported = {node.module for node in ast.walk(ast.parse(Path(presentation.__file__).read_text()))
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"linalg", "compat", "opdkit.linalg", "opdkit.compat"}
+    for name in SPAN_NAMES:
+        # Bound in presentation for the readers that look them up there.
+        assert getattr(presentation, name) is getattr(spans, name), name
+        assert name in spans.__all__ and name not in presentation.__all__, name
+    for name in ("_Columns", "_by_grading", "_outside_component"):
+        assert not hasattr(presentation, name) and hasattr(spans, name), name
 
 
 def test_rename_generators_roundtrip():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from opdkit.catalog import default_grid
 from opdkit.compat import build_compatible
-from opdkit.duality import koszul_dual, pairing_form
+from opdkit.duality import koszul_dual, shape_sign
 from opdkit.linalg import (
     Echelon,
     RationalMatrix,
@@ -255,7 +255,7 @@ def reference_dual_relations(p):
         component, rows = component_matrix(p.generators, p.relations, arity, 2)
         if component.dimension == 0:
             continue
-        signs = pairing_form(component).signs
+        signs = [shape_sign(t) for t in component.basis]
         scaled = RationalMatrix(
             tuple(tuple(x * sign for x, sign in zip(row, signs)) for row in rows.rows),
             rows.cols,

@@ -1,5 +1,6 @@
 """Trees: grafting, composition, enumeration, canonical order."""
 
+import gc
 import itertools
 import os
 import pickle
@@ -7,6 +8,7 @@ import pickletools
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdkit
+from opdkit import cli
 from opdkit.catalog import builtin
 from opdkit.compat import build_mat, build_tot
 from opdkit.parser import parse_presentation, serialize
@@ -38,6 +41,7 @@ P = Generator("P", 1)
 M = Generator("m", 2)
 N = Generator("n", 2)
 D2 = Generator("d2", 1)
+DATA = Path(opdkit.__file__).resolve().parent / "data"
 
 
 def t(gen, *children):
@@ -180,6 +184,31 @@ def test_empty_and_identity_components():
     assert enumerate_basis([P, M], 2, 0).basis == ()
     assert enumerate_basis([P, M], 1, 0).basis == (leaf(),)
     assert enumerate_basis([M], 1, 2).basis == ()
+
+
+def test_weight_two_bases_are_kept_across_calls_and_no_other():
+    assert enumerate_basis([P, M, N], 3, 2).basis is enumerate_basis([P, M, N], 3, 2).basis
+    assert enumerate_basis([P, M, N], 3, 3).basis is not enumerate_basis([P, M, N], 3, 3).basis
+
+
+def test_a_large_basis_is_not_kept_after_its_call(tmp_path):
+    # 84,480 trees, which an unbounded cache of every basis kept (about 60 MB).
+    argv = ["basis", str(DATA / "d1d2.opd"), "--arity", "3", "--weight", "9",
+            "--quiet", "--output", str(tmp_path / "basis.txt")]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len((tmp_path / "basis.txt").read_text().splitlines()) == 84_480
+    assert retained < 5_000_000
 
 
 def test_basis_dimension_counts_the_enumerated_basis():
