@@ -8,7 +8,7 @@ exception is a bug in opdkit and propagates.  Output is deterministic for
 identical inputs.  Refusals of bad input come from the library's
 ``*_problem`` functions, asked about the parsed inputs before any
 computation; this module states only the rules of its own text (argument
-splitting, ``--map`` pairs, files and ``BASIS_BUDGET``).
+splitting, ``--map`` pairs, files, ``BASIS_BUDGET`` and ``BUILD_BUDGET``).
 
 The argument parser is built on the first call of ``main`` and reused for
 the rest of the process: ``parse_args`` keeps no state on the parser.
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .claims import CLAIMS, CommandError, emit, run_claim
-from .compat import build_compatible
+from .compat import build_compatible, relation_count
 from .duality import dual_problem, koszul_dual
 from .manin import black_square, product_problem, tensor_colors, tensor_colors_problem, white_square
 from .parser import ParseError, parse_presentation, serialize, split_generator_token
@@ -60,14 +60,19 @@ def _refuse(problem: Optional[str], prefix: str = "") -> None:
         raise CommandError(prefix + problem)
 
 
-def _omega(spec: str) -> ColorSet:
+def _omega(spec: str) -> int | list[str]:
+    """What ``--omega`` gives ``ColorSet.of``: a count, or labels each checked."""
+    if spec.isdigit():
+        return int(spec)
     labels = [label.strip() for label in spec.split(",") if label.strip()]
     for label in labels:
         _refuse(color_label_problem(label))
-    try:
-        return ColorSet.of(int(spec) if spec.isdigit() else labels)
-    except ValueError as exc:
-        raise CommandError(f"--omega {spec!r}: {exc}") from None
+    return labels
+
+
+# The most relations ``build`` makes; a larger construction is refused from
+# its closed-form count before any color label is made.
+BUILD_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +82,20 @@ def _omega(spec: str) -> ColorSet:
 
 def cmd_build(args) -> int:
     p = _read_presentation(args.input)
-    omega = _omega(args.omega)
+    spec = _omega(args.omega)
     _refuse(replicate_problem(p))
-    built = build_compatible(
-        {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind], p, omega
-    )
-    emit(serialize(built, args.format), args.output)
+    kind = {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind]
+    size = relation_count(kind, p, spec if isinstance(spec, int) else len(spec))
+    if size > BUILD_BUDGET:
+        raise CommandError(
+            f"--omega {args.omega}: {args.kind} of {p.name} has {size} relations, "
+            f"above the budget of {BUILD_BUDGET}"
+        )
+    try:
+        omega = ColorSet.of(spec)
+    except ValueError as exc:
+        raise CommandError(f"--omega {args.omega!r}: {exc}") from None
+    emit(serialize(build_compatible(kind, p, omega), args.format), args.output)
     return 0
 
 

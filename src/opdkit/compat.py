@@ -42,9 +42,9 @@ anew starts with none.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import getitem, itemgetter
 from typing import Literal, Optional, Sequence
 
@@ -72,6 +72,7 @@ __all__ = [
     "build_mat",
     "build_tot",
     "build_compatible",
+    "relation_count",
     "expand_formal",
     "lin_encoding_sides",
     "verify_lin_encoding",
@@ -118,13 +119,12 @@ def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
 class _Template:
     """Terms compiled once, to be colored by many colorings.
 
-    Per term it holds the coefficient and the integer coefficient (all
-    coefficients scaled by one common denominator), the shape and slots,
-    the 0-based slot each vertex reads its color from, each vertex's table
-    of colored generators and the memo's dict of the tree's colorings.  A
-    coloring then makes each term from a lookup keyed by the colors of its
-    vertices, and puts the terms in canonical order without checking them
-    again.
+    It holds the terms' integer coefficients (``_integers``, coprime) and,
+    per term, the coefficient, the shape and slots, the 0-based slot each
+    vertex reads its color from, each vertex's table of colored generators
+    and the memo's dict of the tree's colorings.  A coloring then makes
+    each term from a lookup keyed by the colors of its vertices, and puts
+    the terms in canonical order without checking them again.
 
     The memo is shared by everything colored from one presentation (see
     ``_Compiled``): ``memo[gen]`` maps a color to the colored generator,
@@ -136,20 +136,19 @@ class _Template:
     from, when they are not the term's own slots (see ``_swap``).
     """
 
-    __slots__ = ("_parts", "_ranks", "_ties", "_in_order", "_integer_rows")
+    __slots__ = ("_parts", "_integers", "_ranks", "_ties", "_in_order", "_integer_rows")
 
     def __init__(
         self, terms: Sequence[Term], memo: dict, reads: Optional[Sequence[tuple[int, ...]]] = None
     ) -> None:
         parts = []
-        for term, value, read in zip(terms, _integers(terms), reads or [t.slots for t in terms]):
+        for term, read in zip(terms, reads or [t.slots for t in terms]):
             tree = term.tree
             colorings = memo.get(tree)
             if colorings is None:
                 colorings = memo[tree] = {}
             parts.append((
                 term.coeff,
-                value,
                 tree.shape,
                 term.slots,
                 # A valid term has 2 or 3 vertices, so this picks a tuple.
@@ -158,6 +157,7 @@ class _Template:
                 colorings,
             ))
         self._parts = parts
+        self._integers = tuple(_integers(terms))
         # Colored terms compare as in Term.sort_key by (rank, generator
         # keys, tie).  Coloring keeps a tree's (arity, weight, shape), whose
         # rank comes first.  Two colored trees with equal keys come from
@@ -172,14 +172,19 @@ class _Template:
             for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
                 self._ties[i] = place
         self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
-        # Stamped relations with equal integer coefficients share one tuple.
+        # Sorted stamps with equal integer coefficients share one tuple.
         self._integer_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
-        """The relation ``name`` whose terms are those of every coloring."""
-        terms, ints = [], []
+        """The relation ``name`` whose terms are those of every coloring.
+
+        Its integer coefficients are the template's, in the order of its
+        terms: as they are for one coloring in template order, else
+        repeated per coloring and permuted as the terms are.
+        """
+        terms = []
         for colors in colorings:
-            for coeff, value, shape, slots, pick, copies, trees in self._parts:
+            for coeff, shape, slots, pick, copies, trees in self._parts:
                 vertex_colors = pick(colors)
                 tree = trees.get(vertex_colors)
                 if tree is None:
@@ -187,16 +192,19 @@ class _Template:
                     tree = trees[vertex_colors] = _flat_tree(shape, gens)
                 # The template checked the term: it is made without Term's check.
                 terms.append(_term(coeff, tree, slots))
-                ints.append(value)
+        ints = self._integers
         if len(colorings) > 1 or not self._in_order:
             n = len(colorings)
             keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
             order = sorted(range(len(terms)), key=keys.__getitem__)
             terms = [terms[i] for i in order]
-            ints = [ints[i] for i in order]
+            # Through a list: a tuple built from an iterator grows by
+            # reallocation, which raised span-ladder's peak RSS by 0.5 MiB.
+            repeated = ints * n
+            ints = tuple([repeated[i] for i in order])
+            ints = self._integer_rows.setdefault(ints, ints)
         rel = _ordered_relation(name, tuple(terms))
-        ints = tuple(ints)
-        _set(rel, "_integer_coefficients", self._integer_rows.setdefault(ints, ints))
+        _set(rel, "_integer_coefficients", ints)
         return rel
 
 
@@ -207,7 +215,7 @@ class _Compiled:
     shares, ``copies`` the memo's table of colored copies of each
     generator, in generator order, and ``templates`` one compiled template
     per relation, by position.  ``tot_swaps`` holds the total
-    construction's swap templates, grouped by weight, once ``build_tot``
+    construction's swap templates, grouped by weight, once ``_tot_swaps``
     has compiled them.
 
     It is made on first use (``_compiled``) and lives as long as its
@@ -260,7 +268,8 @@ def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
 def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
     """``base__a,a`` for one color, ``base__L_<repeated>,<other>`` for two,
     ``base__S_a,b,c`` for three."""
-    distinct = [c for c, _ in Counter(colors).most_common()]
+    # Most frequent first, ties in order of first appearance.
+    distinct = sorted(dict.fromkeys(colors), key=colors.count, reverse=True)
     if len(distinct) == 1:
         return f"{base}__{','.join(colors)}"
     return f"{base}__{'L' if len(distinct) == 2 else 'S'}_{','.join(distinct)}"
@@ -352,11 +361,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """
     omega = ColorSet.of(omega)
     mat = build_mat(p, omega)
-    compiled = _compiled(p)
-    if compiled.tot_swaps is None:
-        compiled.tot_swaps = _tot_swaps(p, compiled.memo)
     extra = []
-    for weight, swaps in compiled.tot_swaps:
+    for weight, swaps in _tot_swaps(p):
         # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
         # the two weight-3 swaps for (nu,mu) are new relations.
         pairs = itertools.combinations if weight == 2 else itertools.permutations
@@ -371,10 +377,15 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     )
 
 
-def _tot_swaps(p: Presentation, memo: dict) -> list[tuple[int, list[tuple[str, _Template]]]]:
+def _tot_swaps(p: Presentation) -> list[tuple[int, list[tuple[str, _Template]]]]:
     """The swap templates of ``build_tot`` with their name stems, grouped by
     weight: each relation's support swaps, then, for a quadratic ``p``, the
-    weight-2 swaps of the uncovered trees."""
+    weight-2 swaps of the uncovered trees.  Compiled on first use and kept
+    in ``p``'s compiled state."""
+    compiled = _compiled(p)
+    if compiled.tot_swaps is not None:
+        return compiled.tot_swaps
+    memo = compiled.memo
     supports = [support(rel) for rel in p.relations]
     groups = [
         (rel.weight, _swaps(rel, supported, memo))
@@ -385,12 +396,34 @@ def _tot_swaps(p: Presentation, memo: dict) -> list[tuple[int, list[tuple[str, _
             (f"swap__a{tree.arity}_{idx}", _swap(tree, standard_slots(tree), _SWAP_12, memo))
             for idx, tree in _uncovered(p, supports)
         ]))
+    compiled.tot_swaps = groups
     return groups
 
 
 def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Presentation:
     builder = {"linear": build_lin, "matching": build_mat, "total": build_tot}[kind]
     return builder(p, omega)
+
+
+def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
+    """How many relations ``build_compatible(kind, p, omega)`` makes for a
+    valid, uncolored ``p`` and ``colors`` = |omega|, in closed form: nothing
+    is colored.
+
+    A relation of weight w gives C(k+w-1, w) linear relations, one per color
+    multiset, and k^w matching ones.  The total construction adds its swap
+    templates (``_tot_swaps``, which it compiles, as ``build_tot`` would),
+    each stamped once per pair of colors at weight 2 and once per ordered
+    pair at weight 3.
+    """
+    k = colors
+    if kind == "linear":
+        return sum(comb(k + rel.weight - 1, rel.weight) for rel in p.relations)
+    count = sum(k**rel.weight for rel in p.relations)
+    if kind == "total":
+        pairs = {2: comb(k, 2), 3: k * (k - 1)}
+        count += sum(len(swaps) * pairs[weight] for weight, swaps in _tot_swaps(p))
+    return count
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,11 @@ integer vector ``{column: int}`` with content 1 (entries coprime), which
 fixes a rational row up to a nonzero scalar.  ``integer_row`` makes one from
 rational entries by scaling them all by one common denominator, so rows are
 integer from the start and no rational sum is formed; ``primitive_row``
-finishes a row whose entries are already integers.  ``Echelon`` keeps a
+finishes a row whose entries are already integers.  ``Echelon`` takes only
+such rows: every row given to ``reduce``, ``contains`` or ``add`` must be
+empty or have nonzero coprime entries.  A row that meets no pivot is
+returned as given, so a zero entry or a common factor would reach the
+basis (a zero entry as a pivot of value 0).  ``Echelon`` keeps a
 fully reduced echelon basis keyed by pivot column: each basis row has a
 positive entry at its pivot, which is its smallest column, and no entry at
 any other pivot.  Rows are reduced fraction-free, cross-multiplying by the pivot and
@@ -169,12 +173,19 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, row: SparseRow) -> SparseRow:
-        """Content-1 remainder of ``row`` against the basis; empty iff in the span."""
+        """Content-1 remainder of ``row`` against the basis; empty iff in the span.
+
+        ``row`` must have content 1 (see the module docstring): a copy of it
+        is returned as it is when it meets no pivot.
+        """
         basis = self.rows
         vec = dict(row)
         # Basis rows vanish at every pivot but their own, so eliminating one
         # pivot never brings in another: one pass over the pivots present.
-        for pivot in [c for c in vec if c in basis]:
+        pivots = [c for c in vec if c in basis]
+        if not pivots:
+            return vec
+        for pivot in pivots:
             brow = basis[pivot]
             a, p = vec[pivot], brow[pivot]
             g = gcd(a, p)
@@ -196,7 +207,8 @@ class Echelon:
         return not self.reduce(row)
 
     def add(self, row: SparseRow) -> bool:
-        """Insert ``row``; False when it already lies in the span."""
+        """Insert ``row``, which must have content 1; False when it already
+        lies in the span."""
         vec = self.reduce(row)
         if not vec:
             return False

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
@@ -143,7 +143,7 @@ class Relation:
 
     @cached_property
     def _integer_coefficients(self) -> tuple[int, ...]:
-        """The coefficients scaled by one common denominator, in term order.
+        """The coefficients as coprime integers, in term order (``_integers``).
 
         Worked out on first use; a colored relation gets its template's.
         """
@@ -171,9 +171,13 @@ _relation_name = attrgetter("name")
 
 
 def _integers(terms: Sequence[Term]) -> list[int]:
-    """The coefficients of ``terms`` scaled by one common denominator."""
+    """The coefficients of ``terms`` as coprime integers on their line: scaled
+    by one common denominator, then divided by the gcd, so the list has
+    content 1 unless every coefficient is 0 (then it is all zeros)."""
     scale = lcm(*(term.coeff.denominator for term in terms))
-    return [term.coeff.numerator * (scale // term.coeff.denominator) for term in terms]
+    ints = [term.coeff.numerator * (scale // term.coeff.denominator) for term in terms]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 @dataclass(frozen=True)

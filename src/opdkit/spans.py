@@ -2,11 +2,15 @@
 
 The relations of each (arity, weight) grading become sparse integer rows
 over the trees that occur in them, reduced by the ``Echelon`` kernel of
-``linalg``; a relation's integer coefficients are worked out once, and a
-colored relation takes its template's.  ``span_components`` is the one
-routine that walks the gradings, reporting both ranks and whether the
-spans are equal and whether the left contains the right; ``equal`` and
-``contains`` are the only code that reads a verdict off such a report.
+``linalg``, which takes content-1 rows.  Content 1 is made where the
+integers are: a relation's integer coefficients (``presentation._integers``)
+are coprime, worked out once, and a colored relation takes its template's,
+so a row is its relation's integers as they are.  Only a row in which two
+terms share a tree, or one has coefficient 0, is made content 1 again.
+``span_components`` is the one routine that walks the gradings, reporting
+both ranks and whether the spans are equal and whether the left contains
+the right; ``equal`` and ``contains`` are the only code that reads a
+verdict off such a report.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
@@ -89,7 +93,12 @@ class _Columns:
                     raise _outside_component(rel)
                 col = cols[tree] = len(cols)
             row[col] = row.get(col, 0) + value
-        return primitive_row(row)
+        # Unmerged nonzero entries are the relation's coprime integers, a
+        # content-1 row; a merged column or a 0*t term may leave zeros or a
+        # common factor.
+        if len(row) < len(rel.terms) or 0 in row.values():
+            return primitive_row(row)
+        return row
 
 
 def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Relation]]:

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from opdkit import cli, duality, manin
-from opdkit.catalog import builtin
+from opdkit.catalog import builtin, entries
 from opdkit.claims import CLAIMS, Check, Claim, Pair, equal
 from opdkit.cli import main
-from opdkit.compat import build_lin, build_mat
+from opdkit.compat import build_lin, build_mat, relation_count
 from opdkit.duality import koszul_dual
 from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import ColorSet, rename_generators
@@ -334,11 +334,27 @@ def test_verify_delta_must_be_an_operator_count(capsys, spec):
     # Refused from the closed-form count, before any of its trees is built.
     (["basis", str(PRES / "d1d2.opd"), "--arity", "8", "--weight", "20"],
      "--arity 8 --weight 20: the basis has 70492247654400 trees, above the budget of 100000"),
+    # Refused from the closed-form relation count, before any color is made.
+    (["build", "mat", str(PRES / "as.opd"), "--omega", "3000"],
+     "--omega 3000: mat of as has 9000000 relations, above the budget of 100000"),
+    (["build", "tot", str(PRES / "rba0.opd"), "--omega", "100"],
+     "--omega 100: tot of rba0 has 1079300 relations, above the budget of 100000"),
+    (["build", "lin", str(PRES / "rba0.opd"), "--omega", "100"],
+     "--omega 100: lin of rba0 has 176750 relations, above the budget of 100000"),
 ], ids=["build --omega a,a", "build --omega 0", "build --omega ,", "basis --arity 0", "basis --weight -1",
-        "basis over budget"])
+        "basis over budget", "build mat over budget", "build tot over budget",
+        "build lin over budget"])
 def test_bad_sizes_exit_2_naming_the_option(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_catalog_builds_at_8_colors_are_within_the_build_budget():
+    for entry in entries():
+        for n in ((1, 2, 3) if entry.takes_param else (None,)):
+            p = builtin(entry.key) if n is None else builtin(entry.key, n)
+            for kind in ("linear", "matching", "total"):
+                assert relation_count(kind, p, 8) <= cli.BUILD_BUDGET, (entry.key, n, kind)
 
 
 def test_build_refuses_a_colored_presentation(capsys, tmp_path):

@@ -3,16 +3,21 @@
 import copy
 import itertools
 import pickle
+from fractions import Fraction
+from math import gcd
 
 import pytest
+import rescaled
 
 from opdkit import compat
 from opdkit.catalog import builtin, default_grid
 from opdkit.compat import (
+    build_compatible,
     build_lin,
     build_mat,
     build_tot,
     expand_formal,
+    relation_count,
     support,
     verify_lin_encoding,
 )
@@ -23,6 +28,7 @@ from opdkit.presentation import (
     Presentation,
     Relation,
     Term,
+    _integers,
     component_matrix,
     presentation_span_contains,
     presentation_span_equal,
@@ -67,6 +73,49 @@ def test_build_mat_relation_counts():
         mat = build_mat(pres, TWO)
         expected = sum(2 ** rel.weight for rel in pres.relations)
         assert len(mat.relations) == expected, label
+
+
+def scaled(p, scale):
+    """``p`` with every coefficient multiplied by ``scale``."""
+    relations = tuple(
+        Relation(rel.name, tuple(Term(t.coeff * scale, t.tree, t.slots) for t in rel.terms))
+        for rel in p.relations
+    )
+    return Presentation(p.name, p.unary, p.binary, relations)
+
+
+# The catalog, presentations whose colorings merge and cancel terms, and
+# both with coefficients that are not coprime integers.
+STAMP_INPUTS = [
+    (f"{label} x {scale}", scaled(p, scale))
+    for label, p in rescaled.GRID.items()
+    for scale in (Fraction(1), Fraction(-4, 3))
+]
+
+
+def stamped_relations(p, omega):
+    for kind in ("linear", "matching", "total"):
+        yield from build_compatible(kind, p, omega).relations
+    for expansion in expand_formal(p, omega):
+        yield from expansion.coefficients.values()
+
+
+@pytest.mark.parametrize("label, p", STAMP_INPUTS, ids=[label for label, _ in STAMP_INPUTS])
+def test_stamped_integer_coefficients_are_the_coprime_integers_of_the_terms(label, p):
+    # A stamped relation takes its integer coefficients from its template,
+    # permuted as its terms were; they must be what its terms give afresh.
+    for n in (1, 2, 3):
+        for rel in stamped_relations(p, ColorSet.of(n)):
+            assert rel._integer_coefficients == tuple(_integers(rel.terms)), (n, rel.name)
+            assert gcd(*rel._integer_coefficients) == 1, (n, rel.name)
+
+
+@pytest.mark.parametrize("label, p", STAMP_INPUTS[::2], ids=[label for label, _ in STAMP_INPUTS[::2]])
+def test_relation_count_is_the_number_of_relations_built(label, p):
+    for kind in ("linear", "matching", "total"):
+        for n in (1, 2, 3, 4):
+            built = build_compatible(kind, p, ColorSet.of(n))
+            assert relation_count(kind, p, n) == len(built.relations), (kind, n)
 
 
 def test_build_lin_as_two_colors_exact_relations():

@@ -1,6 +1,7 @@
 """Presentations: validation, coloring, sums, renaming, tensor generators."""
 
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import ast
@@ -16,6 +17,7 @@ from opdkit.presentation import (
     Presentation,
     Relation,
     Term,
+    _integers,
     presentation_span_contains,
     presentation_span_equal,
     rename_generators,
@@ -261,6 +263,23 @@ def test_color_commutes_with_sum():
     colored = build_mat(dend, ColorSet.of(2)).relation("dleft__1,2")
     b = Relation(colored.name, colored.terms + colored.terms)
     assert a.terms == b.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+    min_size=1, max_size=6,
+))
+def test_integers_are_coprime_and_a_positive_multiple_of_the_coefficients(coeffs):
+    tree = Tree(M, (Tree(M, (X, X)), X))
+    ints = _integers([Term(c, tree, (1, 2)) for c in coeffs])
+    assert len(ints) == len(coeffs) and all(type(v) is int for v in ints)
+    if not any(coeffs):
+        assert ints == [0] * len(coeffs)
+        return
+    assert gcd(*ints) == 1
+    ratio = next(Fraction(v) / c for v, c in zip(ints, coeffs) if c)
+    assert ratio > 0 and ints == [ratio * c for c in coeffs]
 
 
 def test_colored_relations_pickle_and_compare_as_their_fields():

@@ -39,7 +39,7 @@ from opdkit.presentation import (
     span_components,
     standard_slots,
 )
-from opdkit.trees import Tree
+from opdkit.trees import Generator, Tree, enumerate_basis
 
 # Mostly zeros, as in relation matrices, with small fractions elsewhere.
 ENTRY = st.one_of(
@@ -225,6 +225,76 @@ def test_a_colored_relation_that_cancels_to_zero_adds_no_rank():
     assert [(c.left_rank, c.right_rank, c.equal, c.contains) for c in unary] == [(1, 0, False, True)]
     assert_spans_match_reference(mat, zero)
     assert_spans_match_reference(zero, mat)
+
+
+# Relations written to reach every path of the row builder: weight-2 trees
+# over one unary and two binary generators, in arities 2 and 3, drawn from
+# few trees so that one relation often holds a tree twice (a merged
+# column), with terms 0*t, terms that cancel, and coefficients that are not
+# coprime integers.
+AWKWARD_UNARY = (Generator("P", 1),)
+AWKWARD_BINARY = (Generator("m", 2), Generator("n", 2))
+AWKWARD_TREES = {
+    arity: enumerate_basis(AWKWARD_UNARY + AWKWARD_BINARY, arity, 2).basis[:4] for arity in (2, 3)
+}
+AWKWARD_COEFF = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(4, 3), Fraction(-2, 3)]
+)
+NONZERO_SCALE = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(4, 3), Fraction(-2, 3)])
+
+
+def awkward_term(coeff, tree):
+    return Term(coeff, tree, standard_slots(tree))
+
+
+@st.composite
+def awkward_relations(draw, name):
+    trees = st.sampled_from(AWKWARD_TREES[draw(st.sampled_from(sorted(AWKWARD_TREES)))])
+    terms = draw(st.lists(st.tuples(AWKWARD_COEFF, trees), min_size=1, max_size=4))
+    if draw(st.booleans()):  # a term and its negative
+        coeff, tree = draw(AWKWARD_COEFF), draw(trees)
+        terms += [(coeff, tree), (-coeff, tree)]
+    if draw(st.booleans()):
+        terms.append((Fraction(0), draw(trees)))
+    scale = draw(NONZERO_SCALE)
+    return Relation(name, tuple(awkward_term(coeff * scale, tree) for coeff, tree in terms))
+
+
+@st.composite
+def disguised(draw, rel):
+    """``rel`` rescaled, some terms split in two on their tree and a 0*t term
+    added: the same line, written another way."""
+    scale = draw(NONZERO_SCALE)
+    terms = []
+    for term in rel.terms:
+        coeff = term.coeff * scale
+        if draw(st.booleans()):
+            part = draw(AWKWARD_COEFF)
+            terms += [awkward_term(part, term.tree), awkward_term(coeff - part, term.tree)]
+        else:
+            terms.append(awkward_term(coeff, term.tree))
+    if draw(st.booleans()):
+        terms.append(awkward_term(Fraction(0), draw(st.sampled_from(AWKWARD_TREES[rel.arity]))))
+    return Relation(rel.name, tuple(terms))
+
+
+def awkward_presentation(relations):
+    return Presentation("awkward", AWKWARD_UNARY, AWKWARD_BINARY, tuple(relations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rows_of_awkward_relations_match_reference(data):
+    # The rows of relations with 0*t terms, merged columns, cancelled terms
+    # and common factors must span what the dense rows span: ``small``
+    # rewrites some of ``big``'s relations and may add one of its own.
+    count = data.draw(st.integers(1, 4))
+    big = [data.draw(awkward_relations(f"r{i}")) for i in range(count)]
+    kept = data.draw(st.lists(st.sampled_from(big), max_size=count))
+    small = [data.draw(disguised(rel)) for rel in kept]
+    if data.draw(st.booleans()):
+        small.append(data.draw(awkward_relations("extra")))
+    assert_spans_match_reference(awkward_presentation(big), awkward_presentation(small))
 
 
 def assert_spans_match_reference(big, small):
