@@ -7,17 +7,16 @@ equal, left contains right, or a rank fact).  ``evaluate`` alone turns a
 check into a verdict; a pair is compared once, when it is made, however many
 checks read it.  Sides are built as checks are yielded, with the builders
 looked up when called, so a tracer that rebinds module attributes sees every
-call.
+call.  A claim writes nothing: it yields checks, and ``cli`` alone prints
+verdicts and writes files.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .catalog import builtin, data_text, default_grid
@@ -27,25 +26,13 @@ from .manin import black_square, colorize_tensor_map, white_square
 from .parser import parse_presentation
 from .presentation import ColorSet, Presentation, rename_generators
 from .spans import SpanComponent, contains, equal, span_components
-from .trees import basis_dimension
 
-__all__ = ["Claim", "Check", "Pair", "CommandError", "CLAIMS", "emit", "evaluate", "run_claim",
-           "load_golden", "expected_multi_diff_dual", "white_readings_report"]
+__all__ = ["Claim", "Check", "Pair", "CommandError", "CLAIMS", "evaluate", "run_claim",
+           "load_golden", "expected_multi_diff_dual"]
 
 
 class CommandError(Exception):
     """A precondition failure of an ``opdkit`` command, which exits with status 2."""
-
-
-def emit(text: str, output: Optional[str]) -> None:
-    """Write ``text`` to the file ``output``, or to stdout if there is none."""
-    if not output:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(output).write_text(text)
-    except OSError as exc:
-        raise CommandError(f"cannot write {output}: {exc}") from exc
 
 
 class Pair:
@@ -84,10 +71,6 @@ def _quadratic_grid():
             ("multi_diff(2)", builtin("multi_diff", 2)), ("d1d2", builtin("d1d2"))]
 
 
-def _manin_grid():
-    return [("as", builtin("as")), ("dend", builtin("dend"))]
-
-
 def _grid(grid, *statements):
     """A claim stating ``states`` of ``sides(p, colors)`` for each grid entry, color count and statement."""
 
@@ -109,7 +92,7 @@ def _products(kind, products):
         for n in (2, 3) if omega is None else (omega,):
             colors = ColorSet.of(n)
             left = build(builtin("as"), colors)
-            for label, q in _manin_grid():
+            for label, q in (("as", builtin("as")), ("dend", builtin("dend"))):
                 target = build(q, colors)
                 rename = colorize_tensor_map(left.binary, q.binary)
                 for product in products:
@@ -175,44 +158,6 @@ def _golden(kind, key, golden_name, *statements):
     return checks
 
 
-_WHITE_PREAMBLE = """\
-# White product: literal reading vs dual route
-
-The literal one-relation-per-source-relation reading of the white
-product and the dual route dual(black(dual, dual)) are compared by
-exact span on the grid below.  The dual route is the one used by
-every verified isomorphism; the literal reading differs already for
-the associative operad against itself.
-"""
-
-
-def white_readings_report(readings: Optional[dict[tuple[str, str], Pair]] = None) -> list[str]:
-    """The archived comparison of the two white-product readings."""
-    lines = _WHITE_PREAMBLE.split("\n")
-    for (left, right), pair in (readings or _white_readings()).items():
-        (c,) = pair.report  # both readings are binary quadratic: arity 3, weight 2
-        lines += [f"white product of {left} and {right}: literal {'==' if c.equal else '!='} dual",
-                  f"  component (arity 3, weight 2): literal dim {c.left_rank}, dual dim {c.right_rank}, "
-                  f"ambient {basis_dimension(pair.left.generators, 3, 2)}"]
-    return lines
-
-
-def _white_readings() -> dict[tuple[str, str], Pair]:
-    """The literal and dual white readings of each factor pair, by their names."""
-    mats = [build_mat(builtin("as"), ColorSet.of(n)) for n in (2, 3)]
-    factors = [(mat, q) for mat in mats for _, q in _manin_grid()]
-    factors += [(builtin("as"), builtin("as")), (builtin("dend"), builtin("as"))]
-    return {(p.name, q.name): Pair(white_square(p, q, "white_literal"), white_square(p, q, "white_dual"))
-            for p, q in factors}
-
-
-def _white_report(output=None):
-    """Emit the report, then state its headline: the readings differ on as x as."""
-    readings = _white_readings()
-    emit("\n".join(white_readings_report(readings)) + "\n", output)
-    yield Check("white-product comparison report emitted", readings["as", "as"], lambda report: not equal(report))
-
-
 CLAIMS: dict[str, Claim] = {c.key: c for c in [
     Claim("thm-comp", "formal-expansion span equals the linear-construction span",
           _grid(default_grid, ("", lambda p, w: lin_encoding_sides(p, w), equal))),
@@ -239,7 +184,6 @@ CLAIMS: dict[str, Claim] = {c.key: c for c in [
           _golden("mat", "dend", "golden_rbmat_dend", ("vs", equal))),
     Claim("ex-rbtot", "totally compatible Rota-Baxter relations match the golden file",
           _golden("tot", "rba0", "golden_rbtot", ("contains", contains), ("equals", equal))),
-    Claim("white-report", "emit the literal-vs-dual white product comparison", _white_report),
 ]}
 
 

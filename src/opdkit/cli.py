@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .claims import CLAIMS, CommandError, emit, run_claim
+from .claims import CLAIMS, CommandError, run_claim
 from .compat import build_compatible, relation_count
 from .duality import dual_problem, koszul_dual
 from .manin import black_square, product_problem, tensor_colors, tensor_colors_problem, white_square
@@ -52,6 +52,17 @@ def _read_presentation(path: str) -> Presentation:
     if not report.ok:
         raise CommandError(f"{path}: invalid presentation:\n{report}")
     return p
+
+
+def _emit(text: str, output: Optional[str]) -> None:
+    """Write ``text`` to the file ``output``, or to stdout if there is none."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {output}: {exc}") from exc
 
 
 def _refuse(problem: Optional[str], prefix: str = "") -> None:
@@ -95,14 +106,14 @@ def cmd_build(args) -> int:
         omega = ColorSet.of(spec)
     except ValueError as exc:
         raise CommandError(f"--omega {args.omega!r}: {exc}") from None
-    emit(serialize(build_compatible(kind, p, omega), args.format), args.output)
+    _emit(serialize(build_compatible(kind, p, omega), args.format), args.output)
     return 0
 
 
 def cmd_dual(args) -> int:
     p = _read_presentation(args.input)
     _refuse(dual_problem(p))
-    emit(serialize(koszul_dual(p), args.format), args.output)
+    _emit(serialize(koszul_dual(p), args.format), args.output)
     return 0
 
 
@@ -112,7 +123,7 @@ def cmd_product(args) -> int:
     kind = args.kind.replace("-", "_")
     _refuse(product_problem(left, right, kind))
     product = black_square(left, right) if kind == "black" else white_square(left, right, kind)
-    emit(serialize(product, args.format), args.output)
+    _emit(serialize(product, args.format), args.output)
     return 0
 
 
@@ -183,7 +194,7 @@ def cmd_basis(args) -> int:
         )
     component = enumerate_basis(p.generators, args.arity, args.weight)
     lines = [tree_text(t) for t in component.basis]
-    emit("\n".join(lines) + ("\n" if lines else ""), args.output)
+    _emit("\n".join(lines) + ("\n" if lines else ""), args.output)
     if not args.quiet:
         print(f"# dimension {component.dimension}", file=sys.stderr)
     return 0
@@ -201,7 +212,7 @@ def _count(spec: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    options = {o: getattr(args, o) for o in ("omega", "delta", "output") if getattr(args, o) is not None}
+    options = {o: getattr(args, o) for o in ("omega", "delta") if getattr(args, o) is not None}
     all_ok = True
     for label, ok, _ in run_claim(args.claim, **options):
         all_ok &= ok
@@ -273,7 +284,6 @@ def _arg_parser() -> argparse.ArgumentParser:
     verify.add_argument("claim")
     verify.add_argument("--omega", type=_count, help="restrict to one color count")
     verify.add_argument("--delta", type=_count, help="operator count for prop-kdualdda")
-    verify.add_argument("--output", metavar="PATH", help="where white-report writes its report")
     verify.add_argument("--quiet", action="store_true", help="print only failing checks")
     verify.set_defaults(func=cmd_verify)
 

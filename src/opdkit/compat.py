@@ -82,16 +82,16 @@ CompatKind = Literal["linear", "matching", "total"]
 
 
 def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
-    """Duplicate-free (tree, slot map) pairs carrying a nonzero net coefficient."""
-    totals: dict[tuple[Tree, tuple[int, ...]], Fraction] = {}
-    order: list[tuple[Tree, tuple[int, ...]]] = []
-    for term in rel.terms:
+    """Duplicate-free (tree, slot map) pairs carrying a nonzero net coefficient.
+
+    The sums are taken over the relation's integer coefficients, a positive
+    multiple of its coefficients, so they vanish where the rational sums do.
+    """
+    totals: dict[tuple[Tree, tuple[int, ...]], int] = {}
+    for term, coeff in zip(rel.terms, rel._integer_coefficients):
         key = (term.tree, term.slots)
-        if key not in totals:
-            totals[key] = Fraction(0)
-            order.append(key)
-        totals[key] += term.coeff
-    return [key for key in order if totals[key] != 0]
+        totals[key] = totals.get(key, 0) + coeff
+    return [key for key, total in totals.items() if total]
 
 
 class _ColoredCopies(dict):

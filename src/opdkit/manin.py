@@ -11,9 +11,10 @@ relation.  The white product is computed through the duality identity
     white(P, Q) = dual(black(dual(P), dual(Q)))
 
 renamed back to the tensor generators of P and Q.  A literal one-relation-
-per-source-relation reading of the white product is kept alongside; the
-two need not agree, and the ``white-report`` claim (``claims.py``) archives
-their comparison instead of hiding the discrepancy.
+per-source-relation reading is kept alongside as ``product white-literal``;
+it is not the white product, and its span differs from the dual route's
+already for the associative operad against itself (``check-iso`` on the two
+products shows it).
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ tensor names.  A presentation keeps what is derived from it, made on first
 use and kept as long as the presentation lives: its validation report and
 the builders' compiled state (which ``compat`` makes).  Neither is a field:
 equality, hashing, copying and pickling see the fields only.  The span
-comparison lives in ``spans``; its seven public names are bound here too,
-though not listed in ``__all__``, for the benchmark's tracer and workloads
-and the acceptance gate.
+comparison lives in ``spans``; the four of its names that the benchmark's
+tracer and workloads and the acceptance gate look up here are bound too,
+though not listed in ``__all__``.
 """
 
 from __future__ import annotations
@@ -29,13 +29,10 @@ from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from .spans import (
-    SpanComponent,
     component_matrix,
     presentation_span_contains,
     presentation_span_equal,
     relation_gradings,
-    shared_generators_problem,
-    span_components,
 )
 from .trees import (
     _NAME,

@@ -15,8 +15,8 @@ verdict off such a report.
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
 as the dense reference, and the benchmark's tracer and the acceptance gate
-look both up by name in ``presentation``, which binds this module's seven
-public names.
+look both up by name in ``presentation``, which binds them and the two
+``presentation_span_*`` checks.
 """
 
 from __future__ import annotations

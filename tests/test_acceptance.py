@@ -16,12 +16,7 @@ import random
 from pathlib import Path
 
 from opdkit.catalog import builtin, default_grid
-from opdkit.claims import (
-    expected_multi_diff_dual,
-    load_golden,
-    run_claim,
-    white_readings_report,
-)
+from opdkit.claims import expected_multi_diff_dual, load_golden, run_claim
 from opdkit.compat import build_compatible, build_lin, build_mat, build_tot, verify_lin_encoding
 from opdkit.duality import check_dual_identity, is_self_dual, koszul_dual
 from opdkit.linalg import (
@@ -136,7 +131,7 @@ def test_criterion_06_black_product_gives_linear():
     _report("criterion 6: black product with replicated assoc gives linear", ok)
 
 
-def test_criterion_07_matching_products_and_white_report():
+def test_criterion_07_matching_products():
     ok = True
     for n in (2, 3):
         omega = ColorSet.of(n)
@@ -151,13 +146,7 @@ def test_criterion_07_matching_products_and_white_report():
             ok &= presentation_span_equal(
                 rename_generators(white_square(mat_as, q, "white_dual"), rename), target
             )
-    report_lines = white_readings_report()
-    archived = (ROOT / "reports" / "white_product_comparison.md").read_text()
-    ok &= "\n".join(report_lines) + "\n" == archived
-    _report(
-        "criterion 7: matching products (black and white) plus archived reading report",
-        ok,
-    )
+    _report("criterion 7: matching products (black and white) give matching", ok)
 
 
 def test_criterion_08_total_white_product():

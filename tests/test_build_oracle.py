@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescaled import GRID, rescaled
-from opdkit.compat import FormalExpansion, build_lin, build_mat, build_tot, expand_formal
+from opdkit.compat import FormalExpansion, build_lin, build_mat, build_tot, expand_formal, support
 from opdkit.presentation import ColorSet, Presentation, Relation, Term, standard_slots
 from opdkit.trees import Generator, Tree, enumerate_basis
 
@@ -173,3 +173,17 @@ def test_a_constant_coloring_merges_two_terms_onto_one_tree():
     assert {t.slots for t in merged.terms[:2]} == {(1, 2), (2, 1)}
     mixed = mat.relation("merge__a,b")
     assert mixed.terms[0].tree != mixed.terms[1].tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(GRID)), st.data())
+def test_support_matches_the_reference_with_cancelling_terms(label, data):
+    p = rescaled(data, GRID[label])
+    rel = data.draw(st.sampled_from(p.relations))
+    # Each added copy of a term is its negative (which cancels the tree), a
+    # zero term or a rescaled copy; cancelling every term leaves no support.
+    factors = st.sampled_from([-1, 0, 2, Fraction(-1, 3)])
+    copies = data.draw(st.lists(st.tuples(st.sampled_from(rel.terms), factors)))
+    terms = rel.terms + tuple(Term(t.coeff * factor, t.tree, t.slots) for t, factor in copies)
+    rel = Relation(rel.name, terms)
+    assert support(rel) == reference_support(rel)

@@ -169,9 +169,10 @@ def test_check_iso_mismatch_and_usage(capsys, tmp_path):
     ["check-iso", str(PRES / "as.opd"), str(PRES / "as.opd"), "--output", "out.opd"],
     ["build", "lin", str(PRES / "as.opd"), "--omega", "2", "--quiet"],
     ["verify", "ex-rbcom", "--format", "json"],
+    ["verify", "ex-rbcom", "--output", "x"],
     ["list-claims", "--quiet"],
 ], ids=["check-iso --format", "check-iso --output", "build --quiet", "verify --format",
-        "list-claims --quiet"])
+        "verify --output", "list-claims --quiet"])
 def test_options_a_subcommand_ignores_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -199,16 +200,23 @@ def test_basis_dump(capsys):
 def test_list_claims(capsys):
     code, out, _ = run(capsys, "list-claims")
     assert code == 0
-    for key in ("thm-comp", "thm-mdul", "thm-dul", "prop-maninbl", "prop-maninbll",
-                "cor-totalwhite", "cor-undual", "prop-kdualdda", "prop-matlin",
-                "prop-totmat", "ex-rbcom", "ex-rbmat-dend", "ex-rbtot"):
-        assert key in out
+    assert [line.split()[0] for line in out.splitlines()] == sorted([
+        "thm-comp", "thm-mdul", "thm-dul", "prop-maninbl", "prop-maninbll",
+        "cor-totalwhite", "cor-undual", "prop-kdualdda", "prop-matlin",
+        "prop-totmat", "ex-rbcom", "ex-rbmat-dend", "ex-rbtot"])
 
 
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "no-such-claim")
     assert code == 2
     assert "unknown claim" in err
+
+
+def test_verify_white_report_is_an_unknown_claim(capsys):
+    # The literal white reading is compared with the dual route in test_manin.
+    code, out, err = run(capsys, "verify", "white-report")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown claim 'white-report'; see 'list-claims' for the registry\n"
 
 
 def test_verify_passing_claim(capsys):
@@ -246,20 +254,9 @@ def test_verify_thm_dul_reports_known_failures(capsys):
             ), (label, direction)
 
 
-def test_white_report_matches_archived_copy(capsys, tmp_path):
-    out_path = tmp_path / "report.md"
-    code, _, _ = run(capsys, "verify", "white-report", "--output", str(out_path))
-    assert code == 0
-    archived = (ROOT / "reports" / "white_product_comparison.md").read_text()
-    assert out_path.read_text() == archived
-
-
 def test_verify_transcript_matches_archived_copy(capsys):
-    # white-report is pinned by test_white_report_matches_archived_copy.
     parts = []
     for claim in sorted(CLAIMS):
-        if claim == "white-report":
-            continue
         argv = ["verify", claim] + (["--omega", "2"] if "omega" in CLAIMS[claim].options else [])
         code, out, _ = run(capsys, *argv)
         parts.append(f"$ opdkit {' '.join(argv)}  # exit {code}\n{out}")
@@ -286,17 +283,13 @@ def test_black_product_of_two_total_builds(capsys, tmp_path):
     ["ex-rbmat-dend", "--omega", "3"],
     ["cor-undual", "--omega", "2"],
     ["prop-kdualdda", "--omega", "2"],
-    ["white-report", "--omega", "2"],
     ["thm-comp", "--delta", "2"],
     ["prop-maninbl", "--omega", "2", "--delta", "2"],
-    ["ex-rbcom", "--output", "report.md"],
 ], ids=" ".join)
-def test_verify_refuses_options_the_claim_does_not_read(capsys, tmp_path, monkeypatch, argv):
-    monkeypatch.chdir(tmp_path)
+def test_verify_refuses_options_the_claim_does_not_read(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: claim {argv[0]} does not take {argv[-2]}\n"
-    assert not (tmp_path / "report.md").exists()
 
 
 def test_verify_claims_read_the_options_they_declare():
@@ -304,7 +297,7 @@ def test_verify_claims_read_the_options_they_declare():
     assert omega == {"thm-comp", "thm-mdul", "thm-dul", "prop-maninbl", "prop-maninbll",
                      "cor-totalwhite", "prop-matlin", "prop-totmat"}
     assert [key for key, claim in CLAIMS.items() if "delta" in claim.options] == ["prop-kdualdda"]
-    assert [key for key, claim in CLAIMS.items() if "output" in claim.options] == ["white-report"]
+    assert {option for claim in CLAIMS.values() for option in claim.options} == {"omega", "delta"}
 
 
 @pytest.mark.parametrize("spec", ["a", "0"])
@@ -427,14 +420,14 @@ def test_options_do_not_carry_over_between_calls(capsys, monkeypatch):
     seen = []
     p = builtin("as")
 
-    def checks(omega=None, delta=None, output=None):
-        seen.append((omega, delta, output))
+    def checks(omega=None, delta=None):
+        seen.append((omega, delta))
         yield Check("probe", Pair(p, p), equal)
 
     monkeypatch.setitem(CLAIMS, "probe", Claim("probe", "records its options", checks))
-    quiet = run(capsys, "verify", "probe", "--omega", "2", "--delta", "3", "--output", "x", "--quiet")
+    quiet = run(capsys, "verify", "probe", "--omega", "2", "--delta", "3", "--quiet")
     loud = run(capsys, "verify", "probe")
-    assert seen == [(2, 3, "x"), (None, None, None)]
+    assert seen == [(2, 3), (None, None)]
     assert (quiet, loud) == ((0, "", ""), (0, "PASS  probe: probe\n", ""))
 
 
@@ -539,7 +532,7 @@ def _count_calls(monkeypatch, targets):
 ], ids=["ex-rbtot", "prop-kdualdda", "prop-maninbl --omega 2", "cor-undual"])
 def test_verify_compares_each_pair_once(capsys, monkeypatch, argv, want):
     counts = _count_calls(monkeypatch, [
-        ("opdkit.presentation", "span_components"),
+        ("opdkit.spans", "span_components"),
         ("opdkit.compat", "build_lin"), ("opdkit.compat", "build_mat"), ("opdkit.compat", "build_tot"),
         ("opdkit.compat", "build_compatible"), ("opdkit.duality", "koszul_dual"),
         ("opdkit.manin", "black_square"), ("opdkit.manin", "white_square"),

@@ -26,6 +26,8 @@ from opdkit.presentation import (
     tensor_clash,
     tensor_factors,
 )
+from opdkit.spans import span_components
+from opdkit.trees import basis_dimension
 
 TWO = ColorSet.of(2)
 THREE = ColorSet.of(3)
@@ -123,6 +125,34 @@ def test_white_literal_disagrees_on_as():
     # the literal reading flips the right-comb sign: x(yz) + (xy)z
     coeffs = sorted(term.coeff for term in literal.relations[0].terms)
     assert coeffs == [1, 1]
+
+
+WHITE_FACTORS = {
+    "as": lambda: builtin("as"),
+    "dend": lambda: builtin("dend"),
+    "mat_as__1_2": lambda: build_mat(builtin("as"), TWO),
+    "mat_as__1_2_3": lambda: build_mat(builtin("as"), THREE),
+}
+
+
+@pytest.mark.parametrize("left, right, literal_rank, dual_rank, ambient", [
+    ("mat_as__1_2", "as", 4, 4, 8),
+    ("mat_as__1_2", "dend", 6, 12, 32),
+    ("mat_as__1_2_3", "as", 9, 9, 18),
+    ("mat_as__1_2_3", "dend", 11, 27, 72),
+    ("as", "as", 1, 1, 2),
+    ("dend", "as", 3, 3, 8),
+])
+def test_white_literal_and_dual_readings_differ(left, right, literal_rank, dual_rank, ambient):
+    p, q = WHITE_FACTORS[left](), WHITE_FACTORS[right]()
+    assert (p.name, q.name) == (left, right)
+    literal, dual = white_square(p, q, "white_literal"), white_square(p, q, "white_dual")
+    # Both readings are binary quadratic, so they meet in one grading only.
+    (component,) = span_components(literal, dual)
+    assert (component.arity, component.weight) == (3, 2)
+    assert (component.left_rank, component.right_rank) == (literal_rank, dual_rank)
+    assert basis_dimension(literal.generators, 3, 2) == ambient
+    assert not component.equal
 
 
 def test_dual_of_black_is_white_of_duals_explicitly():

@@ -9,6 +9,7 @@ each graded component.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import dense_reference as ref
 import rescaled
@@ -22,6 +23,7 @@ from opdkit.linalg import (
     Echelon,
     RationalMatrix,
     nullspace,
+    primitive_row,
     rank,
     rref,
     span_contains,
@@ -36,9 +38,9 @@ from opdkit.presentation import (
     presentation_span_contains,
     presentation_span_equal,
     relation_gradings,
-    span_components,
     standard_slots,
 )
+from opdkit.spans import span_components
 from opdkit.trees import Generator, Tree, enumerate_basis
 
 # Mostly zeros, as in relation matrices, with small fractions elsewhere.
@@ -90,15 +92,17 @@ def test_span_tests_match_reference(pair):
 
 @st.composite
 def pivot_ladders(draw):
-    """Dense small-integer rows, mostly in order of falling leading column.
+    """Dense small-integer content-1 rows, mostly in order of falling leading column.
 
     Each row then takes a pivot left of the earlier ones, so the new pivot
     column sits in several basis rows, and back-substitution both fills in
-    entries and cancels them.
+    entries and cancels them.  Rows are made content 1, as ``Echelon.add``
+    requires.
     """
     cols = draw(st.integers(2, 7))
     entry = st.integers(-3, 3).filter(bool)
-    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry, min_size=1), min_size=1, max_size=8))
+    row = st.dictionaries(st.integers(0, cols - 1), entry, min_size=1).map(primitive_row)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
     if draw(st.booleans()):
         rows.sort(key=min, reverse=True)
     return cols, rows
@@ -114,6 +118,8 @@ def assert_matches_reference(basis, rows, cols):
     assert tuple(sorted(basis.rows)) == pivots
     for p, expected in zip(pivots, reduced.rows):
         row = basis.rows[p]
+        # The canonical basis row: content 1, positive at its pivot.
+        assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p
         assert tuple(Fraction(row.get(c, 0), row[p]) for c in range(cols)) == expected
     assert column_map(basis) == {(c, p) for p, row in basis.rows.items() for c in row if c != p}
 
