@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .catalog import builtin, data_text, default_grid
-from .compat import build_lin, build_mat, build_tot, lin_encoding_sides
+from .compat import KINDS, build_compatible, build_lin, build_mat, build_tot, lin_encoding_sides
 from .duality import dual_identity_sides, koszul_dual, self_duality
 from .manin import black_square, colorize_tensor_map, white_square
 from .parser import parse_presentation
@@ -87,13 +87,12 @@ def _products(kind, products):
     """A claim that kind(as) times a factor, renamed, spans kind of the factor."""
 
     def checks(omega=None):
-        build = {"lin": build_lin, "mat": build_mat, "tot": build_tot}[kind]
         multiply = {"black": black_square, "white": white_square}
         for n in (2, 3) if omega is None else (omega,):
             colors = ColorSet.of(n)
-            left = build(builtin("as"), colors)
+            left = build_compatible(KINDS[kind], builtin("as"), colors)
             for label, q in (("as", builtin("as")), ("dend", builtin("dend"))):
-                target = build(q, colors)
+                target = build_compatible(KINDS[kind], q, colors)
                 rename = colorize_tensor_map(left.binary, q.binary)
                 for product in products:
                     square = rename_generators(multiply[product](left, q), rename)
@@ -150,8 +149,7 @@ def _golden(kind, key, golden_name, *statements):
     """A claim stating ``(verb, states)`` statements of kind(key) at 2 colors against a golden set."""
 
     def checks():
-        build = {"lin": build_lin, "mat": build_mat, "tot": build_tot}[kind]
-        pair = Pair(build(builtin(key), ColorSet.of(2)), load_golden(golden_name))
+        pair = Pair(build_compatible(KINDS[kind], builtin(key), ColorSet.of(2)), load_golden(golden_name))
         for verb, states in statements:
             yield Check(f"{kind}({key}, 2 colors) {verb} golden file", pair, states)
 

@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Optional
 
 from .claims import CLAIMS, CommandError, run_claim
-from .compat import build_compatible, relation_count
+from .compat import KINDS, build_compatible, relation_count
 from .duality import dual_problem, koszul_dual
 from .manin import black_square, product_problem, tensor_colors, tensor_colors_problem, white_square
-from .parser import ParseError, parse_presentation, serialize, split_generator_token
+from .parser import ParseError, parse_presentation, serialize
 from .presentation import (
     ColorSet,
     Presentation,
@@ -36,7 +36,8 @@ from .presentation import (
     replicate_problem,
 )
 from .spans import equal, shared_generators_problem, span_components
-from .trees import Generator, basis_dimension, color_label_problem, enumerate_basis, grading_problem, tree_text
+from .trees import (Generator, basis_dimension, color_label_problem, enumerate_basis, grading_problem,
+                    split_generator_token, tree_text)
 
 __all__ = ["main"]
 
@@ -95,7 +96,7 @@ def cmd_build(args) -> int:
     p = _read_presentation(args.input)
     spec = _omega(args.omega)
     _refuse(replicate_problem(p))
-    kind = {"lin": "linear", "mat": "matching", "tot": "total"}[args.kind]
+    kind = KINDS[args.kind]
     size = relation_count(kind, p, spec if isinstance(spec, int) else len(spec))
     if size > BUILD_BUDGET:
         raise CommandError(
@@ -131,7 +132,7 @@ def _parse_rename_spec(spec: str, p: Presentation) -> dict[Generator, Generator]
     if spec == "tensor-colors":
         _refuse(tensor_colors_problem(p.generators))
         return tensor_colors(p.generators)
-    by_token = {g.serialized(): g for g in p.generators}
+    by_token = {g.text: g for g in p.generators}
     mapping = {}
     for pair in spec.split(","):
         old, sep, new = pair.partition("=")
@@ -247,7 +248,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     subs = top.add_subparsers(dest="command", required=True)
 
     build = subs.add_parser("build", help="construct a compatible operad")
-    build.add_argument("kind", choices=("lin", "mat", "tot"))
+    build.add_argument("kind", choices=tuple(KINDS))
     build.add_argument("input")
     build.add_argument("--omega", required=True, help="color count or comma list of labels")
     _add_presentation_output(build)

@@ -66,6 +66,7 @@ from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
     "CompatKind",
+    "KINDS",
     "FormalExpansion",
     "support",
     "build_lin",
@@ -79,6 +80,12 @@ __all__ = [
 ]
 
 CompatKind = Literal["linear", "matching", "total"]
+
+# The constructions by the short name that ``opdkit build`` and the claim
+# labels give them.  The builder of each is ``build_<short name>``, which
+# ``build_compatible`` looks up when called, so that a rebinding of it (a
+# tracer's) sees every build.
+KINDS: dict[str, CompatKind] = {"lin": "linear", "mat": "matching", "tot": "total"}
 
 
 def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
@@ -401,8 +408,10 @@ def _tot_swaps(p: Presentation) -> list[tuple[int, list[tuple[str, _Template]]]]
 
 
 def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Presentation:
-    builder = {"linear": build_lin, "matching": build_mat, "total": build_tot}[kind]
-    return builder(p, omega)
+    """The ``kind`` construction of ``p`` over ``omega``, by the builder that
+    ``KINDS`` names, looked up when called."""
+    short = {long: short for short, long in KINDS.items()}[kind]
+    return globals()[f"build_{short}"](p, omega)
 
 
 def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:

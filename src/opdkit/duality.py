@@ -37,7 +37,6 @@ from .trees import Tree, _require, enumerate_basis, relabel
 
 __all__ = [
     "shape_sign",
-    "standard_slots",
     "dual_problem",
     "koszul_dual",
     "self_duality",

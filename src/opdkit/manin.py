@@ -15,6 +15,10 @@ per-source-relation reading is kept alongside as ``product white-literal``;
 it is not the white product, and its span differs from the dual route's
 already for the associative operad against itself (``check-iso`` on the two
 products shows it).
+
+The tensor generators' names are made and read here and nowhere else: the
+tensor of (e, f) is ``e~f``, each factor written as its name, ``#color``
+and a bare ``*`` for a dual factor (``m#1*~prec``).
 """
 
 from __future__ import annotations
@@ -22,20 +26,10 @@ from __future__ import annotations
 import itertools
 from typing import Collection, Literal, Optional, Sequence
 
-from .duality import koszul_dual, shape_sign, standard_slots
-from .presentation import (
-    Presentation,
-    Relation,
-    Term,
-    rename_generators,
-    require_valid,
-    tensor_atom_name,
-    tensor_clash,
-    tensor_factors,
-    tensor_map,
-)
+from .duality import koszul_dual, shape_sign
+from .presentation import Presentation, Relation, Term, rename_generators, require_valid, standard_slots
 from .spans import SpanComponent, equal, span_components
-from .trees import Generator, _require, relabel
+from .trees import Generator, _require, relabel, split_generator_token
 
 __all__ = [
     "ProductKind",
@@ -43,13 +37,82 @@ __all__ = [
     "black_square",
     "white_square",
     "check_product_duality",
+    "tensor_atom_name",
+    "tensor_factors",
     "tensor_map",
+    "tensor_clash",
     "tensor_colors_problem",
     "tensor_colors",
     "colorize_tensor_map",
 ]
 
 ProductKind = Literal["black", "white_literal", "white_dual"]
+
+
+def tensor_atom_name(g: Generator) -> str:
+    """Name of a generator as it appears inside a tensor-product name.
+
+    The dual marker is spelled with a bare ``*`` here so that tensor names
+    stay single unambiguous tokens; ``^*`` is reserved for the dual flag of
+    a whole generator.
+    """
+    out = g.name
+    if g.color is not None:
+        out += f"#{g.color}"
+    if g.dualized:
+        out += "*"
+    return out
+
+
+def _tensor_name(ge: Generator, gf: Generator) -> str:
+    return f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}"
+
+
+def _tensor_atom(atom: str) -> Generator:
+    """The binary generator whose ``tensor_atom_name`` is ``atom``."""
+    name, color, _ = split_generator_token(atom.removesuffix("*"))
+    return Generator(name, 2, color, atom.endswith("*"))
+
+
+def tensor_factors(name: str) -> Optional[tuple[Generator, Generator]]:
+    """The pair whose tensor ``tensor_map`` names ``name``, or ``None``
+    unless ``name`` holds exactly one ``~``: in a name with more, such as
+    ``a~b~c``, the factors cannot be told apart."""
+    left, sep, right = name.partition("~")
+    return (_tensor_atom(left), _tensor_atom(right)) if sep and "~" not in right else None
+
+
+def tensor_map(
+    e: Sequence[Generator], f: Sequence[Generator]
+) -> dict[tuple[Generator, Generator], Generator]:
+    """The binary generator ``e~f`` of every pair, in lexicographic pair order;
+    ``ValueError`` if two pairs give one name (``tensor_clash``)."""
+    for g in list(e) + list(f):
+        if g.arity != 2:
+            raise ValueError(f"unary generator {g.text} in tensor product")
+    _require(tensor_clash(e, f))
+    pairs = sorted(
+        ((ge, gf) for ge in e for gf in f),
+        key=lambda p: (p[0].sort_key, p[1].sort_key),
+    )
+    return {(ge, gf): Generator(_tensor_name(ge, gf), 2) for ge, gf in pairs}
+
+
+def tensor_clash(e: Sequence[Generator], f: Sequence[Generator]) -> Optional[str]:
+    """Two pairs of ``e`` x ``f`` whose tensors share a name, as a message,
+    such as (a, b~c) and (a~b, c), which both give ``a~b~c``; ``None`` if
+    each pair's tensor has a name of its own."""
+    made: dict[str, tuple[Generator, Generator]] = {}
+    for ge in e:
+        for gf in f:
+            name = _tensor_name(ge, gf)
+            first = made.setdefault(name, (ge, gf))
+            if first != (ge, gf):
+                return (
+                    f"tensor generators collide: ({first[0].text}, {first[1].text}) and "
+                    f"({ge.text}, {gf.text}) both give {name}"
+                )
+    return None
 
 
 def product_problem(p: Presentation, q: Presentation, kind: ProductKind) -> Optional[str]:
@@ -70,16 +133,16 @@ def product_problem(p: Presentation, q: Presentation, kind: ProductKind) -> Opti
 
 def tensor_colors_problem(tensors: Collection[Generator]) -> Optional[str]:
     """Why ``tensor_colors`` cannot rename ``tensors`` (each must be the
-    tensor of a colored generator and an uncolored one that is not a tensor
-    itself), or ``None``."""
+    tensor of a colored generator and an uncolored one, neither of them a
+    tensor itself), or ``None``."""
     for g in tensors:
+        if g.name.count("~") > 1:
+            return f"generator {g.text} is a tensor of a tensor; cannot apply the tensor-colors map"
         factors = tensor_factors(g.name)
         if factors is None or factors[0].color is None:
-            return f"generator {g.serialized()} is not a colored tensor; cannot apply the tensor-colors map"
+            return f"generator {g.text} is not a colored tensor; cannot apply the tensor-colors map"
         if factors[1].color is not None:
             return f"tensor factor {tensor_atom_name(factors[1])} already colored"
-        if "~" in factors[1].name:
-            return f"tensor factor {tensor_atom_name(factors[1])} is itself a tensor"
     return None
 
 
@@ -195,11 +258,12 @@ def _white_literal(p: Presentation, q: Presentation) -> Presentation:
 def _dual_tensors(
     e: Sequence[Generator], f: Sequence[Generator]
 ) -> dict[Generator, Generator]:
-    """The identification tensor(g, h)^* -> tensor(g^*, h^*) over every pair."""
-    duals = tensor_map([g.dual() for g in e], [h.dual() for h in f])
+    """The identification tensor(g, h)^* -> tensor(g^*, h^*) over every pair;
+    each caller has made both products, so no two of these names collide."""
     return {
-        tensor.dual(): duals[(g.dual(), h.dual())]
-        for (g, h), tensor in tensor_map(e, f).items()
+        Generator(_tensor_name(g, h), 2, None, True): Generator(_tensor_name(g.dual(), h.dual()), 2)
+        for g in e
+        for h in f
     }
 
 

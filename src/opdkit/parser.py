@@ -86,7 +86,6 @@ __all__ = [
     "parse_presentation",
     "serialize",
     "presentation_to_json",
-    "split_generator_token",
 ]
 
 

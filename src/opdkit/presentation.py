@@ -9,13 +9,13 @@ term to term (as in a commutator).  The colorings themselves are made in
 ``compat``, the one module that compiles and stamps them.
 
 This module is the data model: presentations, validation, renaming and the
-tensor names.  A presentation keeps what is derived from it, made on first
-use and kept as long as the presentation lives: its validation report and
-the builders' compiled state (which ``compat`` makes).  Neither is a field:
-equality, hashing, copying and pickling see the fields only.  The span
-comparison lives in ``spans``; the four of its names that the benchmark's
-tracer and workloads and the acceptance gate look up here are bound too,
-though not listed in ``__all__``.
+table of the weight-2 shapes.  A presentation keeps what is derived from
+it, made on first use and kept as long as the presentation lives: its
+validation report and the builders' compiled state (which ``compat``
+makes).  Neither is a field: equality, hashing, copying and pickling see
+the fields only.  The span comparison lives in ``spans``; the four of its
+names that the benchmark's tracer and workloads and the acceptance gate
+look up here are bound too, though not listed in ``__all__``.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ __all__ = [
     "replicate",
     "rename_problem",
     "rename_generators",
-    "tensor_map",
-    "tensor_clash",
-    "tensor_atom_name",
-    "tensor_factors",
     "standard_slots",
 ]
 
@@ -315,14 +311,14 @@ def validate(p: Presentation) -> ValidationReport:
     seen_triples = set()
     for g in p.unary:
         if g.arity != 1:
-            problems.append(f"generator {g.serialized()} listed as unary has arity {g.arity}")
+            problems.append(f"generator {g.text} listed as unary has arity {g.arity}")
     for g in p.binary:
         if g.arity != 2:
-            problems.append(f"generator {g.serialized()} listed as binary has arity {g.arity}")
+            problems.append(f"generator {g.text} listed as binary has arity {g.arity}")
     for g in p.generators:
         triple = (g.name, g.color, g.dualized)
         if triple in seen_triples:
-            problems.append(f"duplicate generator {g.serialized()}")
+            problems.append(f"duplicate generator {g.text}")
         seen_triples.add(triple)
         problem = generator_text_problem(g)
         if problem:
@@ -354,7 +350,7 @@ def validate(p: Presentation) -> ValidationReport:
             for g in term.tree.internal_generators():
                 if g not in known:
                     problems.append(
-                        f"relation {rel.name} term {idx}: unknown generator {g.serialized()}"
+                        f"relation {rel.name} term {idx}: unknown generator {g.text}"
                     )
             if sorted(term.slots) != list(range(1, weight + 1)):
                 problems.append(
@@ -381,7 +377,7 @@ def replicate_problem(p: Presentation) -> Optional[str]:
     """Why ``p``'s generators cannot be colored (a colored one), or ``None``."""
     for g in p.generators:
         if g.color is not None:
-            return f"cannot replicate already-colored generator {g.serialized()}"
+            return f"cannot replicate already-colored generator {g.text}"
     return None
 
 
@@ -422,9 +418,9 @@ def rename_problem(p: Presentation, mapping: Mapping[Generator, Generator]) -> O
     generators, keep their arities and be injective on them."""
     for g in p.generators:
         if g not in mapping:
-            return f"rename map misses generator {g.serialized()}"
+            return f"rename map misses generator {g.text}"
         if mapping[g].arity != g.arity:
-            return f"rename map changes arity of {g.serialized()} ({g.arity} -> {mapping[g].arity})"
+            return f"rename map changes arity of {g.text} ({g.arity} -> {mapping[g].arity})"
     if len({mapping[g] for g in p.generators}) != len(p.generators):
         return "rename map is not injective on the generator list"
     return None
@@ -446,69 +442,3 @@ def rename_generators(
         tuple(mapping[g] for g in p.binary),
         tuple(Relation(r.name, tuple(map(rename_term, r.terms))) for r in p.relations),
     )
-
-
-def tensor_atom_name(g: Generator) -> str:
-    """Name of a generator as it appears inside a tensor-product name.
-
-    The dual marker is spelled with a bare ``*`` here so that tensor names
-    stay single unambiguous tokens; ``^*`` is reserved for the dual flag of
-    a whole generator.
-    """
-    out = g.name
-    if g.color is not None:
-        out += f"#{g.color}"
-    if g.dualized:
-        out += "*"
-    return out
-
-
-def _tensor_name(ge: Generator, gf: Generator) -> str:
-    return f"{tensor_atom_name(ge)}~{tensor_atom_name(gf)}"
-
-
-def _tensor_atom(atom: str) -> Generator:
-    """The binary generator whose ``tensor_atom_name`` is ``atom``."""
-    name, color, _ = split_generator_token(atom.removesuffix("*"))
-    return Generator(name, 2, color, atom.endswith("*"))
-
-
-def tensor_factors(name: str) -> Optional[tuple[Generator, Generator]]:
-    """The pair whose tensor ``tensor_map`` names ``name``, or ``None`` if
-    ``name`` has no ``~``.  The left factor is read up to the first ``~``,
-    so a left factor that is a tensor itself reads back wrongly."""
-    left, sep, right = name.partition("~")
-    return (_tensor_atom(left), _tensor_atom(right)) if sep else None
-
-
-def tensor_map(
-    e: Sequence[Generator], f: Sequence[Generator]
-) -> dict[tuple[Generator, Generator], Generator]:
-    """The binary generator ``e~f`` of every pair, in lexicographic pair order;
-    ``ValueError`` if two pairs give one name (``tensor_clash``)."""
-    for g in list(e) + list(f):
-        if g.arity != 2:
-            raise ValueError(f"unary generator {g.serialized()} in tensor product")
-    _require(tensor_clash(e, f))
-    pairs = sorted(
-        ((ge, gf) for ge in e for gf in f),
-        key=lambda p: (p[0].sort_key, p[1].sort_key),
-    )
-    return {(ge, gf): Generator(_tensor_name(ge, gf), 2) for ge, gf in pairs}
-
-
-def tensor_clash(e: Sequence[Generator], f: Sequence[Generator]) -> Optional[str]:
-    """Two pairs of ``e`` x ``f`` whose tensors share a name, as a message,
-    such as (a, b~c) and (a~b, c), which both give ``a~b~c``; ``None`` if
-    each pair's tensor has a name of its own."""
-    made: dict[str, tuple[Generator, Generator]] = {}
-    for ge in e:
-        for gf in f:
-            name = _tensor_name(ge, gf)
-            first = made.setdefault(name, (ge, gf))
-            if first != (ge, gf):
-                return (
-                    f"tensor generators collide: ({first[0].text}, {first[1].text}) and "
-                    f"({ge.text}, {gf.text}) both give {name}"
-                )
-    return None

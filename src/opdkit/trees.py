@@ -139,7 +139,7 @@ class Generator:
 
     def colored(self, label: str) -> "Generator":
         if self.color is not None:
-            raise ValueError(f"generator {self.serialized()} is already colored")
+            raise ValueError(f"generator {self.text} is already colored")
         return Generator(self.name, self.arity, label, self.dualized)
 
     def uncolored(self) -> "Generator":
@@ -149,11 +149,8 @@ class Generator:
         """Dual generator; dualizing twice gives back the original."""
         return Generator(self.name, self.arity, self.color, not self.dualized)
 
-    def serialized(self) -> str:
-        return self.text
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Generator({self.serialized()}/{self.arity})"
+        return f"Generator({self.text}/{self.arity})"
 
 
 # Node-kind codes for the canonical order: internal vertices sort before
@@ -183,7 +180,7 @@ class Tree:
             return _flat_tree((_KIND_LEAF,), ())
         if len(children) != gen.arity:
             raise ValueError(
-                f"node {gen.serialized()} needs {gen.arity} children, "
+                f"node {gen.text} needs {gen.arity} children, "
                 f"got {len(children)}"
             )
         shape, gens = [gen.arity - 1], [gen]
@@ -316,7 +313,7 @@ def relabel(tree: Tree, gens: Iterable[Generator]) -> Tree:
     arities = [kind + 1 for kind in tree.shape if kind != _KIND_LEAF]
     for gen, arity in zip(gens, arities):
         if gen.arity != arity:
-            raise ValueError(f"node {gen.serialized()} needs {gen.arity} children, got {arity}")
+            raise ValueError(f"node {gen.text} needs {gen.arity} children, got {arity}")
     return _flat_tree(tree.shape, gens) if gens else tree
 
 
@@ -414,7 +411,7 @@ def basis_dimension(gens: Sequence[Generator], arity: int, weight: int) -> int:
     return math.comb(2 * b, b) // (b + 1) * math.comb(u + 2 * b, u) * binary**b * unary**u
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _text_template(shape: tuple[int, ...], slots: Optional[tuple[int, ...]]) -> str:
     """Format string of ``tree_text`` for one shape and, unless ``None``, one
     slot per internal vertex: a ``{}`` per internal vertex in preorder,

@@ -11,9 +11,9 @@ parsing code with the parser it checks; only the error and span types and
 from dataclasses import dataclass
 from fractions import Fraction
 
-from opdkit.parser import ParseError, SourceSpan, split_generator_token
+from opdkit.parser import ParseError, SourceSpan
 from opdkit.presentation import Presentation, Relation, Term
-from opdkit.trees import Generator, Tree, leaf
+from opdkit.trees import Generator, Tree, leaf, split_generator_token
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from opdkit.catalog import builtin, catalog_keys, default_grid, entries
 from opdkit.compat import build_lin, build_mat, build_tot
 from opdkit.duality import koszul_dual
 from opdkit.parser import parse_presentation, serialize
-from opdkit.presentation import ColorSet, presentation_span_equal, validate
+from opdkit.presentation import ColorSet, validate
+from opdkit.spans import presentation_span_equal
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opdkit" / "data"
 TWO = ColorSet.of(2)

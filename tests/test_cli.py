@@ -11,12 +11,13 @@ import pytest
 
 from opdkit import cli, duality, manin
 from opdkit.catalog import builtin, entries
-from opdkit.claims import CLAIMS, Check, Claim, Pair, equal
+from opdkit.claims import CLAIMS, Check, Claim, Pair
 from opdkit.cli import main
 from opdkit.compat import build_lin, build_mat, relation_count
 from opdkit.duality import koszul_dual
 from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import ColorSet, rename_generators
+from opdkit.spans import equal
 
 ROOT = Path(__file__).resolve().parent.parent
 PRES = ROOT / "src" / "opdkit" / "data"
@@ -136,7 +137,7 @@ def test_tensor_colors_map_refuses_a_tensor_of_a_tensor(capsys, tmp_path):
     path.write_text(serialize(manin.black_square(lin, manin.black_square(builtin("dend"), lin))))
     code, out, err = run(capsys, "check-iso", str(path), str(path), "--map", "tensor-colors")
     assert (code, out) == (2, "")
-    assert err == "error: tensor factor prec~m#1 is itself a tensor\n"
+    assert err == "error: generator m#1~prec~m#1 is a tensor of a tensor; cannot apply the tensor-colors map\n"
 
 
 def test_product_precondition_error(capsys):
@@ -523,11 +524,13 @@ def _count_calls(monkeypatch, targets):
 
 # The claims used to make 2, 3, 2 and 39 span comparisons, with the same
 # builds; cor-undual also made 6 Koszul duals.  Its 36 comparisons are the
-# self-duality searches, whose last reports it reuses.
+# self-duality searches, whose last reports it reuses.  A claim that names
+# its construction by kind builds through build_compatible.
 @pytest.mark.parametrize("argv, want", [
-    (["ex-rbtot"], {"span_components": 1, "build_tot": 1, "build_mat": 1}),
+    (["ex-rbtot"], {"span_components": 1, "build_compatible": 1, "build_tot": 1, "build_mat": 1}),
     (["prop-kdualdda"], {"span_components": 3, "koszul_dual": 3}),
-    (["prop-maninbl", "--omega", "2"], {"span_components": 2, "build_lin": 3, "black_square": 2}),
+    (["prop-maninbl", "--omega", "2"],
+     {"span_components": 2, "build_compatible": 3, "build_lin": 3, "black_square": 2}),
     (["cor-undual"], {"span_components": 36, "koszul_dual": 3, "build_mat": 2}),
 ], ids=["ex-rbtot", "prop-kdualdda", "prop-maninbl --omega 2", "cor-undual"])
 def test_verify_compares_each_pair_once(capsys, monkeypatch, argv, want):

@@ -29,11 +29,9 @@ from opdkit.presentation import (
     Relation,
     Term,
     _integers,
-    component_matrix,
-    presentation_span_contains,
-    presentation_span_equal,
     rename_generators,
 )
+from opdkit.spans import component_matrix, presentation_span_contains, presentation_span_equal
 from opdkit.trees import Generator, relabel, tree_text
 
 TWO = ColorSet.of(2)

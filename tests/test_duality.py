@@ -10,15 +10,10 @@ from opdkit.duality import (
     is_self_dual,
     koszul_dual,
     shape_sign,
-    standard_slots,
 )
 from opdkit.linalg import DiagonalForm, RationalMatrix, orthogonal_complement, rank, span_equal
-from opdkit.presentation import (
-    ColorSet,
-    component_matrix,
-    presentation_span_equal,
-    rename_generators,
-)
+from opdkit.presentation import ColorSet, rename_generators, standard_slots
+from opdkit.spans import component_matrix, presentation_span_equal
 from opdkit.trees import Generator, Tree, enumerate_basis, leaf, relabel, tree_text
 
 TWO = ColorSet.of(2)

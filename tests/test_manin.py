@@ -12,21 +12,16 @@ from opdkit.manin import (
     check_product_duality,
     colorize_tensor_map,
     product_problem,
+    tensor_clash,
     tensor_colors,
     tensor_colors_problem,
+    tensor_factors,
     tensor_map,
     white_square,
 )
 from opdkit.parser import parse_presentation
-from opdkit.presentation import (
-    ColorSet,
-    Presentation,
-    presentation_span_equal,
-    rename_generators,
-    tensor_clash,
-    tensor_factors,
-)
-from opdkit.spans import span_components
+from opdkit.presentation import ColorSet, Presentation, rename_generators
+from opdkit.spans import presentation_span_equal, span_components
 from opdkit.trees import basis_dimension
 
 TWO = ColorSet.of(2)
@@ -283,11 +278,17 @@ def test_tensor_colors_refuses_what_is_not_a_colored_tensor():
         colorize_tensor_map(builtin("as").binary, builtin("dend").binary)
 
 
-def test_tensor_colors_refuses_a_right_factor_that_is_a_tensor():
-    # m#1~prec~m#1 reads as (m#1, prec~m#1); renamed, it would be prec~m#1#1,
-    # a generator text that does not read back as itself.
-    lin = build_lin(builtin("as"), TWO)
-    tensors = tensor_map(lin.binary, black_square(builtin("dend"), lin).binary).values()
-    assert tensor_colors_problem(tensors) == "tensor factor prec~m#1 is itself a tensor"
-    with pytest.raises(ValueError, match="is itself a tensor"):
-        colorize_tensor_map(lin.binary, black_square(builtin("dend"), lin).binary)
+@pytest.mark.parametrize("side, name", [("left", "m#1~prec~prec"), ("right", "m#1~prec~m#1")])
+def test_tensor_colors_refuses_a_tensor_of_a_tensor(side, name):
+    # The tensor of (m#1~prec, prec) is m#1~prec~prec, which reads at its
+    # first ~ as (m#1, prec~prec): a name with two ~ names no pair.
+    lin, dend = build_lin(builtin("as"), TWO), builtin("dend")
+    if side == "left":
+        e, f = black_square(lin, dend).binary, dend.binary
+    else:
+        e, f = lin.binary, black_square(dend, lin).binary
+    assert tensor_factors(name) is None
+    message = f"generator {name} is a tensor of a tensor; cannot apply the tensor-colors map"
+    assert tensor_colors_problem(tensor_map(e, f).values()) == message
+    with pytest.raises(ValueError, match="is a tensor of a tensor"):
+        colorize_tensor_map(e, f)

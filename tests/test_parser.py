@@ -16,14 +16,9 @@ from opdkit.catalog import builtin, default_grid
 from opdkit.compat import build_lin, build_mat, build_tot
 from opdkit.duality import koszul_dual
 from opdkit.manin import black_square, white_square
-from opdkit.parser import (
-    ParseError,
-    parse_presentation,
-    presentation_to_json,
-    serialize,
-    split_generator_token,
-)
+from opdkit.parser import ParseError, parse_presentation, presentation_to_json, serialize
 from opdkit.presentation import ColorSet, validate
+from opdkit.trees import split_generator_token
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "opdkit" / "data"

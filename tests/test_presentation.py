@@ -18,14 +18,13 @@ from opdkit.presentation import (
     Relation,
     Term,
     _integers,
-    presentation_span_contains,
-    presentation_span_equal,
     rename_generators,
     replicate,
-    tensor_map,
     validate,
 )
 from opdkit.compat import _Template, build_mat
+from opdkit.manin import tensor_map
+from opdkit.spans import presentation_span_contains, presentation_span_equal
 from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
 
 P = Generator("P", 1)
@@ -92,9 +91,9 @@ def test_relations_sort_by_name_then_first_term():
 def test_replicate_order_and_errors():
     omega = ColorSet.of(2)
     fam = replicate(builtin("as"), omega)
-    assert [g.serialized() for g in fam] == ["m#1", "m#2"]
+    assert [g.text for g in fam] == ["m#1", "m#2"]
     fam = replicate(builtin("rba0"), ColorSet.of(["a"]))
-    assert [g.serialized() for g in fam] == ["P#a", "m#a"]
+    assert [g.text for g in fam] == ["P#a", "m#a"]
     fam = replicate(builtin("multi_diff", 2), omega)
     assert len([g for g in fam if g.arity == 1]) == 4
     assert len([g for g in fam if g.arity == 2]) == 2
@@ -356,6 +355,31 @@ def test_span_machinery_lives_in_spans():
         assert getattr(presentation, name) is getattr(spans, name), name
     for name in ("_Columns", "_by_grading", "_outside_component"):
         assert not hasattr(presentation, name) and hasattr(spans, name), name
+
+
+TENSOR_NAMES = ("tensor_atom_name", "tensor_factors", "tensor_map", "tensor_clash", "_tensor_name", "_tensor_atom")
+KIND_NAMES = {"lin", "mat", "tot", "linear", "matching", "total"}
+
+
+def test_every_name_has_one_home():
+    from opdkit import claims, cli, compat, duality, manin, parser, presentation
+
+    for name in TENSOR_NAMES:
+        assert not hasattr(presentation, name), name
+        assert getattr(manin, name).__module__ == "opdkit.manin", name
+    assert not hasattr(Generator, "serialized")
+    assert "standard_slots" not in duality.__all__
+    assert "split_generator_token" not in parser.__all__
+    # The construction kinds are one table, compat.KINDS: no dict of cli or
+    # claims is keyed by a kind, and cli spells none.
+    trees = {m: ast.parse(Path(m.__file__).read_text()) for m in (cli, claims)}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+                assert not keys & KIND_NAMES, (module.__name__, keys)
+    assert not {n.value for n in ast.walk(trees[cli]) if isinstance(n, ast.Constant)} & KIND_NAMES
+    assert set(compat.KINDS.items()) == {("lin", "linear"), ("mat", "matching"), ("tot", "total")}
 
 
 def test_rename_generators_roundtrip():

@@ -34,13 +34,15 @@ from opdkit.presentation import (
     Presentation,
     Relation,
     Term,
+    standard_slots,
+)
+from opdkit.spans import (
     component_matrix,
     presentation_span_contains,
     presentation_span_equal,
     relation_gradings,
-    standard_slots,
+    span_components,
 )
-from opdkit.spans import span_components
 from opdkit.trees import Generator, Tree, enumerate_basis
 
 # Mostly zeros, as in relation matrices, with small fractions elsewhere.

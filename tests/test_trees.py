@@ -26,6 +26,7 @@ from opdkit.presentation import ColorSet, Presentation, Relation, Term
 from opdkit.trees import (
     Generator,
     Tree,
+    _text_template,
     basis_dimension,
     compose,
     corolla,
@@ -209,6 +210,16 @@ def test_a_large_basis_is_not_kept_after_its_call(tmp_path):
             tracemalloc.stop()
     assert len((tmp_path / "basis.txt").read_text().splitlines()) == 84_480
     assert retained < 5_000_000
+
+
+def test_a_large_basis_leaves_a_bounded_number_of_text_templates(tmp_path):
+    # 18,018 trees of as many shapes; an unbounded cache kept a format
+    # string for each (about 5.8 MiB) for the rest of the process.
+    argv = ["basis", str(DATA / "diff.opd"), "--arity", "5", "--weight", "9",
+            "--quiet", "--output", str(tmp_path / "basis.txt")]
+    assert cli.main(argv) == 0
+    assert len((tmp_path / "basis.txt").read_text().splitlines()) == 18_018
+    assert _text_template.cache_info().currsize <= 4096
 
 
 def test_basis_dimension_counts_the_enumerated_basis():
@@ -412,7 +423,7 @@ def walked_text(tree, slots=None):
             s = f"x{next_leaf[0]}"
             next_leaf[0] += 1
             return s
-        label = node.gen.serialized()
+        label = node.gen.text
         if slots is not None:
             label += f"@{slots[next_internal[0]]}"
         next_internal[0] += 1
@@ -509,8 +520,8 @@ def test_generator_invariants():
     with pytest.raises(ValueError):
         Generator("bad", 3)
     g = Generator("m", 2, "1")
-    assert g.serialized() == "m#1"
-    assert g.dual().serialized() == "m#1^*"
+    assert g.text == "m#1"
+    assert g.dual().text == "m#1^*"
     assert g.dual().dual() == g
     with pytest.raises(ValueError):
         g.colored("2")
