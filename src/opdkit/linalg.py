@@ -172,6 +172,14 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> "Echelon":
+        """A basis that starts as this one and then grows on its own.  The
+        rows are shared: ``add`` replaces a row, it never edits one."""
+        twin = Echelon()
+        twin.rows = dict(self.rows)
+        twin._rows_at = {c: set(pivots) for c, pivots in self._rows_at.items()}
+        return twin
+
     def reduce(self, row: SparseRow) -> SparseRow:
         """Content-1 remainder of ``row`` against the basis; empty iff in the span.
 

@@ -374,10 +374,14 @@ def require_valid(*presentations: Presentation) -> None:
 
 
 def replicate_problem(p: Presentation) -> Optional[str]:
-    """Why ``p``'s generators cannot be colored (a colored one), or ``None``."""
+    """Why ``p``'s generators cannot be colored, or ``None``: a colored one,
+    or one whose name holds ``~``, whose colored copy ``g~h#w`` would read
+    back as an uncolored tensor (``split_generator_token``)."""
     for g in p.generators:
         if g.color is not None:
             return f"cannot replicate already-colored generator {g.text}"
+        if "~" in g.name:
+            return f"cannot replicate tensor generator {g.text}: color the factors before the product"
     return None
 
 

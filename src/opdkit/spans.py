@@ -10,7 +10,9 @@ terms share a tree, or one has coefficient 0, is made content 1 again.
 ``span_components`` is the one routine that walks the gradings, reporting
 both ranks and whether the spans are equal and whether the left contains
 the right; ``equal`` and ``contains`` are the only code that reads a
-verdict off such a report.
+verdict off such a report.  A relation object found on both sides, as
+``build_tot`` shares those of ``build_mat``, is reduced once, into the
+basis that each side's own rows extend.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
@@ -123,10 +125,20 @@ def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]
     for grading in sorted(left.keys() | right.keys()):
         # One column map serves both sides, so the canonical bases compare.
         columns = _Columns(gens, grading)
-        ours = Echelon(map(columns.row, left.get(grading, ())))
-        theirs = Echelon(map(columns.row, right.get(grading, ())))
+        mine, yours = left.get(grading, ()), right.get(grading, ())
+        shared = {id(rel) for rel in mine}.intersection(map(id, yours))
+        theirs = Echelon([columns.row(rel) for rel in yours if id(rel) in shared])
+        ours = theirs.copy()
+        for rel in mine:
+            if id(rel) not in shared:
+                ours.add(columns.row(rel))
+        # The shared rows lie in both spans: only the right side's own rows
+        # are left to test.
+        own = [columns.row(rel) for rel in yours if id(rel) not in shared]
+        for row in own:
+            theirs.add(row)
         same = ours.rows == theirs.rows
-        holds = same or all(map(ours.contains, theirs.rows.values()))
+        holds = same or all(map(ours.contains, own))
         yield SpanComponent(*grading, len(ours), len(theirs), same, holds)
 
 

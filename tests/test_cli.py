@@ -359,6 +359,24 @@ def test_build_refuses_a_colored_presentation(capsys, tmp_path):
     assert err == "error: cannot replicate already-colored generator m#1\n"
 
 
+# A colored copy m~prec#1 of a tensor generator reads back as an uncolored
+# generator named m~prec#1, so builds refuse tensor generators: the product
+# file, and the file that coloring it once wrote.
+@pytest.mark.parametrize("kind", ["lin", "mat", "tot"])
+def test_build_refuses_a_tensor_generator(capsys, tmp_path, kind):
+    product = tmp_path / "bl.opd"
+    code, _, _ = run(capsys, "product", "black", str(PRES / "as.opd"), str(PRES / "dend.opd"),
+                     "--output", str(product))
+    assert code == 0
+    colored = tmp_path / "lin_bl.opd"
+    colored.write_text("operad lin_bl\nbinary m~prec#1 m~prec#2\n"
+                       "relation r: m~prec#1@2(m~prec#1@1(x1,x2),x3) - m~prec#1@1(x1,m~prec#2@2(x2,x3))\n")
+    for path, generator in ((product, "m~prec"), (colored, "m~prec#1")):
+        code, out, err = run(capsys, "build", kind, str(path), "--omega", "2")
+        assert (code, out, err) == (2, "", f"error: cannot replicate tensor generator {generator}: "
+                                           "color the factors before the product\n")
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(*args):
         raise ValueError("internal")

@@ -1,8 +1,10 @@
 """The three compatible constructions and the linear-encoding check."""
 
 import copy
+import gc
 import itertools
 import pickle
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -464,6 +466,49 @@ def test_built_presentation_pickles_and_copies_as_its_fields():
     for other in (clone, copy.copy(built_from), copy.deepcopy(built_from)):
         assert other == built_from and set(vars(other)) == {"name", "unary", "binary", "relations"}
     assert serialize(build_tot(clone, THREE)) == tot
+
+
+# --- finished builds are kept in the input's compiled state ---
+
+BUILDS = (build_lin, build_mat, build_tot)
+
+
+def test_a_build_asked_again_is_the_kept_one():
+    pres = builtin("rba0")
+    for short, kind in compat.KINDS.items():
+        build = getattr(compat, f"build_{short}")
+        assert build(pres, TWO) is build(pres, ColorSet.of(2)) is build_compatible(kind, pres, TWO), short
+
+
+def test_tot_holds_the_relations_of_mat():
+    for label, pres in default_grid():
+        tot = {id(rel) for rel in build_tot(pres, THREE).relations}
+        assert tot.issuperset(map(id, build_mat(pres, THREE).relations)), label
+
+
+def test_kept_builds_go_with_their_input():
+    pres = builtin("dend")
+    kept = [weakref.ref(build(pres, TWO)) for build in BUILDS]
+    assert all(ref() is not None for ref in kept)
+    del pres
+    gc.collect()
+    assert all(ref() is None for ref in kept)
+
+
+def test_other_colors_and_equal_inputs_build_anew():
+    pres, twin = builtin("d1d2"), builtin("d1d2")
+    for build in BUILDS:
+        two = build(pres, TWO)
+        assert build(pres, ColorSet.of(("1", "3"))) is not two
+        anew = build(twin, TWO)
+        assert anew == two and anew is not two
+        assert not {id(rel) for rel in anew.relations} & {id(rel) for rel in two.relations}
+
+
+def test_templates_take_their_relations_integers():
+    for label, pres in default_grid():
+        for template, rel in zip(compat._compiled(pres).templates, pres.relations):
+            assert template._integers is rel._integer_coefficients, label
 
 
 def test_refused_input_raises_the_same_error_on_every_build():

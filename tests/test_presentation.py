@@ -135,7 +135,7 @@ def colored_tree(tree, slots, colors, memo):
     """``tree`` with ``colors[j-1]`` on its vertex at slot j, stamped from a
     one-term template compiled through ``memo``.  A template term has at
     least 2 vertices, as every term of a valid relation and every swap has."""
-    (term,) = _Template((Term(Fraction(1), tree, slots),), memo).relation("t", (colors,)).terms
+    (term,) = _Template((Term(Fraction(1), tree, slots),), (1,), memo).relation("t", (colors,)).terms
     return term.tree
 
 

@@ -136,6 +136,20 @@ def test_echelon_add_matches_reference_after_every_row(case):
         assert_matches_reference(basis, rows[:n], cols)
 
 
+@settings(max_examples=150, deadline=None)
+@given(pivot_ladders(), pivot_ladders())
+def test_echelon_copy_grows_on_its_own(first, second):
+    (cols, rows), (more_cols, more) = first, second
+    basis = Echelon(rows)
+    rows_before, map_before = {p: dict(row) for p, row in basis.rows.items()}, column_map(basis)
+    twin = basis.copy()
+    assert twin.rows == basis.rows and column_map(twin) == map_before
+    for row in more:
+        twin.add(row)
+    assert basis.rows == rows_before and column_map(basis) == map_before
+    assert_matches_reference(twin, rows + more, max(cols, more_cols))
+
+
 def test_echelon_add_updates_the_column_map_on_fill_in_and_cancellation():
     rows = [{3: 1, 4: 1}, {2: 1, 4: 1}, {1: 1, 3: 1}, {0: 1, 4: 1, 5: 1}, {4: 1, 5: 1}]
     basis = Echelon(rows[:4])
@@ -303,6 +317,44 @@ def test_rows_of_awkward_relations_match_reference(data):
     if data.draw(st.booleans()):
         small.append(data.draw(awkward_relations("extra")))
     assert_spans_match_reference(awkward_presentation(big), awkward_presentation(small))
+
+
+def rebuilt(p):
+    """``p`` with every relation made anew, so that it shares no relation object."""
+    return Presentation(p.name, p.unary, p.binary, tuple(Relation(r.name, r.terms) for r in p.relations))
+
+
+def assert_shared_rows_change_nothing(big, small):
+    # Relation objects on both sides are reduced once; the report must be
+    # the one of sides that share nothing, and the dense reference's.
+    assert list(span_components(big, small)) == list(span_components(rebuilt(big), rebuilt(small)))
+    assert_spans_match_reference(big, small)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shared_awkward_relations_match_unshared_and_reference(data):
+    # Each side holds the shared objects and rows of its own: the right
+    # side's own rows may be new, or shared lines written another way.
+    def drawn(stem, most):
+        return [data.draw(awkward_relations(f"{stem}{i}")) for i in range(data.draw(st.integers(0, most)))]
+
+    shared, mine, yours = drawn("s", 3), drawn("l", 2), drawn("r", 2)
+    if shared:
+        yours += [data.draw(disguised(rel)) for rel in data.draw(st.lists(st.sampled_from(shared), max_size=2))]
+    big, small = awkward_presentation(shared + mine), awkward_presentation(shared + yours)
+    assert_shared_rows_change_nothing(big, small)
+    assert_shared_rows_change_nothing(small, big)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GRID)), st.data())
+def test_shared_built_relations_match_unshared_and_reference(label, data):
+    # tot holds mat's relation objects, so subsets of the two share some;
+    # the right side's own swaps are not in a matching span.
+    mat, tot = subset(data, constructed(label, "matching")), subset(data, constructed(label, "total"))
+    assert_shared_rows_change_nothing(mat, tot)
+    assert_shared_rows_change_nothing(tot, mat)
 
 
 def assert_spans_match_reference(big, small):
