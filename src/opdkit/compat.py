@@ -37,9 +37,9 @@ built from one input are one object, and a build's generator list is read
 from the memo's colored copies, so its trees and its generator list hold
 the same objects.  Each finished build is kept there too and returned when
 asked again, so ``build_tot`` holds the very relations of ``build_mat``,
-which the span engine then reduces once.  The state is never global: an
-equal presentation built anew starts with none, and nothing is evicted
-while the input lives.  lin, mat and tot at 2..8 colors over
+which a span report then reduces once and a containment verdict reduces
+none of.  The state is never global: an equal presentation built anew
+starts with none, and nothing is evicted while the input lives.  lin, mat and tot at 2..8 colors over
 ``default_grid()`` keep 14.4 MiB under tracemalloc, against 3.6 MiB unkept.
 """
 

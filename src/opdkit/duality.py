@@ -18,6 +18,7 @@ column of their sparse echelon basis over the ambient tree basis.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 from .compat import CompatKind, build_compatible
@@ -39,6 +40,8 @@ __all__ = [
     "shape_sign",
     "dual_problem",
     "koszul_dual",
+    "SELF_DUALITY_BUDGET",
+    "self_duality_problem",
     "self_duality",
     "is_self_dual",
     "dual_identity_sides",
@@ -95,6 +98,23 @@ def koszul_dual(p: Presentation) -> Presentation:
     return Presentation(f"dual_{p.name}", dual_unary, dual_binary, tuple(rels))
 
 
+# The most renamings ``self_duality`` tries; a larger search is refused from
+# its count, |unary|! * |binary|!, before the dual is computed.
+SELF_DUALITY_BUDGET = 10_000
+
+
+def self_duality_problem(p: Presentation) -> Optional[str]:
+    """Why ``self_duality`` refuses ``p`` (more renamings to try than
+    ``SELF_DUALITY_BUDGET``), or ``None``."""
+    count = math.factorial(len(p.unary)) * math.factorial(len(p.binary))
+    if count > SELF_DUALITY_BUDGET:
+        return (
+            f"self-duality of {p.name} would try {count} renamings, "
+            f"above the budget of {SELF_DUALITY_BUDGET}"
+        )
+    return None
+
+
 def self_duality(p: Presentation) -> Optional[tuple[Presentation, list[SpanComponent]]]:
     """The dual under the first arity-preserving renaming of its generators
     that makes it span as p does, with the span report that matched it; or
@@ -103,7 +123,10 @@ def self_duality(p: Presentation) -> Optional[tuple[Presentation, list[SpanCompo
     Every bijection is tried, the identity g* -> g first: some self-dual
     presentations match only after permuting same-arity generators.  A
     renaming never changes span dimensions, so differing ranks end the search.
+    A search of more than ``SELF_DUALITY_BUDGET`` renamings raises
+    ``ValueError`` (see ``self_duality_problem``) before any is tried.
     """
+    _require(self_duality_problem(p))
     dual = koszul_dual(p)
     for pu in itertools.permutations(p.unary):
         for pb in itertools.permutations(p.binary):
@@ -121,7 +144,8 @@ def self_duality(p: Presentation) -> Optional[tuple[Presentation, list[SpanCompo
 
 
 def is_self_dual(p: Presentation) -> bool:
-    """Whether some arity-preserving renaming of the dual matches p's spans."""
+    """Whether some arity-preserving renaming of the dual matches p's spans;
+    refused as ``self_duality`` refuses."""
     return self_duality(p) is not None
 
 

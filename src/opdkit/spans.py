@@ -7,12 +7,18 @@ integers are: a relation's integer coefficients (``presentation._integers``)
 are coprime, worked out once, and a colored relation takes its template's,
 so a row is its relation's integers as they are.  Only a row in which two
 terms share a tree, or one has coefficient 0, is made content 1 again.
-``span_components`` is the one routine that walks the gradings, reporting
-both ranks and whether the spans are equal and whether the left contains
-the right; ``equal`` and ``contains`` are the only code that reads a
-verdict off such a report.  A relation object found on both sides, as
+``_gradings`` is the one walk over the gradings: it checks the generators,
+makes one column map per grading and splits the relations of the two sides
+by object identity.  ``span_components`` reads a full report off it, both
+ranks and whether the spans are equal and whether the left contains the
+right; ``equal`` and ``contains`` are the only code that reads a verdict
+off such a report.  A relation object found on both sides, as
 ``build_tot`` shares those of ``build_mat``, is reduced once, into the
-basis that each side's own rows extend.
+basis that each side's own rows extend.  ``presentation_span_contains``
+reads its verdict off the same walk without a report: it reads only the
+containing side's basis, against which the contained side's own rows are
+reduced, and where the contained side holds only shared objects it
+eliminates nothing.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
@@ -24,7 +30,7 @@ look both up by name in ``presentation``, which binds them and the two
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import Generator, GradedComponent, Tree, enumerate_basis
@@ -111,32 +117,58 @@ def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Rel
     return out
 
 
-def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:
-    """Compare the relation spans of ``p`` and ``q``, one grading at a time.
+class _Grading(NamedTuple):
+    """The relations of both sides in one grading, split by object identity.
 
-    Yields a record for every grading in which either side has a relation,
-    in grading order, so a caller may stop at the first unequal one.
+    ``row`` makes a relation's row over the grading's one column map, so the
+    canonical bases of both sides compare.  Callers row ``shared``, then
+    ``mine``, then ``yours``, so a relation outside the component is named
+    as in ``span_components`` whatever the question.
     """
+
+    grading: tuple[int, int]
+    row: Callable[[Relation], SparseRow]
+    shared: list[Relation]  # objects on both sides, in the right side's order
+    mine: list[Relation]  # the left side's own
+    yours: list[Relation]  # the right side's own
+
+
+def _gradings(p: Presentation, q: Presentation) -> Iterator[_Grading]:
+    """Walk the gradings in which either side has a relation, in grading order."""
     problem = shared_generators_problem(p, q)
     if problem:
         raise ValueError(f"presentations live over different generators: {problem}")
     gens = frozenset(p.generators)
     left, right = _by_grading(p.relations), _by_grading(q.relations)
     for grading in sorted(left.keys() | right.keys()):
-        # One column map serves both sides, so the canonical bases compare.
-        columns = _Columns(gens, grading)
         mine, yours = left.get(grading, ()), right.get(grading, ())
-        shared = {id(rel) for rel in mine}.intersection(map(id, yours))
-        theirs = Echelon([columns.row(rel) for rel in yours if id(rel) in shared])
+        both = {id(rel) for rel in mine}.intersection(map(id, yours))
+        yield _Grading(
+            grading,
+            _Columns(gens, grading).row,
+            [rel for rel in yours if id(rel) in both],
+            [rel for rel in mine if id(rel) not in both],
+            [rel for rel in yours if id(rel) not in both],
+        )
+
+
+def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:
+    """Compare the relation spans of ``p`` and ``q``, one grading at a time.
+
+    Yields a record for every grading in which either side has a relation,
+    in grading order, so a caller may stop at the first unequal one.
+    """
+    for grading, row, shared, mine, yours in _gradings(p, q):
+        # A shared relation is reduced once, into the basis both sides extend.
+        theirs = Echelon(map(row, shared))
         ours = theirs.copy()
         for rel in mine:
-            if id(rel) not in shared:
-                ours.add(columns.row(rel))
+            ours.add(row(rel))
         # The shared rows lie in both spans: only the right side's own rows
         # are left to test.
-        own = [columns.row(rel) for rel in yours if id(rel) not in shared]
-        for row in own:
-            theirs.add(row)
+        own = list(map(row, yours))
+        for vec in own:
+            theirs.add(vec)
         same = ours.rows == theirs.rows
         holds = same or all(map(ours.contains, own))
         yield SpanComponent(*grading, len(ours), len(theirs), same, holds)
@@ -158,8 +190,25 @@ def presentation_span_equal(p: Presentation, q: Presentation) -> bool:
 
 
 def presentation_span_contains(big: Presentation, small: Presentation) -> bool:
-    """True iff every relation of ``small`` lies in the componentwise span of ``big``."""
-    return contains(span_components(big, small))
+    """True iff every relation of ``small`` lies in the componentwise span of ``big``.
+
+    The verdict of ``contains(span_components(big, small))``, read from
+    ``big``'s basis alone: ``small``'s own rows are reduced against it, and
+    ``small``'s echelon basis is never built.  A grading in which every
+    relation of ``small`` is one of ``big``'s objects eliminates nothing.
+    Every relation of both sides is still made a row, so every tree is
+    admitted, up to the first grading that fails.
+    """
+    for _, row, shared, mine, yours in _gradings(big, small):
+        if not yours:
+            for rel in shared + mine:  # rowed to admit its trees, never eliminated
+                row(rel)
+            continue
+        basis = Echelon(map(row, shared + mine))
+        own = list(map(row, yours))
+        if not all(map(basis.contains, own)):
+            return False
+    return True
 
 
 def relation_gradings(relations: Iterable[Relation]) -> list[tuple[int, int]]:

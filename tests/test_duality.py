@@ -1,14 +1,19 @@
 """Koszul duals: pairing signs, complements, self-duality, duality identities."""
 
+import time
+
 import pytest
 
 from opdkit.catalog import builtin
 from opdkit.claims import expected_multi_diff_dual
 from opdkit.compat import build_mat, build_tot, support
 from opdkit.duality import (
+    SELF_DUALITY_BUDGET,
     check_dual_identity,
     is_self_dual,
     koszul_dual,
+    self_duality,
+    self_duality_problem,
     shape_sign,
 )
 from opdkit.linalg import DiagonalForm, RationalMatrix, orthogonal_complement, rank, span_equal
@@ -122,6 +127,24 @@ def test_self_duality():
     assert not is_self_dual(builtin("dend"))
     assert is_self_dual(build_mat(builtin("as"), TWO))
     assert is_self_dual(build_mat(builtin("d1d2"), TWO))
+
+
+def test_self_duality_refuses_a_search_above_its_budget():
+    # |unary|! * |binary|! renamings: 8! * 4! for mat(d1d2) at 4 colors.
+    four = build_mat(builtin("d1d2"), ColorSet.of(4))
+    problem = self_duality_problem(four)
+    assert problem == f"self-duality of {four.name} would try 967680 renamings, above the budget of {SELF_DUALITY_BUDGET}"
+    for search in (self_duality, is_self_dual):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            search(four)
+        assert time.perf_counter() - start < 0.25
+        assert str(refused.value) == problem
+    # cor-undual's inputs (2, 48 and 2 renamings) and mat(d1d2) at 3 colors
+    # (4,320) are searched.
+    for p in (builtin("d1d2"), build_mat(builtin("d1d2"), TWO), build_mat(builtin("as"), TWO),
+              build_mat(builtin("d1d2"), ColorSet.of(3))):
+        assert self_duality_problem(p) is None, p.name
 
 
 def test_d1d2_dual_needs_the_swap():

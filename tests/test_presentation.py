@@ -22,7 +22,8 @@ from opdkit.presentation import (
     replicate,
     validate,
 )
-from opdkit.compat import _Template, build_mat
+from opdkit.compat import _Template, build_lin, build_mat, build_tot
+from opdkit.linalg import Echelon
 from opdkit.manin import tensor_map
 from opdkit.spans import presentation_span_contains, presentation_span_equal
 from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
@@ -454,3 +455,24 @@ def test_span_checks_reject_trees_outside_their_component():
     uneven = dataclasses.replace(pres, relations=(mixed,))
     with pytest.raises(ValueError, match="relation mixed contains a tree outside"):
         presentation_span_equal(pres, uneven)
+
+
+def test_containment_verdicts_eliminate_only_the_containing_side(monkeypatch):
+    adds = []
+    add = Echelon.add
+
+    def counted(self, row):
+        adds.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    three = ColorSet.of(3)
+    for label, p in default_grid():
+        tot, mat, lin = build_tot(p, three), build_mat(p, three), build_lin(p, three)
+        adds.clear()
+        # tot holds mat's relation objects: nothing is left to eliminate.
+        assert presentation_span_contains(tot, mat), label
+        assert not adds, label
+        # Only mat's rows are eliminated; lin's are reduced against them.
+        assert presentation_span_contains(mat, lin), label
+        assert len(adds) <= len(mat.relations), label

@@ -38,6 +38,7 @@ from opdkit.presentation import (
 )
 from opdkit.spans import (
     component_matrix,
+    contains,
     presentation_span_contains,
     presentation_span_equal,
     relation_gradings,
@@ -360,6 +361,10 @@ def test_shared_built_relations_match_unshared_and_reference(label, data):
 def assert_spans_match_reference(big, small):
     assert presentation_span_contains(big, small) == reference_contains(big, small)
     assert presentation_span_contains(small, big) == reference_contains(small, big)
+    # The verdict reads only the containing side's basis; it must still be
+    # the report's.
+    assert presentation_span_contains(big, small) == contains(span_components(big, small))
+    assert presentation_span_contains(small, big) == contains(span_components(small, big))
     assert presentation_span_equal(big, small) == reference_equal(big, small)
 
     report = list(span_components(big, small))
