@@ -38,9 +38,16 @@ from the memo's colored copies, so its trees and its generator list hold
 the same objects.  Each finished build is kept there too and returned when
 asked again, so ``build_tot`` holds the very relations of ``build_mat``,
 which a span report then reduces once and a containment verdict reduces
-none of.  The state is never global: an equal presentation built anew
-starts with none, and nothing is evicted while the input lives.  lin, mat and tot at 2..8 colors over
-``default_grid()`` keep 14.4 MiB under tracemalloc, against 3.6 MiB unkept.
+none of.  The state also holds the span engine's column map per grading
+(``columns``): every kept build and every formal side of
+``lin_encoding_sides`` rows its relations over it and keeps its echelon
+basis per grading (``spans._keep_bases_over``), so a span question asked
+again of kept builds eliminates nothing.  The state is never global: an
+equal presentation built anew starts with none, and nothing is evicted
+while the input lives.  lin, mat and tot at 2..8 colors over
+``default_grid()`` keep 14.8 MiB under tracemalloc (3.6 MiB unkept), and
+21.4 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and the linear
+encoding.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from .presentation import (
     require_valid,
     standard_slots,
 )
-from .spans import presentation_span_equal
+from .spans import _keep_bases_over, presentation_span_equal
 from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
@@ -230,14 +237,17 @@ class _Compiled:
     per relation, by position.  ``tot_swaps`` holds the total
     construction's swap templates, grouped by weight, once ``_tot_swaps``
     has compiled them.  ``builds`` holds each finished build, keyed by its
-    builder's name and the color labels (see ``_kept``).
+    builder's name and the color labels (see ``_kept``).  ``columns`` is
+    the span engine's column map per grading, each made on first use, over
+    which every kept build and every formal side of ``lin_encoding_sides``
+    rows its relations (``spans._keep_bases_over``).
 
     It is made on first use (``_compiled``) and lives as long as its
     presentation.  It grows with the color labels asked of it: each
     new label adds its colored generators and the colored trees that use it.
     """
 
-    __slots__ = ("memo", "copies", "templates", "tot_swaps", "builds")
+    __slots__ = ("memo", "copies", "templates", "tot_swaps", "builds", "columns")
 
     def __init__(self, p: Presentation) -> None:
         self.memo = memo = {}
@@ -245,6 +255,7 @@ class _Compiled:
         self.templates = tuple([_Template(r.terms, r._integer_coefficients, memo) for r in p.relations])
         self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
         self.builds: dict[tuple[str, tuple[str, ...]], Presentation] = {}
+        self.columns: dict = {}
 
 
 def _compiled(p: Presentation) -> _Compiled:
@@ -269,16 +280,18 @@ def _colored_gens(
 
 def _kept(build):
     """``build``, keeping each result in the input's compiled state by the
-    builder's name and the color labels, to return when asked again."""
+    builder's name and the color labels, to return when asked again.  A
+    kept build rows its relations over the input's column maps and keeps
+    its echelon bases."""
 
     @functools.wraps(build)
     def kept(p: Presentation, omega: ColorSet) -> Presentation:
-        builds = _compiled(p).builds
+        compiled = _compiled(p)
         omega = ColorSet.of(omega)
         key = (build.__name__, omega.labels)
-        built = builds.get(key)
+        built = compiled.builds.get(key)
         if built is None:
-            built = builds[key] = build(p, omega)
+            built = compiled.builds[key] = _keep_bases_over(build(p, omega), compiled.columns)
         return built
 
     return kept
@@ -491,7 +504,9 @@ def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
 
 def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, Presentation]:
     """All formal-expansion coefficients and the linear construction, as two
-    presentations over the linear construction's generators."""
+    presentations over the linear construction's generators.  Both row their
+    relations over the input's column maps, so the span engine reads the
+    linear construction's kept bases."""
     omega = ColorSet.of(omega)
     lin = build_lin(p, omega)
     extracted = [
@@ -500,7 +515,7 @@ def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, 
         for rel in expansion.coefficients.values()
     ]
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))
-    return formal, lin
+    return _keep_bases_over(formal, _compiled(p).columns), lin
 
 
 def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:

@@ -23,7 +23,9 @@ of pivots of the basis rows with a nonzero entry there, pivots themselves
 left out.  When a new row takes a pivot, only the rows the map lists at that
 column are back-substituted, so ``add`` touches the rows that change rather
 than scanning the basis; the map is updated where an entry appears
-(fill-in) or cancels.
+(fill-in) or cancels.  A basis that is only reduced against from then on,
+as the span engine keeps one, drops its map (``frozen``); ``copy`` makes
+the map afresh from the rows.
 
 The kernel also gives the complement of a span: the right kernel has one
 basis vector per free (non-pivot) column, read straight off the basis.
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "RationalMatrix",
@@ -158,14 +160,15 @@ class Echelon:
     """A fully reduced fraction-free echelon basis, keyed by pivot column.
 
     ``_rows_at`` is the column map: column -> pivots of the basis rows with a
-    nonzero entry there, the column itself never among them.
+    nonzero entry there, the column itself never among them.  A frozen basis
+    has none (``frozen``).
     """
 
     __slots__ = ("rows", "_rows_at")
 
     def __init__(self, rows: Iterable[SparseRow] = ()) -> None:
         self.rows: dict[int, SparseRow] = {}
-        self._rows_at: dict[int, set[int]] = {}
+        self._rows_at: Optional[dict[int, set[int]]] = {}
         for row in rows:
             self.add(row)
 
@@ -173,12 +176,23 @@ class Echelon:
         return len(self.rows)
 
     def copy(self) -> "Echelon":
-        """A basis that starts as this one and then grows on its own.  The
-        rows are shared: ``add`` replaces a row, it never edits one."""
+        """A basis that starts as this one and then grows on its own, its
+        column map made afresh from the rows.  The rows are shared: ``add``
+        replaces a row, it never edits one."""
         twin = Echelon()
         twin.rows = dict(self.rows)
-        twin._rows_at = {c: set(pivots) for c, pivots in self._rows_at.items()}
+        rows_at = twin._rows_at
+        for pivot, row in self.rows.items():
+            for c in row:
+                if c != pivot:
+                    rows_at.setdefault(c, set()).add(pivot)
         return twin
+
+    def frozen(self) -> "Echelon":
+        """This basis without its column map, which only ``add`` reads: it
+        is still reduced against and copied, but no longer grown."""
+        self._rows_at = None
+        return self
 
     def reduce(self, row: SparseRow) -> SparseRow:
         """Content-1 remainder of ``row`` against the basis; empty iff in the span.

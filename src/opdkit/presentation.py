@@ -11,9 +11,10 @@ term to term (as in a commutator).  The colorings themselves are made in
 This module is the data model: presentations, validation, renaming and the
 table of the weight-2 shapes.  A presentation keeps what is derived from
 it, made on first use and kept as long as the presentation lives: its
-validation report and the builders' compiled state (which ``compat``
-makes).  Neither is a field: equality, hashing, copying and pickling see
-the fields only.  The span comparison lives in ``spans``; the four of its
+validation report, the builders' compiled state (which ``compat``
+makes) and, for a kept build, what the span engine keeps of it (its
+column maps and echelon bases, see ``spans``).  None is a field:
+equality, hashing, copying and pickling see the fields only.  The span comparison lives in ``spans``; the four of its
 names that the benchmark's tracer and workloads and the acceptance gate
 look up here are bound too, though not listed in ``__all__``.
 """
@@ -182,8 +183,9 @@ class Presentation:
     a name, which only an invalid presentation has, are ordered by their
     first terms.
 
-    The validation report and the builders' compiled state (``compat``'s
-    ``_compiled``) are worked out on first use and kept in the instance
+    The validation report, the builders' compiled state (``compat``'s
+    ``_compiled``) and the span engine's kept state (``spans``'s
+    ``_spans``) are worked out on first use and kept in the instance
     dict; they are not fields.
     """
 

@@ -33,7 +33,12 @@ from opdkit.presentation import (
     _integers,
     rename_generators,
 )
-from opdkit.spans import component_matrix, presentation_span_contains, presentation_span_equal
+from opdkit.spans import (
+    component_matrix,
+    presentation_span_contains,
+    presentation_span_equal,
+    span_components,
+)
 from opdkit.trees import Generator, relabel, tree_text
 
 TWO = ColorSet.of(2)
@@ -466,6 +471,41 @@ def test_built_presentation_pickles_and_copies_as_its_fields():
     for other in (clone, copy.copy(built_from), copy.deepcopy(built_from)):
         assert other == built_from and set(vars(other)) == {"name", "unary", "binary", "relations"}
     assert serialize(build_tot(clone, THREE)) == tot
+
+
+def _span_answers(p, q):
+    return presentation_span_contains(p, q), presentation_span_equal(p, q), list(span_components(p, q))
+
+
+def test_copies_of_a_kept_build_take_the_general_path():
+    pres = builtin("rba0")
+    kept = {build.__name__: build(pres, THREE) for build in (build_lin, build_mat, build_tot)}
+    # Every question is asked first, so the kept builds hold bases to leave behind.
+    questions = {
+        (left, right): _span_answers(p, q)
+        for (left, p), (right, q) in itertools.product(kept.items(), repeat=2)
+    }
+    assert all("_spans" in vars(p) for p in kept.values())
+    clones = {
+        name: (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)))
+        for name, p in kept.items()
+    }
+    for name, others in clones.items():
+        for other in others:
+            assert other == kept[name] and set(vars(other)) == {"name", "unary", "binary", "relations"}
+    # The kept builds of an equal input made anew hold column maps of their
+    # own, numbered otherwise: their first question rows tot, not lin.
+    twin = builtin("rba0")
+    anew = {build.__name__: build(twin, THREE) for build in (build_lin, build_mat, build_tot)}
+    assert presentation_span_contains(anew["build_tot"], anew["build_lin"])
+    # A copy against a copy, or against a kept build, shares no column map;
+    # neither do the kept builds of two inputs.
+    for (left, right), answers in questions.items():
+        for p, q in zip(clones[left], clones[right]):
+            for big, small in ((p, q), (p, kept[right]), (kept[left], q), (anew[left], kept[right])):
+                assert _span_answers(big, small) == answers, (left, right)
+    assert all(set(vars(other)) == {"name", "unary", "binary", "relations"}
+               for others in clones.values() for other in others)
 
 
 # --- finished builds are kept in the input's compiled state ---

@@ -476,3 +476,7 @@ def test_containment_verdicts_eliminate_only_the_containing_side(monkeypatch):
         # Only mat's rows are eliminated; lin's are reduced against them.
         assert presentation_span_contains(mat, lin), label
         assert len(adds) <= len(mat.relations), label
+        # Asked again, both read the bases they kept: nothing is eliminated.
+        adds.clear()
+        assert presentation_span_contains(tot, mat) and presentation_span_contains(mat, lin), label
+        assert not adds, label

@@ -7,17 +7,19 @@ agree with that elimination run on the dense ``component_matrix`` rows of
 each graded component.
 """
 
+import copy
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 import dense_reference as ref
+import pytest
 import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdkit.catalog import default_grid
-from opdkit.compat import build_compatible
+from opdkit.compat import build_compatible, build_mat, build_tot, lin_encoding_sides
 from opdkit.duality import koszul_dual, shape_sign
 from opdkit.linalg import (
     Echelon,
@@ -37,8 +39,10 @@ from opdkit.presentation import (
     standard_slots,
 )
 from opdkit.spans import (
+    SpanComponent,
     component_matrix,
     contains,
+    equal,
     presentation_span_contains,
     presentation_span_equal,
     relation_gradings,
@@ -149,6 +153,11 @@ def test_echelon_copy_grows_on_its_own(first, second):
         twin.add(row)
     assert basis.rows == rows_before and column_map(basis) == map_before
     assert_matches_reference(twin, rows + more, max(cols, more_cols))
+    # A frozen basis has no column map; its copy makes one from the rows.
+    thawed = Echelon(rows).frozen().copy()
+    for row in more:
+        thawed.add(row)
+    assert_matches_reference(thawed, rows + more, max(cols, more_cols))
 
 
 def test_echelon_add_updates_the_column_map_on_fill_in_and_cancellation():
@@ -375,6 +384,71 @@ def assert_spans_match_reference(big, small):
         assert (c.left_rank, c.right_rank) == (ref.rank(mb), ref.rank(ms))
         assert c.equal == ref.span_equal(mb, ms)
         assert c.contains == ref.span_contains(mb, ms)
+
+
+# --- the shared path: the kept builds of one input and its formal side ---
+
+SIDES = ("lin", "mat", "tot", "formal")
+QUESTIONS = ("contains", "equal", "components")
+
+
+def shared_sides(p, colors):
+    """lin, mat, tot and the formal side of ``p``, all on ``p``'s column maps."""
+    omega = ColorSet.of(colors)
+    formal, lin = lin_encoding_sides(p, omega)
+    return {"lin": lin, "mat": build_mat(p, omega), "tot": build_tot(p, omega), "formal": formal}
+
+
+def ask(question, p, q):
+    if question == "contains":
+        return presentation_span_contains(p, q)
+    if question == "equal":
+        return presentation_span_equal(p, q)
+    return list(span_components(p, q))
+
+
+@lru_cache(maxsize=None)
+def reference_answers(label, colors, left, right):
+    """Each question's answer from the dense rows of every grading."""
+    sides = shared_sides(GRID[label], colors)
+    p, q = sides[left], sides[right]
+    report = []
+    for arity, weight in relation_gradings(p.relations + q.relations):
+        _, mp = component_matrix(p.generators, p.relations, arity, weight)
+        _, mq = component_matrix(p.generators, q.relations, arity, weight)
+        report.append(SpanComponent(
+            arity, weight, ref.rank(mp), ref.rank(mq), ref.span_equal(mp, mq), ref.span_contains(mp, mq)
+        ))
+    return {"contains": contains(report), "equal": equal(report), "components": report}
+
+
+def assert_kept_bases_are_fresh(p):
+    # A kept basis is frozen, and it is the basis of its side's rows in its
+    # grading made afresh, however many questions read or seeded it.
+    kept = vars(p)["_spans"]
+    for grading, basis in kept.bases.items():
+        fresh = Echelon(map(kept.columns[grading].row, kept.graded.get(grading, ())))
+        assert basis._rows_at is None and basis.rows == fresh.rows, grading
+
+
+@pytest.mark.parametrize("colors", (2, 3))
+@pytest.mark.parametrize("label", sorted(GRID))
+@settings(max_examples=8, deadline=None)
+@given(fresh=st.booleans(), data=st.data())
+def test_questions_on_shared_maps_match_the_general_path_and_reference(label, colors, fresh, data):
+    # A copy of the input keeps nothing, so its first questions make the
+    # bases; the grid's own input keeps what earlier examples made.  The
+    # drawn order lets a basis made for one question be read by another.
+    p = copy.copy(GRID[label]) if fresh else GRID[label]
+    sides = shared_sides(p, colors)
+    question = st.tuples(st.sampled_from(QUESTIONS), st.sampled_from(SIDES), st.sampled_from(SIDES))
+    for asked in data.draw(st.lists(question, min_size=1, max_size=6)):
+        kind, left, right = asked
+        answer = ask(kind, sides[left], sides[right])
+        assert answer == ask(kind, rebuilt(sides[left]), rebuilt(sides[right])), asked
+        assert answer == reference_answers(label, colors, left, right)[kind], asked
+    for side in sides.values():
+        assert_kept_bases_are_fresh(side)
 
 
 def dualized(tree):
