@@ -18,7 +18,6 @@ from .compat import (
     build_mat,
     build_tot,
     expand_formal,
-    support,
     verify_lin_encoding,
 )
 from .duality import check_dual_identity, is_self_dual, koszul_dual, self_duality
@@ -30,6 +29,7 @@ from .presentation import (
     Term,
     rename_generators,
     replicate,
+    support,
     validate,
 )
 from .spans import presentation_span_contains, presentation_span_equal, span_components

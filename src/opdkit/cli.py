@@ -74,7 +74,7 @@ def _refuse(problem: Optional[str], prefix: str = "") -> None:
 
 def _omega(spec: str) -> int | list[str]:
     """What ``--omega`` gives ``ColorSet.of``: a count, or labels each checked."""
-    if spec.isdigit():
+    if spec.isascii() and spec.isdigit():
         return int(spec)
     labels = [label.strip() for label in spec.split(",") if label.strip()]
     for label in labels:
@@ -207,7 +207,7 @@ def cmd_basis(args) -> int:
 
 def _count(spec: str) -> int:
     """The argparse type of ``verify --omega`` and ``--delta``: a count of at least 1."""
-    if not spec.isdigit() or int(spec) < 1:
+    if not (spec.isascii() and spec.isdigit()) or int(spec) < 1:
         raise argparse.ArgumentTypeError(f"not a count >= 1: {spec!r}")
     return int(spec)
 

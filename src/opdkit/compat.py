@@ -36,18 +36,20 @@ trees, keyed by the colors of the tree's vertices, so equal colored trees
 built from one input are one object, and a build's generator list is read
 from the memo's colored copies, so its trees and its generator list hold
 the same objects.  Each finished build is kept there too and returned when
-asked again, so ``build_tot`` holds the very relations of ``build_mat``,
-which a span report then reduces once and a containment verdict reduces
-none of.  The state also holds the span engine's column map per grading
+asked again, so ``build_tot`` holds the very relations of ``build_mat``.
+The state also holds the span engine's column map per grading
 (``columns``): every kept build and every formal side of
 ``lin_encoding_sides`` rows its relations over it and keeps its echelon
 basis per grading (``spans._keep_bases_over``), so a span question asked
-again of kept builds eliminates nothing.  The state is never global: an
-equal presentation built anew starts with none, and nothing is evicted
-while the input lives.  lin, mat and tot at 2..8 colors over
-``default_grid()`` keep 14.8 MiB under tracemalloc (3.6 MiB unkept), and
-21.4 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and the linear
-encoding.
+again of kept builds eliminates nothing.  tot is kept as extending mat
+(``_kept(extends=build_mat)``), the one place that states it: tot's basis
+in a grading is mat's kept basis grown by the swap rows, so mat's rows
+are never eliminated for tot.  The state is never global: an equal
+presentation built anew starts with none, and nothing is evicted while
+the input lives.  lin, mat and tot at 2..8 colors over ``default_grid()``
+keep 15.0 MiB under tracemalloc (3.6 MiB unkept), and 24.5 MiB once each
+has been asked tot ⊇ mat, mat ⊇ lin and the linear encoding, tot's bases
+among them.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .presentation import (
     replicate_problem,
     require_valid,
     standard_slots,
+    support,
 )
 from .spans import _keep_bases_over, presentation_span_equal
 from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
@@ -79,7 +82,6 @@ __all__ = [
     "CompatKind",
     "KINDS",
     "FormalExpansion",
-    "support",
     "build_lin",
     "build_mat",
     "build_tot",
@@ -97,19 +99,6 @@ CompatKind = Literal["linear", "matching", "total"]
 # ``build_compatible`` looks up when called, so that a rebinding of it (a
 # tracer's) sees every build.
 KINDS: dict[str, CompatKind] = {"lin": "linear", "mat": "matching", "tot": "total"}
-
-
-def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
-    """Duplicate-free (tree, slot map) pairs carrying a nonzero net coefficient.
-
-    The sums are taken over the relation's integer coefficients, a positive
-    multiple of its coefficients, so they vanish where the rational sums do.
-    """
-    totals: dict[tuple[Tree, tuple[int, ...]], int] = {}
-    for term, coeff in zip(rel.terms, rel._integer_coefficients):
-        key = (term.tree, term.slots)
-        totals[key] = totals.get(key, 0) + coeff
-    return [key for key, total in totals.items() if total]
 
 
 class _ColoredCopies(dict):
@@ -278,11 +267,14 @@ def _colored_gens(
     return tuple([g for g in gens if g.arity == 1]), tuple([g for g in gens if g.arity == 2])
 
 
-def _kept(build):
+def _kept(build=None, *, extends=None):
     """``build``, keeping each result in the input's compiled state by the
     builder's name and the color labels, to return when asked again.  A
     kept build rows its relations over the input's column maps and keeps
-    its echelon bases."""
+    its echelon bases.  ``extends`` names the kept builder whose relations
+    each result holds, so the result's bases extend that build's."""
+    if build is None:
+        return functools.partial(_kept, extends=extends)
 
     @functools.wraps(build)
     def kept(p: Presentation, omega: ColorSet) -> Presentation:
@@ -291,7 +283,8 @@ def _kept(build):
         key = (build.__name__, omega.labels)
         built = compiled.builds.get(key)
         if built is None:
-            built = compiled.builds[key] = _keep_bases_over(build(p, omega), compiled.columns)
+            base = None if extends is None else extends(p, omega)
+            built = compiled.builds[key] = _keep_bases_over(build(p, omega), compiled.columns, base)
         return built
 
     return kept
@@ -377,7 +370,7 @@ def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
     return [(i, tree) for basis in bases for i, tree in enumerate(basis) if tree not in covered]
 
 
-@_kept
+@_kept(extends=build_mat)
 def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """Totally compatible operad: matching relations plus color swaps.
 

@@ -8,15 +8,19 @@ receives the same color even when the decorating generators differ from
 term to term (as in a commutator).  The colorings themselves are made in
 ``compat``, the one module that compiles and stamps them.
 
-This module is the data model: presentations, validation, renaming and the
-table of the weight-2 shapes.  A presentation keeps what is derived from
-it, made on first use and kept as long as the presentation lives: its
-validation report, the builders' compiled state (which ``compat``
-makes) and, for a kept build, what the span engine keeps of it (its
-column maps and echelon bases, see ``spans``).  None is a field:
-equality, hashing, copying and pickling see the fields only.  The span comparison lives in ``spans``; the four of its
-names that the benchmark's tracer and workloads and the acceptance gate
-look up here are bound too, though not listed in ``__all__``.
+This module is the data model: presentations, validation, a relation's
+support, renaming and the table of the weight-2 shapes.  A presentation
+keeps what is derived from it, made on first use and kept as long as the
+presentation lives: its validation report, the builders' compiled state
+(which ``compat`` makes) and, for a kept build, its side of every span
+question (its column maps and echelon bases, tot's grown from mat's, see
+``spans``).  None is a field: equality, hashing, copying and pickling see
+the fields only.  The span comparison lives in ``spans``, where
+``presentation_span_equal`` and ``presentation_span_contains`` are the
+two verdicts of its one report, ``span_components``; those two and the
+other two of its names that the benchmark's tracer and workloads and the
+acceptance gate look up here are bound too, though not listed in
+``__all__``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ __all__ = [
     "rename_problem",
     "rename_generators",
     "standard_slots",
+    "support",
 ]
 
 
@@ -261,6 +266,19 @@ class ColorSet:
         return cls(tuple(str(x) for x in spec))
 
 
+def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:
+    """Duplicate-free (tree, slot map) pairs carrying a nonzero net coefficient.
+
+    The sums are taken over the relation's integer coefficients, a positive
+    multiple of its coefficients, so they vanish where the rational sums do.
+    """
+    totals: dict[tuple[Tree, tuple[int, ...]], int] = {}
+    for term, coeff in zip(rel.terms, rel._integer_coefficients):
+        key = (term.tree, term.slots)
+        totals[key] = totals.get(key, 0) + coeff
+    return [key for key, total in totals.items() if total]
+
+
 @dataclass
 class ValidationReport:
     problems: list[str]
@@ -306,6 +324,10 @@ def validate(p: Presentation) -> ValidationReport:
     name token that splits back into its name, color and dual flag and is
     not a leaf ``x1``, ``x2``, ... nor colored by a non-label, and each
     relation name is what the parser reads between ``relation`` and ``:``.
+    A relation whose terms cancel, with an empty ``support``, is refused.
+    A colored relation whose terms fall on one tree under two slot maps
+    (``cancel__a,a`` of a relation ``t(2,1) - t(1,2)``) keeps a support,
+    though its span row is zero, and is not refused.
     """
     problems: list[str] = []
     if not _NAME.fullmatch(p.name):
@@ -334,6 +356,12 @@ def validate(p: Presentation) -> ValidationReport:
         names.add(rel.name)
         if not _RELATION_NAME.fullmatch(rel.name):
             problems.append(f"relation name {rel.name!r} is not a DSL relation name")
+        # Terms are in canonical order, so terms on one (tree, slots) pair are
+        # adjacent: a nonzero first term alone on its pair cannot cancel.
+        head = rel.terms[:2]
+        alone = len(head) == 1 or (head[0].tree, head[0].slots) != (head[1].tree, head[1].slots)
+        if not (head[0].coeff and alone) and not support(rel):
+            problems.append(f"relation {rel.name}: its terms cancel to zero")
         gradings = {(t.tree.arity, t.tree.weight) for t in rel.terms}
         if len(gradings) > 1:
             problems.append(

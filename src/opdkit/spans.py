@@ -7,30 +7,30 @@ integers are: a relation's integer coefficients (``presentation._integers``)
 are coprime, worked out once, and a colored relation takes its template's,
 so a row is its relation's integers as they are.  Only a row in which two
 terms share a tree, or one has coefficient 0, is made content 1 again.
-``_gradings`` is the one walk over the gradings: it checks the generators,
-takes one column map per grading and splits the relations of the two sides
-by object identity.  ``span_components`` reads a full report off it, both
-ranks and whether the spans are equal and whether the left contains the
-right; ``equal`` and ``contains`` are the only code that reads a verdict
-off such a report.  A relation object found on both sides, as
-``build_tot`` shares those of ``build_mat``, is reduced once, into the
-basis that each side's own rows extend.  ``presentation_span_contains``
-reads its verdict off the same walk without a report: it reads only the
-containing side's basis, against which the contained side's own rows are
-reduced, and where the contained side holds only shared objects it
-eliminates nothing.
+Each side of a question (``_Side``) holds its relations by grading and
+makes the echelon basis of its own rows in a grading on first use, over a
+column map per grading that both sides share.  ``span_components`` is the
+one walk over the gradings, and reads a full report off the two bases:
+both ranks and whether the spans are equal and whether the left contains
+the right.  ``equal`` and ``contains`` are the only code that reads a
+verdict off such a report, and ``presentation_span_equal`` and
+``presentation_span_contains`` are those two verdicts of the report.
 
-Two sides that hold one input's column maps take the shared path: every
-kept build of the input and the formal side of ``lin_encoding_sides``
-hold them (``_keep_bases_over``).  Their trees were stamped from the
-input's validated templates over the build's own generators, so none is
-admitted again, and each side keeps its echelon basis per grading, made
-on first use and never grown afterwards.  A fully reduced content-1 basis
-whose pivots are least columns is unique for a fixed column order, and a
-shared map only ever adds columns, so a kept basis equals one made afresh
-and a question asked again eliminates nothing.  Any other pair (parsed
-files, duals, products, renamed copies) rows over a fresh map per grading,
-which admits every tree, and eliminates afresh.
+Two presentations that hold one input's column maps take the kept path:
+every kept build of the input and the formal side of
+``lin_encoding_sides`` keep their sides over them (``_keep_bases_over``).
+Their trees were stamped from the input's validated templates over the
+build's own generators, so none is admitted again, and each side keeps
+its echelon basis per grading, made on first use and never grown
+afterwards.  A fully reduced content-1 basis whose pivots are least
+columns is unique for a fixed column order, and a shared map only ever
+adds columns, so a kept basis equals one made afresh and a question
+asked again eliminates nothing.  ``build_tot`` is
+``build_mat`` plus swaps, so tot is kept as extending mat: its basis is a
+copy of mat's kept basis grown by the swap rows, and mat's rows are never
+eliminated for tot.  Any other pair (parsed files, duals, products,
+renamed copies) rows over a fresh map per grading, which admits every
+tree, and eliminates both sides afresh.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
@@ -42,7 +42,7 @@ look both up by name in ``presentation``, which binds them and the two
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import Echelon, RationalMatrix, SparseRow, primitive_row
 from .trees import Generator, GradedComponent, Tree, enumerate_basis
@@ -93,7 +93,7 @@ class _Columns:
     appearance, so no graded basis is enumerated.  A tree is admitted once,
     when it first appears: it must have the grading and be built from the
     shared generators, which is membership in the graded component.  A map
-    made without generators is an input's shared map (see ``_gradings``),
+    made without generators is an input's shared map (see ``_sides``),
     whose trees were all stamped from that input's validated templates, so
     it admits none.
     """
@@ -133,129 +133,74 @@ def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Rel
     return out
 
 
-_Bases = dict[tuple[int, int], Echelon]
+class _Side:
+    """One side of a span question: a presentation's relations by grading
+    (``graded``), rowed over column maps by grading that both sides share
+    (``columns``, each map made on first use and admitting trees by
+    ``gens`` as ``_Columns`` does), and its echelon basis per grading
+    (``bases``), each made on first use and never grown afterwards.
+
+    A side that extends another (``extends``) holds all of that side's
+    relation objects: its basis in a grading is a copy of the other's
+    grown by its own rows (``own``), so the rows they share are never
+    eliminated for it.  A side that extends none owns all its rows.
+    """
+
+    __slots__ = ("columns", "gens", "graded", "bases", "extends", "own")
+
+    def __init__(self, columns: dict[tuple[int, int], _Columns], p: Presentation,
+                 gens: Optional[frozenset[Generator]] = None, extends: Optional[_Side] = None) -> None:
+        self.columns, self.gens, self.extends = columns, gens, extends
+        self.graded = self.own = _by_grading(p.relations)
+        self.bases: dict[tuple[int, int], Echelon] = {}
+        if extends is not None:
+            held = {id(rel) for rels in extends.graded.values() for rel in rels}
+            self.own = _by_grading(rel for rel in p.relations if id(rel) not in held)
+
+    def basis(self, grading: tuple[int, int]) -> Echelon:
+        """The basis of this side's rows in ``grading``, as kept or made here and kept."""
+        basis = self.bases.get(grading)
+        if basis is None:
+            row = self.columns.setdefault(grading, _Columns(self.gens, grading)).row
+            basis = Echelon() if self.extends is None else self.extends.basis(grading).copy()
+            for rel in self.own.get(grading, ()):
+                basis.add(row(rel))
+            basis = self.bases[grading] = basis.frozen()
+        return basis
 
 
-class _Kept:
-    """What a presentation on one input's shared column maps keeps for the
-    span engine: the input's maps by grading (``columns``), its relations
-    by grading (``graded``) and its echelon basis per grading (``bases``),
-    each basis made on first use and never grown afterwards."""
-
-    __slots__ = ("columns", "graded", "bases")
-
-    def __init__(self, columns: dict[tuple[int, int], _Columns], p: Presentation) -> None:
-        self.columns = columns
-        self.graded = {g: tuple(rels) for g, rels in _by_grading(p.relations).items()}
-        self.bases: _Bases = {}
-
-
-def _keep_bases_over(p: Presentation, columns: dict[tuple[int, int], _Columns]) -> Presentation:
+def _keep_bases_over(p: Presentation, columns: dict[tuple[int, int], _Columns],
+                     extends: Optional[Presentation] = None) -> Presentation:
     """``p``, set to row its relations over ``columns``, one input's column
-    maps by grading, and to keep its echelon basis in each grading.
+    maps by grading, and to keep its side, bases and all, for every span
+    question it is asked.
 
     Only for a presentation each of whose trees was stamped from that
     input's validated templates over ``p``'s own generators: such trees are
-    not admitted again.  What ``p`` keeps lives in its instance dict, which
-    copies and pickles leave behind.
+    not admitted again.  ``extends``, kept over the same maps, is one whose
+    relation objects ``p`` all holds; ``p``'s bases then extend its.  What
+    ``p`` keeps lives in its instance dict, which copies and pickles leave
+    behind.
     """
-    vars(p)["_spans"] = _Kept(columns, p)
+    vars(p)["_spans"] = _Side(columns, p, extends=None if extends is None else vars(extends)["_spans"])
     return p
 
 
-class _Grading(NamedTuple):
-    """The relations of both sides in one grading, split by object identity.
+def _sides(p: Presentation, q: Presentation) -> tuple[_Side, _Side]:
+    """The two sides of a span question about ``p`` and ``q``.
 
-    ``row`` makes a relation's row over the grading's one column map, so the
-    canonical bases of both sides compare.  Callers row ``shared``, then
-    ``mine``, then ``yours``, so a relation outside the component is named
-    as in ``span_components`` whatever the question.  ``kept`` holds the
-    two sides' kept bases when both row over one input's shared map, and
-    is ``None`` when the map was made for this walk.
-    """
-
-    grading: tuple[int, int]
-    row: Callable[[Relation], SparseRow]
-    shared: list[Relation]  # objects on both sides, in the right side's order
-    mine: list[Relation]  # the left side's own
-    yours: list[Relation]  # the right side's own
-    kept: Optional[tuple[_Bases, _Bases]]
-
-
-def _gradings(p: Presentation, q: Presentation) -> Iterator[_Grading]:
-    """Walk the gradings in which either side has a relation, in grading order.
-
-    Two sides on one input's shared column maps (``_keep_bases_over``) row
-    over those and read what they keep; any other pair rows over a fresh
-    map per grading, which admits every tree.
+    Two presentations kept over one input's column maps
+    (``_keep_bases_over``) give the sides they keep; any other pair gets
+    two sides over fresh maps, made for this question, which admit every
+    tree and eliminate both afresh.
     """
     problem = shared_generators_problem(p, q)
     if problem:
         raise ValueError(f"presentations live over different generators: {problem}")
-    p_kept, q_kept = vars(p).get("_spans"), vars(q).get("_spans")
-    if p_kept is not None and q_kept is not None and p_kept.columns is q_kept.columns:
-        columns, kept = p_kept.columns, (p_kept.bases, q_kept.bases)
-        left, right = p_kept.graded, q_kept.graded
-    else:
-        gens, kept = frozenset(p.generators), None
-        left, right = _by_grading(p.relations), _by_grading(q.relations)
-    for grading in sorted(left.keys() | right.keys()):
-        if kept is None:
-            cols = _Columns(gens, grading)
-        else:
-            cols = columns.get(grading)
-            if cols is None:
-                cols = columns[grading] = _Columns(None, grading)
-        mine, yours = left.get(grading, ()), right.get(grading, ())
-        both = {id(rel) for rel in mine}.intersection(map(id, yours))
-        yield _Grading(
-            grading,
-            cols.row,
-            [rel for rel in yours if id(rel) in both],
-            [rel for rel in mine if id(rel) not in both],
-            [rel for rel in yours if id(rel) not in both],
-            kept,
-        )
-
-
-def _extended(base: Echelon, rows: Iterable[SparseRow]) -> Echelon:
-    """A frozen basis of ``base``'s rows and ``rows``; ``base`` is left as it is."""
-    basis = base.copy()
-    for vec in rows:
-        basis.add(vec)
-    return basis.frozen()
-
-
-def _basis(g: _Grading) -> Echelon:
-    """The left side's basis in ``g``, as kept or made here and kept."""
-    left = g.kept[0] if g.kept else {}
-    basis = left.get(g.grading)
-    if basis is None:
-        basis = left[g.grading] = Echelon(map(g.row, g.shared + g.mine)).frozen()
-    return basis
-
-
-def _bases(g: _Grading) -> tuple[Echelon, Echelon]:
-    """Both sides' bases in ``g``: each as kept, or made here and kept.
-
-    A relation object that both sides hold is reduced once: into the kept
-    basis of a side that holds no other relation here, or else into a
-    basis that each side's own rows extend.
-    """
-    grading, row = g.grading, g.row
-    left, right = g.kept or ({}, {})
-    ours, theirs = left.get(grading), right.get(grading)
-    if ours is None or theirs is None:
-        if ours is not None and not g.mine:
-            base = ours
-        elif theirs is not None and not g.yours:
-            base = theirs
-        else:
-            base = Echelon(map(row, g.shared))
-        if ours is None:
-            ours = left[grading] = _extended(base, map(row, g.mine))
-        if theirs is None:
-            theirs = right[grading] = _extended(base, map(row, g.yours))
+    ours, theirs = vars(p).get("_spans"), vars(q).get("_spans")
+    if ours is None or theirs is None or ours.columns is not theirs.columns:
+        columns, gens = {}, frozenset(p.generators)
+        ours, theirs = _Side(columns, p, gens), _Side(columns, q, gens)
     return ours, theirs
 
 
@@ -267,12 +212,13 @@ def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]
     sides on one input's shared map read their kept bases, made on first
     use; any other pair eliminates both sides afresh.
     """
-    for g in _gradings(p, q):
-        ours, theirs = _bases(g)
+    left, right = _sides(p, q)
+    for grading in sorted(left.graded.keys() | right.graded.keys()):
+        ours, theirs = left.basis(grading), right.basis(grading)
         same = ours.rows == theirs.rows
         # The right span lies in the left one iff each of its basis rows does.
         holds = same or all(map(ours.contains, theirs.rows.values()))
-        yield SpanComponent(*g.grading, len(ours), len(theirs), same, holds)
+        yield SpanComponent(*grading, len(ours), len(theirs), same, holds)
 
 
 def equal(report: Iterable[SpanComponent]) -> bool:
@@ -291,27 +237,10 @@ def presentation_span_equal(p: Presentation, q: Presentation) -> bool:
 
 
 def presentation_span_contains(big: Presentation, small: Presentation) -> bool:
-    """True iff every relation of ``small`` lies in the componentwise span of ``big``.
-
-    The verdict of ``contains(span_components(big, small))``, read from
-    ``big``'s basis alone: ``small``'s own rows are reduced against it, and
-    ``small``'s echelon basis is never built.  A grading in which every
-    relation of ``small`` is one of ``big``'s objects eliminates nothing.
-    On one input's shared map ``big``'s basis is the kept one, made on first
-    use.  On a fresh map every relation of both sides is still made a row,
-    so every tree is admitted, up to the first grading that fails.
-    """
-    for g in _gradings(big, small):
-        if not g.yours:
-            if g.kept is None:
-                for rel in g.shared + g.mine:  # rowed to admit its trees, never eliminated
-                    g.row(rel)
-            continue
-        basis = _basis(g)
-        own = list(map(g.row, g.yours))
-        if not all(map(basis.contains, own)):
-            return False
-    return True
+    """True iff every relation of ``small`` lies in the componentwise span of
+    ``big``: ``contains(span_components(big, small))``, which stops at the
+    first grading that fails."""
+    return contains(span_components(big, small))
 
 
 def relation_gradings(relations: Iterable[Relation]) -> list[tuple[int, int]]:

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescaled import GRID, rescaled
-from opdkit.compat import FormalExpansion, build_lin, build_mat, build_tot, expand_formal, support
-from opdkit.presentation import ColorSet, Presentation, Relation, Term, standard_slots
+from opdkit.compat import FormalExpansion, build_lin, build_mat, build_tot, expand_formal
+from opdkit.presentation import ColorSet, Presentation, Relation, Term, standard_slots, support
 from opdkit.trees import Generator, Tree, enumerate_basis
 
 LABELS = st.sampled_from([("1",), ("1", "2"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b")])

@@ -49,7 +49,9 @@ def test_build_with_label_list(capsys):
 
 
 def test_build_rejects_color_labels_the_dsl_cannot_read(capsys):
-    for spec, label in (("a b,c", "'a b'"), ("x(1),y", "'x(1)'"), ("a,-", "'-'")):
+    # Digits outside ASCII are no count: '²' and '٣' are refused as labels.
+    specs = (("a b,c", "'a b'"), ("x(1),y", "'x(1)'"), ("a,-", "'-'"), ("²", "'²'"), ("٣", "'٣'"))
+    for spec, label in specs:
         code, out, err = run(capsys, "build", "mat", str(PRES / "as.opd"), f"--omega={spec}")
         assert code == 2 and out == "", spec
         assert err.startswith("error: color label") and label in err, spec
@@ -83,6 +85,15 @@ def test_build_rejects_a_duplicate_relation_name(capsys, tmp_path):
     code, out, err = run(capsys, "build", "mat", str(bad), "--omega", "2")
     assert code == 2 and out == ""
     assert "duplicate relation name ab" in err
+
+
+def test_build_rejects_a_relation_whose_terms_cancel(capsys, tmp_path):
+    bad = tmp_path / "bad.opd"
+    bad.write_text("operad x\nbinary m\nrelation r: m@2(m@1(x1,x2),x3) - m@2(m@1(x1,x2),x3)\n")
+    for kind in ("lin", "tot"):
+        code, out, err = run(capsys, "build", kind, str(bad), "--omega", "2")
+        assert code == 2 and out == "", kind
+        assert err.startswith("error:") and "relation r: its terms cancel to zero" in err, kind
 
 
 def test_build_missing_file(capsys):
@@ -301,7 +312,7 @@ def test_verify_claims_read_the_options_they_declare():
     assert {option for claim in CLAIMS.values() for option in claim.options} == {"omega", "delta"}
 
 
-@pytest.mark.parametrize("spec", ["a", "0"])
+@pytest.mark.parametrize("spec", ["a", "0", "²", "٣"])
 def test_verify_omega_must_be_a_color_count(capsys, spec):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm-comp", "--omega", spec])
@@ -310,7 +321,7 @@ def test_verify_omega_must_be_a_color_count(capsys, spec):
     assert "argument --omega" in err and repr(spec) in err
 
 
-@pytest.mark.parametrize("spec", ["0", "-1", "a"])
+@pytest.mark.parametrize("spec", ["0", "-1", "a", "²"])
 def test_verify_delta_must_be_an_operator_count(capsys, spec):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "prop-kdualdda", "--delta", spec])

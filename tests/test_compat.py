@@ -20,7 +20,6 @@ from opdkit.compat import (
     build_tot,
     expand_formal,
     relation_count,
-    support,
     verify_lin_encoding,
 )
 from opdkit.linalg import rank, span_equal
@@ -32,6 +31,7 @@ from opdkit.presentation import (
     Term,
     _integers,
     rename_generators,
+    support,
 )
 from opdkit.spans import (
     component_matrix,

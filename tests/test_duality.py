@@ -6,7 +6,7 @@ import pytest
 
 from opdkit.catalog import builtin
 from opdkit.claims import expected_multi_diff_dual
-from opdkit.compat import build_mat, build_tot, support
+from opdkit.compat import build_mat, build_tot
 from opdkit.duality import (
     SELF_DUALITY_BUDGET,
     check_dual_identity,
@@ -17,7 +17,7 @@ from opdkit.duality import (
     shape_sign,
 )
 from opdkit.linalg import DiagonalForm, RationalMatrix, orthogonal_complement, rank, span_equal
-from opdkit.presentation import ColorSet, rename_generators, standard_slots
+from opdkit.presentation import ColorSet, rename_generators, standard_slots, support
 from opdkit.spans import component_matrix, presentation_span_equal
 from opdkit.trees import Generator, Tree, enumerate_basis, leaf, relabel, tree_text
 

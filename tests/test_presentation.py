@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import pickle
 import pytest
+import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from opdkit.presentation import (
 from opdkit.compat import _Template, build_lin, build_mat, build_tot
 from opdkit.linalg import Echelon
 from opdkit.manin import tensor_map
-from opdkit.spans import presentation_span_contains, presentation_span_equal
+from opdkit.spans import presentation_span_contains, presentation_span_equal, span_components
 from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
 
 P = Generator("P", 1)
@@ -53,6 +54,24 @@ def test_slot_arity_mismatch_rejected():
     bad = Presentation("bad", (P,), (M,), (Relation("r", (term1, term2)),))
     report = validate(bad)
     assert any("slot arity mismatch" in p for p in report.problems)
+
+
+def test_a_relation_whose_terms_cancel_is_rejected():
+    assoc = builtin("as")
+    term = assoc.relation("assoc").terms[0]
+    half, zero = (dataclasses.replace(term, coeff=c) for c in (Fraction(1, 2), Fraction(0)))
+    minus = dataclasses.replace(term, coeff=-term.coeff)
+    for terms in ((term, minus), (zero,), (half, half, minus)):
+        bad = dataclasses.replace(assoc, relations=(Relation("r", terms),))
+        assert validate(bad).problems == ["relation r: its terms cancel to zero"], terms
+    # A 0*t term beside terms that stay, or two terms on one pair that sum
+    # to a nonzero coefficient, is no zero relation.
+    for terms in (assoc.relation("assoc").terms + (zero,), (half, half)):
+        assert validate(dataclasses.replace(assoc, relations=(Relation("r", terms),))).ok, terms
+    # Terms on one tree under two slot maps stay apart: the constant
+    # colorings of ``cancel`` have zero span rows and are valid.
+    mat = build_mat(rescaled.two_slot_maps(False), ColorSet.of(2))
+    assert validate(mat).ok and mat.relation("cancel__1,1")
 
 
 def test_validate_mutations_of_catalog():
@@ -457,7 +476,7 @@ def test_span_checks_reject_trees_outside_their_component():
         presentation_span_equal(pres, uneven)
 
 
-def test_containment_verdicts_eliminate_only_the_containing_side(monkeypatch):
+def test_tot_extends_mat_and_a_question_asked_again_eliminates_nothing(monkeypatch):
     adds = []
     add = Echelon.add
 
@@ -468,15 +487,17 @@ def test_containment_verdicts_eliminate_only_the_containing_side(monkeypatch):
     monkeypatch.setattr(Echelon, "add", counted)
     three = ColorSet.of(3)
     for label, p in default_grid():
-        tot, mat, lin = build_tot(p, three), build_mat(p, three), build_lin(p, three)
-        adds.clear()
-        # tot holds mat's relation objects: nothing is left to eliminate.
-        assert presentation_span_contains(tot, mat), label
-        assert not adds, label
-        # Only mat's rows are eliminated; lin's are reduced against them.
+        mat, lin = build_mat(p, three), build_lin(p, three)
         assert presentation_span_contains(mat, lin), label
-        assert len(adds) <= len(mat.relations), label
-        # Asked again, both read the bases they kept: nothing is eliminated.
+        # mat's bases exist: tot's are copies of them grown by its swap rows.
+        tot = build_tot(p, three)
         adds.clear()
-        assert presentation_span_contains(tot, mat) and presentation_span_contains(mat, lin), label
+        assert presentation_span_contains(tot, mat), label
+        assert len(adds) <= len(tot.relations) - len(mat.relations), label
+        # Asked again, every question reads the bases kept: nothing is eliminated.
+        adds.clear()
+        for big, small in ((tot, mat), (mat, lin)):
+            report = list(span_components(big, small))
+            assert presentation_span_contains(big, small), label
+            assert presentation_span_equal(big, small) == all(c.equal for c in report), label
         assert not adds, label
