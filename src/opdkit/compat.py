@@ -36,20 +36,16 @@ trees, keyed by the colors of the tree's vertices, so equal colored trees
 built from one input are one object, and a build's generator list is read
 from the memo's colored copies, so its trees and its generator list hold
 the same objects.  Each finished build is kept there too and returned when
-asked again, so ``build_tot`` holds the very relations of ``build_mat``.
-The state also holds the span engine's column map per grading
-(``columns``): every kept build and every formal side of
-``lin_encoding_sides`` rows its relations over it and keeps its echelon
-basis per grading (``spans._keep_bases_over``), so a span question asked
-again of kept builds eliminates nothing.  tot is kept as extending mat
-(``_kept(extends=build_mat)``), the one place that states it: tot's basis
-in a grading is mat's kept basis grown by the swap rows, so mat's rows
-are never eliminated for tot.  The state is never global: an equal
-presentation built anew starts with none, and nothing is evicted while
-the input lives.  lin, mat and tot at 2..8 colors over ``default_grid()``
-keep 15.0 MiB under tracemalloc (3.6 MiB unkept), and 24.5 MiB once each
-has been asked tot ⊇ mat, mat ⊇ lin and the linear encoding, tot's bases
-among them.
+asked again, so ``build_tot`` holds the very relations of ``build_mat``,
+and a kept build keeps its span bases (see ``spans``) as long as the
+input lives.  ``build_tot`` states that it extends mat
+(``spans._extends``), so tot's basis in a grading is mat's grown by the
+swap rows, and mat's rows are never eliminated for tot.  The state is
+never global: an equal presentation built anew starts with none, and
+nothing is evicted while the input lives.  lin, mat and tot at 2..8
+colors over ``default_grid()`` keep 15.0 MiB under tracemalloc (3.6 MiB
+unkept), and 25.2 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and
+the linear encoding, tot's bases among them.
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ from .presentation import (
     standard_slots,
     support,
 )
-from .spans import _keep_bases_over, presentation_span_equal
+from .spans import _extends, presentation_span_equal
 from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
@@ -226,17 +222,14 @@ class _Compiled:
     per relation, by position.  ``tot_swaps`` holds the total
     construction's swap templates, grouped by weight, once ``_tot_swaps``
     has compiled them.  ``builds`` holds each finished build, keyed by its
-    builder's name and the color labels (see ``_kept``).  ``columns`` is
-    the span engine's column map per grading, each made on first use, over
-    which every kept build and every formal side of ``lin_encoding_sides``
-    rows its relations (``spans._keep_bases_over``).
+    builder's name and the color labels (see ``_kept``).
 
     It is made on first use (``_compiled``) and lives as long as its
     presentation.  It grows with the color labels asked of it: each
     new label adds its colored generators and the colored trees that use it.
     """
 
-    __slots__ = ("memo", "copies", "templates", "tot_swaps", "builds", "columns")
+    __slots__ = ("memo", "copies", "templates", "tot_swaps", "builds")
 
     def __init__(self, p: Presentation) -> None:
         self.memo = memo = {}
@@ -244,7 +237,6 @@ class _Compiled:
         self.templates = tuple([_Template(r.terms, r._integer_coefficients, memo) for r in p.relations])
         self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
         self.builds: dict[tuple[str, tuple[str, ...]], Presentation] = {}
-        self.columns: dict = {}
 
 
 def _compiled(p: Presentation) -> _Compiled:
@@ -267,14 +259,9 @@ def _colored_gens(
     return tuple([g for g in gens if g.arity == 1]), tuple([g for g in gens if g.arity == 2])
 
 
-def _kept(build=None, *, extends=None):
+def _kept(build):
     """``build``, keeping each result in the input's compiled state by the
-    builder's name and the color labels, to return when asked again.  A
-    kept build rows its relations over the input's column maps and keeps
-    its echelon bases.  ``extends`` names the kept builder whose relations
-    each result holds, so the result's bases extend that build's."""
-    if build is None:
-        return functools.partial(_kept, extends=extends)
+    builder's name and the color labels, to return when asked again."""
 
     @functools.wraps(build)
     def kept(p: Presentation, omega: ColorSet) -> Presentation:
@@ -283,8 +270,7 @@ def _kept(build=None, *, extends=None):
         key = (build.__name__, omega.labels)
         built = compiled.builds.get(key)
         if built is None:
-            base = None if extends is None else extends(p, omega)
-            built = compiled.builds[key] = _keep_bases_over(build(p, omega), compiled.columns, base)
+            built = compiled.builds[key] = build(p, omega)
         return built
 
     return kept
@@ -370,7 +356,7 @@ def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
     return [(i, tree) for basis in bases for i, tree in enumerate(basis) if tree not in covered]
 
 
-@_kept(extends=build_mat)
+@_kept
 def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """Totally compatible operad: matching relations plus color swaps.
 
@@ -397,6 +383,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     paper's abstract nor this project's documents settle it; such
     presentations keep the support-tree swaps only, as the Rota-Baxter
     golden file records.
+
+    tot holds mat's relation objects, so its span bases extend mat's.
     """
     mat = build_mat(p, omega)
     extra = []
@@ -407,12 +395,13 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
         for mu, nu in pairs(omega.labels, 2):
             first = (mu, nu) if weight == 2 else (mu, nu, mu)
             extra.extend(template.relation(f"{stem}_{mu},{nu}", (first,)) for stem, template in swaps)
-    return Presentation(
+    tot = Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,
         mat.binary,
         mat.relations + tuple(extra),
     )
+    return _extends(tot, mat, extra)
 
 
 def _tot_swaps(p: Presentation) -> list[tuple[int, list[tuple[str, _Template]]]]:
@@ -497,9 +486,7 @@ def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
 
 def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, Presentation]:
     """All formal-expansion coefficients and the linear construction, as two
-    presentations over the linear construction's generators.  Both row their
-    relations over the input's column maps, so the span engine reads the
-    linear construction's kept bases."""
+    presentations over the linear construction's generators."""
     omega = ColorSet.of(omega)
     lin = build_lin(p, omega)
     extracted = [
@@ -508,7 +495,7 @@ def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, 
         for rel in expansion.coefficients.values()
     ]
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))
-    return _keep_bases_over(formal, _compiled(p).columns), lin
+    return formal, lin
 
 
 def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:

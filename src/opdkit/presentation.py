@@ -12,9 +12,8 @@ This module is the data model: presentations, validation, a relation's
 support, renaming and the table of the weight-2 shapes.  A presentation
 keeps what is derived from it, made on first use and kept as long as the
 presentation lives: its validation report, the builders' compiled state
-(which ``compat`` makes) and, for a kept build, its side of every span
-question (its column maps and echelon bases, tot's grown from mat's, see
-``spans``).  None is a field: equality, hashing, copying and pickling see
+(which ``compat`` makes) and its side of every span question (its
+echelon bases, tot's grown from mat's, see ``spans``).  None is a field: equality, hashing, copying and pickling see
 the fields only.  The span comparison lives in ``spans``, where
 ``presentation_span_equal`` and ``presentation_span_contains`` are the
 two verdicts of its one report, ``span_components``; those two and the
@@ -189,7 +188,7 @@ class Presentation:
     first terms.
 
     The validation report, the builders' compiled state (``compat``'s
-    ``_compiled``) and the span engine's kept state (``spans``'s
+    ``_compiled``) and its side of every span question (``spans``'s
     ``_spans``) are worked out on first use and kept in the instance
     dict; they are not fields.
     """

@@ -7,30 +7,26 @@ integers are: a relation's integer coefficients (``presentation._integers``)
 are coprime, worked out once, and a colored relation takes its template's,
 so a row is its relation's integers as they are.  Only a row in which two
 terms share a tree, or one has coefficient 0, is made content 1 again.
-Each side of a question (``_Side``) holds its relations by grading and
-makes the echelon basis of its own rows in a grading on first use, over a
-column map per grading that both sides share.  ``span_components`` is the
-one walk over the gradings, and reads a full report off the two bases:
-both ranks and whether the spans are equal and whether the left contains
-the right.  ``equal`` and ``contains`` are the only code that reads a
-verdict off such a report, and ``presentation_span_equal`` and
-``presentation_span_contains`` are those two verdicts of the report.
-
-Two presentations that hold one input's column maps take the kept path:
-every kept build of the input and the formal side of
-``lin_encoding_sides`` keep their sides over them (``_keep_bases_over``).
-Their trees were stamped from the input's validated templates over the
-build's own generators, so none is admitted again, and each side keeps
-its echelon basis per grading, made on first use and never grown
-afterwards.  A fully reduced content-1 basis whose pivots are least
-columns is unique for a fixed column order, and a shared map only ever
-adds columns, so a kept basis equals one made afresh and a question
-asked again eliminates nothing.  ``build_tot`` is
-``build_mat`` plus swaps, so tot is kept as extending mat: its basis is a
-copy of mat's kept basis grown by the swap rows, and mat's rows are never
-eliminated for tot.  Any other pair (parsed files, duals, products,
-renamed copies) rows over a fresh map per grading, which admits every
-tree, and eliminates both sides afresh.
+Each presentation keeps its side of every span question (``_Side``, in
+its instance dict under ``_spans``, made on first use): its relations by
+grading and the echelon basis of its own rows per grading, made on first
+use and never grown afterwards.  The rows are over one column map per
+(generator set, grading), which every side over those generators shares
+and which lives as long as some side holds it (``_COLUMNS``).  A tree is
+admitted once, when it first gets a column in its map.  A fully reduced
+content-1 basis whose pivots are least columns is unique for a fixed
+column order, and a map only ever adds columns, so a kept basis equals
+one made afresh and a question asked again eliminates nothing.
+``span_components`` is the one walk over the gradings, and reads a full
+report off the two bases: both ranks and whether the spans are equal and
+whether the left contains the right.  ``equal`` and ``contains`` are the
+only code that reads a verdict off such a report, and
+``presentation_span_equal`` and ``presentation_span_contains`` are those
+two verdicts of the report.  Which side a presentation gets does not
+depend on where it came from, with one exception that its maker states:
+``build_tot`` is ``build_mat`` plus swaps, so tot's side extends mat's
+(``_extends``), and its basis in a grading is a copy of mat's grown by
+the swap rows.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
@@ -41,6 +37,7 @@ look both up by name in ``presentation``, which binds them and the two
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -87,20 +84,18 @@ def _outside_component(rel: Relation) -> ValueError:
 
 
 class _Columns:
-    """Column numbers for the trees that occur in the relations of one grading.
+    """Column numbers for the trees that occur in the relations of one grading
+    over one generator set.
 
     Only trees that some relation uses get a column, in order of first
     appearance, so no graded basis is enumerated.  A tree is admitted once,
     when it first appears: it must have the grading and be built from the
-    shared generators, which is membership in the graded component.  A map
-    made without generators is an input's shared map (see ``_sides``),
-    whose trees were all stamped from that input's validated templates, so
-    it admits none.
+    generators, which is membership in the graded component.
     """
 
-    def __init__(self, gens: Optional[frozenset[Generator]], grading: tuple[int, int]) -> None:
+    def __init__(self, gens: frozenset[Generator], grading: tuple[int, int]) -> None:
         self.gens = gens
-        self.grading = grading
+        self.arity, self.weight = grading
         self.cols: dict[Tree, int] = {}
 
     def row(self, rel: Relation) -> SparseRow:
@@ -110,10 +105,8 @@ class _Columns:
             tree = term.tree
             col = cols.get(tree)
             if col is None:
-                if self.gens is not None and (
-                    (tree.arity, tree.weight) != self.grading
-                    or not self.gens.issuperset(tree.internal_generators())
-                ):
+                if (tree.arity != self.arity or tree.weight != self.weight
+                        or not self.gens.issuperset(tree.internal_generators())):
                     raise _outside_component(rel)
                 col = cols[tree] = len(cols)
             row[col] = row.get(col, 0) + value
@@ -125,6 +118,12 @@ class _Columns:
         return row
 
 
+# The column map of each (generator set, grading) that some side holds.
+_COLUMNS: weakref.WeakValueDictionary[tuple[frozenset[Generator], tuple[int, int]], _Columns] = (
+    weakref.WeakValueDictionary()
+)
+
+
 def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Relation]]:
     out: dict[tuple[int, int], list[Relation]] = {}
     for rel in relations:
@@ -134,90 +133,83 @@ def _by_grading(relations: Iterable[Relation]) -> dict[tuple[int, int], list[Rel
 
 
 class _Side:
-    """One side of a span question: a presentation's relations by grading
-    (``graded``), rowed over column maps by grading that both sides share
-    (``columns``, each map made on first use and admitting trees by
-    ``gens`` as ``_Columns`` does), and its echelon basis per grading
-    (``bases``), each made on first use and never grown afterwards.
+    """One presentation's side of every span question: its relations by
+    grading (``graded``), the column map of each grading it has rowed
+    (``columns``, the one in ``_COLUMNS``, held as long as the side lives)
+    and its echelon basis per grading (``bases``), each made on first use
+    and never grown afterwards.
 
     A side that extends another (``extends``) holds all of that side's
-    relation objects: its basis in a grading is a copy of the other's
-    grown by its own rows (``own``), so the rows they share are never
-    eliminated for it.  A side that extends none owns all its rows.
+    relations and rows only its own (``own``): its basis in a grading is a
+    copy of the other's grown by its own rows.  A side that extends none
+    owns all its rows.
     """
 
-    __slots__ = ("columns", "gens", "graded", "bases", "extends", "own")
+    __slots__ = ("gens", "graded", "own", "extends", "columns", "bases")
 
-    def __init__(self, columns: dict[tuple[int, int], _Columns], p: Presentation,
-                 gens: Optional[frozenset[Generator]] = None, extends: Optional[_Side] = None) -> None:
-        self.columns, self.gens, self.extends = columns, gens, extends
-        self.graded = self.own = _by_grading(p.relations)
+    def __init__(self, p: Presentation, extends: Optional[_Side] = None,
+                 own: Optional[Iterable[Relation]] = None) -> None:
+        self.gens = frozenset(p.generators)
+        self.graded = _by_grading(p.relations)
+        self.own = self.graded if own is None else _by_grading(own)
+        self.extends = extends
+        self.columns: dict[tuple[int, int], _Columns] = {}
         self.bases: dict[tuple[int, int], Echelon] = {}
-        if extends is not None:
-            held = {id(rel) for rels in extends.graded.values() for rel in rels}
-            self.own = _by_grading(rel for rel in p.relations if id(rel) not in held)
 
     def basis(self, grading: tuple[int, int]) -> Echelon:
         """The basis of this side's rows in ``grading``, as kept or made here and kept."""
         basis = self.bases.get(grading)
         if basis is None:
-            row = self.columns.setdefault(grading, _Columns(self.gens, grading)).row
+            columns = self.columns[grading] = _COLUMNS.setdefault(
+                (self.gens, grading), _Columns(self.gens, grading)
+            )
             basis = Echelon() if self.extends is None else self.extends.basis(grading).copy()
             for rel in self.own.get(grading, ()):
-                basis.add(row(rel))
+                basis.add(columns.row(rel))
             basis = self.bases[grading] = basis.frozen()
         return basis
 
 
-def _keep_bases_over(p: Presentation, columns: dict[tuple[int, int], _Columns],
-                     extends: Optional[Presentation] = None) -> Presentation:
-    """``p``, set to row its relations over ``columns``, one input's column
-    maps by grading, and to keep its side, bases and all, for every span
-    question it is asked.
+def _side(p: Presentation) -> _Side:
+    """``p``'s side, made on first use and kept in its instance dict, which
+    copies and pickles leave behind."""
+    side = vars(p).get("_spans")
+    if side is None:
+        side = vars(p)["_spans"] = _Side(p)
+    return side
 
-    Only for a presentation each of whose trees was stamped from that
-    input's validated templates over ``p``'s own generators: such trees are
-    not admitted again.  ``extends``, kept over the same maps, is one whose
-    relation objects ``p`` all holds; ``p``'s bases then extend its.  What
-    ``p`` keeps lives in its instance dict, which copies and pickles leave
-    behind.
-    """
-    vars(p)["_spans"] = _Side(columns, p, extends=None if extends is None else vars(extends)["_spans"])
+
+def _extends(p: Presentation, base: Presentation, own: Iterable[Relation]) -> Presentation:
+    """``p``, whose relations are all of ``base``'s objects plus ``own``,
+    given a side whose bases extend ``base``'s, so that ``base``'s rows are
+    never eliminated for it."""
+    vars(p)["_spans"] = _Side(p, _side(base), own)
     return p
 
 
 def _sides(p: Presentation, q: Presentation) -> tuple[_Side, _Side]:
-    """The two sides of a span question about ``p`` and ``q``.
-
-    Two presentations kept over one input's column maps
-    (``_keep_bases_over``) give the sides they keep; any other pair gets
-    two sides over fresh maps, made for this question, which admit every
-    tree and eliminate both afresh.
-    """
+    """The sides of a span question about ``p`` and ``q``, which must share their generators."""
     problem = shared_generators_problem(p, q)
     if problem:
         raise ValueError(f"presentations live over different generators: {problem}")
-    ours, theirs = vars(p).get("_spans"), vars(q).get("_spans")
-    if ours is None or theirs is None or ours.columns is not theirs.columns:
-        columns, gens = {}, frozenset(p.generators)
-        ours, theirs = _Side(columns, p, gens), _Side(columns, q, gens)
-    return ours, theirs
+    return _side(p), _side(q)
 
 
 def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:
     """Compare the relation spans of ``p`` and ``q``, one grading at a time.
 
     Yields a record for every grading in which either side has a relation,
-    in grading order, so a caller may stop at the first unequal one.  Two
-    sides on one input's shared map read their kept bases, made on first
-    use; any other pair eliminates both sides afresh.
+    in grading order, so a caller may stop at the first unequal one.  Both
+    sides read their kept bases, made on first use.
     """
     left, right = _sides(p, q)
+    # A side's bases extend those of the side it extends, so contain them.
+    grown = left.extends is right
     for grading in sorted(left.graded.keys() | right.graded.keys()):
         ours, theirs = left.basis(grading), right.basis(grading)
         same = ours.rows == theirs.rows
         # The right span lies in the left one iff each of its basis rows does.
-        holds = same or all(map(ours.contains, theirs.rows.values()))
+        holds = same or grown or all(map(ours.contains, theirs.rows.values()))
         yield SpanComponent(*grading, len(ours), len(theirs), same, holds)
 
 

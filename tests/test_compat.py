@@ -493,19 +493,24 @@ def test_copies_of_a_kept_build_take_the_general_path():
     for name, others in clones.items():
         for other in others:
             assert other == kept[name] and set(vars(other)) == {"name", "unary", "binary", "relations"}
-    # The kept builds of an equal input made anew hold column maps of their
-    # own, numbered otherwise: their first question rows tot, not lin.
+    # The kept builds of an equal input made anew are other objects, with
+    # sides of their own; their first question rows tot, not lin.
     twin = builtin("rba0")
     anew = {build.__name__: build(twin, THREE) for build in (build_lin, build_mat, build_tot)}
     assert presentation_span_contains(anew["build_tot"], anew["build_lin"])
-    # A copy against a copy, or against a kept build, shares no column map;
-    # neither do the kept builds of two inputs.
+    # Copies, kept builds and the kept builds of an equal input all live
+    # over one generator set, so every pair shares the column maps.
     for (left, right), answers in questions.items():
         for p, q in zip(clones[left], clones[right]):
             for big, small in ((p, q), (p, kept[right]), (kept[left], q), (anew[left], kept[right])):
                 assert _span_answers(big, small) == answers, (left, right)
-    assert all(set(vars(other)) == {"name", "unary", "binary", "relations"}
-               for others in clones.values() for other in others)
+    # Asked, a copy keeps its own side, over the kept build's column maps.
+    for name, others in clones.items():
+        maps = vars(kept[name])["_spans"].columns
+        for other in others:
+            side = vars(other)["_spans"]
+            assert side is not vars(kept[name])["_spans"] and side.columns.keys() == maps.keys(), name
+            assert all(side.columns[grading] is columns for grading, columns in maps.items()), name
 
 
 # --- finished builds are kept in the input's compiled state ---

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import ast
 import dataclasses
+import gc
 import pickle
 import pytest
 import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opdkit import spans
 from opdkit.catalog import builtin, default_grid
 from opdkit.presentation import (
     ColorSet,
@@ -26,6 +28,7 @@ from opdkit.presentation import (
 from opdkit.compat import _Template, build_lin, build_mat, build_tot
 from opdkit.linalg import Echelon
 from opdkit.manin import tensor_map
+from opdkit.parser import parse_presentation, serialize
 from opdkit.spans import presentation_span_contains, presentation_span_equal, span_components
 from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
 
@@ -501,3 +504,41 @@ def test_tot_extends_mat_and_a_question_asked_again_eliminates_nothing(monkeypat
             assert presentation_span_contains(big, small), label
             assert presentation_span_equal(big, small) == all(c.equal for c in report), label
         assert not adds, label
+
+
+def test_parsed_presentations_asked_again_eliminate_nothing(monkeypatch):
+    adds = []
+    add = Echelon.add
+
+    def counted(self, row):
+        adds.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    three = ColorSet.of(3)
+    for label, p in default_grid():
+        tot, mat, lin = (parse_presentation(serialize(build(p, three))) for build in (build_tot, build_mat, build_lin))
+        assert presentation_span_contains(tot, mat) and presentation_span_contains(mat, lin), label
+        adds.clear()
+        for big, small in ((tot, mat), (mat, lin)):
+            report = list(span_components(big, small))
+            assert presentation_span_contains(big, small), label
+            assert presentation_span_equal(big, small) == all(c.equal for c in report), label
+        assert not adds, label
+
+
+def test_column_maps_live_as_long_as_a_side_holds_them():
+    p = parse_presentation("operad held\nbinary qq\nrelation assoc: qq@2(qq@1(x1,x2),x3) - qq@1(x1,qq@2(x2,x3))\n")
+    two = ColorSet.of(2)
+    tot, mat = build_tot(p, two), build_mat(p, two)
+    assert presentation_span_contains(tot, mat)
+    gens = frozenset(mat.generators)
+    # One map per (generators, grading), and it is the one both sides row over.
+    held = {grading: columns for (key, grading), columns in spans._COLUMNS.items() if key == gens}
+    assert held.keys() == {rel.grading() for rel in tot.relations}
+    assert all(vars(side)["_spans"].columns[grading] is columns
+               for side in (tot, mat) for grading, columns in held.items())
+    # No map outlives the presentations whose sides hold it.
+    del p, tot, mat, held
+    gc.collect()
+    assert not [key for key in list(spans._COLUMNS.keys()) if key[0] == gens]

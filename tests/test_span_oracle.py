@@ -31,6 +31,7 @@ from opdkit.linalg import (
     span_contains,
     span_equal,
 )
+from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import (
     ColorSet,
     Presentation,
@@ -382,17 +383,23 @@ def assert_spans_match_reference(big, small):
         assert c.contains == ref.span_contains(mb, ms)
 
 
-# --- the shared path: the kept builds of one input and its formal side ---
+# --- kept bases: one input's builds and formal side, and copies of them ---
 
-SIDES = ("lin", "mat", "tot", "formal")
+SIDES = ("lin", "mat", "tot", "formal", "tot_copy", "mat_parsed")
 QUESTIONS = ("contains", "equal", "components")
 
 
 def shared_sides(p, colors):
-    """lin, mat, tot and the formal side of ``p``, all on ``p``'s column maps."""
+    """lin, mat, tot and the formal side of ``p``, a copy of tot and mat
+    read back from its text: every side over one generator set, so all
+    share one column map per grading."""
     omega = ColorSet.of(colors)
     formal, lin = lin_encoding_sides(p, omega)
-    return {"lin": lin, "mat": build_mat(p, omega), "tot": build_tot(p, omega), "formal": formal}
+    mat, tot = build_mat(p, omega), build_tot(p, omega)
+    return {
+        "lin": lin, "mat": mat, "tot": tot, "formal": formal,
+        "tot_copy": copy.copy(tot), "mat_parsed": parse_presentation(serialize(mat)),
+    }
 
 
 def ask(question, p, q):
@@ -421,8 +428,11 @@ def reference_answers(label, colors, left, right):
 def assert_kept_bases_are_fresh(p):
     # A kept basis is frozen, and it is the basis of its side's rows in its
     # grading made afresh, however many questions read it, and whether or
-    # not it was grown from the kept basis of a build it extends.
-    kept = vars(p)["_spans"]
+    # not it was grown from the kept basis of a build it extends.  A side
+    # no question has asked keeps nothing.
+    kept = vars(p).get("_spans")
+    if kept is None:
+        return
     for grading, basis in kept.bases.items():
         fresh = Echelon(map(kept.columns[grading].row, kept.graded.get(grading, ())))
         assert basis._rows_at is None and basis.rows == fresh.rows, grading
@@ -435,7 +445,8 @@ def assert_kept_bases_are_fresh(p):
 def test_questions_on_shared_maps_match_the_general_path_and_reference(label, colors, fresh, data):
     # A copy of the input keeps nothing, so its first questions make the
     # bases; the grid's own input keeps what earlier examples made.  The
-    # drawn order lets a basis made for one question be read by another.
+    # drawn order lets a basis made for one question be read by another,
+    # and a copy or a parsed side share the column maps of the kept builds.
     p = copy.copy(GRID[label]) if fresh else GRID[label]
     sides = shared_sides(p, colors)
     question = st.tuples(st.sampled_from(QUESTIONS), st.sampled_from(SIDES), st.sampled_from(SIDES))
