@@ -40,12 +40,15 @@ asked again, so ``build_tot`` holds the very relations of ``build_mat``,
 and a kept build keeps its span bases (see ``spans``) as long as the
 input lives.  ``build_tot`` states that it extends mat
 (``spans._extends``), so tot's basis in a grading is mat's grown by the
-swap rows, and mat's rows are never eliminated for tot.  The state is
-never global: an equal presentation built anew starts with none, and
-nothing is evicted while the input lives.  lin, mat and tot at 2..8
-colors over ``default_grid()`` keep 15.0 MiB under tracemalloc (3.6 MiB
-unkept), and 25.2 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and
-the linear encoding, tot's bases among them.
+swap rows, and mat's rows are never eliminated for tot; only the
+extension is recorded at build time.  A stamped relation carries its
+template's integer coefficients and skeleton (see ``_Template``), so
+neither is worked out again per relation, for spans or for printing.  The
+state is never global: an equal presentation built anew starts with none,
+and nothing is evicted while the input lives.  lin, mat and tot at 2..8
+colors over ``default_grid()`` keep 14.8 MiB under tracemalloc, and
+25.5 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and the linear
+encoding, tot's bases among them.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .presentation import (
     _ordered_relation,
     _set,
     _term,
+    _terms_skeleton,
     replicate_problem,
     require_valid,
     standard_slots,
@@ -138,9 +142,13 @@ class _Template:
     ``integers`` are the terms' coprime integer coefficients.  ``reads``
     gives, per term, the slots its vertices read their colors from, when
     they are not the term's own slots (see ``_swap``).
+
+    A stamped relation's integer coefficients and skeleton depend only on
+    which template term stands at each place: ``_stamps`` keeps them per
+    such order, worked out for its first stamp.
     """
 
-    __slots__ = ("_parts", "_integers", "_ranks", "_ties", "_in_order", "_integer_rows")
+    __slots__ = ("_parts", "_integers", "_ranks", "_ties", "_in_order", "_stamps")
 
     def __init__(
         self, terms: Sequence[Term], integers: tuple[int, ...], memo: dict,
@@ -177,15 +185,18 @@ class _Template:
             for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
                 self._ties[i] = place
         self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
-        # Sorted stamps with equal integer coefficients share one tuple.
-        self._integer_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # The template term at each place of a stamp (None: template order)
+        # -> the stamp's integer coefficients and skeleton, which every
+        # stamp with that order shares.
+        self._stamps: dict[Optional[tuple[int, ...]], tuple[tuple[int, ...], str]] = {}
 
     def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
         """The relation ``name`` whose terms are those of every coloring.
 
         Its integer coefficients are the template's, in the order of its
         terms: as they are for one coloring in template order, else
-        repeated per coloring and permuted as the terms are.
+        repeated per coloring and permuted as the terms are.  Its skeleton
+        is the one of the first stamp with its terms in that order.
         """
         terms = []
         for colors in colorings:
@@ -197,7 +208,7 @@ class _Template:
                     tree = trees[vertex_colors] = _flat_tree(shape, gens)
                 # The template checked the term: it is made without Term's check.
                 terms.append(_term(coeff, tree, slots))
-        ints = self._integers
+        places = None
         if len(colorings) > 1 or not self._in_order:
             n = len(colorings)
             keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
@@ -205,11 +216,17 @@ class _Template:
             terms = [terms[i] for i in order]
             # Through a list: a tuple built from an iterator grows by
             # reallocation, which raised span-ladder's peak RSS by 0.5 MiB.
-            repeated = ints * n
-            ints = tuple([repeated[i] for i in order])
-            ints = self._integer_rows.setdefault(ints, ints)
+            m = len(self._parts)
+            places = tuple([i % m for i in order])
+        stamp = self._stamps.get(places)
+        if stamp is None:
+            ints = self._integers
+            if places is not None:
+                ints = tuple([ints[i] for i in places])
+            stamp = self._stamps[places] = (ints, _terms_skeleton(terms))
         rel = _ordered_relation(name, tuple(terms))
-        _set(rel, "_integer_coefficients", ints)
+        _set(rel, "_integer_coefficients", stamp[0])
+        _set(rel, "_skeleton", stamp[1])
         return rel
 
 
@@ -323,15 +340,21 @@ _SWAP_23 = {1: 1, 2: 3, 3: 2}
 _SWAPS = {2: (("", _SWAP_12),), 3: (("a", _SWAP_12), ("b", _SWAP_23))}
 
 
+# The coefficients of a swap's two terms, shared by every swap.
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) -> _Template:
     """The swap t(first) - t(second) of one slotted tree, as a template that
     is stamped by ``first``.
 
     ``second`` is ``first`` with the colors of the slots that ``swap``
     exchanges exchanged, so both terms are ``tree`` with ``slots`` and the
-    second one's vertices read their colors from the swapped slots.
+    second one's vertices read their colors from the swapped slots.  The
+    tree and slots come from a checked relation or ``standard_slots``, so
+    the terms are made unchecked.
     """
-    terms = (Term(Fraction(1), tree, slots), Term(Fraction(-1), tree, slots))
+    terms = (_term(_ONE, tree, slots), _term(_MINUS_ONE, tree, slots))
     return _Template(terms, (1, -1), memo, (slots, tuple([swap[s] for s in slots])))
 
 

@@ -22,19 +22,18 @@ import math
 from typing import Optional
 
 from .compat import CompatKind, build_compatible
-from .linalg import Echelon, integer_row
+from .linalg import Echelon, primitive_row
 from .presentation import (
     _WEIGHT_TWO_SHAPES,
     ColorSet,
     Presentation,
     Relation,
-    Term,
+    _term,
     rename_generators,
     require_valid,
-    standard_slots,
 )
 from .spans import SpanComponent, presentation_span_equal, span_components
-from .trees import Tree, _require, enumerate_basis, relabel
+from .trees import Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
     "shape_sign",
@@ -68,11 +67,18 @@ def dual_problem(p: Presentation) -> Optional[str]:
 
 
 def koszul_dual(p: Presentation) -> Presentation:
-    """T(E*)/<R^perp> for a quadratic presentation, componentwise by arity."""
+    """T(E*)/<R^perp> for a quadratic presentation, componentwise by arity.
+
+    A relation's row is its coprime integer coefficients times the pairing
+    signs of their trees' columns (``shape_sign``), an integer row of
+    content 1 unless two terms share a tree.  Once ``p`` is valid and
+    quadratic, each dual basis tree is its tree's shape over the dual
+    generators, one per generator, made once and unchecked, and carries the
+    standard slots of its shape.
+    """
     require_valid(p)
     _require(dual_problem(p))
-    dual_unary = tuple(g.dual() for g in p.unary)
-    dual_binary = tuple(g.dual() for g in p.binary)
+    dual_of = {g: g.dual() for g in p.generators}.__getitem__
 
     rels: list[Relation] = []
     for arity in (1, 2, 3):
@@ -80,22 +86,31 @@ def koszul_dual(p: Presentation) -> Presentation:
         if component.dimension == 0:
             continue
         index = component.index()
-        relations = Echelon(
-            integer_row((index[t.tree], t.coeff * shape_sign(t.tree)) for t in rel.terms)
-            for rel in p.relations
-            if rel.arity == arity
-        )
+        signs = [shape_sign(t) for t in component.basis]
+        rows = []
+        for rel in p.relations:
+            if rel.arity != arity:
+                continue
+            row = {}
+            for t, value in zip(rel.terms, rel._integer_coefficients):
+                col = index[t.tree]
+                row[col] = row.get(col, 0) + signs[col] * value
+            # Unmerged nonzero entries are the coprime integers up to sign,
+            # a content-1 row (as in ``spans._Columns.row``).
+            if len(row) < len(rel.terms) or 0 in row.values():
+                row = primitive_row(row)
+            rows.append(row)
+        relations = Echelon(rows)
         dual_basis = [
-            relabel(t, (g.dual() for g in t.internal_generators()))
+            (_flat_tree(t.shape, tuple(map(dual_of, t._gens))), _WEIGHT_TWO_SHAPES[t.shape][1])
             for t in component.basis
         ]
         for i, vec in enumerate(relations.complement(component.dimension)):
-            terms = tuple(
-                Term(coeff, dual_basis[c], standard_slots(dual_basis[c]))
-                for c, coeff in vec.items()
-            )
+            terms = tuple(_term(coeff, *dual_basis[c]) for c, coeff in vec.items())
             rels.append(Relation(f"dual_a{arity}_{i}", terms))
-    return Presentation(f"dual_{p.name}", dual_unary, dual_binary, tuple(rels))
+    return Presentation(
+        f"dual_{p.name}", tuple(map(dual_of, p.unary)), tuple(map(dual_of, p.binary)), tuple(rels)
+    )
 
 
 # The most renamings ``self_duality`` tries; a larger search is refused from

@@ -27,9 +27,9 @@ import itertools
 from typing import Collection, Literal, Optional, Sequence
 
 from .duality import koszul_dual, shape_sign
-from .presentation import Presentation, Relation, Term, rename_generators, require_valid, standard_slots
+from .presentation import Presentation, Relation, Term, _term, rename_generators, require_valid, standard_slots
 from .spans import SpanComponent, equal, span_components
-from .trees import Generator, _require, relabel, split_generator_token
+from .trees import Generator, _flat_tree, _require, split_generator_token
 
 __all__ = [
     "ProductKind",
@@ -196,9 +196,12 @@ def _product(ours: dict, theirs: dict, tmap: dict) -> list[Term]:
 
     The product of a·t and b·u is the shape of t decorated in preorder by
     the tensors ``tmap`` of the generator pairs of t and u, with coefficient
-    a·b and standard slots; ``ours`` carries the pairing signs.
+    a·b and standard slots; ``ours`` carries the pairing signs.  The
+    factors passed ``product_problem``, so ``tmap`` has every pair, of
+    binary tensors, and each tree is made unchecked.
     """
     terms = []
+    tensor = tmap.__getitem__
     for shape, (tree, group) in ours.items():
         if shape not in theirs:
             continue
@@ -206,8 +209,8 @@ def _product(ours: dict, theirs: dict, tmap: dict) -> list[Term]:
         partners = theirs[shape][1]
         for a, gp in group:
             for b, gq in partners:
-                gens = map(tmap.__getitem__, zip(gp, gq))
-                terms.append(Term(a * b, relabel(tree, gens), slots))
+                decorated = _flat_tree(shape, tuple(map(tensor, zip(gp, gq))))
+                terms.append(_term(a * b, decorated, slots))
     return terms
 
 

@@ -26,8 +26,10 @@ gives ``{}@2({}@1(x1,x2),x3) - {}@1(x1,{}@2(x2,x3))``.  The generator
 texts must be declared tokens.  A (skeleton, arities) pair is read once,
 by the token loop in a parser of its own, on the skeleton filled with
 stand-in generators of those arities, and the reading, each term's
-coefficient, shape and slots in written order, is kept only if printing
-those terms gives the skeleton back.  This is sound: the stand-in line
+coefficient, shape and slots in written order and the terms' coprime
+integer coefficients, is kept only if printing those terms gives the
+skeleton back.  A relation read so, its terms in canonical order, carries
+that skeleton and those integers.  This is sound: the stand-in line
 differs from the real line only in generator tokens of equal arity, which
 the token loop reads only for their arity, and the relation name must be
 a DSL relation name, which the token loop reads as written.  The readings
@@ -46,16 +48,25 @@ collects its flat form (the node kinds and the generators in preorder) and
 its slots and builds the tree once.  Source spans are worked out only for
 an error, by matching that line again.
 
-Printing reads each generator's stored text.  A relation's terms print as
-one skeleton, each term's coefficient written from its numerator and
-denominator and then the format string of its (shape, slots), which is
-filled with the generators' texts; the canonical-line reader checks its
-readings against that same skeleton.
+Both formats print a relation from its skeleton (``Relation._skeleton``,
+``presentation._terms_skeleton``): each term's coefficient written from
+its numerator and denominator and then the format string of its (shape,
+slots).  A relation carries it as derived state: a colored relation gets
+its template's, a canonical line read here gets the skeleton it was just
+checked against, and any other relation works it out on first print.  The
+DSL fills the skeleton with the generators' stored texts.
 
 JSON text is written directly in the layout of ``json.dumps(doc,
-indent=2)``, whose indented form runs json's pure-Python encoder; strings
-go through the C escaper that ``json.dumps`` uses under ``ensure_ascii``.
-The tests pin the output byte for byte against ``json.dumps``.
+indent=2)``, whose indented form runs json's pure-Python encoder.  A
+relation's terms array is its skeleton's layout (``_json_layout``), made
+once per distinct skeleton and kept in a ``functools`` cache: per term, the
+coefficient the skeleton writes, the tree's format string without its
+slots and the slots it writes, with ``{}`` for each generator, filled with
+the generators' texts.  Strings go through the C escaper that
+``json.dumps`` uses under ``ensure_ascii``; generator texts need it only
+when they hold a character outside printable ASCII, a quote or a
+backslash.  ``presentation_to_json`` builds the document itself, and the
+tests pin the output byte for byte against ``json.dumps`` of it.
 """
 
 from __future__ import annotations
@@ -66,16 +77,25 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Optional, Sequence
+from typing import Optional
 
-from .presentation import _RELATION_NAME, Presentation, Relation, Term, _ordered_relation, _term
+from .presentation import (
+    _RELATION_NAME,
+    Presentation,
+    Relation,
+    Term,
+    _integers,
+    _ordered_relation,
+    _set,
+    _term,
+    _terms_skeleton,
+)
 from .trees import (
     _KIND_LEAF,
     _NAME_PATTERN,
     Generator,
     _flat_tree,
     _is_leaf_name,
-    _text_template,
     split_generator_token,
     tree_text,
 )
@@ -232,9 +252,11 @@ class _Parser:
         arities = tuple(map(self.arity_of.get, names))
         if None in arities:
             return None
-        parts = _skeleton_terms("{}@".join(pieces[0::2]), arities)
-        if parts is None:
+        skeleton = "{}@".join(pieces[0::2])
+        reading = _skeleton_terms(skeleton, arities)
+        if reading is None:
             return None
+        parts, ints = reading
         by_token = self.by_token
         terms = []
         keys = []  # each term's Term.sort_key, flattened
@@ -244,9 +266,15 @@ class _Parser:
             tree = _flat_tree(shape, tuple(map(by_token.__getitem__, names[start:end])))
             terms.append(_term(coeff, tree, slots))
             keys.append((tree.arity, tree.weight, shape, tree._keys, slots, coeff))
-        # Terms as serialize writes them are in canonical order already.
+        # Terms as serialize writes them are in canonical order already, and
+        # then their skeleton and integer coefficients are the reading's.
         if sorted(keys) == keys:
-            return _ordered_relation(name, tuple(terms))
+            rel = _ordered_relation(name, tuple(terms))
+            # In the order every maker sets them, so that relations share
+            # their instance dicts' keys.
+            _set(rel, "_integer_coefficients", ints)
+            _set(rel, "_skeleton", skeleton)
+            return rel
         return Relation(name, tuple(terms))
 
     def _relation(self, tokens: list[str]) -> Relation:
@@ -389,7 +417,8 @@ _STAND_INS = {1: Generator("u", 1), 2: Generator("b", 2)}
 def _skeleton_terms(skeleton: str, arities: tuple[int, ...]) -> Optional[tuple]:
     """The token loop's reading of the relation terms ``skeleton`` with its
     ``{}``s filled by generators of ``arities``: per term, in written order,
-    its coefficient, shape and slots; ``None`` unless the loop reads the
+    its coefficient, shape and slots, and the terms' coprime integer
+    coefficients (``_integers``); ``None`` unless the loop reads the
     skeleton filled with stand-in generators and printing the terms read
     gives the skeleton back."""
     parts = skeleton.split("{}")
@@ -407,29 +436,11 @@ def _skeleton_terms(skeleton: str, arities: tuple[int, ...]) -> Optional[tuple]:
         return None
     if _terms_skeleton(terms) != skeleton:
         return None
-    return tuple([(term.coeff, term.tree.shape, term.slots) for term in terms])
+    return tuple([(term.coeff, term.tree.shape, term.slots) for term in terms]), tuple(_integers(terms))
 
 
 def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse()
-
-
-def _terms_skeleton(terms: Sequence[Term]) -> str:
-    """The DSL text of a relation's terms with ``{}`` for each generator:
-    each slotted tree's format string after its sign and, unless it is 1,
-    its coefficient's magnitude."""
-    parts = []
-    for term in terms:
-        num, den = term.coeff.numerator, term.coeff.denominator
-        body = _text_template(term.tree.shape, term.slots)
-        if den != 1:
-            body = f"{abs(num)}/{den}*{body}"
-        elif num != 1 and num != -1:
-            body = f"{abs(num)}*{body}"
-        parts.append(("- " if num < 0 else "+ ") + body)
-    text = " ".join(parts)
-    # The first term's sign is bare: "-" for a negative one, none otherwise.
-    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def serialize(p: Presentation, fmt: str = "dsl") -> str:
@@ -445,8 +456,8 @@ def serialize(p: Presentation, fmt: str = "dsl") -> str:
     if p.binary:
         lines.append("binary " + " ".join([g.text for g in p.binary]))
     for rel in p.relations:
-        texts = [g.text for term in rel.terms for g in term.tree.internal_generators()]
-        lines.append(f"relation {rel.name}: " + _terms_skeleton(rel.terms).format(*texts))
+        texts = [g.text for term in rel.terms for g in term.tree._gens]
+        lines.append(f"relation {rel.name}: " + rel._skeleton.format(*texts))
     return "\n".join(lines) + "\n"
 
 
@@ -483,21 +494,50 @@ def _json_array(items: list[str], indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
+# A term of a skeleton: its coefficient's magnitude, unless it is 1, then
+# its slotted tree's format string.
+_SKELETON_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\*)?(.*)")
+_SLOT = re.compile(r"@([0-9]+)")
+
+
+@lru_cache(maxsize=4096)
+def _json_layout(skeleton: str) -> str:
+    """The JSON terms array of a relation whose skeleton is ``skeleton``, as
+    ``_json_text`` lays it out, with ``{}`` for each generator's escaped
+    text: per term, the coefficient is the sign and magnitude the skeleton
+    writes, the tree is its format string without the slots, and the slots
+    are the ones it writes after each ``@``."""
+    words = skeleton.split(" ")  # a term, then a sign and a term per further term
+    signs = ["-" if words[0][0] == "-" else ""] + ["-" if sign == "-" else "" for sign in words[1::2]]
+    terms = []
+    for sign, word in zip(signs, [words[0].removeprefix("-")] + words[2::2]):
+        magnitude, tree = _SKELETON_TERM.fullmatch(word).groups()
+        slots = _json_array(_SLOT.findall(tree), "          ")
+        terms.append(
+            f'{{{{\n          "coeff": "{sign}{magnitude or 1}",'
+            f'\n          "tree": "{_SLOT.sub("", tree)}",'
+            f'\n          "slots": {slots}'
+            "\n        }}"
+        )
+    return _json_array(terms, "      ")
+
+
+# Generator texts that JSON writes as they are: printable ASCII but '"' and '\\'.
+_JSON_PLAIN = re.compile(r'[ !#-\[\]-~]*')
+
+
 def _json_text(p: Presentation) -> str:
-    """``json.dumps(presentation_to_json(p), indent=2) + "\\n"``, written directly."""
+    """``json.dumps(presentation_to_json(p), indent=2) + "\\n"``, written
+    directly: each relation's terms array is its skeleton's layout filled
+    with its generators' texts."""
     relations = []
     for rel in p.relations:
-        # A coefficient's text is ASCII digits, '-' and '/': nothing to escape.
-        terms = [
-            f'{{\n          "coeff": "{term.coeff}",'
-            f'\n          "tree": {_json_string(tree_text(term.tree))},'
-            f'\n          "slots": {_json_array([str(s) for s in term.slots], "          ")}'
-            "\n        }"
-            for term in rel.terms
-        ]
+        texts = [g.text for term in rel.terms for g in term.tree._gens]
+        if not _JSON_PLAIN.fullmatch("".join(texts)):
+            texts = [_json_string(text)[1:-1] for text in texts]
         relations.append(
             f'{{\n      "name": {_json_string(rel.name)},'
-            f'\n      "terms": {_json_array(terms, "      ")}\n    }}'
+            f'\n      "terms": {_json_layout(rel._skeleton).format(*texts)}\n    }}'
         )
     unary = _json_array([_json_string(g.text) for g in p.unary], "  ")
     binary = _json_array([_json_string(g.text) for g in p.binary], "  ")

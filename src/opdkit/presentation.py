@@ -9,17 +9,24 @@ term to term (as in a commutator).  The colorings themselves are made in
 ``compat``, the one module that compiles and stamps them.
 
 This module is the data model: presentations, validation, a relation's
-support, renaming and the table of the weight-2 shapes.  A presentation
-keeps what is derived from it, made on first use and kept as long as the
-presentation lives: its validation report, the builders' compiled state
-(which ``compat`` makes) and its side of every span question (its
-echelon bases, tot's grown from mat's, see ``spans``).  None is a field: equality, hashing, copying and pickling see
-the fields only.  The span comparison lives in ``spans``, where
-``presentation_span_equal`` and ``presentation_span_contains`` are the
-two verdicts of its one report, ``span_components``; those two and the
-other two of its names that the benchmark's tracer and workloads and the
-acceptance gate look up here are bound too, though not listed in
-``__all__``.
+support, renaming and the table of the weight-2 shapes.  A relation keeps
+two values derived from its terms, each worked out on first use unless its
+maker sets it: its coprime integer coefficients (``_integer_coefficients``,
+which span rows and the Koszul dual read) and its skeleton (``_skeleton``,
+its DSL text with ``{}`` for each generator, which printing reads).  A
+colored relation takes both from its template, a relation line the parser
+read takes the skeleton it checked, and a renamed relation whose terms keep
+their order takes its source's.  A presentation keeps what is derived from
+it, made on first use and kept as long as the presentation lives: its
+validation report, the builders' compiled state (which ``compat`` makes)
+and its side of every span question (its echelon bases, tot's grown from
+mat's, see ``spans``).  None of these is a field: equality, hashing,
+copying, pickling and ``dataclasses.replace`` see the fields only.  The
+span comparison lives in ``spans``, where ``presentation_span_equal`` and
+``presentation_span_contains`` are the two verdicts of its one report,
+``span_components``; those two and the other two of its names that the
+benchmark's tracer and workloads and the acceptance gate look up here are
+bound too, though not listed in ``__all__``.
 """
 
 from __future__ import annotations
@@ -45,9 +52,10 @@ from .trees import (
     Generator,
     Tree,
     _is_leaf_name,
+    _flat_tree,
     _require,
+    _text_template,
     color_label_problem,
-    relabel,
     split_generator_token,
     tree_key,
 )
@@ -147,8 +155,17 @@ class Relation:
         """
         return tuple(_integers(self.terms))
 
+    @cached_property
+    def _skeleton(self) -> str:
+        """The terms' DSL text with ``{}`` for each generator (``_terms_skeleton``).
+
+        Worked out on first print; a colored relation gets its template's
+        and a parsed one the skeleton of the line it was read from.
+        """
+        return _terms_skeleton(self.terms)
+
     def __getstate__(self) -> dict:
-        # Pickle the fields only, as before the integer coefficients existed.
+        # Pickle the fields only, as before the derived values existed.
         return {"name": self.name, "terms": self.terms}
 
 
@@ -166,6 +183,24 @@ def _ordered_relation(name: str, terms: tuple[Term, ...]) -> Relation:
 
 
 _relation_name = attrgetter("name")
+
+
+def _terms_skeleton(terms: Sequence[Term]) -> str:
+    """The DSL text of a relation's terms with ``{}`` for each generator:
+    each slotted tree's format string after its sign and, unless it is 1,
+    its coefficient's magnitude."""
+    parts = []
+    for term in terms:
+        num, den = term.coeff.numerator, term.coeff.denominator
+        body = _text_template(term.tree.shape, term.slots)
+        if den != 1:
+            body = f"{abs(num)}/{den}*{body}"
+        elif num != 1 and num != -1:
+            body = f"{abs(num)}*{body}"
+        parts.append(("- " if num < 0 else "+ ") + body)
+    text = " ".join(parts)
+    # The first term's sign is bare: "-" for a negative one, none otherwise.
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _integers(terms: Sequence[Term]) -> list[int]:
@@ -462,16 +497,32 @@ def rename_problem(p: Presentation, mapping: Mapping[Generator, Generator]) -> O
 def rename_generators(
     p: Presentation, mapping: Mapping[Generator, Generator]
 ) -> Presentation:
-    """Structurally identical presentation over renamed generators."""
+    """Structurally identical presentation over renamed generators.
+
+    The map is checked once (``rename_problem``), so each renamed tree is
+    its source's shape over the images of its generators, made unchecked,
+    and each term keeps its coefficient and slots.  A relation whose
+    renamed terms keep their order keeps the values its order fixes, its
+    integer coefficients and skeleton, where its source has them.
+    """
     _require(rename_problem(p, mapping))
-
-    def rename_term(term: Term) -> Term:
-        new_gens = (mapping[g] for g in term.tree.internal_generators())
-        return Term(term.coeff, relabel(term.tree, new_gens), term.slots)
-
+    # Only p's generators, whose arities the check compared, are renamed.
+    image = {g: mapping[g] for g in p.generators}.__getitem__
+    relations = []
+    for r in p.relations:
+        terms = tuple([
+            _term(t.coeff, _flat_tree(t.tree.shape, tuple(map(image, t.tree._gens))), t.slots)
+            for t in r.terms
+        ])
+        rel = Relation(r.name, terms)
+        if rel.terms is terms:  # the order is kept, and so are the values it fixes
+            for key in ("_integer_coefficients", "_skeleton"):
+                if key in vars(r):
+                    _set(rel, key, vars(r)[key])
+        relations.append(rel)
     return Presentation(
         p.name,
-        tuple(mapping[g] for g in p.unary),
-        tuple(mapping[g] for g in p.binary),
-        tuple(Relation(r.name, tuple(map(rename_term, r.terms))) for r in p.relations),
+        tuple(map(image, p.unary)),
+        tuple(map(image, p.binary)),
+        tuple(relations),
     )

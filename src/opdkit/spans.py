@@ -26,7 +26,9 @@ two verdicts of the report.  Which side a presentation gets does not
 depend on where it came from, with one exception that its maker states:
 ``build_tot`` is ``build_mat`` plus swaps, so tot's side extends mat's
 (``_extends``), and its basis in a grading is a copy of mat's grown by
-the swap rows.
+the swap rows.  A side groups its relations by grading on its first
+question, so a build never asked one, as ``opdkit build`` prints it,
+groups nothing.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
 ``relation_gradings`` are not used by the program: the tests keep the first
@@ -142,24 +144,36 @@ class _Side:
     A side that extends another (``extends``) holds all of that side's
     relations and rows only its own (``own``): its basis in a grading is a
     copy of the other's grown by its own rows.  A side that extends none
-    owns all its rows.
+    owns all its rows.  Making a side records these only; the relations
+    are grouped by grading and the generator set frozen on its first
+    question (``ready``), so a presentation never asked one groups nothing.
     """
 
-    __slots__ = ("gens", "graded", "own", "extends", "columns", "bases")
+    __slots__ = ("gens", "relations", "graded", "own", "extends", "columns", "bases")
 
     def __init__(self, p: Presentation, extends: Optional[_Side] = None,
                  own: Optional[Iterable[Relation]] = None) -> None:
-        self.gens = frozenset(p.generators)
-        self.graded = _by_grading(p.relations)
-        self.own = self.graded if own is None else _by_grading(own)
+        self.gens = p.generators
+        self.relations = p.relations
+        self.graded: Optional[dict[tuple[int, int], list[Relation]]] = None
+        self.own = own
         self.extends = extends
         self.columns: dict[tuple[int, int], _Columns] = {}
         self.bases: dict[tuple[int, int], Echelon] = {}
+
+    def ready(self) -> _Side:
+        """This side, its relations grouped by grading and its generator set frozen."""
+        if self.graded is None:
+            self.gens = frozenset(self.gens)
+            self.graded = _by_grading(self.relations)
+            self.own = self.graded if self.own is None else _by_grading(self.own)
+        return self
 
     def basis(self, grading: tuple[int, int]) -> Echelon:
         """The basis of this side's rows in ``grading``, as kept or made here and kept."""
         basis = self.bases.get(grading)
         if basis is None:
+            self.ready()
             columns = self.columns[grading] = _COLUMNS.setdefault(
                 (self.gens, grading), _Columns(self.gens, grading)
             )
@@ -182,7 +196,7 @@ def _side(p: Presentation) -> _Side:
 def _extends(p: Presentation, base: Presentation, own: Iterable[Relation]) -> Presentation:
     """``p``, whose relations are all of ``base``'s objects plus ``own``,
     given a side whose bases extend ``base``'s, so that ``base``'s rows are
-    never eliminated for it."""
+    never eliminated for it.  Only the extension is recorded here."""
     vars(p)["_spans"] = _Side(p, _side(base), own)
     return p
 
@@ -192,7 +206,7 @@ def _sides(p: Presentation, q: Presentation) -> tuple[_Side, _Side]:
     problem = shared_generators_problem(p, q)
     if problem:
         raise ValueError(f"presentations live over different generators: {problem}")
-    return _side(p), _side(q)
+    return _side(p).ready(), _side(q).ready()
 
 
 def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:

@@ -11,11 +11,14 @@ when linear combinations of trees are turned into coefficient vectors.  A
 generator stores its hash, sort key and DSL text when it is built.  A tree
 is stored flat, as its shape and its generators in preorder, with its
 arity, weight, hash and sort keys derived from them once; ``tree_key``
-reads them without a walk.  ``relabel`` (renaming, dualizing, the Manin
-products) and coloring (``compat._Template``) build each tree in one step
-from a template's shape and new generators; composition splices flat
-forms.  ``basis_dimension`` counts a graded basis in closed form, so a
-size can be known, and refused, before any tree is built.
+reads them without a walk.  ``_flat_tree`` is the one place that builds a
+tree, so a tree's hash is one function of its flat form however it was
+made.  ``Tree``, ``compose`` and ``relabel`` check their input and then
+call it; coloring (``compat._Template``), the parser's canonical lines,
+the Koszul dual, the Manin products and renaming call it directly, with a
+shape they read off a tree that passed and generators whose arities their
+own checks compared.  ``basis_dimension`` counts a graded basis in closed
+form, so a size can be known, and refused, before any tree is built.
 
 A tree's text is one format string per shape, or per (shape, slots) for
 the slotted form of the DSL, filled with its generators' stored texts;

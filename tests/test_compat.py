@@ -30,6 +30,7 @@ from opdkit.presentation import (
     Relation,
     Term,
     _integers,
+    _terms_skeleton,
     rename_generators,
     support,
 )
@@ -109,10 +110,12 @@ def stamped_relations(p, omega):
 def test_stamped_integer_coefficients_are_the_coprime_integers_of_the_terms(label, p):
     # A stamped relation takes its integer coefficients from its template,
     # permuted as its terms were; they must be what its terms give afresh.
+    # So must its skeleton, the one of the first stamp with that order.
     for n in (1, 2, 3):
         for rel in stamped_relations(p, ColorSet.of(n)):
             assert rel._integer_coefficients == tuple(_integers(rel.terms)), (n, rel.name)
             assert gcd(*rel._integer_coefficients) == 1, (n, rel.name)
+            assert vars(rel)["_skeleton"] == _terms_skeleton(rel.terms), (n, rel.name)
 
 
 @pytest.mark.parametrize("label, p", STAMP_INPUTS[::2], ids=[label for label, _ in STAMP_INPUTS[::2]])
@@ -587,6 +590,9 @@ def test_color_symmetry_of_lin_and_tot():
                     g: Generator(g.name, g.arity, sigma[g.color], g.dualized)
                     for g in built.generators
                 }
-                assert presentation_span_equal(
-                    rename_generators(built, mapping), built
-                ), (key, build.__name__, perm)
+                renamed = rename_generators(built, mapping)
+                assert presentation_span_equal(renamed, built), (key, build.__name__, perm)
+                # A renamed relation keeps its source's skeleton only where
+                # its terms keep their order.
+                for rel in renamed.relations:
+                    assert rel._skeleton == _terms_skeleton(rel.terms), (key, build.__name__, perm)

@@ -1,6 +1,7 @@
 """Manin square products and the product-duality identity."""
 
 import pytest
+import rescaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from opdkit.manin import (
     white_square,
 )
 from opdkit.parser import parse_presentation
-from opdkit.presentation import ColorSet, Presentation, rename_generators
+from opdkit.presentation import ColorSet, Presentation, rename_generators, validate
 from opdkit.spans import presentation_span_equal, span_components
 from opdkit.trees import basis_dimension
 
@@ -292,3 +293,46 @@ def test_tensor_colors_refuses_a_tensor_of_a_tensor(side, name):
     assert tensor_colors_problem(tensor_map(e, f).values()) == message
     with pytest.raises(ValueError, match="is a tensor of a tensor"):
         colorize_tensor_map(e, f)
+
+
+# --- what is made unchecked validates ---
+
+PRODUCTS = {
+    "black": black_square,
+    "white_dual": lambda p, q: white_square(p, q, "white_dual"),
+    "white_literal": lambda p, q: white_square(p, q, "white_literal"),
+}
+
+
+def _made_unchecked(p, q):
+    """The duals of ``p`` and of its builds at 1-3 colors and, when ``p`` and
+    ``q`` are binary, every product of ``p`` with ``q`` either way round and,
+    when ``p`` has one generator, the tensor-colors rename of every product
+    of a build of ``p`` with ``q``: all of them make their trees and terms
+    without checking them."""
+    builds = [build(p, n) for build in (build_lin, build_mat, build_tot) for n in (1, 2, 3)]
+    yield from map(koszul_dual, [p] + builds)
+    if p.unary or q.unary:
+        return
+    for product in PRODUCTS.values():
+        yield product(p, q)
+        yield product(q, p)
+        if len(p.binary) == 1:
+            for built in builds:
+                yield rename_generators(product(built, q), colorize_tensor_map(built.binary, q.binary))
+
+
+@pytest.mark.parametrize("label", sorted(label for label, p in rescaled.GRID.items() if p.is_quadratic))
+@settings(max_examples=5, deadline=None)
+@given(scaled=st.booleans(), data=st.data())
+def test_duals_products_and_renames_validate(label, scaled, data):
+    # Duals, products and renames build trees and terms unchecked once their
+    # inputs pass; whatever they make must pass validate, on the catalog
+    # inputs and on inputs whose relations are rescaled.
+    p, q = rescaled.GRID[label], builtin(data.draw(st.sampled_from(["as", "dend"])))
+    if scaled:
+        p, q = rescaled.rescaled(data, p), rescaled.rescaled(data, q)
+    made = list(_made_unchecked(p, q))
+    assert made
+    for r in made:
+        assert validate(r).ok, (label, r.name, str(validate(r)))

@@ -17,7 +17,7 @@ from opdkit.compat import build_lin, build_mat, build_tot
 from opdkit.duality import koszul_dual
 from opdkit.manin import black_square, white_square
 from opdkit.parser import ParseError, parse_presentation, presentation_to_json, serialize
-from opdkit.presentation import ColorSet, validate
+from opdkit.presentation import ColorSet, _integers, _terms_skeleton, validate
 from opdkit.trees import split_generator_token
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,6 +309,11 @@ def test_random_presentations_roundtrip(seed):
     text = serialize(pres)
     assert parse_presentation(text) == pres
     assert serialize(parse_presentation(text)) == text
+    # Each canonical line read carries the skeleton it was checked against
+    # and the integer coefficients of its reading.
+    for rel in parse_presentation(text).relations:
+        assert vars(rel)["_skeleton"] == _terms_skeleton(rel.terms), rel.name
+        assert vars(rel)["_integer_coefficients"] == tuple(_integers(rel.terms)), rel.name
 
 
 # --- JSON text against json.dumps ---
@@ -324,11 +329,18 @@ def _quadratic_catalog() -> list[Presentation]:
     return [p for p in grid if all(rel.weight == 2 for rel in p.relations)]
 
 
+def _assert_skeletons(p: Presentation) -> None:
+    """Every relation of ``p`` prints from the skeleton of its terms."""
+    for rel in p.relations:
+        assert rel._skeleton == _terms_skeleton(rel.terms), (p.name, rel.name)
+
+
 def test_json_matches_json_dumps_on_koszul_duals():
     duals = [koszul_dual(p) for p in _quadratic_catalog()]
     assert len(duals) >= 5
     for dual in duals:
         assert serialize(dual, "json") == _json_reference(dual), dual.name
+        _assert_skeletons(dual)
 
 
 def test_json_matches_json_dumps_on_products():
@@ -338,6 +350,20 @@ def test_json_matches_json_dumps_on_products():
             for product in (black_square(left, right), white_square(left, right, "white_dual"),
                             white_square(left, right, "white_literal")):
                 assert serialize(product, "json") == _json_reference(product), (a, b)
+                _assert_skeletons(product)
+
+
+@pytest.mark.parametrize("label, p", default_grid(), ids=[label for label, _ in default_grid()])
+def test_json_matches_json_dumps_on_builds_and_their_parsed_round_trips(label, p):
+    # Builds print from their stamped skeletons, parsed ones from the
+    # skeletons of the lines read; both share layouts between relations.
+    for build in (build_lin, build_mat, build_tot):
+        for n in (2, 3):
+            built = build(p, ColorSet.of(n))
+            parsed = parse_presentation(serialize(built))
+            for q in (built, parsed):
+                assert serialize(q, "json") == _json_reference(q), (label, build.__name__, n)
+                _assert_skeletons(q)
 
 
 def test_json_writes_empty_lists():

@@ -5,6 +5,7 @@ from math import gcd
 from pathlib import Path
 
 import ast
+import copy
 import dataclasses
 import gc
 import pickle
@@ -21,6 +22,7 @@ from opdkit.presentation import (
     Relation,
     Term,
     _integers,
+    _terms_skeleton,
     rename_generators,
     replicate,
     validate,
@@ -304,6 +306,9 @@ def test_integers_are_coprime_and_a_positive_multiple_of_the_coefficients(coeffs
     assert ratio > 0 and ints == [ratio * c for c in coeffs]
 
 
+DERIVED = ("_integer_coefficients", "_skeleton")
+
+
 def test_colored_relations_pickle_and_compare_as_their_fields():
     rel = builtin("rba0").relation("rb")
     scales = (Fraction(1, 2), Fraction(-3), Fraction(2, 3))
@@ -314,12 +319,22 @@ def test_colored_relations_pickle_and_compare_as_their_fields():
     plain = Relation(colored.name, colored.terms)
     assert pickle.dumps(colored) == pickle.dumps(plain)
     assert (colored, hash(colored), repr(colored)) == (plain, hash(plain), repr(plain))
-    # The stamped integer coefficients are the ones worked out afresh.
+    # The stamped integer coefficients and skeleton are the ones worked out afresh.
+    assert all(key in vars(colored) for key in DERIVED)
     assert colored._integer_coefficients == plain._integer_coefficients
-    copy = pickle.loads(pickle.dumps(colored))
-    assert copy == colored and "_integer_coefficients" not in vars(copy)
-    assert copy._integer_coefficients == colored._integer_coefficients
-    assert pickle.dumps(copy) == pickle.dumps(plain)
+    assert colored._skeleton == plain._skeleton == _terms_skeleton(colored.terms)
+    copies = (pickle.loads(pickle.dumps(colored)), copy.copy(colored), copy.deepcopy(colored),
+              dataclasses.replace(colored))
+    for other in copies:
+        assert other == colored and not any(key in vars(other) for key in DERIVED)
+        assert other._integer_coefficients == colored._integer_coefficients
+        assert other._skeleton == colored._skeleton
+        assert pickle.dumps(other) == pickle.dumps(plain)
+    # A copy with other terms works out its own values, never the source's.
+    negated = tuple(dataclasses.replace(t, coeff=-2 * t.coeff) for t in colored.terms)
+    other = dataclasses.replace(colored, terms=negated)
+    assert other._skeleton == _terms_skeleton(negated) != colored._skeleton
+    assert other._integer_coefficients == tuple(-v for v in colored._integer_coefficients)
 
 
 def test_removed_helpers_are_gone_from_the_api():
@@ -504,6 +519,29 @@ def test_tot_extends_mat_and_a_question_asked_again_eliminates_nothing(monkeypat
             assert presentation_span_contains(big, small), label
             assert presentation_span_equal(big, small) == all(c.equal for c in report), label
         assert not adds, label
+
+
+def test_build_tot_groups_no_relations_until_a_span_question(monkeypatch, capsys):
+    # build_tot records that tot extends mat; neither side groups its
+    # relations by grading before its first question.
+    from opdkit import cli
+
+    grouped = []
+    by_grading = spans._by_grading
+
+    def counted(relations):
+        grouped.append(relations)
+        return by_grading(relations)
+
+    monkeypatch.setattr(spans, "_by_grading", counted)
+    path = Path(__file__).resolve().parent.parent / "src" / "opdkit" / "data" / "d1d2.opd"
+    for fmt in ("dsl", "json"):
+        assert cli.main(["build", "tot", str(path), "--omega", "3", "--format", fmt]) == 0
+    assert capsys.readouterr().out and not grouped
+    p = builtin("rba0")
+    tot = build_tot(p, ColorSet.of(2))
+    assert not grouped
+    assert presentation_span_contains(tot, build_mat(p, ColorSet.of(2))) and grouped
 
 
 def test_parsed_presentations_asked_again_eliminate_nothing(monkeypatch):
