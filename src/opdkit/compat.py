@@ -67,7 +67,6 @@ from .presentation import (
     Relation,
     Term,
     _ordered_relation,
-    _set,
     _term,
     _terms_skeleton,
     replicate_problem,
@@ -144,8 +143,8 @@ class _Template:
     they are not the term's own slots (see ``_swap``).
 
     A stamped relation's integer coefficients and skeleton depend only on
-    which template term stands at each place: ``_stamps`` keeps them per
-    such order, worked out for its first stamp.
+    the order its terms are sorted into: ``_stamps`` keeps them per order,
+    worked out for its first stamp.
     """
 
     __slots__ = ("_parts", "_integers", "_ranks", "_ties", "_in_order", "_stamps")
@@ -185,9 +184,9 @@ class _Template:
             for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
                 self._ties[i] = place
         self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
-        # The template term at each place of a stamp (None: template order)
-        # -> the stamp's integer coefficients and skeleton, which every
-        # stamp with that order shares.
+        # The order a stamp's terms are sorted into (None: as stamped) ->
+        # its integer coefficients and skeleton, which every stamp sorted
+        # so shares.
         self._stamps: dict[Optional[tuple[int, ...]], tuple[tuple[int, ...], str]] = {}
 
     def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
@@ -208,26 +207,22 @@ class _Template:
                     tree = trees[vertex_colors] = _flat_tree(shape, gens)
                 # The template checked the term: it is made without Term's check.
                 terms.append(_term(coeff, tree, slots))
-        places = None
+        order = None
         if len(colorings) > 1 or not self._in_order:
             n = len(colorings)
             keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
-            order = sorted(range(len(terms)), key=keys.__getitem__)
+            order = tuple(sorted(range(len(terms)), key=keys.__getitem__))
             terms = [terms[i] for i in order]
-            # Through a list: a tuple built from an iterator grows by
-            # reallocation, which raised span-ladder's peak RSS by 0.5 MiB.
-            m = len(self._parts)
-            places = tuple([i % m for i in order])
-        stamp = self._stamps.get(places)
+        stamp = self._stamps.get(order)
         if stamp is None:
             ints = self._integers
-            if places is not None:
-                ints = tuple([ints[i] for i in places])
-            stamp = self._stamps[places] = (ints, _terms_skeleton(terms))
-        rel = _ordered_relation(name, tuple(terms))
-        _set(rel, "_integer_coefficients", stamp[0])
-        _set(rel, "_skeleton", stamp[1])
-        return rel
+            if order is not None:
+                # Through a list: a tuple built from an iterator grows by
+                # reallocation, which raised span-ladder's peak RSS by 0.5 MiB.
+                repeated = ints * len(colorings)
+                ints = tuple([repeated[i] for i in order])
+            stamp = self._stamps[order] = (ints, _terms_skeleton(terms))
+        return _ordered_relation(name, tuple(terms), *stamp)
 
 
 class _Compiled:

@@ -86,7 +86,6 @@ from .presentation import (
     Term,
     _integers,
     _ordered_relation,
-    _set,
     _term,
     _terms_skeleton,
 )
@@ -269,12 +268,7 @@ class _Parser:
         # Terms as serialize writes them are in canonical order already, and
         # then their skeleton and integer coefficients are the reading's.
         if sorted(keys) == keys:
-            rel = _ordered_relation(name, tuple(terms))
-            # In the order every maker sets them, so that relations share
-            # their instance dicts' keys.
-            _set(rel, "_integer_coefficients", ints)
-            _set(rel, "_skeleton", skeleton)
-            return rel
+            return _ordered_relation(name, tuple(terms), ints, skeleton)
         return Relation(name, tuple(terms))
 
     def _relation(self, tokens: list[str]) -> Relation:

@@ -15,7 +15,7 @@ maker sets it: its coprime integer coefficients (``_integer_coefficients``,
 which span rows and the Koszul dual read) and its skeleton (``_skeleton``,
 its DSL text with ``{}`` for each generator, which printing reads).  A
 colored relation takes both from its template, a relation line the parser
-read takes the skeleton it checked, and a renamed relation whose terms keep
+read takes both from its reading, and a renamed relation whose terms keep
 their order takes its source's.  A presentation keeps what is derived from
 it, made on first use and kept as long as the presentation lives: its
 validation report, the builders' compiled state (which ``compat`` makes)
@@ -173,12 +173,18 @@ _new_relation = Relation.__new__
 _set = object.__setattr__
 
 
-def _ordered_relation(name: str, terms: tuple[Term, ...]) -> Relation:
+def _ordered_relation(
+    name: str, terms: tuple[Term, ...], integers: tuple[int, ...], skeleton: str
+) -> Relation:
     """``Relation(name, terms)`` without its sort, for terms already in
-    canonical order."""
+    canonical order, with their integer coefficients and skeleton, which
+    its maker knows: a colored relation's template, or the parser's
+    reading of the line."""
     rel = _new_relation(Relation)
     _set(rel, "name", name)
     _set(rel, "terms", terms)
+    _set(rel, "_integer_coefficients", integers)
+    _set(rel, "_skeleton", skeleton)
     return rel
 
 
