@@ -17,7 +17,7 @@ from .compat import (
     build_lin,
     build_mat,
     build_tot,
-    expand_formal,
+    replicate,
     verify_lin_encoding,
 )
 from .duality import check_dual_identity, is_self_dual, koszul_dual, self_duality
@@ -28,7 +28,6 @@ from .presentation import (
     Relation,
     Term,
     rename_generators,
-    replicate,
     support,
     validate,
 )

@@ -13,16 +13,19 @@ the replicated generators are built, with increasingly strict relations:
   colors of two slots; for a quadratic presentation, every weight-2 tree
   carries the swap, not only the support trees (see ``build_tot``).
 
-``expand_formal``/``verify_lin_encoding`` mechanize the argument that the
-linear construction encodes exactly the algebras closed under arbitrary
+``lin_encoding_sides``/``verify_lin_encoding`` mechanize the argument that
+the linear construction encodes exactly the algebras closed under arbitrary
 linear combinations of the replicated operations: substituting a formal sum
 sum_w c_w g#w into every slot and collecting coefficients of each monomial
 in the c's must yield the same componentwise span as the linear relations.
-The expansion stamps the same colorings from the same templates as
-``build_lin``, so it is not independent of it (the two agree term for term
-up to names); ``tests/test_build_oracle.py::reference_expansion`` is.
+The formal side groups every product coloring of a relation by its
+multiset, where ``build_lin`` takes the distinct orderings of each
+multiset; it stamps them from the same templates, so it is not independent
+of ``build_lin`` (the two agree term for term up to names);
+``tests/test_build_oracle.py::reference_expansion`` is.
 
-This module is the only one that knows how a coloring is made.  Each
+This module is the only one that knows how a coloring is made, and
+``replicate`` is the one way to the colored generators.  Each
 relation is compiled once into a template (``_Template``) and every
 coloring is stamped from it; each swap is a template of one tree, stamped
 for every pair of colors.  The templates, the swaps and the coloring memo
@@ -30,15 +33,15 @@ they share are the presentation's compiled state (``_Compiled``, reached
 through ``_compiled``), made by the first build from a presentation
 object and kept in its instance dict as long as that object lives.  So every
 build from one input, at any color count, shares them: ``build_tot`` with
-a ``build_mat`` of the same input, ``expand_formal`` with ``build_lin``, a
-3-color build with a 2-color one.  The memo maps each tree to its colored
+a ``build_mat`` of the same input, the formal side with ``build_lin``,
+a 3-color build with a 2-color one.  The memo maps each tree to its colored
 trees, keyed by the colors of the tree's vertices, so equal colored trees
 built from one input are one object, and a build's generator list is read
-from the memo's colored copies, so its trees and its generator list hold
-the same objects.  Each finished build is kept there too and returned when
-asked again, so ``build_tot`` holds the very relations of ``build_mat``,
-and a kept build keeps its span bases (see ``spans``) as long as the
-input lives.  ``build_tot`` states that it extends mat
+from the memo's colored copies (``replicate``), so its trees and its
+generator list hold the same objects.  Each finished build is kept there
+too and returned when asked again, so ``build_tot`` holds the very
+relations of ``build_mat``, and a kept build keeps its span bases (see
+``spans``) as long as the input lives.  ``build_tot`` states that it extends mat
 (``spans._extends``), so tot's basis in a grading is mat's grown by the
 swap rows, and mat's rows are never eliminated for tot; only the
 extension is recorded at build time.  A stamped relation carries its
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import getitem, itemgetter
@@ -80,13 +82,12 @@ from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
 __all__ = [
     "CompatKind",
     "KINDS",
-    "FormalExpansion",
     "build_lin",
     "build_mat",
     "build_tot",
     "build_compatible",
     "relation_count",
-    "expand_formal",
+    "replicate",
     "lin_encoding_sides",
     "verify_lin_encoding",
 ]
@@ -262,12 +263,17 @@ def _compiled(p: Presentation) -> _Compiled:
     return state
 
 
-def _colored_gens(
-    omega: ColorSet, compiled: _Compiled
-) -> tuple[tuple[Generator, ...], tuple[Generator, ...]]:
-    """g#w for every generator g, then every color w, as ``replicate`` lists
-    them, taken from the memo that the colored trees take theirs from."""
-    gens = [copies[w] for copies in compiled.copies for w in omega.labels]
+def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
+    """The colored generator family: g#w for every generator g, then every
+    color w, taken from the memo that the colored trees take theirs from, so
+    every build of ``p`` over ``omega`` lists these very objects."""
+    labels = ColorSet.of(omega).labels
+    return [copies[w] for copies in _compiled(p).copies for w in labels]
+
+
+def _colored_gens(p: Presentation, omega: ColorSet) -> tuple[tuple[Generator, ...], tuple[Generator, ...]]:
+    """``replicate(p, omega)``, unary then binary."""
+    gens = replicate(p, omega)
     return tuple([g for g in gens if g.arity == 1]), tuple([g for g in gens if g.arity == 2])
 
 
@@ -291,11 +297,10 @@ def _kept(build):
 @_kept
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
-    compiled = _compiled(p)
-    unary, binary = _colored_gens(omega, compiled)
+    unary, binary = _colored_gens(p, omega)
     rels = [
         template.relation(f"{rel.name}__{','.join(colors)}", (colors,))
-        for rel, template in zip(p.relations, compiled.templates)
+        for rel, template in zip(p.relations, _compiled(p).templates)
         for colors in itertools.product(omega.labels, repeat=rel.weight)
     ]
     return Presentation(f"mat_{p.name}__{'_'.join(omega.labels)}", unary, binary, tuple(rels))
@@ -315,10 +320,9 @@ def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
 def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     """Linearly compatible operad: one relation per color monomial of each
     relation, the sum of its distinct orderings."""
-    compiled = _compiled(p)
-    unary, binary = _colored_gens(omega, compiled)
+    unary, binary = _colored_gens(p, omega)
     rels = []
-    for rel, template in zip(p.relations, compiled.templates):
+    for rel, template in zip(p.relations, _compiled(p).templates):
         for colors in itertools.combinations_with_replacement(omega.labels, rel.weight):
             # The coefficient of c_mu c_nu ... is the sum over all distinct
             # orderings of the colors; the orderings are not individually
@@ -473,45 +477,25 @@ def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class FormalExpansion:
-    """Coefficients of one relation after substituting formal sums into slots.
+def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, Presentation]:
+    """The formal side and the linear construction, as two presentations
+    over the linear construction's generators.
 
-    Keys are color monomials (sorted tuples of labels, one per slot); values
-    are the extracted homogeneous relations in the colored generators.
-    """
-
-    relation: str
-    coefficients: dict[tuple[str, ...], Relation]
-
-
-def expand_formal(p: Presentation, omega: ColorSet) -> list[FormalExpansion]:
-    """Substitute sum_w c_w g#w into every slot and collect by monomial in the c's."""
-    compiled = _compiled(p)
+    The formal side substitutes sum_w c_w g#w into every slot of each
+    relation and collects the coefficient of each color monomial: one
+    relation ``<relation>__c_<sorted colors, joined by .>`` per monomial,
+    the sum of every coloring whose sorted colors it is."""
     omega = ColorSet.of(omega)
-    out = []
-    for rel, template in zip(p.relations, compiled.templates):
+    lin = build_lin(p, omega)
+    extracted = []
+    for rel, template in zip(p.relations, _compiled(p).templates):
         buckets: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for colors in itertools.product(omega.labels, repeat=rel.weight):
             buckets.setdefault(tuple(sorted(colors)), []).append(colors)
-        coefficients = {
-            monomial: template.relation(f"{rel.name}__c_{'.'.join(monomial)}", colorings)
+        extracted.extend(
+            template.relation(f"{rel.name}__c_{'.'.join(monomial)}", colorings)
             for monomial, colorings in sorted(buckets.items())
-        }
-        out.append(FormalExpansion(rel.name, coefficients))
-    return out
-
-
-def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, Presentation]:
-    """All formal-expansion coefficients and the linear construction, as two
-    presentations over the linear construction's generators."""
-    omega = ColorSet.of(omega)
-    lin = build_lin(p, omega)
-    extracted = [
-        rel
-        for expansion in expand_formal(p, omega)
-        for rel in expansion.coefficients.values()
-    ]
+        )
     formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))
     return formal, lin
 

@@ -69,7 +69,6 @@ __all__ = [
     "validate",
     "generator_text_problem",
     "replicate_problem",
-    "replicate",
     "rename_problem",
     "rename_generators",
     "standard_slots",
@@ -453,12 +452,6 @@ def replicate_problem(p: Presentation) -> Optional[str]:
         if "~" in g.name:
             return f"cannot replicate tensor generator {g.text}: color the factors before the product"
     return None
-
-
-def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
-    """The colored generator family: one copy g#w of every generator per color."""
-    _require(replicate_problem(p))
-    return [g.colored(w) for g in p.generators for w in omega]
 
 
 # The six weight-2 shapes, keyed by ``Tree.shape`` (0 unary, 1 binary,

@@ -160,7 +160,6 @@ class Generator:
 # leaves, unary before binary, so e.g. the left comb precedes the right comb
 # and m(P(x1),x2) precedes m(x1,P(x2)).  A vertex's kind is its arity - 1.
 _KIND_UNARY = 0
-_KIND_BINARY = 1
 _KIND_LEAF = 2
 
 

@@ -3,13 +3,13 @@
 This is the elimination ``opdkit.linalg`` used before its sparse kernel:
 pivot columns taken left to right over dense gcd-reduced integer rows, and
 containment decided by reducing dense Fraction rows against the reduced
-basis.  It shares no code with the kernel it checks.
+basis.  It shares no code with the kernel it checks: it imports nothing
+from ``opdkit`` and takes a matrix as its rows, each a sequence of
+rationals, and its width, which an empty matrix still has.
 """
 
 from fractions import Fraction
 from math import gcd
-
-from opdkit.linalg import RationalMatrix
 
 
 def _row_content(row):
@@ -21,9 +21,9 @@ def _row_content(row):
     return g
 
 
-def _integer_rows(m):
+def _integer_rows(rows):
     out = []
-    for row in m.rows:
+    for row in rows:
         scale = 1
         for x in row:
             scale = scale * x.denominator // gcd(scale, x.denominator)
@@ -35,12 +35,13 @@ def _integer_rows(m):
     return out
 
 
-def rref(m):
-    """Reduced row echelon form and the pivot columns."""
-    rows = _integer_rows(m)
+def rref(rows, cols):
+    """The rows of the reduced row echelon form, as tuples of Fractions, and
+    the pivot columns."""
+    rows = _integer_rows(rows)
     pivots = []
     pr = 0
-    for col in range(m.cols):
+    for col in range(cols):
         pivot_row = None
         for r in range(pr, len(rows)):
             if rows[r][col]:
@@ -64,26 +65,27 @@ def rref(m):
     reduced = tuple(
         tuple(Fraction(v, rows[r][pivots[r]]) for v in rows[r]) for r in range(pr)
     )
-    return RationalMatrix(reduced, m.cols), tuple(pivots)
+    return reduced, tuple(pivots)
 
 
-def rank(m):
-    return len(rref(m)[1])
+def rank(rows, cols):
+    return len(rref(rows, cols)[1])
 
 
-def nullspace(m):
-    reduced, pivots = rref(m)
+def nullspace(rows, cols):
+    """The rows of a basis of the null space, one per free column."""
+    reduced, pivots = rref(rows, cols)
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * m.cols
+        vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
         for r, p in enumerate(pivots):
-            vec[p] = -reduced.rows[r][free]
+            vec[p] = -reduced[r][free]
         basis.append(tuple(vec))
-    return RationalMatrix(tuple(basis), m.cols)
+    return tuple(basis)
 
 
 def _reduce_against(row, reduced, pivots):
@@ -92,15 +94,16 @@ def _reduce_against(row, reduced, pivots):
     for r, p in enumerate(pivots):
         c = vec[p]
         if c:
-            basis_row = reduced.rows[r]
+            basis_row = reduced[r]
             vec = [x - c * y for x, y in zip(vec, basis_row)]
     return not any(vec)
 
 
-def span_contains(a, b):
-    reduced, pivots = rref(a)
-    return all(_reduce_against(row, reduced, pivots) for row in b.rows)
+def span_contains(a, b, cols):
+    """Whether the rows ``b`` lie in the span of the rows ``a``, both ``cols`` wide."""
+    reduced, pivots = rref(a, cols)
+    return all(_reduce_against(row, reduced, pivots) for row in b)
 
 
-def span_equal(a, b):
-    return rref(a)[0].rows == rref(b)[0].rows
+def span_equal(a, b, cols):
+    return rref(a, cols)[0] == rref(b, cols)[0]

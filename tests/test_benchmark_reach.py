@@ -1,14 +1,16 @@
-"""Every opdkit name the benchmark and the acceptance gate look up resolves.
+"""Every opdkit name the benchmark, the acceptance gate and CI look up resolves.
 
 ``perfbench/tracer.py`` wraps functions it names as (module, name) pairs,
-and ``perfbench/workloads.py`` reads attributes through module aliases.  A
-refactor that moves one of these names must fail here, in the tier-1 tests,
-not only in a traced benchmark run.  The files are read with ``ast``, so
-nothing of ``perfbench`` is imported or run.
+``perfbench/workloads.py`` reads attributes through module aliases, and
+the CI workflow runs inline Python that imports from opdkit.  A refactor
+that moves one of these names must fail here, in the tier-1 tests, not
+only in a traced benchmark run or in CI.  The Python files are read with
+``ast`` and the workflow as text, so nothing of them is imported or run.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -63,7 +65,28 @@ def _acceptance_imports() -> list[tuple[str, str]]:
     ]
 
 
-READERS = {"tracer": _tracer_targets, "workloads": _workload_reads, "acceptance": _acceptance_imports}
+# ``from opdkit[.module] import a, b`` in the workflow's shell and heredoc
+# lines; the names end at what a name list cannot hold (``;``, ``'``, a
+# line break).
+_WORKFLOW_IMPORT = re.compile(r"\bfrom\s+(opdkit(?:\.\w+)*)\s+import\s+(\w+(?:\s*,\s*\w+)*)")
+
+
+def _workflow_imports() -> list[tuple[str, str]]:
+    """Every (module, name) that ``.github/workflows/tests.yml`` imports from opdkit."""
+    text = (ROOT / ".github/workflows/tests.yml").read_text()
+    found = _WORKFLOW_IMPORT.findall(text)
+    # A form the pattern misses (a parenthesized list, say) must not slip by.
+    imports = re.findall(r"\bfrom\s+opdkit(?:\.\w+)*\s+import\b", text)
+    assert len(found) == len(imports), "unread opdkit import in tests.yml"
+    return [(module, name.strip()) for module, names in found for name in names.split(",")]
+
+
+READERS = {
+    "tracer": _tracer_targets,
+    "workloads": _workload_reads,
+    "acceptance": _acceptance_imports,
+    "workflow": _workflow_imports,
+}
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))

@@ -18,11 +18,11 @@ from opdkit.compat import (
     build_lin,
     build_mat,
     build_tot,
-    expand_formal,
+    lin_encoding_sides,
     relation_count,
     verify_lin_encoding,
 )
-from opdkit.linalg import rank, span_equal
+from opdkit.linalg import rank
 from opdkit.parser import serialize
 from opdkit.presentation import (
     ColorSet,
@@ -102,8 +102,7 @@ STAMP_INPUTS = [
 def stamped_relations(p, omega):
     for kind in ("linear", "matching", "total"):
         yield from build_compatible(kind, p, omega).relations
-    for expansion in expand_formal(p, omega):
-        yield from expansion.coefficients.values()
+    yield from lin_encoding_sides(p, omega)[0].relations
 
 
 @pytest.mark.parametrize("label, p", STAMP_INPUTS, ids=[label for label, _ in STAMP_INPUTS])
@@ -157,16 +156,22 @@ def _slot_colors(term):
     return tuple(colors[slot] for slot in sorted(colors))
 
 
+def _formal_coefficients(p, omega):
+    """The formal side of ``p`` over ``omega`` by (relation, color monomial),
+    read from each relation's name ``<relation>__c_<a.b...>``."""
+    out = {}
+    for rel in lin_encoding_sides(p, omega)[0].relations:
+        relation, _, monomial = rel.name.rpartition("__c_")
+        out[relation, tuple(monomial.split("."))] = rel
+    return out
+
+
 @pytest.mark.parametrize("omega", [1, 2, 3, ("b", "a", "c")])
 def test_build_lin_relations_are_the_formal_coefficients(omega):
     # Exact oracle: each linear relation is, term for term, the coefficient
     # of its color monomial after substituting formal sums into the slots.
     for label, pres in _coefficient_grid():
-        want = {
-            (e.relation, monomial): rel.terms
-            for e in expand_formal(pres, omega)
-            for monomial, rel in e.coefficients.items()
-        }
+        want = {key: rel.terms for key, rel in _formal_coefficients(pres, omega).items()}
         got = {}
         for rel in build_lin(pres, omega).relations:
             monomials = {tuple(sorted(_slot_colors(t))) for t in rel.terms}
@@ -356,37 +361,33 @@ def test_build_tot_cubic_keeps_support_swaps():
         assert not any(rel.name.startswith("swap__") for rel in tot.relations), label
 
 
-def test_expand_formal_monomials():
-    expansions = expand_formal(builtin("rba0"), TWO)
-    by_name = {e.relation: e for e in expansions}
-    rb = by_name["rb"]
-    assert set(rb.coefficients) == {
+def test_formal_side_monomials():
+    pres = builtin("rba0")
+    coefficients = _formal_coefficients(pres, TWO)
+    assert {monomial for relation, monomial in coefficients if relation == "rb"} == {
         ("1", "1", "1"),
         ("1", "1", "2"),
         ("1", "2", "2"),
         ("2", "2", "2"),
     }
     # diagonal monomial is the constant-color copy
-    diag = rb.coefficients[("1", "1", "1")]
-    gens = [g for g in build_mat(builtin("rba0"), TWO).generators]
-    from opdkit.compat import build_mat as _bm
-
-    constant = _bm(builtin("rba0"), TWO).relation("rb__1,1,1")
-    _, a = component_matrix(gens, [diag], 2, 3)
-    _, b = component_matrix(gens, [constant], 2, 3)
-    assert span_equal(a, b)
+    diag = coefficients["rb", ("1", "1", "1")]
+    mat = build_mat(pres, TWO)
+    assert presentation_span_equal(
+        Presentation("diag", mat.unary, mat.binary, (diag,)),
+        Presentation("constant", mat.unary, mat.binary, (mat.relation("rb__1,1,1"),)),
+    )
     # the square monomial carries 9 terms: three colorings of three trees
-    assert len(rb.coefficients[("1", "1", "2")].terms) == 9
+    assert len(coefficients["rb", ("1", "1", "2")].terms) == 9
 
 
-def test_expand_formal_assoc_mixed_is_elementwise_sum():
-    expansions = expand_formal(builtin("as"), TWO)
-    mixed = expansions[0].coefficients[("1", "2")]
+def test_formal_side_assoc_mixed_is_elementwise_sum():
+    mixed = _formal_coefficients(builtin("as"), TWO)["assoc", ("1", "2")]
     lin = build_lin(builtin("as"), TWO)
-    gens = lin.generators
-    _, a = component_matrix(gens, [mixed], 3, 2)
-    _, b = component_matrix(gens, [lin.relation("assoc__L_1,2")], 3, 2)
-    assert span_equal(a, b)
+    assert presentation_span_equal(
+        Presentation("mixed", lin.unary, lin.binary, (mixed,)),
+        Presentation("lin", lin.unary, lin.binary, (lin.relation("assoc__L_1,2"),)),
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -412,7 +413,7 @@ def test_build_tot_colors_each_tree_once():
 
 
 def test_verify_lin_encoding_colors_each_tree_once(monkeypatch):
-    # build_lin and expand_formal color the same trees; the two sides that
+    # build_lin and the formal side color the same trees; the two sides that
     # reach the span check share them.
     compared = []
 
@@ -562,7 +563,7 @@ def test_templates_take_their_relations_integers():
 def test_refused_input_raises_the_same_error_on_every_build():
     pres = builtin("as")
     twice = Presentation(pres.name, pres.unary, pres.binary, pres.relations * 2)
-    builds = (build_lin, build_mat, build_tot, expand_formal, verify_lin_encoding)
+    builds = (build_lin, build_mat, build_tot, lin_encoding_sides, verify_lin_encoding)
     messages = set()
     for build in builds * 2:
         with pytest.raises(ValueError) as info:

@@ -8,6 +8,7 @@ import ast
 import copy
 import dataclasses
 import gc
+import operator
 import pickle
 import pytest
 import rescaled
@@ -24,10 +25,9 @@ from opdkit.presentation import (
     _integers,
     _terms_skeleton,
     rename_generators,
-    replicate,
     validate,
 )
-from opdkit.compat import _Template, build_lin, build_mat, build_tot
+from opdkit.compat import _Template, build_lin, build_mat, build_tot, replicate
 from opdkit.linalg import Echelon
 from opdkit.manin import tensor_map
 from opdkit.parser import parse_presentation, serialize
@@ -122,6 +122,10 @@ def test_replicate_order_and_errors():
     fam = replicate(builtin("multi_diff", 2), omega)
     assert len([g for g in fam if g.arity == 1]) == 4
     assert len([g for g in fam if g.arity == 2]) == 2
+    # The family is the builds' own generator objects.
+    pres = builtin("multi_diff", 2)
+    fam, built = replicate(pres, omega), build_mat(pres, omega).generators
+    assert len(fam) == len(built) and all(map(operator.is_, fam, built))
     colored = Presentation("c", (), (Generator("m", 2, "1"),), ())
     with pytest.raises(ValueError):
         replicate(colored, omega)
@@ -351,13 +355,16 @@ def test_removed_helpers_are_gone_from_the_api():
         presentation: ("color_term", "color_relation", "tensor_generators",
                        "_Template", "_Compiled", "_ColoredCopies", "_colored_copies", "_picker"),
         compat: ("transposition_relations", "uncovered_trees",
-                 "_build_mat", "_build_lin", "_expand_formal"),
+                 "_build_mat", "_build_lin", "_expand_formal", "FormalExpansion", "expand_formal"),
     }
     for module, names in removed.items():
         for name in names:
             assert not hasattr(module, name), name
             assert name not in module.__all__, name
             assert not hasattr(opdkit, name), name
+    # One colored family: ``compat`` makes it, and ``opdkit`` exports that one.
+    assert not hasattr(presentation, "replicate") and "replicate" not in presentation.__all__
+    assert opdkit.replicate is compat.replicate
 
 
 DENSE = ("rref", "rank", "nullspace", "span_equal", "span_contains", "orthogonal_complement",
