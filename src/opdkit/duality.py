@@ -10,9 +10,10 @@ keyed by ``Tree.shape``.
 
 The dual of P = T(E)/<R> is then T(E*)/<R^perp> with R^perp computed per
 arity component, the complement of an empty relation set being the full
-ambient component.  With the relation rows scaled column by column by the
-signs, R^perp is the right kernel of the scaled rows: one vector per free
-column of their sparse echelon basis over the ambient tree basis.
+ambient component.  With the relation rows (``spans._Columns.row`` over the
+ambient tree basis) scaled column by column by the signs, R^perp is the
+right kernel of the scaled rows: one vector per free column of their
+sparse echelon basis.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from typing import Optional
 
 from .compat import CompatKind, build_compatible
-from .linalg import Echelon, primitive_row
+from .linalg import Echelon
 from .presentation import (
     _WEIGHT_TWO_SHAPES,
     ColorSet,
@@ -32,7 +33,7 @@ from .presentation import (
     rename_generators,
     require_valid,
 )
-from .spans import SpanComponent, presentation_span_equal, span_components
+from .spans import SpanComponent, _Columns, presentation_span_equal, span_components
 from .trees import Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
@@ -69,9 +70,9 @@ def dual_problem(p: Presentation) -> Optional[str]:
 def koszul_dual(p: Presentation) -> Presentation:
     """T(E*)/<R^perp> for a quadratic presentation, componentwise by arity.
 
-    A relation's row is its coprime integer coefficients times the pairing
-    signs of their trees' columns (``shape_sign``), an integer row of
-    content 1 unless two terms share a tree.  Once ``p`` is valid and
+    A relation's row is its span-engine row (``spans._Columns.row``, over a
+    local map seeded with the ambient basis) times the pairing signs of its
+    columns (``shape_sign``), still content 1.  Once ``p`` is valid and
     quadratic, each dual basis tree is its tree's shape over the dual
     generators, one per generator, made once and unchecked, and carries the
     standard slots of its shape.
@@ -85,22 +86,12 @@ def koszul_dual(p: Presentation) -> Presentation:
         component = enumerate_basis(p.generators, arity, 2)
         if component.dimension == 0:
             continue
-        index = component.index()
+        columns = _Columns(frozenset(p.generators), (arity, 2), component.basis)
         signs = [shape_sign(t) for t in component.basis]
-        rows = []
-        for rel in p.relations:
-            if rel.arity != arity:
-                continue
-            row = {}
-            for t, value in zip(rel.terms, rel._integer_coefficients):
-                col = index[t.tree]
-                row[col] = row.get(col, 0) + signs[col] * value
-            # Unmerged nonzero entries are the coprime integers up to sign,
-            # a content-1 row (as in ``spans._Columns.row``).
-            if len(row) < len(rel.terms) or 0 in row.values():
-                row = primitive_row(row)
-            rows.append(row)
-        relations = Echelon(rows)
+        relations = Echelon(
+            {col: signs[col] * v for col, v in columns.row(rel).items()}
+            for rel in p.relations if rel.arity == arity
+        )
         dual_basis = [
             (_flat_tree(t.shape, tuple(map(dual_of, t._gens))), _WEIGHT_TWO_SHAPES[t.shape][1])
             for t in component.basis

@@ -277,7 +277,7 @@ class Presentation:
 
 @dataclass(frozen=True)
 class ColorSet:
-    """An ordered finite set of distinct color labels."""
+    """An ordered finite set of distinct color labels, each a DSL name (``color_label_problem``)."""
 
     labels: tuple[str, ...]
 
@@ -286,6 +286,8 @@ class ColorSet:
             raise ValueError("color set must be nonempty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate color labels")
+        for label in self.labels:
+            _require(color_label_problem(label))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -295,9 +297,11 @@ class ColorSet:
 
     @classmethod
     def of(cls, spec) -> "ColorSet":
-        """Accept an int n (labels 1..n), an explicit label sequence, or a ColorSet."""
+        """Accept an int n (labels 1..n), a sequence of labels or a ColorSet; refuse a str."""
         if isinstance(spec, ColorSet):
             return spec
+        if isinstance(spec, str):
+            raise ValueError(f"color set {spec!r} is a str: give an int, a sequence of labels or a ColorSet")
         if isinstance(spec, int):
             if spec < 1:
                 raise ValueError("color set size must be >= 1")

@@ -12,7 +12,9 @@ its instance dict under ``_spans``, made on first use): its relations by
 grading and the echelon basis of its own rows per grading, made on first
 use and never grown afterwards.  The rows are over one column map per
 (generator set, grading), which every side over those generators shares
-and which lives as long as some side holds it (``_COLUMNS``).  A tree is
+and which lives as long as some side holds it (``_COLUMNS``), its columns
+by first appearance; ``duality.koszul_dual`` rows over maps of its own,
+seeded with each ambient basis, which never enter ``_COLUMNS``.  A tree is
 admitted once, when it first gets a column in its map.  A fully reduced
 content-1 basis whose pivots are least columns is unique for a fixed
 column order, and a map only ever adds columns, so a kept basis equals
@@ -31,10 +33,10 @@ question, so a build never asked one, as ``opdkit build`` prints it,
 groups nothing.
 
 ``component_matrix`` (the dense rows over the full canonical basis) and
-``relation_gradings`` are not used by the program: the tests keep the first
-as the dense reference, and the benchmark's tracer and the acceptance gate
-look both up by name in ``presentation``, which binds them and the two
-``presentation_span_*`` checks.
+``relation_gradings`` are not used by the program: the benchmark's tracer
+looks both up by name in ``presentation``, which binds them and the two
+``presentation_span_*`` checks, and the acceptance gate reads
+``component_matrix`` there.
 """
 
 from __future__ import annotations
@@ -86,19 +88,21 @@ def _outside_component(rel: Relation) -> ValueError:
 
 
 class _Columns:
-    """Column numbers for the trees that occur in the relations of one grading
-    over one generator set.
+    """Column numbers for the trees of one grading over one generator set.
 
-    Only trees that some relation uses get a column, in order of first
-    appearance, so no graded basis is enumerated.  A tree is admitted once,
-    when it first appears: it must have the grading and be built from the
-    generators, which is membership in the graded component.
+    Seeded with an ambient ``basis`` (the Koszul dual's), a map starts with
+    one column per basis tree, in order; otherwise only trees that some
+    relation uses get a column, in order of first appearance, so no graded
+    basis is enumerated.  A tree is admitted once, when it first appears: it
+    must have the grading and be built from the generators, which is
+    membership in the graded component.
     """
 
-    def __init__(self, gens: frozenset[Generator], grading: tuple[int, int]) -> None:
+    def __init__(self, gens: frozenset[Generator], grading: tuple[int, int],
+                 basis: Sequence[Tree] = ()) -> None:
         self.gens = gens
         self.arity, self.weight = grading
-        self.cols: dict[Tree, int] = {}
+        self.cols: dict[Tree, int] = {tree: col for col, tree in enumerate(basis)}
 
     def row(self, rel: Relation) -> SparseRow:
         cols = self.cols
@@ -203,10 +207,11 @@ def _extends(p: Presentation, base: Presentation, own: Iterable[Relation]) -> Pr
 
 def _sides(p: Presentation, q: Presentation) -> tuple[_Side, _Side]:
     """The sides of a span question about ``p`` and ``q``, which must share their generators."""
-    problem = shared_generators_problem(p, q)
-    if problem:
+    left, right = _side(p).ready(), _side(q).ready()
+    if left.gens != right.gens:
+        problem = shared_generators_problem(p, q)
         raise ValueError(f"presentations live over different generators: {problem}")
-    return _side(p).ready(), _side(q).ready()
+    return left, right
 
 
 def span_components(p: Presentation, q: Presentation) -> Iterator[SpanComponent]:

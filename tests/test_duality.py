@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from dense_rows import dense_rank
 
 from opdkit.catalog import builtin
 from opdkit.claims import expected_multi_diff_dual
@@ -16,7 +17,7 @@ from opdkit.duality import (
     self_duality_problem,
     shape_sign,
 )
-from opdkit.linalg import DiagonalForm, RationalMatrix, orthogonal_complement, rank, span_equal
+from opdkit.linalg import DiagonalForm, RationalMatrix, orthogonal_complement, span_equal
 from opdkit.presentation import ColorSet, rename_generators, standard_slots, support
 from opdkit.spans import component_matrix, presentation_span_equal
 from opdkit.trees import Generator, Tree, enumerate_basis, leaf, relabel, tree_text
@@ -85,8 +86,7 @@ def test_dual_of_commuting_derivations(n):
     dual = koszul_dual(builtin("multi_diff", n))
     dims = {}
     for arity in (1, 2, 3):
-        _, matrix = component_matrix(dual.generators, dual.relations, arity, 2)
-        dims[arity] = rank(matrix)
+        dims[arity] = dense_rank(dual.generators, dual.relations, arity, 2)
     assert (dims[1], dims[2], dims[3]) == (n * (n + 1) // 2, 2 * n, 1)
     assert presentation_span_equal(dual, expected_multi_diff_dual(n))
 
@@ -105,11 +105,11 @@ def test_dimension_bookkeeping_per_arity():
         pres = builtin(key, param) if param else builtin(key)
         dual = koszul_dual(pres)
         for arity in (1, 2, 3):
-            component, primal = component_matrix(pres.generators, pres.relations, arity, 2)
-            if component.dimension == 0:
+            dimension = enumerate_basis(pres.generators, arity, 2).dimension
+            if dimension == 0:
                 continue
-            _, dual_rows = component_matrix(dual.generators, dual.relations, arity, 2)
-            assert rank(primal) + rank(dual_rows) == component.dimension
+            primal = dense_rank(pres.generators, pres.relations, arity, 2)
+            assert primal + dense_rank(dual.generators, dual.relations, arity, 2) == dimension
 
 
 def test_double_dual_involution():

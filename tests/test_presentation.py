@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import operator
 import pickle
+import re
 import pytest
 import rescaled
 from hypothesis import given, settings
@@ -27,12 +28,13 @@ from opdkit.presentation import (
     rename_generators,
     validate,
 )
-from opdkit.compat import _Template, build_lin, build_mat, build_tot, replicate
+from opdkit.compat import _Template, build_lin, build_mat, build_tot, lin_encoding_sides, replicate
+from opdkit.duality import dual_identity_sides
 from opdkit.linalg import Echelon
 from opdkit.manin import tensor_map
 from opdkit.parser import parse_presentation, serialize
 from opdkit.spans import presentation_span_contains, presentation_span_equal, span_components
-from opdkit.trees import Generator, Tree, leaf, relabel, tree_key, tree_text
+from opdkit.trees import Generator, Tree, color_label_problem, leaf, relabel, tree_key, tree_text
 
 P = Generator("P", 1)
 M = Generator("m", 2)
@@ -111,6 +113,26 @@ def test_relations_sort_by_name_then_first_term():
         p = Presentation("dup", (), (M,), given)
         assert p.relations == (other, left, right)
         assert validate(p).problems == ["duplicate relation name r"]
+
+
+def test_color_set_of_refuses_a_bare_string():
+    # Read as a sequence, "10" would be the two labels 1 and 0.
+    for spec in ("10", "3", "a,b"):
+        with pytest.raises(ValueError, match="give an int, a sequence of labels or a ColorSet"):
+            ColorSet.of(spec)
+    assert ColorSet.of(["10"]).labels == ("10",)
+    assert ColorSet.of(("a", "b")).labels == ("a", "b")
+
+
+@pytest.mark.parametrize("label", ["a b", "1#2", ""])
+@pytest.mark.parametrize("make", [
+    build_lin, build_mat, build_tot, replicate, lin_encoding_sides,
+    lambda p, omega: dual_identity_sides("linear", p, omega),
+], ids=["build_lin", "build_mat", "build_tot", "replicate", "lin_encoding_sides", "dual_identity_sides"])
+def test_library_refuses_color_labels_the_dsl_cannot_read(make, label):
+    # The colored generator g#label would not read back, so no coloring is made.
+    with pytest.raises(ValueError, match=re.escape(color_label_problem(label))):
+        make(builtin("as"), [label, "c"])
 
 
 def test_replicate_order_and_errors():
