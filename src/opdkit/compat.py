@@ -25,33 +25,42 @@ of ``build_lin`` (the two agree term for term up to names);
 ``tests/test_build_oracle.py::reference_expansion`` is.
 
 This module is the only one that knows how a coloring is made, and
-``replicate`` is the one way to the colored generators.  Each
-relation is compiled once into a template (``_Template``) and every
-coloring is stamped from it; each swap is a template of one tree, stamped
-for every pair of colors.  The templates, the swaps and the coloring memo
-they share are the presentation's compiled state (``_Compiled``, reached
-through ``_compiled``), made by the first build from a presentation
-object and kept in its instance dict as long as that object lives.  So every
-build from one input, at any color count, shares them: ``build_tot`` with
-a ``build_mat`` of the same input, the formal side with ``build_lin``,
-a 3-color build with a 2-color one.  The memo maps each tree to its colored
-trees, keyed by the colors of the tree's vertices, so equal colored trees
-built from one input are one object, and a build's generator list is read
-from the memo's colored copies (``replicate``), so its trees and its
-generator list hold the same objects.  Each finished build is kept there
-too and returned when asked again, so ``build_tot`` holds the very
-relations of ``build_mat``, and a kept build keeps its span bases (see
-``spans``) as long as the input lives.  ``build_tot`` states that it extends mat
-(``spans._extends``), so tot's basis in a grading is mat's grown by the
-swap rows, and mat's rows are never eliminated for tot; only the
-extension is recorded at build time.  A stamped relation carries its
-template's integer coefficients and skeleton (see ``_Template``), so
-neither is worked out again per relation, for spans or for printing.  The
-state is never global: an equal presentation built anew starts with none,
-and nothing is evicted while the input lives.  lin, mat and tot at 2..8
-colors over ``default_grid()`` keep 14.8 MiB under tracemalloc, and
-25.5 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and the linear
-encoding, tot's bases among them.
+``replicate`` is the one way to the colored generators.  Each relation is
+compiled once into a template (``_Template``) and every coloring is stamped
+from it; each swap is a template of one tree, stamped for every pair of
+colors.  Every coloring of a relation has the shape of the relation, so a
+template is split in two.  Its plan (``_Plan``) is what the terms'
+coefficients, shapes, slots and read slots fix: the pickers of each term's
+vertex colors, the keys that sort a stamp's terms, and the integer
+coefficients and skeleton of each order a stamp's terms are sorted into.
+Plans live in a module-level ``functools`` cache (``_plan``) keyed by
+exactly those values, so every template of one shape, relation or swap, of
+any input and any build, shares one.  The rest of a template is per tree:
+each term's colorings in the memo and the tables of its vertices' colored
+generators.  The templates, the swaps and the coloring memo they share are
+the presentation's compiled state (``_Compiled``, reached through
+``_compiled``), made by the first build from a presentation object and kept
+in its instance dict as long as that object lives.  So every build from one
+input, at any color count, shares them: ``build_tot`` with a ``build_mat``
+of the same input, the formal side with ``build_lin``, a 3-color build with
+a 2-color one.  The memo maps each tree to its colored trees, keyed by the
+colors of the tree's vertices, so equal colored trees built from one input
+are one object, and a build's generator list is read from the memo's
+colored copies (``replicate``), so its trees and its generator list hold
+the same objects.  Each finished build is kept there too and returned when
+asked again, so ``build_tot`` holds the very relations of ``build_mat``,
+and a kept build keeps its span bases (see ``spans``) as long as the input
+lives.  ``build_tot`` states that it extends mat (``spans._extends``), so
+tot's basis in a grading is mat's grown by the swap rows, and mat's rows
+are never eliminated for tot; only the extension is recorded at build time.
+A stamped relation carries its plan's integer coefficients and skeleton for
+its order, so neither is worked out again per relation, for spans or for
+printing, nor per input.  Apart from the plans, which hold no tree or
+generator, the state is never global: an equal presentation built anew
+starts with none, and nothing is evicted while the input lives.  lin, mat
+and tot at 2..8 colors over ``default_grid()`` keep 14.8 MiB under
+tracemalloc, and 25.5 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and
+the linear encoding, tot's bases among them.
 """
 
 from __future__ import annotations
@@ -68,16 +77,18 @@ from .presentation import (
     Presentation,
     Relation,
     Term,
+    _integers,
+    _joined_skeleton,
     _ordered_relation,
     _term,
-    _terms_skeleton,
+    _term_texts,
     replicate_problem,
     require_valid,
     standard_slots,
     support,
 )
 from .spans import _extends, presentation_span_equal
-from .trees import Generator, Tree, _flat_tree, _require, enumerate_basis
+from .trees import _KIND_LEAF, Generator, Tree, _flat_tree, _require, enumerate_basis
 
 __all__ = [
     "CompatKind",
@@ -123,15 +134,73 @@ def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
     return copies
 
 
+class _Plan:
+    """What stamping needs of a template's terms beyond their trees, shared
+    by every template of one shape: relations and swaps alike, of any input.
+
+    ``picks`` holds per term the picker of the colors its vertices read.
+    ``integers`` are the terms' coprime integer coefficients
+    (``_integers``) and ``texts`` their parts of a skeleton
+    (``_term_texts``), set by the first template of the plan.  Colored
+    terms compare as in ``Term.sort_key`` by (rank, generator keys, tie),
+    and ``ranks``, ``ties`` and ``in_order`` give the parts of that key
+    that coloring does not change (see ``_plan``).  ``stamps`` maps the
+    order a stamp's terms are sorted into (``None``: as stamped) to its
+    integer coefficients and skeleton, the plan's permuted, which depend on
+    that order only, so every stamp sorted so, from any template of the
+    plan, shares them.
+    """
+
+    __slots__ = ("picks", "integers", "texts", "ranks", "ties", "in_order", "stamps")
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(
+    key: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+) -> _Plan:
+    """The plan of template terms with these (coefficient numerator and
+    denominator, shape, slots, read slots), one tuple per term; nothing of
+    it depends on the terms' generators.  The two integers fix the
+    coefficient and hash faster than the ``Fraction``.
+
+    Coloring keeps a tree's (arity, weight, shape), whose rank comes first
+    in the sort key.  Two colored trees with equal generator keys come from
+    equal trees, so their terms compare by slots and coefficient, as their
+    template terms do: the tie is a term's place among the template terms
+    sorted by (rank, slots, integer coefficient), which sorts equal trees
+    as ``Term.sort_key`` does, since the integers are a positive multiple
+    of the coefficients.  Terms of distinct ranks need no tie, and one
+    coloring of terms of increasing rank needs no sort.
+    """
+    plan = _Plan()
+    # A valid term has 2 or 3 vertices, so each picker picks a tuple.
+    plan.picks = [itemgetter(*[slot - 1 for slot in read]) for _, _, _, _, read in key]
+    plan.integers = ints = tuple(_integers([(num, den) for num, den, _, _, _ in key]))
+    grades = [(shape.count(_KIND_LEAF), len(slots), shape) for _, _, shape, slots, _ in key]
+    rank = {grade: i for i, grade in enumerate(sorted(set(grades)))}
+    plan.ranks = ranks = [rank[grade] for grade in grades]
+    plan.ties = [0] * len(key)
+    if len(rank) < len(key):
+        order = sorted(range(len(key)), key=lambda i: (ranks[i], key[i][3], ints[i]))
+        for place, i in enumerate(order):
+            plan.ties[i] = place
+    plan.in_order = all(a < b for a, b in zip(ranks, ranks[1:]))
+    plan.texts = None
+    plan.stamps = {}
+    return plan
+
+
 class _Template:
     """Terms compiled once, to be colored by many colorings.
 
-    It holds the terms' integer coefficients (``_integers``, coprime) and,
-    per term, the coefficient, the shape and slots, the 0-based slot each
-    vertex reads its color from, each vertex's table of colored generators
-    and the memo's dict of the tree's colorings.  A coloring then makes
-    each term from a lookup keyed by the colors of its vertices, and puts
-    the terms in canonical order without checking them again.
+    It is split in two.  The plan (``_Plan``, from ``_plan``) is what the
+    terms' coefficients, shapes, slots and read slots fix, shared by every
+    template of that shape.  The template itself keeps, per term, its
+    coefficient, shape and slots, the plan's picker, and what depends on
+    the tree: the memo's dict of the tree's colorings and each vertex's
+    table of colored generators.  A coloring then makes each term from a
+    lookup keyed by the colors of its vertices, and puts the terms in
+    canonical order without checking them again.
 
     The memo is shared by everything colored from one presentation (see
     ``_Compiled``): ``memo[gen]`` maps a color to the colored generator,
@@ -139,65 +208,42 @@ class _Template:
     the colored tree.  Equal colored trees built through one memo are
     therefore one object.
 
-    ``integers`` are the terms' coprime integer coefficients.  ``reads``
-    gives, per term, the slots its vertices read their colors from, when
-    they are not the term's own slots (see ``_swap``).
-
-    A stamped relation's integer coefficients and skeleton depend only on
-    the order its terms are sorted into: ``_stamps`` keeps them per order,
-    worked out for its first stamp.
+    ``reads`` gives, per term, the slots its vertices read their colors
+    from, when they are not the term's own slots (see ``_swap``).
     """
 
-    __slots__ = ("_parts", "_integers", "_ranks", "_ties", "_in_order", "_stamps")
+    __slots__ = ("_plan", "_parts")
 
     def __init__(
-        self, terms: Sequence[Term], integers: tuple[int, ...], memo: dict,
+        self, terms: Sequence[Term], memo: dict,
         reads: Optional[Sequence[tuple[int, ...]]] = None,
     ) -> None:
+        reads = reads or [term.slots for term in terms]
+        self._plan = plan = _plan(tuple([
+            (term.coeff.numerator, term.coeff.denominator, term.tree.shape, term.slots, read)
+            for term, read in zip(terms, reads)
+        ]))
         parts = []
-        for term, read in zip(terms, reads or [t.slots for t in terms]):
+        for term, pick in zip(terms, plan.picks):
             tree = term.tree
             colorings = memo.get(tree)
             if colorings is None:
                 colorings = memo[tree] = {}
-            parts.append((
-                term.coeff,
-                tree.shape,
-                term.slots,
-                # A valid term has 2 or 3 vertices, so this picks a tuple.
-                itemgetter(*[slot - 1 for slot in read]),
-                tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()]),
-                colorings,
-            ))
+            copies = tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()])
+            parts.append((term.coeff, tree.shape, term.slots, pick, copies, colorings))
         self._parts = parts
-        self._integers = integers
-        # Colored terms compare as in Term.sort_key by (rank, generator
-        # keys, tie).  Coloring keeps a tree's (arity, weight, shape), whose
-        # rank comes first.  Two colored trees with equal keys come from
-        # equal trees, so their terms compare by slots and coefficient, as
-        # their template terms do: the tie is a term's place in the sorted
-        # template.  One coloring of terms of increasing rank needs no sort.
-        grades = [(term.tree.arity, term.tree.weight, term.tree.shape) for term in terms]
-        rank = {grade: i for i, grade in enumerate(sorted(set(grades)))}
-        self._ranks = [rank[grade] for grade in grades]
-        self._ties = [0] * len(terms)
-        if len(rank) < len(terms):  # else equal keys mean one template term
-            for place, i in enumerate(sorted(range(len(terms)), key=lambda i: terms[i].sort_key())):
-                self._ties[i] = place
-        self._in_order = all(a < b for a, b in zip(self._ranks, self._ranks[1:]))
-        # The order a stamp's terms are sorted into (None: as stamped) ->
-        # its integer coefficients and skeleton, which every stamp sorted
-        # so shares.
-        self._stamps: dict[Optional[tuple[int, ...]], tuple[tuple[int, ...], str]] = {}
+        if plan.texts is None:
+            plan.texts = _term_texts(terms)
 
     def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
         """The relation ``name`` whose terms are those of every coloring.
 
-        Its integer coefficients are the template's, in the order of its
-        terms: as they are for one coloring in template order, else
-        repeated per coloring and permuted as the terms are.  Its skeleton
-        is the one of the first stamp with its terms in that order.
+        Its integer coefficients and skeleton are the plan's, in the order
+        of its terms: as they are for one coloring in template order, else
+        repeated per coloring and permuted as the terms are.  Both are
+        worked out for the plan's first stamp with its terms in that order.
         """
+        plan = self._plan
         terms = []
         for colors in colorings:
             for coeff, shape, slots, pick, copies, trees in self._parts:
@@ -209,20 +255,21 @@ class _Template:
                 # The template checked the term: it is made without Term's check.
                 terms.append(_term(coeff, tree, slots))
         order = None
-        if len(colorings) > 1 or not self._in_order:
+        if len(colorings) > 1 or not plan.in_order:
             n = len(colorings)
-            keys = list(zip(self._ranks * n, [term.tree._keys for term in terms], self._ties * n))
+            keys = list(zip(plan.ranks * n, [term.tree._keys for term in terms], plan.ties * n))
             order = tuple(sorted(range(len(terms)), key=keys.__getitem__))
             terms = [terms[i] for i in order]
-        stamp = self._stamps.get(order)
+        stamp = plan.stamps.get(order)
         if stamp is None:
-            ints = self._integers
+            ints, texts = plan.integers, plan.texts
             if order is not None:
                 # Through a list: a tuple built from an iterator grows by
                 # reallocation, which raised span-ladder's peak RSS by 0.5 MiB.
-                repeated = ints * len(colorings)
+                repeated, texts = ints * len(colorings), texts * len(colorings)
                 ints = tuple([repeated[i] for i in order])
-            stamp = self._stamps[order] = (ints, _terms_skeleton(terms))
+                texts = [texts[i] for i in order]
+            stamp = plan.stamps[order] = (ints, _joined_skeleton(texts))
         return _ordered_relation(name, tuple(terms), *stamp)
 
 
@@ -247,7 +294,7 @@ class _Compiled:
     def __init__(self, p: Presentation) -> None:
         self.memo = memo = {}
         self.copies = tuple([_colored_copies(memo, g) for g in p.generators])
-        self.templates = tuple([_Template(r.terms, r._integer_coefficients, memo) for r in p.relations])
+        self.templates = tuple([_Template(r.terms, memo) for r in p.relations])
         self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
         self.builds: dict[tuple[str, tuple[str, ...]], Presentation] = {}
 
@@ -354,7 +401,7 @@ def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) 
     the terms are made unchecked.
     """
     terms = (_term(_ONE, tree, slots), _term(_MINUS_ONE, tree, slots))
-    return _Template(terms, (1, -1), memo, (slots, tuple([swap[s] for s in slots])))
+    return _Template(terms, memo, (slots, tuple([swap[s] for s in slots])))
 
 
 def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Template]]:

@@ -430,7 +430,8 @@ def _skeleton_terms(skeleton: str, arities: tuple[int, ...]) -> Optional[tuple]:
         return None
     if _terms_skeleton(terms) != skeleton:
         return None
-    return tuple([(term.coeff, term.tree.shape, term.slots) for term in terms]), tuple(_integers(terms))
+    parts = tuple([(term.coeff, term.tree.shape, term.slots) for term in terms])
+    return parts, tuple(_integers([(coeff.numerator, coeff.denominator) for coeff, _, _ in parts]))
 
 
 def parse_presentation(text: str) -> Presentation:

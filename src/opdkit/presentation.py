@@ -21,12 +21,16 @@ it, made on first use and kept as long as the presentation lives: its
 validation report, the builders' compiled state (which ``compat`` makes)
 and its side of every span question (its echelon bases, tot's grown from
 mat's, see ``spans``).  None of these is a field: equality, hashing,
-copying, pickling and ``dataclasses.replace`` see the fields only.  The
-span comparison lives in ``spans``, where ``presentation_span_equal`` and
-``presentation_span_contains`` are the two verdicts of its one report,
-``span_components``; those two and the other two of its names that the
-benchmark's tracer and workloads and the acceptance gate look up here are
-bound too, though not listed in ``__all__``.
+copying, pickling and ``dataclasses.replace`` see the fields only.
+``validate`` answers the structural checks of a relation once per shape
+of its terms (``_shape_problems``, a module-level ``functools`` cache
+that holds no generator); its names, generators and cancellation are
+checked per relation.  The span comparison lives in ``spans``, where
+``presentation_span_equal`` and ``presentation_span_contains`` are the two
+verdicts of its one report, ``span_components``; those two and the other
+two of its names that the benchmark's tracer and workloads and the
+acceptance gate look up here are bound too, though not listed in
+``__all__``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
@@ -46,6 +50,7 @@ from .spans import (
     relation_gradings,
 )
 from .trees import (
+    _KIND_LEAF,
     _NAME,
     _NAME_HEAD,
     _NAME_TAIL,
@@ -152,7 +157,7 @@ class Relation:
 
         Worked out on first use; a colored relation gets its template's.
         """
-        return tuple(_integers(self.terms))
+        return tuple(_integers([(t.coeff.numerator, t.coeff.denominator) for t in self.terms]))
 
     @cached_property
     def _skeleton(self) -> str:
@@ -194,7 +199,13 @@ def _terms_skeleton(terms: Sequence[Term]) -> str:
     """The DSL text of a relation's terms with ``{}`` for each generator:
     each slotted tree's format string after its sign and, unless it is 1,
     its coefficient's magnitude."""
-    parts = []
+    return _joined_skeleton(_term_texts(terms))
+
+
+def _term_texts(terms: Sequence[Term]) -> list[str]:
+    """Each term's part of ``_terms_skeleton``: its sign, ``+ `` or ``- ``,
+    then its text with ``{}`` for each generator."""
+    texts = []
     for term in terms:
         num, den = term.coeff.numerator, term.coeff.denominator
         body = _text_template(term.tree.shape, term.slots)
@@ -202,18 +213,24 @@ def _terms_skeleton(terms: Sequence[Term]) -> str:
             body = f"{abs(num)}/{den}*{body}"
         elif num != 1 and num != -1:
             body = f"{abs(num)}*{body}"
-        parts.append(("- " if num < 0 else "+ ") + body)
-    text = " ".join(parts)
+        texts.append(("- " if num < 0 else "+ ") + body)
+    return texts
+
+
+def _joined_skeleton(texts: Sequence[str]) -> str:
+    """The skeleton of terms with these texts (``_term_texts``), in order."""
+    text = " ".join(texts)
     # The first term's sign is bare: "-" for a negative one, none otherwise.
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _integers(terms: Sequence[Term]) -> list[int]:
-    """The coefficients of ``terms`` as coprime integers on their line: scaled
-    by one common denominator, then divided by the gcd, so the list has
-    content 1 unless every coefficient is 0 (then it is all zeros)."""
-    scale = lcm(*(term.coeff.denominator for term in terms))
-    ints = [term.coeff.numerator * (scale // term.coeff.denominator) for term in terms]
+def _integers(coeffs: Sequence[tuple[int, int]]) -> list[int]:
+    """The coefficients given as (numerator, denominator) pairs, as coprime
+    integers on their line: scaled by one common denominator, then divided
+    by the gcd, so the list has content 1 unless every coefficient is 0
+    (then it is all zeros)."""
+    scale = lcm(*[den for _, den in coeffs])
+    ints = [num * (scale // den) for num, den in coeffs]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -277,16 +294,23 @@ class Presentation:
 
 @dataclass(frozen=True)
 class ColorSet:
-    """An ordered finite set of distinct color labels, each a DSL name (``color_label_problem``)."""
+    """An ordered finite set of distinct color labels, each a ``str`` that
+    is a DSL name (``color_label_problem``), kept as a tuple whatever
+    sequence they came in."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.labels:
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if not labels:
             raise ValueError("color set must be nonempty")
-        if len(set(self.labels)) != len(self.labels):
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"color label {label!r} is not a str")
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate color labels")
-        for label in self.labels:
+        for label in labels:
             _require(color_label_problem(label))
 
     def __len__(self) -> int:
@@ -359,6 +383,45 @@ def generator_text_problem(g: Generator) -> Optional[str]:
     return f"generator {g.text!r}: {problem}" if problem else None
 
 
+@lru_cache(maxsize=1024)
+def _shape_problems(
+    shape: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+) -> Optional[tuple[tuple[str, ...], Optional[tuple[tuple[str, ...], ...]]]]:
+    """The structural problems of a relation whose terms have these (tree
+    shape, slots), one pair per term: ``None`` if there are none, else the
+    relation's own problems and, unless its gradings mix (then no term is
+    checked), each term's own, as texts that follow ``relation <name>: ``
+    and ``relation <name> term <i>: ``.  A tree's shape fixes its arity,
+    its weight and the arity of each vertex, which is its generator's
+    (``Tree`` checks it), so nothing here reads a generator."""
+    leaves = [kinds.count(_KIND_LEAF) for kinds, _ in shape]
+    gradings = {(n, len(kinds) - n) for n, (kinds, _) in zip(leaves, shape)}
+    if len(gradings) > 1:
+        return (f"non-homogeneous relation, mixes gradings {sorted(gradings)}",), None
+    ((arity, weight),) = gradings
+    head = []
+    if weight not in (2, 3):
+        head.append(f"weight {weight} not quadratic or cubic")
+    if arity not in (1, 2, 3, 4):
+        head.append(f"arity {arity} out of range 1..4")
+    permutation = list(range(1, weight + 1))
+    per_term = []
+    slot_arity: dict[int, int] = {}
+    for kinds, slots in shape:
+        texts = []
+        if sorted(slots) != permutation:
+            texts.append(f"slots {slots} are not a permutation of 1..{weight}")
+        else:
+            vertex_arities = [kind + 1 for kind in kinds if kind != _KIND_LEAF]
+            for vertex_arity, slot in zip(vertex_arities, slots):
+                if slot_arity.setdefault(slot, vertex_arity) != vertex_arity:
+                    texts.append(f"slot arity mismatch at slot {slot}")
+        per_term.append(tuple(texts))
+    if not head and not any(per_term):
+        return None
+    return tuple(head), tuple(per_term)
+
+
 def validate(p: Presentation) -> ValidationReport:
     """Check every presentation and relation invariant; never raises.
 
@@ -371,6 +434,14 @@ def validate(p: Presentation) -> ValidationReport:
     A colored relation whose terms fall on one tree under two slot maps
     (``cancel__a,a`` of a relation ``t(2,1) - t(1,2)``) keeps a support,
     though its span row is zero, and is not refused.
+
+    The structural checks of a relation (one grading, weight 2 or 3, arity
+    1..4, each term's slots a permutation, slot arities agreeing) depend
+    on its terms' shapes and slots only, a shape fixing the arity of each
+    vertex, and are answered once per such shape (``_shape_problems``);
+    the names, the generators' membership and cancellation are checked per
+    relation.  The problems come in the order of the checks above, by
+    relation and, within one, by term.
     """
     problems: list[str] = []
     if not _NAME.fullmatch(p.name):
@@ -394,49 +465,35 @@ def validate(p: Presentation) -> ValidationReport:
     names: set[str] = set()
 
     for rel in p.relations:
-        if rel.name in names:
-            problems.append(f"duplicate relation name {rel.name}")
-        names.add(rel.name)
-        if not _RELATION_NAME.fullmatch(rel.name):
-            problems.append(f"relation name {rel.name!r} is not a DSL relation name")
+        name = rel.name
+        if name in names:
+            problems.append(f"duplicate relation name {name}")
+        names.add(name)
+        if not _RELATION_NAME.fullmatch(name):
+            problems.append(f"relation name {name!r} is not a DSL relation name")
+        terms = rel.terms
         # Terms are in canonical order, so terms on one (tree, slots) pair are
         # adjacent: a nonzero first term alone on its pair cannot cancel.
-        head = rel.terms[:2]
+        head = terms[:2]
         alone = len(head) == 1 or (head[0].tree, head[0].slots) != (head[1].tree, head[1].slots)
         if not (head[0].coeff and alone) and not support(rel):
-            problems.append(f"relation {rel.name}: its terms cancel to zero")
-        gradings = {(t.tree.arity, t.tree.weight) for t in rel.terms}
-        if len(gradings) > 1:
-            problems.append(
-                f"relation {rel.name}: non-homogeneous relation, mixes gradings {sorted(gradings)}"
-            )
-            continue
-        arity, weight = rel.grading()
-        if weight not in (2, 3):
-            problems.append(
-                f"relation {rel.name}: weight {weight} not quadratic or cubic"
-            )
-        if arity not in (1, 2, 3, 4):
-            problems.append(f"relation {rel.name}: arity {arity} out of range 1..4")
-        slot_arity: dict[int, int] = {}
-        for idx, term in enumerate(rel.terms):
-            for g in term.tree.internal_generators():
-                if g not in known:
-                    problems.append(
-                        f"relation {rel.name} term {idx}: unknown generator {g.text}"
-                    )
-            if sorted(term.slots) != list(range(1, weight + 1)):
-                problems.append(
-                    f"relation {rel.name} term {idx}: slots {term.slots} "
-                    f"are not a permutation of 1..{weight}"
-                )
+            problems.append(f"relation {name}: its terms cancel to zero")
+        found = _shape_problems(tuple([(term.tree.shape, term.slots) for term in terms]))
+        vertices = [term.tree._gens for term in terms]
+        if found is None:
+            if all(map(known.issuperset, vertices)):
                 continue
-            for g, slot in zip(term.tree.internal_generators(), term.slots):
-                prev = slot_arity.setdefault(slot, g.arity)
-                if prev != g.arity:
-                    problems.append(
-                        f"relation {rel.name} term {idx}: slot arity mismatch at slot {slot}"
-                    )
+            found = (), ((),) * len(terms)  # only unknown generators to report
+        own, per_term = found
+        problems.extend([f"relation {name}: {text}" for text in own])
+        if per_term is None:
+            continue
+        for idx, (gens, texts) in enumerate(zip(vertices, per_term)):
+            problems.extend([
+                f"relation {name} term {idx}: unknown generator {g.text}"
+                for g in gens if g not in known
+            ])
+            problems.extend([f"relation {name} term {idx}: {text}" for text in texts])
     return ValidationReport(problems)
 
 

@@ -4,6 +4,7 @@ import copy
 import gc
 import itertools
 import pickle
+import sys
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,7 @@ import pytest
 import rescaled
 from dense_rows import dense_rank
 
-from opdkit import compat
+from opdkit import compat, presentation
 from opdkit.catalog import builtin, default_grid
 from opdkit.compat import (
     build_compatible,
@@ -23,7 +24,7 @@ from opdkit.compat import (
     relation_count,
     verify_lin_encoding,
 )
-from opdkit.parser import serialize
+from opdkit.parser import parse_presentation, serialize
 from opdkit.presentation import (
     ColorSet,
     Presentation,
@@ -98,6 +99,11 @@ STAMP_INPUTS = [
 ]
 
 
+def term_integers(rel):
+    """``rel``'s coprime integer coefficients, worked out afresh from its terms."""
+    return tuple(_integers([(t.coeff.numerator, t.coeff.denominator) for t in rel.terms]))
+
+
 def stamped_relations(p, omega):
     for kind in ("linear", "matching", "total"):
         yield from build_compatible(kind, p, omega).relations
@@ -111,9 +117,60 @@ def test_stamped_integer_coefficients_are_the_coprime_integers_of_the_terms(labe
     # So must its skeleton, the one of the first stamp with that order.
     for n in (1, 2, 3):
         for rel in stamped_relations(p, ColorSet.of(n)):
-            assert rel._integer_coefficients == tuple(_integers(rel.terms)), (n, rel.name)
+            assert rel._integer_coefficients == term_integers(rel), (n, rel.name)
             assert gcd(*rel._integer_coefficients) == 1, (n, rel.name)
             assert vars(rel)["_skeleton"] == _terms_skeleton(rel.terms), (n, rel.name)
+
+
+TIES = parse_presentation(
+    "operad ties\nbinary m\n"
+    "relation r: 1/2*m@2(m@1(x1,x2),x3) + 1/3*m@2(m@1(x1,x2),x3) - m@1(x1,m@2(x2,x3))\n"
+)
+
+
+def test_terms_on_one_tree_and_slots_are_stamped_in_sort_key_order():
+    # Two terms share a tree and slots and differ in their coefficients
+    # only, so their stamps compare by coefficient value: 1/3 before 1/2,
+    # though (1, 2) sorts before (1, 3).
+    for n in (2, 3):
+        for rel in stamped_relations(TIES, ColorSet.of(n)):
+            assert list(rel.terms) == sorted(rel.terms, key=Term.sort_key), (n, rel.name)
+            assert rel._integer_coefficients == term_integers(rel), (n, rel.name)
+            assert vars(rel)["_skeleton"] == _terms_skeleton(rel.terms), (n, rel.name)
+    assert [t.coeff for t in build_mat(TIES, THREE).relation("r__1,2").terms] == [
+        Fraction(1, 3), Fraction(1, 2), -1
+    ]
+
+
+def test_a_cold_build_makes_one_plan_per_shape():
+    compat._plan.cache_clear()
+    pres = builtin("d1d2")
+    build_tot(pres, THREE)
+    compiled = compat._compiled(pres)
+    templates = list(compiled.templates) + [t for _, swaps in compiled.tot_swaps for _, t in swaps]
+    plans = {id(template._plan) for template in templates}
+    assert compat._plan.cache_info().currsize == len(plans) < len(templates)
+    # d1d2's 6 relations and 13 swaps have 11 shapes.
+    assert (len(templates), len(plans)) == (19, 11)
+
+
+def test_the_shape_caches_are_functools_caches_that_the_benchmark_empties():
+    # The benchmark empties every module-level ``cache_clear`` callable of
+    # opdkit's modules before a cold set-up; these caches must be among them.
+    build_lin(builtin("rba0"), TWO)
+    caches = {
+        (name, key): value
+        for name, module in list(sys.modules.items())
+        if name == "opdkit" or name.startswith("opdkit.")
+        for key, value in vars(module).items()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    for module, key in ((compat, "_plan"), (presentation, "_shape_problems")):
+        cache = caches[module.__name__, key]
+        assert cache is getattr(module, key) and cache.cache_info().currsize > 0
+    for cache in caches.values():
+        cache.cache_clear()
+    assert compat._plan.cache_info().currsize == presentation._shape_problems.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("label, p", STAMP_INPUTS[::2], ids=[label for label, _ in STAMP_INPUTS[::2]])
@@ -550,9 +607,16 @@ def test_other_colors_and_equal_inputs_build_anew():
 
 
 def test_templates_take_their_relations_integers():
+    plans = {}
     for label, pres in default_grid():
         for template, rel in zip(compat._compiled(pres).templates, pres.relations):
-            assert template._integers is rel._integer_coefficients, label
+            plan = template._plan
+            assert plan.integers == rel._integer_coefficients, label
+            shape = tuple([(t.coeff, t.tree.shape, t.slots) for t in rel.terms])
+            assert plans.setdefault(shape, plan) is plan, label
+    # Relations of one shape share a plan, within one input (dd_a and dd_b
+    # of d1d2) and across inputs (assoc of as, d1d2 and rba0, dmid of dend).
+    assert len(plans) < sum(len(pres.relations) for _, pres in default_grid())
 
 
 def test_refused_input_raises_the_same_error_on_every_build():

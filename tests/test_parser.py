@@ -313,7 +313,7 @@ def test_random_presentations_roundtrip(seed):
     # and the integer coefficients of its reading.
     for rel in parse_presentation(text).relations:
         assert vars(rel)["_skeleton"] == _terms_skeleton(rel.terms), rel.name
-        assert vars(rel)["_integer_coefficients"] == tuple(_integers(rel.terms)), rel.name
+        assert vars(rel)["_integer_coefficients"] == tuple(_integers([(t.coeff.numerator, t.coeff.denominator) for t in rel.terms])), rel.name
 
 
 # --- JSON text against json.dumps ---

@@ -124,6 +124,68 @@ def test_color_set_of_refuses_a_bare_string():
     assert ColorSet.of(("a", "b")).labels == ("a", "b")
 
 
+def test_color_set_keeps_its_labels_as_a_tuple_of_str():
+    # A label that is no str is refused by name, not by the label pattern.
+    for labels in ((1, 2), ["a", 2]):
+        with pytest.raises(ValueError, match=r"^color label \d is not a str$"):
+            ColorSet(labels)
+    # Labels given as a list are kept as a tuple, so the set hashes and
+    # keys a kept build like any other.
+    listed = ColorSet(["a", "b"])
+    assert listed.labels == ("a", "b") and listed == ColorSet(("a", "b"))
+    assert build_mat(builtin("as"), listed) == build_mat(builtin("as"), ColorSet(("a", "b")))
+
+
+Q = Generator("Q", 1)
+
+
+def test_validate_keeps_the_text_and_order_of_its_problems():
+    # One relation with an unknown generator, slots that are no permutation
+    # and slot arity mismatches; one mixing gradings, whose terms are not
+    # checked; one of weight 1 over an unknown generator.
+    one = Fraction(1)
+    r = Relation("r", (
+        Term(one, Tree(P, (Tree(M, (X, X)),)), (1, 2)),
+        Term(-one, Tree(M, (Tree(P, (X,)), X)), (1, 2)),
+        Term(one, Tree(Q, (Tree(M, (X, X)),)), (2, 1)),
+        Term(one, Tree(M, (X, Tree(P, (X,)))), (1, 1)),
+    ))
+    s = Relation("s", (
+        Term(one, Tree(Q, (Tree(M, (X, X)),)), (1, 2)),
+        Term(one, Tree(M, (Tree(M, (X, X)), X)), (1, 2)),
+        Term(one, Tree(P, (X,)), (1,)),
+    ))
+    u = Relation("u", (Term(one, Tree(Q, (X,)), (1,)), Term(-one, Tree(P, (X,)), (1,))))
+    assert validate(Presentation("bad", (P,), (M,), (r, s, u))).problems == [
+        "relation r term 1: unknown generator Q",
+        "relation r term 1: slot arity mismatch at slot 2",
+        "relation r term 1: slot arity mismatch at slot 1",
+        "relation r term 2: slot arity mismatch at slot 1",
+        "relation r term 2: slot arity mismatch at slot 2",
+        "relation r term 3: slots (1, 1) are not a permutation of 1..2",
+        "relation s: non-homogeneous relation, mixes gradings [(1, 1), (2, 2), (3, 2)]",
+        "relation u: weight 1 not quadratic or cubic",
+        "relation u term 1: unknown generator Q",
+    ]
+
+
+def test_relations_of_one_faulty_shape_are_each_reported_by_name():
+    # The structural answer is kept per shape; every relation of that shape
+    # still gets its own problems, under its own name, in every presentation.
+    assoc = builtin("as").relation("assoc")
+    bad_terms = tuple(dataclasses.replace(t, slots=(1, 1)) for t in assoc.terms)
+    relations = (Relation("a", bad_terms), Relation("b", bad_terms))
+    expected = [
+        f"relation {name} term {idx}: slots (1, 1) are not a permutation of 1..2"
+        for name in ("a", "b") for idx in (0, 1)
+    ]
+    for _ in range(2):
+        assert validate(Presentation("bad", (), (M,), relations)).problems == expected
+    renamed = Generator("n", 2)
+    moved = rename_generators(Presentation("bad", (), (M,), relations), {M: renamed})
+    assert validate(moved).problems == expected
+
+
 @pytest.mark.parametrize("label", ["a b", "1#2", ""])
 @pytest.mark.parametrize("make", [
     build_lin, build_mat, build_tot, replicate, lin_encoding_sides,
@@ -186,7 +248,7 @@ def colored_tree(tree, slots, colors, memo):
     """``tree`` with ``colors[j-1]`` on its vertex at slot j, stamped from a
     one-term template compiled through ``memo``.  A template term has at
     least 2 vertices, as every term of a valid relation and every swap has."""
-    (term,) = _Template((Term(Fraction(1), tree, slots),), (1,), memo).relation("t", (colors,)).terms
+    (term,) = _Template((Term(Fraction(1), tree, slots),), memo).relation("t", (colors,)).terms
     return term.tree
 
 
@@ -321,8 +383,7 @@ def test_color_commutes_with_sum():
     min_size=1, max_size=6,
 ))
 def test_integers_are_coprime_and_a_positive_multiple_of_the_coefficients(coeffs):
-    tree = Tree(M, (Tree(M, (X, X)), X))
-    ints = _integers([Term(c, tree, (1, 2)) for c in coeffs])
+    ints = _integers([(c.numerator, c.denominator) for c in coeffs])
     assert len(ints) == len(coeffs) and all(type(v) is int for v in ints)
     if not any(coeffs):
         assert ints == [0] * len(coeffs)
