@@ -9,23 +9,22 @@ finishes a row whose entries are already integers.  ``Echelon`` takes only
 such rows: every row given to ``reduce``, ``contains`` or ``add`` must be
 empty or have nonzero coprime entries.  A row that meets no pivot is
 returned as given, so a zero entry or a common factor would reach the
-basis (a zero entry as a pivot of value 0).  ``Echelon`` keeps a
-fully reduced echelon basis keyed by pivot column: each basis row has a
-positive entry at its pivot, which is its smallest column, and no entry at
-any other pivot.  Rows are reduced fraction-free, cross-multiplying by the pivot and
-dividing out the content, so no rational arithmetic happens inside the
-kernel.  Given a column order the basis is the reduced row echelon form up
-to row scaling, hence canonical: two bases over one column map span the same
-space iff they are equal.
+basis (a zero entry as a pivot of value 0).  ``Echelon`` keeps an echelon
+basis keyed by pivot column: each basis row has a positive entry at its
+pivot, which is its smallest column.  Rows are reduced fraction-free,
+cross-multiplying by the pivot and dividing out the content, in one step
+(``_eliminate``), so no rational arithmetic happens inside the kernel.
 
-Next to the rows, ``Echelon`` keeps a column map: for each column, the set
-of pivots of the basis rows with a nonzero entry there, pivots themselves
-left out.  When a new row takes a pivot, only the rows the map lists at that
-column are back-substituted, so ``add`` touches the rows that change rather
-than scanning the basis; the map is updated where an entry appears
-(fill-in) or cancels.  A basis that is only reduced against from then on,
-as the span engine keeps one, drops its map (``frozen``); ``copy`` makes
-the map afresh from the rows.
+``add`` eliminates forward only: a new row is reduced against the pivots
+it meets, in increasing order, and stored above them, so a stored row may
+hold a later pivot.  The basis is fully reduced whenever it is read:
+reading ``rows``, as ``reduce``, ``contains``, ``complement`` and ``copy``
+do, first back-substitutes once, in decreasing pivot order, if an ``add``
+has come since the last read.  A fully reduced basis has no entry at any
+pivot but a row's own; given a column order it is the reduced row echelon
+form up to row scaling, hence canonical: two bases over one column map
+span the same space iff their rows are equal.  A copy shares its source's
+rows, and neither ``add`` nor a back pass edits a row: both replace it.
 
 The kernel also gives the complement of a span: the right kernel has one
 basis vector per free (non-pivot) column, read straight off the basis.
@@ -42,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "RationalMatrix",
@@ -156,43 +156,73 @@ def primitive_row(row: SparseRow) -> SparseRow:
     return _primitive(row) if row else row
 
 
-class Echelon:
-    """A fully reduced fraction-free echelon basis, keyed by pivot column.
+def _eliminate(vec: SparseRow, pivot: int, brow: SparseRow) -> None:
+    """Clear ``vec``'s entry at ``pivot`` with the basis row ``brow``, in
+    place and fraction-free: ``vec`` is scaled by ``brow``'s pivot entry
+    over their gcd, and divided by its content after a scaling."""
+    a, p = vec[pivot], brow[pivot]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    if p != 1:
+        for c in vec:
+            vec[c] *= p
+    for c, v in brow.items():
+        x = vec.get(c, 0) - a * v
+        if x:
+            vec[c] = x
+        else:
+            del vec[c]
+    if p != 1 and vec:
+        _primitive(vec)
 
-    ``_rows_at`` is the column map: column -> pivots of the basis rows with a
-    nonzero entry there, the column itself never among them.  A frozen basis
-    has none (``frozen``).
+
+class Echelon:
+    """A fraction-free echelon basis keyed by pivot column, fully reduced
+    whenever ``rows`` is read.
+
+    ``add`` only eliminates forward, so a stored row may hold a later
+    pivot; it marks that a back pass is owed (``_owed``), which the next
+    read of ``rows`` runs.
     """
 
-    __slots__ = ("rows", "_rows_at")
+    __slots__ = ("_rows", "_owed")
 
     def __init__(self, rows: Iterable[SparseRow] = ()) -> None:
-        self.rows: dict[int, SparseRow] = {}
-        self._rows_at: Optional[dict[int, set[int]]] = {}
+        self._rows: dict[int, SparseRow] = {}
+        self._owed = False
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> dict[int, SparseRow]:
+        """The fully reduced basis, pivot -> row, back-substituted here if a
+        pass is owed.  The pass runs in decreasing pivot order, so the later
+        pivots a row holds are those of rows already reduced, and one pass
+        over them reduces it.  It replaces rows, it never edits one: a copy
+        may share them."""
+        rows = self._rows
+        if self._owed:
+            for pivot in sorted(rows, reverse=True):
+                row = rows[pivot]
+                later = [c for c in row if c != pivot and c in rows]
+                if later:
+                    vec = dict(row)
+                    for c in later:
+                        _eliminate(vec, c, rows[c])
+                    rows[pivot] = _primitive(vec)
+            self._owed = False
+        return rows
 
     def copy(self) -> "Echelon":
-        """A basis that starts as this one and then grows on its own, its
-        column map made afresh from the rows.  The rows are shared: ``add``
-        replaces a row, it never edits one."""
+        """A basis that starts as this one, read and so fully reduced, and
+        then grows on its own.  The rows are shared: neither ``add`` nor a
+        back pass edits a row."""
         twin = Echelon()
-        twin.rows = dict(self.rows)
-        rows_at = twin._rows_at
-        for pivot, row in self.rows.items():
-            for c in row:
-                if c != pivot:
-                    rows_at.setdefault(c, set()).add(pivot)
+        twin._rows = dict(self.rows)
         return twin
-
-    def frozen(self) -> "Echelon":
-        """This basis without its column map, which only ``add`` reads: it
-        is still reduced against and copied, but no longer grown."""
-        self._rows_at = None
-        return self
 
     def reduce(self, row: SparseRow) -> SparseRow:
         """Content-1 remainder of ``row`` against the basis; empty iff in the span.
@@ -204,69 +234,39 @@ class Echelon:
         vec = dict(row)
         # Basis rows vanish at every pivot but their own, so eliminating one
         # pivot never brings in another: one pass over the pivots present.
-        pivots = [c for c in vec if c in basis]
-        if not pivots:
-            return vec
-        for pivot in pivots:
-            brow = basis[pivot]
-            a, p = vec[pivot], brow[pivot]
-            g = gcd(a, p)
-            a, p = a // g, p // g
-            if p != 1:
-                for c in vec:
-                    vec[c] *= p
-            for c, v in brow.items():
-                x = vec.get(c, 0) - a * v
-                if x:
-                    vec[c] = x
-                else:
-                    del vec[c]
-            if p != 1 and vec:
-                _primitive(vec)
+        for pivot in [c for c in vec if c in basis]:
+            _eliminate(vec, pivot, basis[pivot])
         return _primitive(vec) if vec else vec
 
     def contains(self, row: SparseRow) -> bool:
         return not self.reduce(row)
 
     def add(self, row: SparseRow) -> bool:
-        """Insert ``row``, which must have content 1; False when it already
-        lies in the span."""
-        vec = self.reduce(row)
+        """Insert ``row``, which must have content 1, eliminated forward;
+        False when it already lies in the span."""
+        rows = self._rows
+        vec = dict(row)
+        # A stored row may hold a later pivot, so eliminating one pivot can
+        # bring in another: take them in increasing order off a heap.
+        heap = [c for c in vec if c in rows]
+        heapify(heap)
+        while heap:
+            pivot = heappop(heap)
+            if pivot in vec:
+                brow = rows[pivot]
+                _eliminate(vec, pivot, brow)
+                for c in brow:
+                    if c != pivot and c in rows:
+                        heappush(heap, c)
         if not vec:
             return False
+        _primitive(vec)
         pivot = min(vec)
         if vec[pivot] < 0:
             for c in vec:
                 vec[c] = -vec[c]
-        p = vec[pivot]
-        rows, rows_at = self.rows, self._rows_at
-        # Only the rows listed at the new pivot column change.  Each loses its
-        # entry there, so the column leaves the map; ``vec`` has no entry at
-        # an older pivot, so no other pivot entry moves.
-        for other in rows_at.pop(pivot, ()):
-            brow = rows[other]
-            a = brow[pivot]
-            g = gcd(a, p)
-            a, s = a // g, p // g
-            merged = {c: s * v for c, v in brow.items()} if s != 1 else dict(brow)
-            for c, v in vec.items():
-                old = merged.get(c)
-                if old is None:  # fill-in
-                    merged[c] = -a * v
-                    rows_at.setdefault(c, set()).add(other)
-                    continue
-                x = old - a * v
-                if x:
-                    merged[c] = x
-                else:
-                    del merged[c]
-                    if c != pivot:
-                        rows_at[c].discard(other)
-            rows[other] = _primitive(merged)
-        for c in vec:
-            if c != pivot:
-                rows_at.setdefault(c, set()).add(pivot)
         rows[pivot] = vec
+        self._owed = True
         return True
 
     def complement(self, ncols: int) -> list[dict[int, Fraction]]:

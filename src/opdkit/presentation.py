@@ -36,6 +36,7 @@ acceptance gate look up here are bound too, though not listed in
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -292,6 +293,14 @@ class Presentation:
         raise KeyError(name)
 
 
+def _labels_problem(labels) -> Optional[str]:
+    """Why ``labels`` is no sequence of labels, or ``None``: a string or
+    bytes would iterate as characters or ints, and a scalar not at all."""
+    if isinstance(labels, (str, bytes, bytearray)) or not isinstance(labels, Iterable):
+        return f"{labels!r} is a {type(labels).__name__}"
+    return None
+
+
 @dataclass(frozen=True)
 class ColorSet:
     """An ordered finite set of distinct color labels, each a ``str`` that
@@ -301,6 +310,9 @@ class ColorSet:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        problem = _labels_problem(self.labels)
+        if problem:
+            raise ValueError(f"color labels {problem}: give a sequence of str labels")
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         if not labels:
@@ -321,15 +333,17 @@ class ColorSet:
 
     @classmethod
     def of(cls, spec) -> "ColorSet":
-        """Accept an int n (labels 1..n), a sequence of labels or a ColorSet; refuse a str."""
+        """Accept an int n (labels 1..n), a sequence of labels or a ColorSet;
+        refuse anything else, a str or bytes among them."""
         if isinstance(spec, ColorSet):
             return spec
-        if isinstance(spec, str):
-            raise ValueError(f"color set {spec!r} is a str: give an int, a sequence of labels or a ColorSet")
         if isinstance(spec, int):
             if spec < 1:
                 raise ValueError("color set size must be >= 1")
             return cls(tuple(str(i) for i in range(1, spec + 1)))
+        problem = _labels_problem(spec)
+        if problem:
+            raise ValueError(f"color set {problem}: give an int, a sequence of labels or a ColorSet")
         return cls(tuple(str(x) for x in spec))
 
 

@@ -184,7 +184,7 @@ class _Side:
             basis = Echelon() if self.extends is None else self.extends.basis(grading).copy()
             for rel in self.own.get(grading, ()):
                 basis.add(columns.row(rel))
-            basis = self.bases[grading] = basis.frozen()
+            self.bases[grading] = basis
         return basis
 
 

@@ -116,12 +116,25 @@ def test_relations_sort_by_name_then_first_term():
 
 
 def test_color_set_of_refuses_a_bare_string():
-    # Read as a sequence, "10" would be the two labels 1 and 0.
-    for spec in ("10", "3", "a,b"):
-        with pytest.raises(ValueError, match="give an int, a sequence of labels or a ColorSet"):
+    # Read as a sequence, "10" would be the two labels 1 and 0, and b"ab"
+    # the labels 97 and 98; a float or None is no sequence at all.
+    for spec, kind in (("10", "str"), ("3", "str"), ("a,b", "str"), (b"ab", "bytes"),
+                       (3.0, "float"), (None, "NoneType")):
+        with pytest.raises(ValueError) as refused:
             ColorSet.of(spec)
+        assert str(refused.value) == (
+            f"color set {spec!r} is a {kind}: give an int, a sequence of labels or a ColorSet"
+        )
     assert ColorSet.of(["10"]).labels == ("10",)
     assert ColorSet.of(("a", "b")).labels == ("a", "b")
+
+
+def test_color_set_refuses_a_string_or_bytes_as_its_labels():
+    for labels, kind in (("10", "str"), (b"ab", "bytes")):
+        with pytest.raises(ValueError) as refused:
+            ColorSet(labels)
+        assert str(refused.value) == f"color labels {labels!r} is a {kind}: give a sequence of str labels"
+    assert ColorSet(("10",)).labels == ("10",)
 
 
 def test_color_set_keeps_its_labels_as_a_tuple_of_str():

@@ -17,7 +17,7 @@ import dense_reference as ref
 import pytest
 import rescaled
 from dense_rows import dense_rows
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opdkit.catalog import default_grid
@@ -120,10 +120,6 @@ def pivot_ladders(draw):
     return cols, rows
 
 
-def column_map(basis):
-    return {(c, p) for c, pivots in basis._rows_at.items() for p in pivots}
-
-
 def assert_matches_reference(basis, rows, cols):
     dense = RationalMatrix.from_rows([[row.get(c, 0) for c in range(cols)] for row in rows], cols)
     reduced, pivots = ref.rref(dense.rows, dense.cols)
@@ -133,7 +129,6 @@ def assert_matches_reference(basis, rows, cols):
         # The canonical basis row: content 1, positive at its pivot.
         assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p
         assert tuple(Fraction(row.get(c, 0), row[p]) for c in range(cols)) == expected
-    assert column_map(basis) == {(c, p) for p, row in basis.rows.items() for c in row if c != p}
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,31 +146,87 @@ def test_echelon_add_matches_reference_after_every_row(case):
 def test_echelon_copy_grows_on_its_own(first, second):
     (cols, rows), (more_cols, more) = first, second
     basis = Echelon(rows)
-    rows_before, map_before = {p: dict(row) for p, row in basis.rows.items()}, column_map(basis)
+    rows_before = {p: dict(row) for p, row in basis.rows.items()}
     twin = basis.copy()
-    assert twin.rows == basis.rows and column_map(twin) == map_before
+    assert twin.rows == basis.rows
     for row in more:
         twin.add(row)
-    assert basis.rows == rows_before and column_map(basis) == map_before
+    assert basis.rows == rows_before
     assert_matches_reference(twin, rows + more, max(cols, more_cols))
-    # A frozen basis has no column map; its copy makes one from the rows.
-    thawed = Echelon(rows).frozen().copy()
-    for row in more:
-        thawed.add(row)
-    assert_matches_reference(thawed, rows + more, max(cols, more_cols))
 
 
-def test_echelon_add_updates_the_column_map_on_fill_in_and_cancellation():
+def test_echelon_back_pass_fills_in_and_cancels():
     rows = [{3: 1, 4: 1}, {2: 1, 4: 1}, {1: 1, 3: 1}, {0: 1, 4: 1, 5: 1}, {4: 1, 5: 1}]
     basis = Echelon(rows[:4])
-    # {1: 1, 3: 1} was reduced to {1: 1, 4: -1}, so column 4 is in every row.
-    assert column_map(basis) == {(4, 3), (4, 2), (4, 1), (4, 0), (5, 0)}
     basis.add(rows[4])
-    # The new pivot 4 leaves all four rows: column 5 fills in three of them
-    # and cancels in row 0.
+    # The pivot 4 leaves all four earlier rows: column 5 fills in three of
+    # them and cancels in row 0.
     assert basis.rows == {0: {0: 1}, 1: {1: 1, 5: 1}, 2: {2: 1, 5: -1}, 3: {3: 1, 5: -1}, 4: {4: 1, 5: 1}}
-    assert column_map(basis) == {(5, 1), (5, 2), (5, 3), (5, 4)}
     assert_matches_reference(basis, rows, 6)
+
+
+ECHELON_COLS = 7
+ECHELON_ROW = st.dictionaries(
+    st.integers(0, ECHELON_COLS - 1), st.integers(-3, 3).filter(bool), min_size=1
+).map(primitive_row)
+# Each step acts on basis 0 or 1: ``copy`` makes the other one a copy of it.
+ECHELON_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("add", "reduce")), st.integers(0, 1), ECHELON_ROW),
+        st.tuples(st.sampled_from(("copy", "len", "rows")), st.integers(0, 1)),
+    ),
+    max_size=14,
+)
+
+
+@example([
+    ("add", 0, {3: 1, 4: 1}), ("add", 0, {1: 1, 3: 1}), ("copy", 0),
+    ("add", 1, {4: 1, 5: 1}), ("rows", 0), ("add", 0, {3: 1, 6: 1}), ("rows", 1), ("rows", 0),
+])
+@settings(max_examples=300, deadline=None)
+@given(ECHELON_STEPS)
+def test_echelon_is_reduced_whenever_read(steps):
+    # Each basis answers as the reference does on the rows added to it,
+    # copies included, with or without a back pass owed when the copy was
+    # taken.  A step on one basis leaves the other's stored rows as they
+    # were, though a copy shares row objects with its source.
+    bases, added = [Echelon(), None], [[], None]
+    for step in steps:
+        kind, i = step[:2]
+        basis, other = bases[i], bases[1 - i]
+        if basis is None:
+            continue
+        before = None if other is None else (copy.deepcopy(other._rows), other._owed)
+        dense = [[Fraction(row.get(c, 0)) for c in range(ECHELON_COLS)] for row in added[i]]
+        if kind == "add":
+            row = step[2]
+            held = ref.span_contains(dense, [[row.get(c, 0) for c in range(ECHELON_COLS)]], ECHELON_COLS)
+            assert basis.add(row) is not held
+            added[i].append(row)
+        elif kind == "reduce":
+            row = step[2]
+            rest = basis.reduce(row)
+            assert basis.contains(row) is (not rest)
+            assert (not rest) is ref.span_contains(
+                dense, [[row.get(c, 0) for c in range(ECHELON_COLS)]], ECHELON_COLS
+            )
+            if rest:
+                # A content-1 remainder off every pivot, in ``row`` plus the span.
+                assert gcd(*rest.values()) == 1 and not rest.keys() & basis.rows.keys()
+                assert ref.rank(dense + [[rest.get(c, 0) for c in range(ECHELON_COLS)]], ECHELON_COLS) \
+                    == ref.rank(dense + [[row.get(c, 0) for c in range(ECHELON_COLS)]], ECHELON_COLS)
+        elif kind == "copy":
+            bases[1 - i], added[1 - i] = basis.copy(), list(added[i])
+            before = None
+        elif kind == "len":
+            assert len(basis) == ref.rank(dense, ECHELON_COLS)
+        else:
+            assert_matches_reference(basis, added[i], ECHELON_COLS)
+        if before is not None:
+            assert (other._rows, other._owed) == before
+    for basis, rows in zip(bases, added):
+        if basis is not None:
+            assert_matches_reference(basis, rows, ECHELON_COLS)
 
 
 GRID = dict(default_grid())
@@ -433,8 +484,7 @@ def reference_answers(label, colors, left, right):
 
 
 def assert_kept_bases_are_fresh(p):
-    # A kept basis is frozen, and it is the basis of its side's rows in its
-    # grading made afresh, however many questions read it, and whether or
+    # A kept basis is the basis of its side's rows in its grading made afresh, however many questions read it, and whether or
     # not it was grown from the kept basis of a build it extends.  A side
     # no question has asked keeps nothing.
     kept = vars(p).get("_spans")
@@ -442,7 +492,7 @@ def assert_kept_bases_are_fresh(p):
         return
     for grading, basis in kept.bases.items():
         fresh = Echelon(map(kept.columns[grading].row, kept.graded.get(grading, ())))
-        assert basis._rows_at is None and basis.rows == fresh.rows, grading
+        assert basis.rows == fresh.rows, grading
 
 
 @pytest.mark.parametrize("colors", (2, 3))
