@@ -8,10 +8,10 @@ the replicated generators are built, with increasingly strict relations:
   (a,a,b)+(a,b,a)+(b,a,a) for c_a^2 c_b, and all six orderings of three
   distinct colors;
 * matching -- every coloring of every relation, over all color tuples;
-* total    -- the matching relations plus, for every support tree, the
-  transposition relations equating colorings that differ by swapping the
-  colors of two slots; for a quadratic presentation, every weight-2 tree
-  carries the swap, not only the support trees (see ``build_tot``).
+* total    -- the matching relations plus transpositions equating two
+  colorings of one tree that differ by swapping the colors of two slots:
+  for a quadratic presentation one per weight-2 tree and pair of colors,
+  else those of every relation's support trees (see ``build_tot``).
 
 ``lin_encoding_sides``/``verify_lin_encoding`` mechanize the argument that
 the linear construction encodes exactly the algebras closed under arbitrary
@@ -88,7 +88,7 @@ from .presentation import (
     support,
 )
 from .spans import _extends, presentation_span_equal
-from .trees import _KIND_LEAF, Generator, Tree, _flat_tree, _require, enumerate_basis
+from .trees import _KIND_LEAF, Generator, Tree, _flat_tree, _require, basis_dimension, enumerate_basis
 
 __all__ = [
     "CompatKind",
@@ -281,8 +281,9 @@ class _Compiled:
     generator, in generator order, and ``templates`` one compiled template
     per relation, by position.  ``tot_swaps`` holds the total
     construction's swap templates, grouped by weight, once ``_tot_swaps``
-    has compiled them.  ``builds`` holds each finished build, keyed by its
-    builder's name and the color labels (see ``_kept``).
+    has compiled them (``relation_count`` counts them without).
+    ``builds`` holds each finished build, keyed by its builder's name and
+    the color labels (see ``_kept``).
 
     It is made on first use (``_compiled``) and lives as long as its
     presentation.  It grows with the color labels asked of it: each
@@ -404,7 +405,7 @@ def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) 
     return _Template(terms, memo, (slots, tuple([swap[s] for s in slots])))
 
 
-def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Template]]:
+def _swaps(rel: Relation, memo: dict) -> list[tuple[str, _Template]]:
     """The swap templates of ``rel``'s support trees, with their name stems.
 
     Weight 2: t(mu,nu) - t(nu,mu).  Weight 3: t(mu,nu,mu) - t(nu,mu,mu) and
@@ -412,28 +413,21 @@ def _swaps(rel: Relation, supported: list, memo: dict) -> list[tuple[str, _Templ
     """
     return [
         (f"{rel.name}__T_{idx}{suffix}", _swap(tree, slots, swap, memo))
-        for idx, (tree, slots) in enumerate(supported)
+        for idx, (tree, slots) in enumerate(support(rel))
         for suffix, swap in _SWAPS[rel.weight]
     ]
-
-
-def _uncovered(p: Presentation, supports) -> list[tuple[int, Tree]]:
-    """The weight-2 trees over p's generators outside every support, each
-    with its basis index, arity by arity (1, 2, 3) in canonical order."""
-    covered = {tree for supported in supports for tree, _ in supported}
-    bases = (enumerate_basis(p.generators, arity, 2).basis for arity in (1, 2, 3))
-    return [(i, tree) for basis in bases for i, tree in enumerate(basis) if tree not in covered]
 
 
 @_kept
 def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     """Totally compatible operad: matching relations plus color swaps.
 
-    Every relation contributes color swaps on its support trees, named
-    ``<relation>__T_<support index>[a|b]_<mu>,<nu>`` (see ``_swaps``).  For
-    a quadratic presentation the swap t(mu,nu) - t(nu,mu) is imposed on
-    every weight-2 tree t, so the trees outside all supports get one more
-    swap per pair of colors, named ``swap__a<arity>_<basis index>_<mu>,<nu>``.
+    For a quadratic presentation the swap t(mu,nu) - t(nu,mu), over
+    ``standard_slots(t)``, is imposed on every weight-2 tree t and every
+    pair of colors mu < nu, named ``swap__a<arity>_<basis index>_<mu>,<nu>``
+    after t's place in ``enumerate_basis``.  Once a relation is cubic, every
+    relation swaps the colors of its support trees instead, named
+    ``<relation>__T_<support index>[a|b]_<mu>,<nu>`` (see ``_swaps``).
 
     The quadratic rule is forced by the Koszul duality with the linear
     construction.  Write V for the weight-2 trees of one arity and R for the
@@ -445,8 +439,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     For this to be tot(P^!), whatever the supports of R^perp, the total
     construction of any quadratic Q must span R_Q (x) S^2 + V (x) Lambda^2,
     which is the matching span plus a swap on every tree of V.  Swapping
-    only on support trees loses the Lambda^2 part on the uncovered trees:
-    one derivation d over two colors has no swap on d(d(x1)).
+    only on support trees would lose the Lambda^2 part on the other trees:
+    one derivation d over two colors has no relation on d(d(x1)).
 
     No duality pins the swap set once a relation is cubic, and neither the
     paper's abstract nor this project's documents settle it; such
@@ -475,25 +469,21 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
 
 def _tot_swaps(p: Presentation) -> list[tuple[int, list[tuple[str, _Template]]]]:
     """The swap templates of ``build_tot`` with their name stems, grouped by
-    weight: each relation's support swaps, then, for a quadratic ``p``, the
-    weight-2 swaps of the uncovered trees.  Compiled on first use and kept
-    in ``p``'s compiled state."""
+    weight: for a quadratic ``p`` one swap per weight-2 tree, arity by arity
+    (1, 2, 3) in basis order, else each relation's support swaps.  Compiled
+    on first use and kept in ``p``'s compiled state."""
     compiled = _compiled(p)
-    if compiled.tot_swaps is not None:
-        return compiled.tot_swaps
-    memo = compiled.memo
-    supports = [support(rel) for rel in p.relations]
-    groups = [
-        (rel.weight, _swaps(rel, supported, memo))
-        for rel, supported in zip(p.relations, supports)
-    ]
-    if p.is_quadratic:
-        groups.append((2, [
-            (f"swap__a{tree.arity}_{idx}", _swap(tree, standard_slots(tree), _SWAP_12, memo))
-            for idx, tree in _uncovered(p, supports)
-        ]))
-    compiled.tot_swaps = groups
-    return groups
+    if compiled.tot_swaps is None:
+        memo = compiled.memo
+        if p.is_quadratic:
+            compiled.tot_swaps = [(2, [
+                (f"swap__a{arity}_{idx}", _swap(tree, standard_slots(tree), _SWAP_12, memo))
+                for arity in (1, 2, 3)
+                for idx, tree in enumerate(enumerate_basis(p.generators, arity, 2).basis)
+            ])]
+        else:
+            compiled.tot_swaps = [(rel.weight, _swaps(rel, memo)) for rel in p.relations]
+    return compiled.tot_swaps
 
 
 def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Presentation:
@@ -509,18 +499,24 @@ def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     is colored.
 
     A relation of weight w gives C(k+w-1, w) linear relations, one per color
-    multiset, and k^w matching ones.  The total construction adds its swap
-    templates (``_tot_swaps``, which it compiles, as ``build_tot`` would),
-    each stamped once per pair of colors at weight 2 and once per ordered
-    pair at weight 3.
+    multiset, and k^w matching ones.  The total construction adds its swaps
+    (``_tot_swaps``), read off without compiling them: for a quadratic
+    ``p``, C(k, 2) per weight-2 tree, counted by ``basis_dimension``; else
+    one per support tree, swap of its weight and pair of colors, unordered
+    at weight 2 and ordered at weight 3.
     """
     k = colors
     if kind == "linear":
         return sum(comb(k + rel.weight - 1, rel.weight) for rel in p.relations)
     count = sum(k**rel.weight for rel in p.relations)
     if kind == "total":
-        pairs = {2: comb(k, 2), 3: k * (k - 1)}
-        count += sum(len(swaps) * pairs[weight] for weight, swaps in _tot_swaps(p))
+        if p.is_quadratic:
+            count += comb(k, 2) * sum(basis_dimension(p.generators, a, 2) for a in (1, 2, 3))
+        else:
+            pairs = {2: comb(k, 2), 3: k * (k - 1)}
+            count += sum(
+                len(support(rel)) * len(_SWAPS[rel.weight]) * pairs[rel.weight] for rel in p.relations
+            )
     return count
 
 

@@ -295,8 +295,9 @@ class Presentation:
 
 def _labels_problem(labels) -> Optional[str]:
     """Why ``labels`` is no sequence of labels, or ``None``: a string or
-    bytes would iterate as characters or ints, and a scalar not at all."""
-    if isinstance(labels, (str, bytes, bytearray)) or not isinstance(labels, Iterable):
+    bytes would iterate as characters or ints, a set or frozenset in an
+    order that changes with the hash seed, and a scalar not at all."""
+    if isinstance(labels, (str, bytes, bytearray, set, frozenset)) or not isinstance(labels, Iterable):
         return f"{labels!r} is a {type(labels).__name__}"
     return None
 
@@ -334,10 +335,10 @@ class ColorSet:
     @classmethod
     def of(cls, spec) -> "ColorSet":
         """Accept an int n (labels 1..n), a sequence of labels or a ColorSet;
-        refuse anything else, a str or bytes among them."""
+        refuse anything else: a str, bytes, a set or a bool among them."""
         if isinstance(spec, ColorSet):
             return spec
-        if isinstance(spec, int):
+        if isinstance(spec, int) and not isinstance(spec, bool):
             if spec < 1:
                 raise ValueError("color set size must be >= 1")
             return cls(tuple(str(i) for i in range(1, spec + 1)))

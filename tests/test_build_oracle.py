@@ -91,26 +91,23 @@ def swap(name, tree, slots, first, second):
 
 def reference_tot(p, labels):
     rels = reference_mat_relations(p, labels)
-    covered = set()
-    for rel in p.relations:
-        for idx, (tree, slots) in enumerate(reference_support(rel)):
-            covered.add(tree)
-            stem = f"{rel.name}__T_{idx}"
-            if rel.weight == 2:
-                for mu, nu in itertools.combinations(labels, 2):
-                    rels.append(swap(f"{stem}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu)))
-            else:
-                for mu, nu in itertools.permutations(labels, 2):
-                    rels.append(swap(f"{stem}a_{mu},{nu}", tree, slots, (mu, nu, mu), (nu, mu, mu)))
-                    rels.append(swap(f"{stem}b_{mu},{nu}", tree, slots, (mu, nu, mu), (mu, mu, nu)))
     if all(rel.weight == 2 for rel in p.relations):
         for arity in (1, 2, 3):
             for idx, tree in enumerate(enumerate_basis(p.generators, arity, 2).basis):
-                if tree in covered:
-                    continue
                 for mu, nu in itertools.combinations(labels, 2):
                     name = f"swap__a{arity}_{idx}_{mu},{nu}"
                     rels.append(swap(name, tree, standard_slots(tree), (mu, nu), (nu, mu)))
+    else:
+        for rel in p.relations:
+            for idx, (tree, slots) in enumerate(reference_support(rel)):
+                stem = f"{rel.name}__T_{idx}"
+                if rel.weight == 2:
+                    for mu, nu in itertools.combinations(labels, 2):
+                        rels.append(swap(f"{stem}_{mu},{nu}", tree, slots, (mu, nu), (nu, mu)))
+                else:
+                    for mu, nu in itertools.permutations(labels, 2):
+                        rels.append(swap(f"{stem}a_{mu},{nu}", tree, slots, (mu, nu, mu), (nu, mu, mu)))
+                        rels.append(swap(f"{stem}b_{mu},{nu}", tree, slots, (mu, nu, mu), (mu, mu, nu)))
     return Presentation(f"tot_{p.name}__{'_'.join(labels)}", *colored_generators(p, labels), tuple(rels))
 
 

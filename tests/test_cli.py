@@ -288,7 +288,8 @@ def test_black_product_of_two_total_builds(capsys, tmp_path):
         paths.append(str(path))
     code, out, err = run(capsys, "product", "black", *paths)
     assert (code, err) == (0, "")
-    assert "relation assoc__T_0_1,2__x__dleft__T_0_1,2:" in out
+    # The swaps of the two left combs, as's m(m) and dend's prec(prec).
+    assert "relation swap__a3_0_1,2__x__swap__a3_0_1,2:" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -150,8 +150,8 @@ def test_a_cold_build_makes_one_plan_per_shape():
     templates = list(compiled.templates) + [t for _, swaps in compiled.tot_swaps for _, t in swaps]
     plans = {id(template._plan) for template in templates}
     assert compat._plan.cache_info().currsize == len(plans) < len(templates)
-    # d1d2's 6 relations and 13 swaps have 11 shapes.
-    assert (len(templates), len(plans)) == (19, 11)
+    # d1d2's 6 relations and 12 swaps, one per weight-2 tree, have 11 shapes.
+    assert (len(templates), len(plans)) == (18, 11)
 
 
 def test_the_shape_caches_are_functools_caches_that_the_benchmark_empties():
@@ -179,6 +179,14 @@ def test_relation_count_is_the_number_of_relations_built(label, p):
         for n in (1, 2, 3, 4):
             built = build_compatible(kind, p, ColorSet.of(n))
             assert relation_count(kind, p, n) == len(built.relations), (kind, n)
+
+
+@pytest.mark.parametrize("key", ["d1d2", "rba0"])
+def test_relation_count_compiles_nothing(key):
+    # Quadratic and cubic: the count of tot is read off the input alone.
+    p = builtin(key)
+    assert relation_count("total", p, 3) > relation_count("matching", p, 3)
+    assert "_compiled" not in vars(p)
 
 
 def test_build_lin_as_two_colors_exact_relations():
@@ -287,18 +295,19 @@ def test_epimorphism_chain():
             assert presentation_span_contains(tot, mat), label
 
 
-def _transpositions(tot, base, mu, nu):
-    """The swaps that ``tot`` holds on the support trees of relation ``base``
-    for the colors ``mu``, ``nu``."""
+def _transpositions(tot, stem, mu, nu):
+    """The swaps that ``tot`` holds for the colors ``mu``, ``nu`` whose names
+    start with ``stem``: ``<relation>__T_`` for a relation's support trees,
+    ``swap__a<arity>_`` for the weight-2 trees of one arity."""
     return [
         rel for rel in tot.relations
-        if rel.name.startswith(f"{base}__T_") and rel.name.endswith(f"_{mu},{nu}")
+        if rel.name.startswith(stem) and rel.name.endswith(f"_{mu},{nu}")
     ]
 
 
 def test_transpositions_of_assoc():
-    rels = _transpositions(build_tot(builtin("as"), TWO), "assoc", "1", "2")
-    assert len(rels) == 2
+    rels = _transpositions(build_tot(builtin("as"), TWO), "swap__a3_", "1", "2")
+    assert [rel.name for rel in rels] == ["swap__a3_0_1,2", "swap__a3_1_1,2"]
     texts = [sorted((str(t.coeff), tree_text(t.tree)) for t in rel.terms) for rel in rels]
     assert [("-1", "m#1(m#2(x1,x2),x3)"), ("1", "m#2(m#1(x1,x2),x3)")] in texts
     assert [("-1", "m#2(x1,m#1(x2,x3))"), ("1", "m#1(x1,m#2(x2,x3))")] in texts
@@ -306,23 +315,27 @@ def test_transpositions_of_assoc():
 
 def test_transpositions_weight3_two_per_tree():
     tot = build_tot(builtin("rba0"), TWO)
-    assert len(_transpositions(tot, "rb", "1", "2")) == 6
-    assert not _transpositions(tot, "rb", "1", "1")
+    assert len(_transpositions(tot, "rb__T_", "1", "2")) == 6
+    assert not _transpositions(tot, "rb__T_", "1", "1")
     # A swap needs two distinct colors, and a color set has no repeated label.
     with pytest.raises(ValueError):
         build_tot(builtin("rba0"), ColorSet(("1", "1")))
 
 
 def test_transpositions_single_tree_weight2():
+    # dd_a's one tree d1(d1(x1)) is the first weight-2 tree of arity 1.
     tot = build_tot(builtin("d1d2"), TWO)
-    assert len(_transpositions(tot, "dd_a", "1", "2")) == 1
+    rels = _transpositions(tot, "swap__a1_0", "1", "2")
+    assert [rel.name for rel in rels] == ["swap__a1_0_1,2"]
+    texts = sorted((str(t.coeff), tree_text(t.tree)) for t in rels[0].terms)
+    assert texts == [("-1", "d1#1(d1#2(x1))"), ("1", "d1#2(d1#1(x1))")]
 
 
 def test_build_tot_as_span():
     tot = build_tot(builtin("as"), TWO)
     # matching family plus both comb transpositions
     names = {rel.name for rel in tot.relations}
-    assert "assoc__T_0_1,2" in names and "assoc__T_1_1,2" in names
+    assert "swap__a3_0_1,2" in names and "swap__a3_1_1,2" in names
     assert dense_rank(tot.generators, tot.relations, 3, 2) == 5  # of the 8-dimensional ambient
 
 

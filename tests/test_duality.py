@@ -1,6 +1,8 @@
 """Koszul duals: pairing signs, complements, self-duality, duality identities."""
 
+import itertools
 import time
+from collections import Counter
 
 import pytest
 from dense_rows import dense_rank
@@ -27,15 +29,27 @@ D = Generator("d", 1)
 M = Generator("m", 2)
 
 
-def uncovered_trees(p):
-    """The uncolored trees of ``build_tot``'s ``swap__`` relations at 2 colors:
-    the weight-2 trees outside every support of a quadratic ``p``."""
-    trees = []
+def swaps(p):
+    """How many relations ``build_tot`` adds to the matching ones at 2 colors
+    on each uncolored tree and set of colors that a swap exchanges."""
+    matching = {rel.name for rel in build_mat(p, TWO).relations}
+    counts = Counter()
     for rel in build_tot(p, TWO).relations:
-        if rel.name.startswith("swap__"):
+        if rel.name not in matching:
             tree = rel.terms[0].tree
-            trees.append(relabel(tree, [g.uncolored() for g in tree.internal_generators()]))
-    return trees
+            gens = tree.internal_generators()
+            counts[relabel(tree, [g.uncolored() for g in gens]), frozenset(g.color for g in gens)] += 1
+    return counts
+
+
+def one_swap_per_tree(p):
+    """Each weight-2 tree over ``p``'s generators once with each pair of colors."""
+    return Counter(
+        (tree, frozenset(pair))
+        for arity in (1, 2, 3)
+        for tree in enumerate_basis(p.generators, arity, 2).basis
+        for pair in itertools.combinations(TWO.labels, 2)
+    )
 
 
 def signs(component):
@@ -167,12 +181,12 @@ def test_matching_duality_identity(n):
 
 def test_linear_total_duality_identities_where_supports_cover():
     # In `as` and `dend` every weight-2 tree lies in some relation's support,
-    # on both sides of the duality, so the total construction needs no swap
-    # beyond the support trees.
+    # on both sides of the duality; the total construction swaps colors on
+    # every weight-2 tree once per pair of colors all the same.
     for key in ("as", "dend"):
         pres = builtin(key)
-        assert not uncovered_trees(pres)
-        assert not uncovered_trees(koszul_dual(pres))
+        assert swaps(pres) == one_swap_per_tree(pres)
+        assert swaps(koszul_dual(pres)) == one_swap_per_tree(koszul_dual(pres))
         assert check_dual_identity("linear", pres, TWO)
         assert check_dual_identity("total", pres, TWO)
 
@@ -180,14 +194,16 @@ def test_linear_total_duality_identities_where_supports_cover():
 def test_linear_total_duality_fails_on_sparse_supports():
     # Sparse supports: with one derivation, d1(d1(x1)) occurs in no relation,
     # and d1d2 leaves trees outside the supports on both sides of the
-    # duality.  The total construction still swaps colors on those trees, so
-    # both identities hold.
+    # duality.  The total construction swaps colors on every weight-2 tree,
+    # those trees among them, so both identities hold.
     md1 = builtin("multi_diff", 1)
     chain = Tree(Generator("d1", 1), (Tree(Generator("d1", 1), (leaf(),)),))
     assert all(tree != chain for rel in md1.relations for tree, _ in support(rel))
-    assert uncovered_trees(md1) == [chain]
+    assert swaps(md1) == one_swap_per_tree(md1)
+    assert swaps(md1)[chain, frozenset(TWO.labels)] == 1
     d1d2 = builtin("d1d2")
-    assert uncovered_trees(d1d2) and uncovered_trees(koszul_dual(d1d2))
+    assert swaps(d1d2) == one_swap_per_tree(d1d2)
+    assert swaps(koszul_dual(d1d2)) == one_swap_per_tree(koszul_dual(d1d2))
     for pres in (md1, builtin("multi_diff", 2), d1d2):
         assert check_dual_identity("total", pres, TWO), pres.name
     assert check_dual_identity("linear", d1d2, TWO)

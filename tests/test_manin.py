@@ -168,9 +168,10 @@ def test_dual_of_black_is_white_of_duals_explicitly():
 def test_black_of_total_factors_drops_pairs_with_no_shared_shape():
     tot_as = build_tot(builtin("as"), TWO)
     names = {rel.name for rel in black_square(tot_as, tot_as).relations}
-    # T_0 swaps the colors of a left comb and T_1 those of a right comb.
-    assert "assoc__T_0_1,2__x__assoc__T_0_1,2" in names
-    assert "assoc__T_0_1,2__x__assoc__T_1_1,2" not in names
+    # swap__a3_0 swaps the colors of a left comb and swap__a3_1 those of a
+    # right comb.
+    assert "swap__a3_0_1,2__x__swap__a3_0_1,2" in names
+    assert "swap__a3_0_1,2__x__swap__a3_1_1,2" not in names
 
 
 @pytest.mark.parametrize("left", ["as", "dend"])

@@ -117,9 +117,12 @@ def test_relations_sort_by_name_then_first_term():
 
 def test_color_set_of_refuses_a_bare_string():
     # Read as a sequence, "10" would be the two labels 1 and 0, and b"ab"
-    # the labels 97 and 98; a float or None is no sequence at all.
+    # the labels 97 and 98; a set iterates in an order that changes with the
+    # hash seed; True is an int, and gave the one color 1; a float or None
+    # is no sequence at all.
     for spec, kind in (("10", "str"), ("3", "str"), ("a,b", "str"), (b"ab", "bytes"),
-                       (3.0, "float"), (None, "NoneType")):
+                       ({"b", "a"}, "set"), (frozenset({"a"}), "frozenset"), (set(), "set"),
+                       (True, "bool"), (False, "bool"), (3.0, "float"), (None, "NoneType")):
         with pytest.raises(ValueError) as refused:
             ColorSet.of(spec)
         assert str(refused.value) == (
@@ -130,7 +133,8 @@ def test_color_set_of_refuses_a_bare_string():
 
 
 def test_color_set_refuses_a_string_or_bytes_as_its_labels():
-    for labels, kind in (("10", "str"), (b"ab", "bytes")):
+    for labels, kind in (("10", "str"), (b"ab", "bytes"),
+                         ({"b", "a"}, "set"), (frozenset({"a"}), "frozenset")):
         with pytest.raises(ValueError) as refused:
             ColorSet(labels)
         assert str(refused.value) == f"color labels {labels!r} is a {kind}: give a sequence of str labels"
@@ -450,7 +454,7 @@ def test_removed_helpers_are_gone_from_the_api():
     removed = {
         presentation: ("color_term", "color_relation", "tensor_generators",
                        "_Template", "_Compiled", "_ColoredCopies", "_colored_copies", "_picker"),
-        compat: ("transposition_relations", "uncovered_trees",
+        compat: ("transposition_relations", "uncovered_trees", "_uncovered",
                  "_build_mat", "_build_lin", "_expand_formal", "FormalExpansion", "expand_formal"),
     }
     for module, names in removed.items():
