@@ -24,43 +24,40 @@ multiset; it stamps them from the same templates, so it is not independent
 of ``build_lin`` (the two agree term for term up to names);
 ``tests/test_build_oracle.py::reference_expansion`` is.
 
-This module is the only one that knows how a coloring is made, and
-``replicate`` is the one way to the colored generators.  Each relation is
-compiled once into a template (``_Template``) and every coloring is stamped
-from it; each swap is a template of one tree, stamped for every pair of
-colors.  Every coloring of a relation has the shape of the relation, so a
-template is split in two.  Its plan (``_Plan``) is what the terms'
-coefficients, shapes, slots and read slots fix: the pickers of each term's
-vertex colors, the keys that sort a stamp's terms, and the integer
-coefficients and skeleton of each order a stamp's terms are sorted into.
-Plans live in a module-level ``functools`` cache (``_plan``) keyed by
-exactly those values, so every template of one shape, relation or swap, of
-any input and any build, shares one.  The rest of a template is per tree:
-each term's colorings in the memo and the tables of its vertices' colored
-generators.  The templates, the swaps and the coloring memo they share are
-the presentation's compiled state (``_Compiled``, reached through
-``_compiled``), made by the first build from a presentation object and kept
-in its instance dict as long as that object lives.  So every build from one
-input, at any color count, shares them: ``build_tot`` with a ``build_mat``
-of the same input, the formal side with ``build_lin``, a 3-color build with
-a 2-color one.  The memo maps each tree to its colored trees, keyed by the
-colors of the tree's vertices, so equal colored trees built from one input
-are one object, and a build's generator list is read from the memo's
-colored copies (``replicate``), so its trees and its generator list hold
-the same objects.  Each finished build is kept there too and returned when
-asked again, so ``build_tot`` holds the very relations of ``build_mat``,
-and a kept build keeps its span bases (see ``spans``) as long as the input
-lives.  ``build_tot`` states that it extends mat (``spans._extends``), so
-tot's basis in a grading is mat's grown by the swap rows, and mat's rows
-are never eliminated for tot; only the extension is recorded at build time.
-A stamped relation carries its plan's integer coefficients and skeleton for
-its order, so neither is worked out again per relation, for spans or for
-printing, nor per input.  Apart from the plans, which hold no tree or
-generator, the state is never global: an equal presentation built anew
-starts with none, and nothing is evicted while the input lives.  lin, mat
-and tot at 2..8 colors over ``default_grid()`` keep 14.8 MiB under
-tracemalloc, and 25.5 MiB once each has been asked tot ⊇ mat, mat ⊇ lin and
-the linear encoding, tot's bases among them.
+The families differ only in the colorings each relation is stamped with,
+so one loop stamps them all.  ``_stamped`` takes compiled templates, each
+with a name stem and a weight, and a coloring rule, and stamps one relation
+``<stem><suffix>`` per (suffix, colorings) that the rule gives for the
+color labels and the template's weight: the sum of the template's terms
+under each of those colorings.  The rules are ``_every_coloring`` for mat,
+``_every_monomial`` for lin, ``_every_product`` for the formal side and
+``_every_swap`` for tot's swaps, whose templates ``_tot_swaps`` compiles.
+
+A template (``_Template``) is a relation's terms, or a swap's, compiled
+once.  Its plan (``_Plan``) is what the terms' coefficients, shapes, slots
+and read slots fix: the pickers of each term's vertex colors, the keys that
+sort a stamp's terms, the integer coefficients and skeleton texts, and per
+order a stamp's terms are sorted into its integer coefficients and
+skeleton, so a stamped relation works out neither again.  Plans live in a
+module-level ``functools`` cache (``_plan``) keyed by exactly those values,
+so every template of one shape, of any input and any build, shares one.
+The rest of a template is per tree.
+
+This module is the only one that knows how a coloring is made.  What every
+build from one presentation object shares is its compiled state
+(``_Compiled``, through ``_compiled``), made by the first build and kept in
+the object's instance dict while it lives: the relation templates, each
+generator's colored copies, which ``replicate`` makes and every build lists,
+the memo of colored trees, keyed by tree and the colors of its vertices, so
+equal colored trees of one input are one object, and each finished build
+(``_kept``).  So a build asked again is the same object, with the span
+bases it keeps (see ``spans``); ``build_tot`` holds the very relations of
+``build_mat`` and says so (``spans._extends``), so tot's bases are mat's
+grown by the swap rows.  Apart from the plans, which hold no tree or
+generator, nothing is global: an equal presentation built anew starts with
+none.  lin, mat and tot at 2..8 colors over ``default_grid()`` keep 14.7 MiB
+under tracemalloc, and 25.4 MiB once each has been asked tot ⊇ mat,
+mat ⊇ lin and the linear encoding.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 from operator import getitem, itemgetter
-from typing import Literal, Optional, Sequence
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 from .presentation import (
     ColorSet,
@@ -111,27 +108,10 @@ CompatKind = Literal["linear", "matching", "total"]
 # tracer's) sees every build.
 KINDS: dict[str, CompatKind] = {"lin": "linear", "mat": "matching", "tot": "total"}
 
-
-class _ColoredCopies(dict):
-    """color -> one generator colored by it, each copy made on first use."""
-
-    __slots__ = ("gen",)
-
-    def __init__(self, gen: Generator) -> None:
-        super().__init__()
-        self.gen = gen
-
-    def __missing__(self, color: str) -> Generator:
-        colored = self[color] = self.gen.colored(color)
-        return colored
-
-
-def _colored_copies(memo: dict, gen: Generator) -> _ColoredCopies:
-    """The memo's table of the colored copies of ``gen``."""
-    copies = memo.get(gen)
-    if copies is None:
-        copies = memo[gen] = _ColoredCopies(gen)
-    return copies
+# What a coloring rule gives for the color labels and a template's weight:
+# the (name suffix, colorings) of each relation to stamp (see ``_stamped``).
+_Stamps = Iterable[tuple[str, Sequence[tuple[str, ...]]]]
+_Rule = Callable[[tuple[str, ...], int], _Stamps]
 
 
 class _Plan:
@@ -141,14 +121,13 @@ class _Plan:
     ``picks`` holds per term the picker of the colors its vertices read.
     ``integers`` are the terms' coprime integer coefficients
     (``_integers``) and ``texts`` their parts of a skeleton
-    (``_term_texts``), set by the first template of the plan.  Colored
-    terms compare as in ``Term.sort_key`` by (rank, generator keys, tie),
-    and ``ranks``, ``ties`` and ``in_order`` give the parts of that key
-    that coloring does not change (see ``_plan``).  ``stamps`` maps the
-    order a stamp's terms are sorted into (``None``: as stamped) to its
-    integer coefficients and skeleton, the plan's permuted, which depend on
-    that order only, so every stamp sorted so, from any template of the
-    plan, shares them.
+    (``_term_texts``).  Colored terms compare as in ``Term.sort_key`` by
+    (rank, generator keys, tie), and ``ranks``, ``ties`` and ``in_order``
+    give the parts of that key that coloring does not change (see
+    ``_plan``).  ``stamps`` maps the order a stamp's terms are sorted into
+    (``None``: as stamped) to its integer coefficients and skeleton, the
+    plan's permuted, which depend on that order only, so every stamp sorted
+    so, from any template of the plan, shares them.
     """
 
     __slots__ = ("picks", "integers", "texts", "ranks", "ties", "in_order", "stamps")
@@ -176,6 +155,7 @@ def _plan(
     # A valid term has 2 or 3 vertices, so each picker picks a tuple.
     plan.picks = [itemgetter(*[slot - 1 for slot in read]) for _, _, _, _, read in key]
     plan.integers = ints = tuple(_integers([(num, den) for num, den, _, _, _ in key]))
+    plan.texts = _term_texts([term[:4] for term in key])
     grades = [(shape.count(_KIND_LEAF), len(slots), shape) for _, _, shape, slots, _ in key]
     rank = {grade: i for i, grade in enumerate(sorted(set(grades)))}
     plan.ranks = ranks = [rank[grade] for grade in grades]
@@ -185,7 +165,6 @@ def _plan(
         for place, i in enumerate(order):
             plan.ties[i] = place
     plan.in_order = all(a < b for a, b in zip(ranks, ranks[1:]))
-    plan.texts = None
     plan.stamps = {}
     return plan
 
@@ -197,16 +176,12 @@ class _Template:
     terms' coefficients, shapes, slots and read slots fix, shared by every
     template of that shape.  The template itself keeps, per term, its
     coefficient, shape and slots, the plan's picker, and what depends on
-    the tree: the memo's dict of the tree's colorings and each vertex's
-    table of colored generators.  A coloring then makes each term from a
-    lookup keyed by the colors of its vertices, and puts the terms in
-    canonical order without checking them again.
-
-    The memo is shared by everything colored from one presentation (see
-    ``_Compiled``): ``memo[gen]`` maps a color to the colored generator,
-    ``memo[tree]`` maps the colors of the tree's vertices in preorder to
-    the colored tree.  Equal colored trees built through one memo are
-    therefore one object.
+    the tree, taken from the compiled state it is made in (``_Compiled``):
+    the memo's dict of the tree's colorings and each vertex's dict of
+    colored copies.  A coloring then makes each term from a lookup keyed
+    by the colors of its vertices, and puts the terms in canonical order
+    without checking them again.  It may use only labels that ``replicate``
+    has made copies of.
 
     ``reads`` gives, per term, the slots its vertices read their colors
     from, when they are not the term's own slots (see ``_swap``).
@@ -215,7 +190,7 @@ class _Template:
     __slots__ = ("_plan", "_parts")
 
     def __init__(
-        self, terms: Sequence[Term], memo: dict,
+        self, terms: Sequence[Term], compiled: _Compiled,
         reads: Optional[Sequence[tuple[int, ...]]] = None,
     ) -> None:
         reads = reads or [term.slots for term in terms]
@@ -223,17 +198,13 @@ class _Template:
             (term.coeff.numerator, term.coeff.denominator, term.tree.shape, term.slots, read)
             for term, read in zip(terms, reads)
         ]))
-        parts = []
-        for term, pick in zip(terms, plan.picks):
-            tree = term.tree
-            colorings = memo.get(tree)
-            if colorings is None:
-                colorings = memo[tree] = {}
-            copies = tuple([_colored_copies(memo, gen) for gen in tree.internal_generators()])
-            parts.append((term.coeff, tree.shape, term.slots, pick, copies, colorings))
-        self._parts = parts
-        if plan.texts is None:
-            plan.texts = _term_texts(terms)
+        memo, copies = compiled.memo, compiled.copies
+        self._parts = [
+            (term.coeff, term.tree.shape, term.slots, pick,
+             tuple([copies[gen] for gen in term.tree.internal_generators()]),
+             memo.setdefault(term.tree, {}))
+            for term, pick in zip(terms, plan.picks)
+        ]
 
     def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
         """The relation ``name`` whose terms are those of every coloring.
@@ -274,30 +245,37 @@ class _Template:
 
 
 class _Compiled:
-    """What the builders derive from one valid presentation.
+    """What the builders derive from one valid, uncolored presentation.
 
-    ``memo`` is the coloring memo that every build from the presentation
-    shares, ``copies`` the memo's table of colored copies of each
-    generator, in generator order, and ``templates`` one compiled template
-    per relation, by position.  ``tot_swaps`` holds the total
-    construction's swap templates, grouped by weight, once ``_tot_swaps``
-    has compiled them (``relation_count`` counts them without).
-    ``builds`` holds each finished build, keyed by its builder's name and
-    the color labels (see ``_kept``).
+    ``copies`` maps each generator, in generator order, to its colored
+    copies by label, made by ``replicate``.  ``memo`` maps each tree of a
+    template to its colored trees, keyed by the colors of its vertices in
+    preorder, so equal colored trees stamped from one input are one object.
+    ``templates`` holds per relation, by position, its name stem
+    ``<relation>__``, its weight and its template, as ``_stamped`` takes
+    them.  ``builds`` holds each finished build, keyed by its builder's
+    name and the color labels (see ``_kept``).
 
     It is made on first use (``_compiled``) and lives as long as its
-    presentation.  It grows with the color labels asked of it: each
-    new label adds its colored generators and the colored trees that use it.
+    presentation.  It grows with the color labels asked of it: each new
+    label adds its colored generators and the colored trees that use it.
     """
 
-    __slots__ = ("memo", "copies", "templates", "tot_swaps", "builds")
+    __slots__ = ("copies", "memo", "templates", "builds")
 
     def __init__(self, p: Presentation) -> None:
-        self.memo = memo = {}
-        self.copies = tuple([_colored_copies(memo, g) for g in p.generators])
-        self.templates = tuple([_Template(r.terms, memo) for r in p.relations])
-        self.tot_swaps: Optional[list[tuple[int, list[tuple[str, _Template]]]]] = None
+        self.copies: dict[Generator, dict[str, Generator]] = {g: {} for g in p.generators}
+        self.memo: dict[Tree, dict[tuple[str, ...], Tree]] = {}
+        self.templates = tuple([
+            (f"{rel.name}__", rel.weight, _Template(rel.terms, self)) for rel in p.relations
+        ])
         self.builds: dict[tuple[str, tuple[str, ...]], Presentation] = {}
+
+
+def _require_buildable(p: Presentation) -> None:
+    """Raise the builders' ``ValueError`` unless ``p`` is valid and uncolored."""
+    require_valid(p)
+    _require(replicate_problem(p))
 
 
 def _compiled(p: Presentation) -> _Compiled:
@@ -305,24 +283,82 @@ def _compiled(p: Presentation) -> _Compiled:
     and kept in its instance dict, as ``cached_property`` keeps a value."""
     state = vars(p).get("_compiled")
     if state is None:
-        require_valid(p)
-        _require(replicate_problem(p))
+        _require_buildable(p)
         state = vars(p)["_compiled"] = _Compiled(p)
     return state
 
 
 def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
     """The colored generator family: g#w for every generator g, then every
-    color w, taken from the memo that the colored trees take theirs from, so
-    every build of ``p`` over ``omega`` lists these very objects."""
+    color w.  Each copy is made once, by the first call that asks for it,
+    and kept in ``p``'s compiled state, so every build of ``p`` over
+    ``omega`` lists these very objects and its colored trees hold them."""
     labels = ColorSet.of(omega).labels
-    return [copies[w] for copies in _compiled(p).copies for w in labels]
+    gens = []
+    for gen, copies in _compiled(p).copies.items():
+        for label in labels:
+            colored = copies.get(label)
+            if colored is None:
+                colored = copies[label] = gen.colored(label)
+            gens.append(colored)
+    return gens
 
 
-def _colored_gens(p: Presentation, omega: ColorSet) -> tuple[tuple[Generator, ...], tuple[Generator, ...]]:
-    """``replicate(p, omega)``, unary then binary."""
-    gens = replicate(p, omega)
-    return tuple([g for g in gens if g.arity == 1]), tuple([g for g in gens if g.arity == 2])
+def _stamped(
+    templates: Iterable[tuple[str, int, _Template]], labels: tuple[str, ...], rule: _Rule
+) -> list[Relation]:
+    """Every colored relation of a family: for each (name stem, weight,
+    template), one relation ``<stem><suffix>`` per (suffix, colorings) that
+    ``rule(labels, weight)`` gives, the sum of the template's terms under
+    each of those colorings."""
+    return [
+        template.relation(stem + suffix, colorings)
+        for stem, weight, template in templates
+        for suffix, colorings in rule(labels, weight)
+    ]
+
+
+def _every_coloring(labels: tuple[str, ...], weight: int) -> _Stamps:
+    """mat's rule: every color tuple on its own, named ``a,b,...``."""
+    return [(",".join(colors), (colors,)) for colors in itertools.product(labels, repeat=weight)]
+
+
+def _every_monomial(labels: tuple[str, ...], weight: int) -> _Stamps:
+    """lin's rule: every color multiset with its distinct orderings, named
+    ``a,a`` for one color, ``L_<repeated>,<other>`` for two and ``S_a,b,c``
+    for three."""
+    for colors in itertools.combinations_with_replacement(labels, weight):
+        # The coefficient of c_mu c_nu ... is the sum over all distinct
+        # orderings of the colors; the orderings are not individually
+        # extractable from commuting scalars.
+        orderings = list(dict.fromkeys(itertools.permutations(colors)))
+        # Most frequent first, ties in order of first appearance.
+        distinct = sorted(dict.fromkeys(colors), key=colors.count, reverse=True)
+        if len(distinct) == 1:
+            yield ",".join(colors), orderings
+        else:
+            yield f"{'L' if len(distinct) == 2 else 'S'}_{','.join(distinct)}", orderings
+
+
+def _every_product(labels: tuple[str, ...], weight: int) -> _Stamps:
+    """The formal side's rule: every color tuple, grouped by its sorted
+    colors, the monomial in the c's it is a coefficient of, and named
+    ``c_<sorted colors, joined by .>``."""
+    buckets: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for colors in itertools.product(labels, repeat=weight):
+        buckets.setdefault(tuple(sorted(colors)), []).append(colors)
+    return [(f"c_{'.'.join(monomial)}", colorings) for monomial, colorings in buckets.items()]
+
+
+def _every_swap(labels: tuple[str, ...], weight: int) -> _Stamps:
+    """tot's rule: the coloring that stamps a swap template (see
+    ``_tot_swaps``), named ``mu,nu``: (mu,nu) for mu < nu at weight 2,
+    (mu,nu,mu) for mu != nu at weight 3.  A weight-2 swap for (nu,mu) is
+    the negative of the one for (mu,nu); the two weight-3 swaps for
+    (nu,mu) are new relations."""
+    if weight == 2:
+        return [(f"{mu},{nu}", ((mu, nu),)) for mu, nu in itertools.combinations(labels, 2)]
+    return [(f"{mu},{nu}", ((mu, nu, mu),)) for mu, nu in itertools.permutations(labels, 2)]
 
 
 def _kept(build):
@@ -342,42 +378,29 @@ def _kept(build):
     return kept
 
 
+def _built(kind: str, p: Presentation, omega: ColorSet, rule: _Rule) -> Presentation:
+    """The construction ``<kind>_<p>__<labels>``: every relation of ``p``
+    stamped by ``rule``, over ``replicate(p, omega)``, unary then binary."""
+    gens = replicate(p, omega)
+    return Presentation(
+        f"{kind}_{p.name}__{'_'.join(omega.labels)}",
+        tuple([g for g in gens if g.arity == 1]),
+        tuple([g for g in gens if g.arity == 2]),
+        tuple(_stamped(_compiled(p).templates, omega.labels, rule)),
+    )
+
+
 @_kept
 def build_mat(p: Presentation, omega: ColorSet) -> Presentation:
     """Matching operad: every coloring of every relation, all color tuples."""
-    unary, binary = _colored_gens(p, omega)
-    rels = [
-        template.relation(f"{rel.name}__{','.join(colors)}", (colors,))
-        for rel, template in zip(p.relations, _compiled(p).templates)
-        for colors in itertools.product(omega.labels, repeat=rel.weight)
-    ]
-    return Presentation(f"mat_{p.name}__{'_'.join(omega.labels)}", unary, binary, tuple(rels))
-
-
-def _monomial_name(base: str, colors: tuple[str, ...]) -> str:
-    """``base__a,a`` for one color, ``base__L_<repeated>,<other>`` for two,
-    ``base__S_a,b,c`` for three."""
-    # Most frequent first, ties in order of first appearance.
-    distinct = sorted(dict.fromkeys(colors), key=colors.count, reverse=True)
-    if len(distinct) == 1:
-        return f"{base}__{','.join(colors)}"
-    return f"{base}__{'L' if len(distinct) == 2 else 'S'}_{','.join(distinct)}"
+    return _built("mat", p, omega, _every_coloring)
 
 
 @_kept
 def build_lin(p: Presentation, omega: ColorSet) -> Presentation:
     """Linearly compatible operad: one relation per color monomial of each
     relation, the sum of its distinct orderings."""
-    unary, binary = _colored_gens(p, omega)
-    rels = []
-    for rel, template in zip(p.relations, _compiled(p).templates):
-        for colors in itertools.combinations_with_replacement(omega.labels, rel.weight):
-            # The coefficient of c_mu c_nu ... is the sum over all distinct
-            # orderings of the colors; the orderings are not individually
-            # extractable from commuting scalars.
-            orderings = list(dict.fromkeys(itertools.permutations(colors)))
-            rels.append(template.relation(_monomial_name(rel.name, colors), orderings))
-    return Presentation(f"lin_{p.name}__{'_'.join(omega.labels)}", unary, binary, tuple(rels))
+    return _built("lin", p, omega, _every_monomial)
 
 
 # Transpositions of slots, as maps from slot to slot, and the swaps of a
@@ -391,7 +414,7 @@ _SWAPS = {2: (("", _SWAP_12),), 3: (("a", _SWAP_12), ("b", _SWAP_23))}
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) -> _Template:
+def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], compiled: _Compiled) -> _Template:
     """The swap t(first) - t(second) of one slotted tree, as a template that
     is stamped by ``first``.
 
@@ -402,20 +425,7 @@ def _swap(tree: Tree, slots: tuple[int, ...], swap: dict[int, int], memo: dict) 
     the terms are made unchecked.
     """
     terms = (_term(_ONE, tree, slots), _term(_MINUS_ONE, tree, slots))
-    return _Template(terms, memo, (slots, tuple([swap[s] for s in slots])))
-
-
-def _swaps(rel: Relation, memo: dict) -> list[tuple[str, _Template]]:
-    """The swap templates of ``rel``'s support trees, with their name stems.
-
-    Weight 2: t(mu,nu) - t(nu,mu).  Weight 3: t(mu,nu,mu) - t(nu,mu,mu) and
-    t(mu,nu,mu) - t(mu,mu,nu), i.e. the swap of slots 1,2 and of slots 2,3.
-    """
-    return [
-        (f"{rel.name}__T_{idx}{suffix}", _swap(tree, slots, swap, memo))
-        for idx, (tree, slots) in enumerate(support(rel))
-        for suffix, swap in _SWAPS[rel.weight]
-    ]
+    return _Template(terms, compiled, (slots, tuple([swap[s] for s in slots])))
 
 
 @_kept
@@ -427,7 +437,8 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     pair of colors mu < nu, named ``swap__a<arity>_<basis index>_<mu>,<nu>``
     after t's place in ``enumerate_basis``.  Once a relation is cubic, every
     relation swaps the colors of its support trees instead, named
-    ``<relation>__T_<support index>[a|b]_<mu>,<nu>`` (see ``_swaps``).
+    ``<relation>__T_<support index>[a|b]_<mu>,<nu>``.  Either way the swaps
+    are ``_tot_swaps``' templates stamped by ``_every_swap``.
 
     The quadratic rule is forced by the Koszul duality with the linear
     construction.  Write V for the weight-2 trees of one arity and R for the
@@ -450,40 +461,43 @@ def build_tot(p: Presentation, omega: ColorSet) -> Presentation:
     tot holds mat's relation objects, so its span bases extend mat's.
     """
     mat = build_mat(p, omega)
-    extra = []
-    for weight, swaps in _tot_swaps(p):
-        # A weight-2 swap for (nu,mu) is the negative of the one for (mu,nu);
-        # the two weight-3 swaps for (nu,mu) are new relations.
-        pairs = itertools.combinations if weight == 2 else itertools.permutations
-        for mu, nu in pairs(omega.labels, 2):
-            first = (mu, nu) if weight == 2 else (mu, nu, mu)
-            extra.extend(template.relation(f"{stem}_{mu},{nu}", (first,)) for stem, template in swaps)
+    swaps = _stamped(_tot_swaps(p), omega.labels, _every_swap)
     tot = Presentation(
         f"tot_{p.name}__{'_'.join(omega.labels)}",
         mat.unary,
         mat.binary,
-        mat.relations + tuple(extra),
+        mat.relations + tuple(swaps),
     )
-    return _extends(tot, mat, extra)
+    return _extends(tot, mat, swaps)
 
 
-def _tot_swaps(p: Presentation) -> list[tuple[int, list[tuple[str, _Template]]]]:
-    """The swap templates of ``build_tot`` with their name stems, grouped by
-    weight: for a quadratic ``p`` one swap per weight-2 tree, arity by arity
-    (1, 2, 3) in basis order, else each relation's support swaps.  Compiled
-    on first use and kept in ``p``'s compiled state."""
+def _tot_swaps(p: Presentation) -> list[tuple[str, int, _Template]]:
+    """The swap templates of ``build_tot`` as ``_stamped`` takes them, each
+    with a name stem ending in ``_`` that ``_every_swap`` completes with
+    the colors, and its weight.
+
+    For a quadratic ``p`` one swap of slots 1,2 per weight-2 tree, arity by
+    arity (1, 2, 3) in basis order, stem ``swap__a<arity>_<basis index>_``.
+    Else, per relation, the swaps of its support trees, stem
+    ``<relation>__T_<support index>[a|b]_``: t(mu,nu) - t(nu,mu) at weight
+    2; t(mu,nu,mu) - t(nu,mu,mu) (a, slots 1,2) and t(mu,nu,mu) -
+    t(mu,mu,nu) (b, slots 2,3) at weight 3.  Compiled anew by each call,
+    over ``p``'s compiled state: tot is kept per color labels, and the
+    plans are shared.
+    """
     compiled = _compiled(p)
-    if compiled.tot_swaps is None:
-        memo = compiled.memo
-        if p.is_quadratic:
-            compiled.tot_swaps = [(2, [
-                (f"swap__a{arity}_{idx}", _swap(tree, standard_slots(tree), _SWAP_12, memo))
-                for arity in (1, 2, 3)
-                for idx, tree in enumerate(enumerate_basis(p.generators, arity, 2).basis)
-            ])]
-        else:
-            compiled.tot_swaps = [(rel.weight, _swaps(rel, memo)) for rel in p.relations]
-    return compiled.tot_swaps
+    if p.is_quadratic:
+        return [
+            (f"swap__a{arity}_{idx}_", 2, _swap(tree, standard_slots(tree), _SWAP_12, compiled))
+            for arity in (1, 2, 3)
+            for idx, tree in enumerate(enumerate_basis(p.generators, arity, 2).basis)
+        ]
+    return [
+        (f"{rel.name}__T_{idx}{suffix}_", rel.weight, _swap(tree, slots, swap, compiled))
+        for rel in p.relations
+        for idx, (tree, slots) in enumerate(support(rel))
+        for suffix, swap in _SWAPS[rel.weight]
+    ]
 
 
 def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Presentation:
@@ -494,9 +508,9 @@ def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Pres
 
 
 def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
-    """How many relations ``build_compatible(kind, p, omega)`` makes for a
-    valid, uncolored ``p`` and ``colors`` = |omega|, in closed form: nothing
-    is colored.
+    """How many relations ``build_compatible(kind, p, omega)`` makes for
+    ``colors`` = |omega|, in closed form: nothing is colored or compiled.
+    An invalid or colored ``p`` is refused with the builders' ``ValueError``.
 
     A relation of weight w gives C(k+w-1, w) linear relations, one per color
     multiset, and k^w matching ones.  The total construction adds its swaps
@@ -505,6 +519,7 @@ def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     one per support tree, swap of its weight and pair of colors, unordered
     at weight 2 and ordered at weight 3.
     """
+    _require_buildable(p)
     k = colors
     if kind == "linear":
         return sum(comb(k + rel.weight - 1, rel.weight) for rel in p.relations)
@@ -527,20 +542,12 @@ def lin_encoding_sides(p: Presentation, omega: ColorSet) -> tuple[Presentation, 
     The formal side substitutes sum_w c_w g#w into every slot of each
     relation and collects the coefficient of each color monomial: one
     relation ``<relation>__c_<sorted colors, joined by .>`` per monomial,
-    the sum of every coloring whose sorted colors it is."""
+    the sum of every coloring whose sorted colors it is (``_every_product``).
+    It is not kept, and holds lin's generator tuples."""
     omega = ColorSet.of(omega)
     lin = build_lin(p, omega)
-    extracted = []
-    for rel, template in zip(p.relations, _compiled(p).templates):
-        buckets: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for colors in itertools.product(omega.labels, repeat=rel.weight):
-            buckets.setdefault(tuple(sorted(colors)), []).append(colors)
-        extracted.extend(
-            template.relation(f"{rel.name}__c_{'.'.join(monomial)}", colorings)
-            for monomial, colorings in sorted(buckets.items())
-        )
-    formal = Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(extracted))
-    return formal, lin
+    formal = _stamped(_compiled(p).templates, omega.labels, _every_product)
+    return Presentation(f"formal_{p.name}", lin.unary, lin.binary, tuple(formal)), lin
 
 
 def verify_lin_encoding(p: Presentation, omega: ColorSet) -> bool:

@@ -200,16 +200,18 @@ def _terms_skeleton(terms: Sequence[Term]) -> str:
     """The DSL text of a relation's terms with ``{}`` for each generator:
     each slotted tree's format string after its sign and, unless it is 1,
     its coefficient's magnitude."""
-    return _joined_skeleton(_term_texts(terms))
+    return _joined_skeleton(_term_texts([
+        (t.coeff.numerator, t.coeff.denominator, t.tree.shape, t.slots) for t in terms
+    ]))
 
 
-def _term_texts(terms: Sequence[Term]) -> list[str]:
-    """Each term's part of ``_terms_skeleton``: its sign, ``+ `` or ``- ``,
+def _term_texts(terms: Sequence[tuple[int, int, tuple[int, ...], tuple[int, ...]]]) -> list[str]:
+    """Each part of ``_terms_skeleton`` of terms given as (coefficient
+    numerator and denominator, shape, slots): its sign, ``+ `` or ``- ``,
     then its text with ``{}`` for each generator."""
     texts = []
-    for term in terms:
-        num, den = term.coeff.numerator, term.coeff.denominator
-        body = _text_template(term.tree.shape, term.slots)
+    for num, den, shape, slots in terms:
+        body = _text_template(shape, slots)
         if den != 1:
             body = f"{abs(num)}/{den}*{body}"
         elif num != 1 and num != -1:
@@ -335,7 +337,9 @@ class ColorSet:
     @classmethod
     def of(cls, spec) -> "ColorSet":
         """Accept an int n (labels 1..n), a sequence of labels or a ColorSet;
-        refuse anything else: a str, bytes, a set or a bool among them."""
+        refuse anything else: a str, bytes, a set or a bool among them.  The
+        labels of a sequence go to ``ColorSet`` as they are, so a label that
+        is not a ``str`` is refused by name, not converted."""
         if isinstance(spec, ColorSet):
             return spec
         if isinstance(spec, int) and not isinstance(spec, bool):
@@ -345,7 +349,7 @@ class ColorSet:
         problem = _labels_problem(spec)
         if problem:
             raise ValueError(f"color set {problem}: give an int, a sequence of labels or a ColorSet")
-        return cls(tuple(str(x) for x in spec))
+        return cls(spec)
 
 
 def support(rel: Relation) -> list[tuple[Tree, tuple[int, ...]]]:

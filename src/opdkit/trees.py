@@ -108,7 +108,7 @@ class Generator:
     """A named operation of arity 1 or 2, optionally colored and/or dualized.
 
     ``sort_key``, the hash and ``text``, the DSL token, are computed once,
-    when the generator is built: generators key the coloring memo and every
+    when the generator is built: generators key the colored copies and every
     tree hash, each canonical tree key is made of their sort keys, and every
     printed tree is made of their texts.
     """

@@ -146,8 +146,8 @@ def test_a_cold_build_makes_one_plan_per_shape():
     compat._plan.cache_clear()
     pres = builtin("d1d2")
     build_tot(pres, THREE)
-    compiled = compat._compiled(pres)
-    templates = list(compiled.templates) + [t for _, swaps in compiled.tot_swaps for _, t in swaps]
+    stamped = compat._compiled(pres).templates + tuple(compat._tot_swaps(pres))
+    templates = [template for _, _, template in stamped]
     plans = {id(template._plan) for template in templates}
     assert compat._plan.cache_info().currsize == len(plans) < len(templates)
     # d1d2's 6 relations and 12 swaps, one per weight-2 tree, have 11 shapes.
@@ -187,6 +187,27 @@ def test_relation_count_compiles_nothing(key):
     p = builtin(key)
     assert relation_count("total", p, 3) > relation_count("matching", p, 3)
     assert "_compiled" not in vars(p)
+
+
+def test_relation_count_refuses_what_the_builders_refuse():
+    # A colored input and an invalid one (dend's relations over as's
+    # generators): every kind refuses with the builders' error, before
+    # anything is compiled.
+    as_ = builtin("as")
+    refused = (
+        (build_mat(as_, TWO), "cannot replicate already-colored generator m#1"),
+        (Presentation("as", as_.unary, as_.binary, builtin("dend").relations),
+         "invalid presentation as: relation dleft term 0: unknown generator prec"),
+    )
+    for p, message in refused:
+        with pytest.raises(ValueError) as built:
+            build_mat(p, TWO)
+        assert str(built.value).startswith(message)
+        for kind in ("linear", "matching", "total"):
+            with pytest.raises(ValueError) as counted:
+                relation_count(kind, p, 2)
+            assert str(counted.value) == str(built.value), kind
+        assert "_compiled" not in vars(p)
 
 
 def test_build_lin_as_two_colors_exact_relations():
@@ -497,11 +518,11 @@ def _trees(*presentations):
 
 
 def _memo_colorings(pres):
-    """Every (generator or tree, colors) entry of ``pres``'s coloring memo."""
-    return {
-        (key, colors if isinstance(colors, tuple) else (colors,))
-        for key, table in pres._compiled.memo.items()
-        for colors in table
+    """Every (generator, (label,)) entry of ``pres``'s colored copies and
+    every (tree, vertex colors) entry of its coloring memo."""
+    compiled = pres._compiled
+    return {(gen, (label,)) for gen, copies in compiled.copies.items() for label in copies} | {
+        (tree, colors) for tree, colorings in compiled.memo.items() for colors in colorings
     }
 
 
@@ -622,7 +643,8 @@ def test_other_colors_and_equal_inputs_build_anew():
 def test_templates_take_their_relations_integers():
     plans = {}
     for label, pres in default_grid():
-        for template, rel in zip(compat._compiled(pres).templates, pres.relations):
+        for (stem, weight, template), rel in zip(compat._compiled(pres).templates, pres.relations):
+            assert (stem, weight) == (f"{rel.name}__", rel.weight), label
             plan = template._plan
             assert plan.integers == rel._integer_coefficients, label
             shape = tuple([(t.coeff, t.tree.shape, t.slots) for t in rel.terms])

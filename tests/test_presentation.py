@@ -28,7 +28,7 @@ from opdkit.presentation import (
     rename_generators,
     validate,
 )
-from opdkit.compat import _Template, build_lin, build_mat, build_tot, lin_encoding_sides, replicate
+from opdkit.compat import _Template, _compiled, build_lin, build_mat, build_tot, lin_encoding_sides, replicate
 from opdkit.duality import dual_identity_sides
 from opdkit.linalg import Echelon
 from opdkit.manin import tensor_map
@@ -130,6 +130,18 @@ def test_color_set_of_refuses_a_bare_string():
         )
     assert ColorSet.of(["10"]).labels == ("10",)
     assert ColorSet.of(("a", "b")).labels == ("a", "b")
+
+
+def test_color_set_of_passes_sequence_labels_unconverted():
+    # Once converted by str(), None and True were the labels "None" and
+    # "True", and (1, "1") was refused as a repeated label.  Now ColorSet's
+    # own rule names the first label that is not a str.
+    for spec, first in (([None], None), ([True, False], True), ((1, "1"), 1), ((1, 2), 1)):
+        for make in (ColorSet.of, ColorSet):
+            with pytest.raises(ValueError) as refused:
+                make(spec)
+            assert str(refused.value) == f"color label {first!r} is not a str"
+    assert ColorSet.of(iter(["a", "b"])).labels == ("a", "b")
 
 
 def test_color_set_refuses_a_string_or_bytes_as_its_labels():
@@ -261,16 +273,25 @@ def test_color_relation_rb_mixed():
 # --- the colored walk against relabel ---
 
 
-def colored_tree(tree, slots, colors, memo):
+def colored_tree(tree, slots, colors, compiled):
     """``tree`` with ``colors[j-1]`` on its vertex at slot j, stamped from a
-    one-term template compiled through ``memo``.  A template term has at
-    least 2 vertices, as every term of a valid relation and every swap has."""
-    (term,) = _Template((Term(Fraction(1), tree, slots),), memo).relation("t", (colors,)).terms
+    one-term template compiled in ``compiled`` (``walk_state``).  A
+    template term has at least 2 vertices, as every term of a valid
+    relation and every swap has."""
+    (term,) = _Template((Term(Fraction(1), tree, slots),), compiled).relation("t", (colors,)).terms
     return term.tree
 
 
 UNARY = [P, Generator("d", 1), Generator("P", 1, None, True)]
 BINARY = [M, Generator("n", 2), Generator("m", 2, None, True)]
+
+
+def walk_state():
+    """A fresh compiled state over ``UNARY`` and ``BINARY``, with their
+    copies colored a, b and c: what the builders stamp through."""
+    p = Presentation("walks", tuple(UNARY), tuple(BINARY), ())
+    replicate(p, ColorSet.of(["a", "b", "c"]))
+    return _compiled(p)
 
 
 @st.composite
@@ -296,8 +317,8 @@ def test_colored_walk_matches_relabel_and_shares_subtrees(data):
     colors = tuple(data.draw(st.lists(labels, min_size=weight, max_size=weight)))
     slots = tuple(data.draw(st.permutations(range(1, tree.weight + 1))))
     other_slots = tuple(data.draw(st.permutations(range(1, other.weight + 1))))
-    memo = {}
-    colored = colored_tree(tree, slots, colors, memo)
+    state = walk_state()
+    colored = colored_tree(tree, slots, colors, state)
     reference = relabel(
         tree, [g.colored(colors[s - 1]) for g, s in zip(tree.internal_generators(), slots)]
     )
@@ -306,8 +327,8 @@ def test_colored_walk_matches_relabel_and_shares_subtrees(data):
     assert tree_text(colored) == tree_text(reference)
     # A colored tree holds no subtrees; built again through the same memo,
     # after other trees, it is the same object.
-    colored_tree(other, other_slots, colors, memo)
-    assert colored_tree(pickle.loads(pickle.dumps(tree)), slots, colors, memo) is colored
+    colored_tree(other, other_slots, colors, state)
+    assert colored_tree(pickle.loads(pickle.dumps(tree)), slots, colors, state) is colored
 
 
 @st.composite
@@ -372,7 +393,7 @@ def test_flat_colored_and_relabelled_trees_match_the_walked_tree(plan, data):
         colors[slot - 1] = color
     flats = [relabel(tree, walked.internal_generators())]
     if tree.weight >= 2:
-        flats.append(colored_tree(tree, slots, colors, {}))
+        flats.append(colored_tree(tree, slots, colors, walk_state()))
     for flat in flats:
         for built in (flat, pickle.loads(pickle.dumps(flat))):
             assert built == walked and walked == built
@@ -448,14 +469,16 @@ def test_removed_helpers_are_gone_from_the_api():
     for module, name in ((opdkit, "elementwise_sum"), (opdkit, "compare"),
                          (presentation, "elementwise_sum"), (trees, "compare"),
                          (Relation, "renamed"), (presentation, "_colored_tree"),
-                         (presentation, "_color_term"), (presentation, "_color_relation")):
+                         (presentation, "_color_term"), (presentation, "_color_relation"),
+                         (compat._Compiled, "tot_swaps")):
         assert not hasattr(module, name), name
     # The second coloring paths: the builders are the only way in.
     removed = {
         presentation: ("color_term", "color_relation", "tensor_generators",
                        "_Template", "_Compiled", "_ColoredCopies", "_colored_copies", "_picker"),
         compat: ("transposition_relations", "uncovered_trees", "_uncovered",
-                 "_build_mat", "_build_lin", "_expand_formal", "FormalExpansion", "expand_formal"),
+                 "_build_mat", "_build_lin", "_expand_formal", "FormalExpansion", "expand_formal",
+                 "_ColoredCopies", "_colored_copies", "_colored_gens", "_monomial_name", "_swaps"),
     }
     for module, names in removed.items():
         for name in names:
