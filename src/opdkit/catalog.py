@@ -19,8 +19,8 @@ input each operation touches first:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib import resources
 from itertools import combinations
 from typing import Optional
 
@@ -51,9 +51,16 @@ class CatalogEntry:
     provenance: str
 
 
+# The package's data folder.  The package ships its .opd files as plain
+# files (``package-data`` in pyproject.toml), so they are read with open(),
+# which is cheaper than importlib.resources and imports nothing more.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def data_text(name: str) -> str:
     """The text of ``data/<name>.opd`` shipped inside the package."""
-    return resources.files("opdkit").joinpath("data", f"{name}.opd").read_text()
+    with open(os.path.join(_DATA, f"{name}.opd"), encoding="utf-8") as f:
+        return f.read()
 
 
 def _multi_diff_text(n: int) -> str:

@@ -11,7 +11,11 @@ computation; this module states only the rules of its own text (argument
 splitting, ``--map`` pairs, files, ``BASIS_BUDGET`` and ``BUILD_BUDGET``).
 
 The argument parser is built on the first call of ``main`` and reused for
-the rest of the process: ``parse_args`` keeps no state on the parser.
+the rest of the process: parsing keeps no state on the parser.  A call that
+names a known subcommand first is parsed by that subcommand's own parser
+alone, as the top-level parser would hand it on, so argparse walks the
+arguments once; the top-level parser reads every other call (no arguments,
+``-h``, an unknown command) and reports what is left over.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .claims import CLAIMS, CommandError, run_claim
@@ -44,7 +47,8 @@ __all__ = ["main"]
 
 def _read_presentation(path: str) -> Presentation:
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}") from exc
     p = parse_presentation(text)
@@ -61,7 +65,8 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(output).write_text(text)
+        with open(output, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise CommandError(f"cannot write {output}: {exc}") from exc
 
@@ -94,7 +99,9 @@ def cmd_build(args) -> int:
     spec = _omega(args.omega)
     _refuse(replicate_problem(p))
     kind = KINDS[args.kind]
-    size = relation_count(kind, p, spec if isinstance(spec, int) else len(spec))
+    colors = spec if isinstance(spec, int) else len(spec)
+    # No colors is no count: ColorSet.of refuses the spec below, saying why.
+    size = relation_count(kind, p, colors) if colors >= 1 else 0
     if size > BUILD_BUDGET:
         raise CommandError(
             f"--omega {args.omega}: {args.kind} of {p.name} has {size} relations, "
@@ -237,7 +244,8 @@ def _add_presentation_output(sub) -> None:
 @functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later
-    call in the process, so nothing may modify it after it is built."""
+    call in the process, so nothing may modify it after it is built.  Its
+    ``commands`` maps each subcommand's name to that subcommand's parser."""
     top = argparse.ArgumentParser(
         prog="opdkit",
         description="workbench for finitely presented unary-binary operads",
@@ -288,11 +296,23 @@ def _arg_parser() -> argparse.ArgumentParser:
     claims = subs.add_parser("list-claims", help="list the claim registry")
     claims.set_defaults(func=cmd_list_claims)
 
+    top.commands = subs.choices
     return top
 
 
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    top = _arg_parser()
+    command = top.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = top.parse_args(argv)
+    else:
+        # What top.parse_args does with a known subcommand, without walking
+        # the arguments a second time: the subcommand's parser reads the
+        # rest, and the top-level parser refuses what it leaves over.
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            top.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (ParseError, CommandError) as exc:

@@ -29,9 +29,11 @@ so one loop stamps them all.  ``_stamped`` takes compiled templates, each
 with a name stem and a weight, and a coloring rule, and stamps one relation
 ``<stem><suffix>`` per (suffix, colorings) that the rule gives for the
 color labels and the template's weight: the sum of the template's terms
-under each of those colorings.  The rules are ``_every_coloring`` for mat,
-``_every_monomial`` for lin, ``_every_product`` for the formal side and
-``_every_swap`` for tot's swaps, whose templates ``_tot_swaps`` compiles.
+under each of those colorings.  The rule's answer depends on nothing else,
+so it is asked once per weight, not once per template.  The rules are
+``_every_coloring`` for mat, ``_every_monomial`` for lin,
+``_every_product`` for the formal side and ``_every_swap`` for tot's swaps,
+whose templates ``_tot_swaps`` compiles.
 
 A template (``_Template``) is a relation's terms, or a swap's, compiled
 once.  Its plan (``_Plan``) is what the terms' coefficients, shapes, slots
@@ -305,16 +307,19 @@ def replicate(p: Presentation, omega: ColorSet) -> list[Generator]:
 
 
 def _stamped(
-    templates: Iterable[tuple[str, int, _Template]], labels: tuple[str, ...], rule: _Rule
+    templates: Sequence[tuple[str, int, _Template]], labels: tuple[str, ...], rule: _Rule
 ) -> list[Relation]:
     """Every colored relation of a family: for each (name stem, weight,
     template), one relation ``<stem><suffix>`` per (suffix, colorings) that
     ``rule(labels, weight)`` gives, the sum of the template's terms under
-    each of those colorings."""
+    each of those colorings.  The rule's answer depends on the weight only,
+    so it is asked once per weight of the templates, as a list that every
+    template of that weight reads."""
+    stamps = {weight: list(rule(labels, weight)) for weight in {weight for _, weight, _ in templates}}
     return [
         template.relation(stem + suffix, colorings)
         for stem, weight, template in templates
-        for suffix, colorings in rule(labels, weight)
+        for suffix, colorings in stamps[weight]
     ]
 
 
@@ -510,7 +515,8 @@ def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Pres
 def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     """How many relations ``build_compatible(kind, p, omega)`` makes for
     ``colors`` = |omega|, in closed form: nothing is colored or compiled.
-    An invalid or colored ``p`` is refused with the builders' ``ValueError``.
+    An invalid or colored ``p``, and a count below 1, are refused with the
+    builders' ``ValueError``.
 
     A relation of weight w gives C(k+w-1, w) linear relations, one per color
     multiset, and k^w matching ones.  The total construction adds its swaps
@@ -520,6 +526,8 @@ def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     at weight 2 and ordered at weight 3.
     """
     _require_buildable(p)
+    if colors < 1:
+        raise ValueError("color set size must be >= 1")
     k = colors
     if kind == "linear":
         return sum(comb(k + rel.weight - 1, rel.weight) for rel in p.relations)

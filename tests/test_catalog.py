@@ -1,5 +1,8 @@
 """Catalog entries: shapes, counts, the DSL files they are read from."""
 
+import subprocess
+import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,26 @@ def test_shipped_files_byte_identical():
             assert catalog.data_text(key) == text
             assert serialize(parse_presentation(text)) == text
             assert serialize(builtin(key)) == text
+
+
+def test_data_files_read_as_importlib_resources_reads_them():
+    # data_text opens the package's data folder directly; the resources API
+    # reads the very same text.
+    names = sorted(path.stem for path in DATA.glob("*.opd"))
+    assert "golden_rbtot" in names and "as" in names
+    package = resources.files("opdkit")
+    for name in names:
+        assert catalog.data_text(name) == package.joinpath("data", f"{name}.opd").read_text(), name
+
+
+def test_catalog_imports_no_resource_machinery():
+    # Without site, which may import them itself, importing the catalog
+    # loads neither importlib.resources nor zipfile.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import opdkit.catalog; "
+            "print(sorted({'importlib.resources', 'zipfile'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(DATA.parent.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,5 +1,6 @@
 """Exit-code contract and output determinism of the command-line surface."""
 
+import argparse
 import collections
 import json
 import os
@@ -447,6 +448,57 @@ def test_parser_is_built_once():
         assert main(["list-claims"]) == 0
     info = cli._arg_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+AS = str(PRES / "as.opd")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "lin", AS, "--omega", "2"],
+    ["dual", AS, "--format", "json"],
+    ["product", "black", AS, str(PRES / "dend.opd")],
+    ["check-iso", AS, AS, "--map", "m=m", "--quiet"],
+    ["basis", AS, "--arity", "3", "--weight", "2", "--quiet"],
+    ["verify", "ex-rbcom", "--quiet"],
+], ids=lambda argv: argv[0])
+def test_a_known_subcommand_is_parsed_once(capsys, monkeypatch, argv):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == [f"opdkit {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "lin", AS, "--omega", "2", "--bogus"],
+    ["build", "lin", "--omega", "2"],
+    ["build", "bad", AS, "--omega", "2"],
+    ["build", "lin", AS, "--omega", "2", "--format", "xml"],
+    ["verify", "thm-comp", "--omega", "0"],
+    ["build", "-h"],
+    ["-h"],
+    [],
+    ["nosuch", AS],
+    ["dual", AS, "extra"],
+    ["list-claims", "--quiet", "x"],
+], ids=["unknown option", "missing positional", "bad choice", "bad option choice", "verify --omega 0",
+        "build -h", "-h", "no arguments", "unknown command", "extra positional", "list-claims extras"])
+def test_refusals_and_help_read_as_the_top_level_parser_gives_them(capsys, argv):
+    # main hands a known subcommand to its own parser; what it prints and
+    # the exit code are those of parsing the whole argv at the top level.
+    with pytest.raises(SystemExit) as parsed:
+        cli._arg_parser().parse_args(argv)
+    want = (parsed.value.code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as dispatched:
+        main(argv)
+    assert (dispatched.value.code, *capsys.readouterr()) == want
+    assert want[0] == (0 if "-h" in argv else 2)
 
 
 def test_options_do_not_carry_over_between_calls(capsys, monkeypatch):

@@ -210,6 +210,46 @@ def test_relation_count_refuses_what_the_builders_refuse():
         assert "_compiled" not in vars(p)
 
 
+@pytest.mark.parametrize("colors", [0, -1])
+def test_relation_count_refuses_a_count_below_one_as_the_builders_do(colors):
+    p = builtin("as")
+    for kind in ("linear", "matching", "total"):
+        with pytest.raises(ValueError) as built:
+            build_compatible(kind, p, colors)
+        with pytest.raises(ValueError) as counted:
+            relation_count(kind, p, colors)
+        assert str(counted.value) == str(built.value) == "color set size must be >= 1", kind
+
+
+@pytest.mark.parametrize("key, weights", [("rba0", [2, 3]), ("d1d2", [2])])
+def test_stamped_asks_its_rule_once_per_weight(key, weights):
+    # Each family's rule is asked once per weight of its templates, and the
+    # relations are those of asking it afresh for every template.
+    p = builtin(key)
+    compat.replicate(p, THREE)  # the colored copies that stamping looks up
+    labels = THREE.labels
+    templates = compat._compiled(p).templates
+    families = [(templates, rule) for rule in
+                (compat._every_coloring, compat._every_monomial, compat._every_product)]
+    families.append((compat._tot_swaps(p), compat._every_swap))
+    # Asked per template, the rules would answer more often.
+    assert sum(len(family) for family, _ in families) > len(families) * len(weights)
+    for family, rule in families:
+        assert sorted({weight for _, weight, _ in family}) == weights
+        asked = []
+
+        def counted(labels, weight, rule=rule):
+            asked.append(weight)
+            return rule(labels, weight)
+
+        stamped = compat._stamped(family, labels, counted)
+        assert sorted(asked) == weights, rule.__name__
+        afresh = [template.relation(stem + suffix, colorings)
+                  for stem, weight, template in family
+                  for suffix, colorings in rule(labels, weight)]
+        assert [(r.name, r.terms) for r in stamped] == [(r.name, r.terms) for r in afresh], rule.__name__
+
+
 def test_build_lin_as_two_colors_exact_relations():
     # two constant-color copies plus one four-term mixed associativity
     lin = build_lin(builtin("as"), TWO)
