@@ -43,23 +43,31 @@ order a stamp's terms are sorted into its integer coefficients and
 skeleton, so a stamped relation works out neither again.  Plans live in a
 module-level ``functools`` cache (``_plan``) keyed by exactly those values,
 so every template of one shape, of any input and any build, shares one.
-The rest of a template is per tree.
+The rest of a template is per tree: each term's colorings, looked up by
+the colors of its vertices and made on a miss, and the order that sorts a
+stamp of several colorings, kept per color pattern, the stamp's labels as
+their ranks in string order (``_pattern``), and found by sorting on the
+first stamp of that pattern.
 
 This module is the only one that knows how a coloring is made.  What every
 build from one presentation object shares is its compiled state
 (``_Compiled``, through ``_compiled``), made by the first build and kept in
 the object's instance dict while it lives: the relation templates, each
 generator's colored copies, which ``replicate`` makes and every build lists,
-the memo of colored trees, keyed by tree and the colors of its vertices, so
-equal colored trees of one input are one object, and each finished build
-(``_kept``).  So a build asked again is the same object, with the span
-bases it keeps (see ``spans``); ``build_tot`` holds the very relations of
-``build_mat`` and says so (``spans._extends``), so tot's bases are mat's
-grown by the swap rows.  Apart from the plans, which hold no tree or
-generator, nothing is global: an equal presentation built anew starts with
-none.  lin, mat and tot at 2..8 colors over ``default_grid()`` keep 14.7 MiB
-under tracemalloc, and 25.4 MiB once each has been asked tot ⊇ mat,
-mat ⊇ lin and the linear encoding.
+the memo of colored terms, keyed by template term and the colors of its
+vertices, so equal colored terms of one input are one object, and so are
+equal colored trees, and each finished build (``_kept``).  So a build
+asked again is the same object, with the span bases it keeps (see ``spans``);
+``build_tot`` holds the very relations of ``build_mat`` and says so
+(``spans._extends``), so tot's bases are mat's grown by the swap rows.
+lin, mat and the formal side take every coloring of every relation, so
+they hold the very same colored terms: the formal side, which is not kept,
+is stamped by lookups once lin is built, and only its elimination runs
+afresh.  Apart from the plans, which hold no tree or generator, nothing is
+global: an equal presentation built anew starts with none.  lin, mat and
+tot at 2..8 colors over ``default_grid()`` keep 11.3 MiB under
+tracemalloc, and 21.9 MiB once each has been asked tot ⊇ mat, mat ⊇ lin
+and the linear encoding.
 """
 
 from __future__ import annotations
@@ -78,7 +86,11 @@ from .presentation import (
     Term,
     _integers,
     _joined_skeleton,
+    _new_term,
     _ordered_relation,
+    _set_coeff,
+    _set_slots,
+    _set_tree,
     _term,
     _term_texts,
     replicate_problem,
@@ -110,10 +122,25 @@ CompatKind = Literal["linear", "matching", "total"]
 # tracer's) sees every build.
 KINDS: dict[str, CompatKind] = {"lin": "linear", "mat": "matching", "tot": "total"}
 
+
+def _short_name(kind: CompatKind) -> str:
+    """The short name of construction ``kind``; any other value is refused
+    with a ``ValueError`` that names the kinds."""
+    for short, long in KINDS.items():
+        if kind == long:
+            return short
+    kinds = ", ".join(map(repr, KINDS.values()))
+    raise ValueError(f"unknown construction kind {kind!r}; expected one of {kinds}")
+
+
 # What a coloring rule gives for the color labels and a template's weight:
 # the (name suffix, colorings) of each relation to stamp (see ``_stamped``).
 _Stamps = Iterable[tuple[str, Sequence[tuple[str, ...]]]]
 _Rule = Callable[[tuple[str, ...], int], _Stamps]
+
+# A template term's colored terms by the colors of its vertices, with its
+# coefficient and slots (see ``_Compiled.memo``).
+_Colorings = tuple[dict[tuple[str, ...], Term], Fraction, tuple[int, ...]]
 
 
 class _Plan:
@@ -179,59 +206,94 @@ class _Template:
     template of that shape.  The template itself keeps, per term, its
     coefficient, shape and slots, the plan's picker, and what depends on
     the tree, taken from the compiled state it is made in (``_Compiled``):
-    the memo's dict of the tree's colorings and each vertex's dict of
-    colored copies.  A coloring then makes each term from a lookup keyed
-    by the colors of its vertices, and puts the terms in canonical order
-    without checking them again.  It may use only labels that ``replicate``
-    has made copies of.
+    each vertex's dict of colored copies, the memo's dict of the term's
+    colorings and, unless the term is its tree's first, the first's
+    colorings.  A coloring then takes each term from a lookup keyed by the
+    colors of its vertices, and makes it only on a miss, its tree taken
+    from the first's term of those colors (made for it on a miss too), so
+    every family stamped from one input holds the very same colored terms.
+    It puts the terms in canonical order without checking them again: a
+    stamp of several colorings by the order it keeps per color pattern
+    (``_pattern``), found by sorting on the pattern's first stamp, one of
+    a single coloring by sorting it.  It may use only labels that
+    ``replicate`` has made copies of.
 
     ``reads`` gives, per term, the slots its vertices read their colors
     from, when they are not the term's own slots (see ``_swap``).
     """
 
-    __slots__ = ("_plan", "_parts")
+    __slots__ = ("_plan", "_parts", "_orders")
 
     def __init__(
         self, terms: Sequence[Term], compiled: _Compiled,
         reads: Optional[Sequence[tuple[int, ...]]] = None,
     ) -> None:
         reads = reads or [term.slots for term in terms]
-        self._plan = plan = _plan(tuple([
+        key = tuple([
             (term.coeff.numerator, term.coeff.denominator, term.tree.shape, term.slots, read)
             for term, read in zip(terms, reads)
-        ]))
+        ])
+        self._plan = plan = _plan(key)
         memo, copies = compiled.memo, compiled.copies
-        self._parts = [
-            (term.coeff, term.tree.shape, term.slots, pick,
-             tuple([copies[gen] for gen in term.tree.internal_generators()]),
-             memo.setdefault(term.tree, {}))
-            for term, pick in zip(terms, plan.picks)
-        ]
+        self._parts = parts = []
+        for term, pick, (num, den, _, _, _) in zip(terms, plan.picks, key):
+            tree, slots = term.tree, term.slots
+            by_term = memo.setdefault(tree, {})
+            colorings = by_term.get((slots, num, den))
+            if colorings is None:
+                colorings = by_term[slots, num, den] = ({}, term.coeff, slots)
+            # The tree's first template term holds every coloring of the tree.
+            first = next(iter(by_term.values())) if len(by_term) > 1 else colorings
+            gens = tuple([copies[gen] for gen in tree.internal_generators()])
+            parts.append((term.coeff, tree.shape, slots, pick, gens, colorings[0],
+                          None if first is colorings else first))
+        self._orders: dict[bytes, tuple[int, ...]] = {}
 
-    def relation(self, name: str, colorings: Sequence[Sequence[str]]) -> Relation:
+    def relation(
+        self, name: str, colorings: Sequence[Sequence[str]], pattern: Optional[bytes]
+    ) -> Relation:
         """The relation ``name`` whose terms are those of every coloring.
 
-        Its integer coefficients and skeleton are the plan's, in the order
-        of its terms: as they are for one coloring in template order, else
-        repeated per coloring and permuted as the terms are.  Both are
-        worked out for the plan's first stamp with its terms in that order.
+        ``pattern`` is ``_pattern(colorings)``.  The terms of several
+        colorings are sorted by the order kept for their pattern, worked
+        out on its first stamp; those of one coloring are sorted directly,
+        unless the template's are in order.  The integer coefficients and
+        skeleton are the plan's, in the order of the terms: as they are for
+        one coloring in template order, else repeated per coloring and
+        permuted as the terms are.  Both are worked out for the plan's first
+        stamp with its terms in that order.
         """
         plan = self._plan
         terms = []
         for colors in colorings:
-            for coeff, shape, slots, pick, copies, trees in self._parts:
+            for coeff, shape, slots, pick, copies, colored, first in self._parts:
                 vertex_colors = pick(colors)
-                tree = trees.get(vertex_colors)
-                if tree is None:
-                    gens = tuple(map(getitem, copies, vertex_colors))
-                    tree = trees[vertex_colors] = _flat_tree(shape, gens)
-                # The template checked the term: it is made without Term's check.
-                terms.append(_term(coeff, tree, slots))
-        order = None
-        if len(colorings) > 1 or not plan.in_order:
-            n = len(colorings)
-            keys = list(zip(plan.ranks * n, [term.tree._keys for term in terms], plan.ties * n))
-            order = tuple(sorted(range(len(terms)), key=keys.__getitem__))
+                term = colored.get(vertex_colors)
+                if term is None:
+                    if first is None:
+                        tree = _flat_tree(shape, tuple(map(getitem, copies, vertex_colors)))
+                    else:
+                        # The tree's first template term holds its colorings.
+                        firsts, first_coeff, first_slots = first
+                        made = firsts.get(vertex_colors)
+                        if made is None:
+                            tree = _flat_tree(shape, tuple(map(getitem, copies, vertex_colors)))
+                            made = firsts[vertex_colors] = _term(first_coeff, tree, first_slots)
+                        tree = made.tree
+                    # The template checked the term: it is made as ``_term``
+                    # makes it, without Term's check, inline.
+                    term = colored[vertex_colors] = _new_term(Term)
+                    _set_coeff(term, coeff)
+                    _set_tree(term, tree)
+                    _set_slots(term, slots)
+                terms.append(term)
+        if pattern is None:
+            order = None if plan.in_order else _sort_order(plan, terms, 1)
+        else:
+            order = self._orders.get(pattern)
+            if order is None:
+                order = self._orders[pattern] = _sort_order(plan, terms, len(colorings))
+        if order is not None:
             terms = [terms[i] for i in order]
         stamp = plan.stamps.get(order)
         if stamp is None:
@@ -246,28 +308,64 @@ class _Template:
         return _ordered_relation(name, tuple(terms), *stamp)
 
 
+def _sort_order(plan: _Plan, terms: Sequence[Term], n: int) -> tuple[int, ...]:
+    """The order that sorts ``terms``, the plan's terms under ``n``
+    colorings one after another, by ``Term.sort_key`` (see ``_plan``)."""
+    keys = list(zip(plan.ranks * n, [term.tree._keys for term in terms], plan.ties * n))
+    return tuple(sorted(range(len(terms)), key=keys.__getitem__))
+
+
+def _pattern(colorings: Sequence[Sequence[str]]) -> Optional[bytes]:
+    """The color pattern of a stamp of several colorings: each label, in
+    order, as its rank among the stamp's distinct labels in string order;
+    ``None`` for one coloring.
+
+    Colored generators compare by name, then color, so how a template's
+    terms under these colorings sort depends on the pattern only: one
+    template's stamps of equal pattern share their order.  Every coloring
+    has the template's weight, so the pattern also fixes how many there are.
+    """
+    if len(colorings) == 1:
+        return None
+    # Every rule's colorings of one stamp order one multiset of at most
+    # three labels, so the first names them all and the ranks fit in bytes.
+    # As tuples, the patterns, of lengths rare elsewhere, grew the
+    # interpreter's free lists and span-ladder's peak RSS by 0.5 MiB.
+    rank = {label: i for i, label in enumerate(sorted(set(colorings[0])))}
+    return bytes([rank[label] for colors in colorings for label in colors])
+
+
 class _Compiled:
     """What the builders derive from one valid, uncolored presentation.
 
     ``copies`` maps each generator, in generator order, to its colored
     copies by label, made by ``replicate``.  ``memo`` maps each tree of a
-    template to its colored trees, keyed by the colors of its vertices in
-    preorder, so equal colored trees stamped from one input are one object.
-    ``templates`` holds per relation, by position, its name stem
-    ``<relation>__``, its weight and its template, as ``_stamped`` takes
-    them.  ``builds`` holds each finished build, keyed by its builder's
-    name and the color labels (see ``_kept``).
+    template term, relation or swap, to the colorings (``_Colorings``) of
+    each template term over it: its colored terms, keyed by the colors of
+    its vertices in preorder, with its coefficient and slots.  They are
+    keyed by the term's slots and its coefficient's numerator and
+    denominator, which hash faster than the ``Fraction``, so equal template
+    terms share them and equal colored terms stamped from one input are one
+    object: lin, mat (so tot's matching part) and the formal side hold the
+    very same terms, and the formal side stamped after lin makes none.  The
+    tree's first template term holds every coloring of the tree that a term
+    is made with, so equal colored trees are one object too.  ``templates``
+    holds per relation, by position, its name stem ``<relation>__``, its
+    weight and its template, as ``_stamped`` takes them.  ``builds`` holds
+    each finished build, keyed by its builder's name and the color labels
+    (see ``_kept``).
 
     It is made on first use (``_compiled``) and lives as long as its
     presentation.  It grows with the color labels asked of it: each new
-    label adds its colored generators and the colored trees that use it.
+    label adds its colored generators and the colored trees and terms that
+    use it.
     """
 
     __slots__ = ("copies", "memo", "templates", "builds")
 
     def __init__(self, p: Presentation) -> None:
         self.copies: dict[Generator, dict[str, Generator]] = {g: {} for g in p.generators}
-        self.memo: dict[Tree, dict[tuple[str, ...], Tree]] = {}
+        self.memo: dict[Tree, dict[tuple[tuple[int, ...], int, int], _Colorings]] = {}
         self.templates = tuple([
             (f"{rel.name}__", rel.weight, _Template(rel.terms, self)) for rel in p.relations
         ])
@@ -315,11 +413,16 @@ def _stamped(
     each of those colorings.  The rule's answer depends on the weight only,
     so it is asked once per weight of the templates, as a list that every
     template of that weight reads."""
-    stamps = {weight: list(rule(labels, weight)) for weight in {weight for _, weight, _ in templates}}
+    stamps = {
+        weight: [
+            (suffix, colorings, _pattern(colorings)) for suffix, colorings in rule(labels, weight)
+        ]
+        for weight in {weight for _, weight, _ in templates}
+    }
     return [
-        template.relation(stem + suffix, colorings)
+        template.relation(stem + suffix, colorings, pattern)
         for stem, weight, template in templates
-        for suffix, colorings in stamps[weight]
+        for suffix, colorings, pattern in stamps[weight]
     ]
 
 
@@ -507,16 +610,16 @@ def _tot_swaps(p: Presentation) -> list[tuple[str, int, _Template]]:
 
 def build_compatible(kind: CompatKind, p: Presentation, omega: ColorSet) -> Presentation:
     """The ``kind`` construction of ``p`` over ``omega``, by the builder that
-    ``KINDS`` names, looked up when called."""
-    short = {long: short for short, long in KINDS.items()}[kind]
-    return globals()[f"build_{short}"](p, omega)
+    ``KINDS`` names, looked up when called.  An unknown ``kind`` is refused
+    with a ``ValueError`` (``_short_name``)."""
+    return globals()[f"build_{_short_name(kind)}"](p, omega)
 
 
 def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     """How many relations ``build_compatible(kind, p, omega)`` makes for
     ``colors`` = |omega|, in closed form: nothing is colored or compiled.
-    An invalid or colored ``p``, and a count below 1, are refused with the
-    builders' ``ValueError``.
+    An unknown ``kind``, an invalid or colored ``p``, and a count below 1,
+    are refused with the builders' ``ValueError``.
 
     A relation of weight w gives C(k+w-1, w) linear relations, one per color
     multiset, and k^w matching ones.  The total construction adds its swaps
@@ -525,6 +628,7 @@ def relation_count(kind: CompatKind, p: Presentation, colors: int) -> int:
     one per support tree, swap of its weight and pair of colors, unordered
     at weight 2 and ordered at weight 3.
     """
+    _short_name(kind)
     _require_buildable(p)
     if colors < 1:
         raise ValueError("color set size must be >= 1")

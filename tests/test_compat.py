@@ -221,6 +221,22 @@ def test_relation_count_refuses_a_count_below_one_as_the_builders_do(colors):
         assert str(counted.value) == str(built.value) == "color set size must be >= 1", kind
 
 
+UNKNOWN_KIND = "unknown construction kind {!r}; expected one of 'linear', 'matching', 'total'"
+
+
+@pytest.mark.parametrize("kind", ["bogus", "lin", "Linear", None])
+def test_an_unknown_kind_is_refused_naming_the_kinds(kind):
+    # A short name is no kind: the builder and the count refuse it alike,
+    # with one error naming the three kinds, and compile nothing.
+    p = builtin("as")
+    with pytest.raises(ValueError) as built:
+        build_compatible(kind, p, THREE)
+    with pytest.raises(ValueError) as counted:
+        relation_count(kind, p, 3)
+    assert str(built.value) == str(counted.value) == UNKNOWN_KIND.format(kind)
+    assert "_compiled" not in vars(p)
+
+
 @pytest.mark.parametrize("key, weights", [("rba0", [2, 3]), ("d1d2", [2])])
 def test_stamped_asks_its_rule_once_per_weight(key, weights):
     # Each family's rule is asked once per weight of its templates, and the
@@ -244,7 +260,7 @@ def test_stamped_asks_its_rule_once_per_weight(key, weights):
 
         stamped = compat._stamped(family, labels, counted)
         assert sorted(asked) == weights, rule.__name__
-        afresh = [template.relation(stem + suffix, colorings)
+        afresh = [template.relation(stem + suffix, colorings, compat._pattern(colorings))
                   for stem, weight, template in family
                   for suffix, colorings in rule(labels, weight)]
         assert [(r.name, r.terms) for r in stamped] == [(r.name, r.terms) for r in afresh], rule.__name__
@@ -522,20 +538,71 @@ def test_verify_lin_encoding_catalog(n):
         assert verify_lin_encoding(pres, ColorSet.of(n)), (label, n)
 
 
-def _equal_trees_are_one_object(*presentations) -> bool:
+def _terms(*presentations):
+    return [term for p in presentations for rel in p.relations for term in rel.terms]
+
+
+def _equal_values_are_one_object(values) -> bool:
     seen = {}
-    return all(
-        seen.setdefault(term.tree, term.tree) is term.tree
-        for p in presentations
-        for rel in p.relations
-        for term in rel.terms
-    )
+    return all(seen.setdefault(value, value) is value for value in values)
+
+
+def _equal_trees_are_one_object(*presentations) -> bool:
+    return _equal_values_are_one_object(term.tree for term in _terms(*presentations))
+
+
+def test_builds_and_the_formal_side_share_their_colored_terms():
+    # lin, mat, tot and the formal side are stamped from one input's
+    # templates, so equal colored terms are one object.  lin and the formal
+    # side take every coloring of every relation, as mat does: stamped
+    # after lin, the formal side makes no term.
+    for label, pres in default_grid():
+        formal, lin = lin_encoding_sides(pres, THREE)
+        mat, tot = build_mat(pres, THREE), build_tot(pres, THREE)
+        assert _equal_values_are_one_object(_terms(lin, mat, tot, formal)), label
+        formal_ids, lin_ids, mat_ids = ({id(term) for term in _terms(p)} for p in (formal, lin, mat))
+        assert formal_ids == lin_ids == mat_ids, label
+
+
+# Label sets whose string order is not their index order.
+UNSORTED_LABELS = [("b", "a", "c"), ("z9", "a10", "m"), ("c", "b", "a", "d")]
+
+
+def _colored_families(pres, omega):
+    formal, lin = lin_encoding_sides(pres, omega)
+    return lin, build_mat(pres, omega), build_tot(pres, omega), formal
+
+
+def test_sort_orders_kept_per_color_pattern_are_canonical():
+    # Stamped one after another on one input, a label set finds the sort
+    # orders kept for the color patterns of the stamps before it.  Every
+    # relation is in canonical order, and each family is the one that a
+    # freshly parsed copy of the input stamps.
+    for label, pres in default_grid():
+        text = serialize(pres)
+        for labels in UNSORTED_LABELS:
+            omega = ColorSet(labels)
+            fresh = parse_presentation(text)
+            for built, anew in zip(_colored_families(pres, omega), _colored_families(fresh, omega)):
+                for rel in built.relations:
+                    canonical = sorted(rel.terms, key=Term.sort_key)
+                    assert list(rel.terms) == canonical, (label, labels, rel.name)
+                assert serialize(built) == serialize(anew), (label, labels, built.name)
 
 
 def test_build_tot_colors_each_tree_once():
     # The matching relations and the swaps color the same support trees.
     for label, pres in default_grid():
         assert _equal_trees_are_one_object(build_tot(pres, THREE)), label
+
+
+def test_tot_over_both_label_orders_colors_each_tree_once():
+    # A swap's second term takes the colors of the first one swapped, which
+    # the first term stamps only over the other label order: both orders
+    # still make each colored tree once.
+    for label, pres in default_grid():
+        built = [build_tot(pres, ColorSet(labels)) for labels in (("1", "2"), ("2", "1"))]
+        assert _equal_trees_are_one_object(*built), label
 
 
 def test_verify_lin_encoding_colors_each_tree_once(monkeypatch):
@@ -554,7 +621,7 @@ def test_verify_lin_encoding_colors_each_tree_once(monkeypatch):
 
 
 def _trees(*presentations):
-    return [term.tree for p in presentations for rel in p.relations for term in rel.terms]
+    return [term.tree for term in _terms(*presentations)]
 
 
 def _memo_colorings(pres):
@@ -562,7 +629,10 @@ def _memo_colorings(pres):
     every (tree, vertex colors) entry of its coloring memo."""
     compiled = pres._compiled
     return {(gen, (label,)) for gen, copies in compiled.copies.items() for label in copies} | {
-        (tree, colors) for tree, colorings in compiled.memo.items() for colors in colorings
+        (tree, colors)
+        for tree, by_term in compiled.memo.items()
+        for colored, _, _ in by_term.values()
+        for colors in colored
     }
 
 

@@ -9,7 +9,7 @@ from dense_rows import dense_rank
 
 from opdkit.catalog import builtin
 from opdkit.claims import expected_multi_diff_dual
-from opdkit.compat import build_mat, build_tot
+from opdkit.compat import build_compatible, build_mat, build_tot
 from opdkit.duality import (
     SELF_DUALITY_BUDGET,
     check_dual_identity,
@@ -207,6 +207,16 @@ def test_linear_total_duality_fails_on_sparse_supports():
     for pres in (md1, builtin("multi_diff", 2), d1d2):
         assert check_dual_identity("total", pres, TWO), pres.name
     assert check_dual_identity("linear", d1d2, TWO)
+
+
+@pytest.mark.parametrize("kind", ["bogus", "lin"])
+def test_dual_identity_refuses_an_unknown_kind_as_the_builders_do(kind):
+    with pytest.raises(ValueError) as built:
+        build_compatible(kind, builtin("as"), TWO)
+    with pytest.raises(ValueError) as checked:
+        check_dual_identity(kind, builtin("as"), TWO)
+    assert str(checked.value) == str(built.value)
+    assert "'linear', 'matching', 'total'" in str(checked.value)
 
 
 def test_singleton_color_duality_trivial():

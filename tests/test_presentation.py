@@ -278,7 +278,7 @@ def colored_tree(tree, slots, colors, compiled):
     one-term template compiled in ``compiled`` (``walk_state``).  A
     template term has at least 2 vertices, as every term of a valid
     relation and every swap has."""
-    (term,) = _Template((Term(Fraction(1), tree, slots),), compiled).relation("t", (colors,)).terms
+    (term,) = _Template((Term(Fraction(1), tree, slots),), compiled).relation("t", (colors,), None).terms
     return term.tree
 
 
